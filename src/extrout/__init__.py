@@ -37,7 +37,6 @@ from .protocols import (
     TxEvent,
     build_scenario,
     dummy_schedule,
-    pad_link,
     place_fake_pair,
 )
 from .simengine import TrafficTrace, run, transmission_matrix

@@ -26,6 +26,10 @@ from .simengine import TrafficTrace, run
 from .topology import Position, Topology
 
 
+class NoTrafficError(ValueError):
+    """Nothing in the observation transmits at or above the threshold."""
+
+
 @dataclass(frozen=True)
 class AttackerObservation:
     """Everything the eavesdropper gets to work with. Built by observe(),
@@ -183,7 +187,7 @@ def guess_endpoints(obs: AttackerObservation, rng: random.Random,
     """
     branches = traffic_branches(obs, threshold)
     if not branches:
-        raise ValueError("no active traffic to attack")
+        raise NoTrafficError("no active traffic to attack")
     gs, gd = endpoint_candidates(obs, cover_traffic, threshold)
     pick = branches[rng.randrange(len(branches))]
     if cover_traffic:

@@ -18,14 +18,20 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from statistics import fmean
 
-from .adversary import attack_trials, observe, unlinkability_score, verdicts_to_csv
+from .adversary import (
+    NoTrafficError,
+    attack_trials,
+    observe,
+    unlinkability_score,
+    verdicts_to_csv,
+)
 from .metrics import (
     REFERENCE_RESULTS,
     REFERENCE_SCENARIOS,
+    guess_success,
     reconcile,
     reference_reconciliations,
     report_csv_header,
@@ -34,6 +40,7 @@ from .metrics import (
     report_to_text,
 )
 from .protocols import (
+    PARAMETERISED_KINDS,
     VARIANT_KINDS,
     PlacementError,
     ProtocolVariant,
@@ -197,10 +204,19 @@ def _mean_exact(values) -> float:
     return fmean(values)
 
 
+def _from_input(build, *args, **kwargs):
+    """Call build on user input; its validation errors are config errors."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _topology(cfg: dict):
     if cfg["topology_file"]:
-        return load_topology(cfg["topology_file"])
-    params = TopologyParams(
+        return _from_input(load_topology, cfg["topology_file"])
+    params = _from_input(
+        TopologyParams,
         grid_rows=cfg["rows"],
         grid_cols=cfg["cols"],
         spacing=cfg["spacing"],
@@ -217,17 +233,17 @@ def _make_variant(cfg: dict) -> ProtocolVariant:
     if kind not in VARIANT_KINDS:
         raise ConfigError(
             f"unknown variant {kind!r}, expected one of {VARIANT_KINDS}")
-    parameterised = kind in ("extrout_duplicates", "extrout_fake",
-                             "nfake_pairs")
-    return ProtocolVariant(
+    return _from_input(
+        ProtocolVariant,
         kind=kind,
-        count=cfg["count"] if parameterised else 0,
+        count=cfg["count"] if kind in PARAMETERISED_KINDS else 0,
         residual_cover_rate=cfg["residual_rate"],
     )
 
 
 def _make_settings(cfg: dict) -> ScenarioSettings:
-    return ScenarioSettings(
+    return _from_input(
+        ScenarioSettings,
         source_ext=None if cfg["source_ext"] < 0 else cfg["source_ext"],
         dest_ext=None if cfg["dest_ext"] < 0 else cfg["dest_ext"],
         ext_low=cfg["ext_low"],
@@ -238,12 +254,11 @@ def _make_settings(cfg: dict) -> ScenarioSettings:
     )
 
 
-def _sample_pair(topo, target_hops: int, rng, bfs_cache: dict,
-                 limit: int | None = None) -> tuple[int, int]:
+def _sample_pair(topo, target_hops: int, rng,
+                 bfs_cache: dict) -> tuple[int, int]:
     """Draw random node pairs until one sits at the target hop distance."""
     nodes = sorted(topo.nodes)
-    if limit is None:
-        limit = 50 * len(nodes)
+    limit = 50 * len(nodes)
     for _ in range(limit):
         source = nodes[rng.randrange(len(nodes))]
         dest = nodes[rng.randrange(len(nodes))]
@@ -274,10 +289,6 @@ def _pick_endpoints(topo, cfg: dict, rng) -> tuple[int, int]:
     return _sample_pair(topo, cfg["target_hops"], rng, {})
 
 
-def _workers(jobs: int) -> int:
-    return max(1, min(8, jobs))
-
-
 def cmd_topology(cfg: dict) -> int:
     topo = _topology(cfg)
     out = Path(cfg["out"])
@@ -294,7 +305,7 @@ def _run_rep(topo, source, dest, variant, settings, seed: int, rep: int):
     rng = substream(seed, f"rep-{rep}")
     plan = build_scenario(topo, source, dest, variant, settings, rng)
     trace = run(plan)
-    matrix = transmission_matrix(trace, topo.params)
+    matrix = _from_input(transmission_matrix, trace, topo.params)
     unlink = unlinkability_score(observe(trace, topo))
     report = report_from_run(plan, trace, unlinkability=unlink)
     return plan, trace, matrix, report
@@ -307,10 +318,8 @@ def cmd_run(cfg: dict) -> int:
     variant = _make_variant(cfg)
     settings = _make_settings(cfg)
     reps = cfg["reps"]
-    with ThreadPoolExecutor(max_workers=_workers(reps)) as pool:
-        futures = [pool.submit(_run_rep, topo, source, dest, variant,
-                               settings, seed, rep) for rep in range(reps)]
-        results = [future.result() for future in futures]
+    results = [_run_rep(topo, source, dest, variant, settings, seed, rep)
+               for rep in range(reps)]
 
     failures = []
     for rep, (_, _, _, report) in enumerate(results):
@@ -428,8 +437,8 @@ def _frontier_points(cfg: dict) -> list[tuple[str, int]]:
 def _frontier_row(topo, source: int, dest: int, kind: str, count: int,
                   cfg: dict, settings) -> list[str]:
     seed = cfg["seed"]
-    variant = ProtocolVariant(kind=kind, count=count,
-                              residual_cover_rate=cfg["residual_rate"])
+    variant = _from_input(ProtocolVariant, kind=kind, count=count,
+                          residual_cover_rate=cfg["residual_rate"])
     reports = []
     shortfall = 0
     failed = 0
@@ -474,11 +483,9 @@ def cmd_sweep(cfg: dict) -> int:
     bfs_cache: dict[int, dict[int, int]] = {}
     header = ("hops,pairs_used,anonymity_single,anonymity_pair,"
               "tof_analytical,tof_measured,note")
-    with ThreadPoolExecutor(max_workers=_workers(len(cfg["hop_targets"]))) as pool:
-        futures = [pool.submit(_sweep_hop_row, topo, target, cfg, variant,
-                               settings, bfs_cache)
-                   for target in cfg["hop_targets"]]
-        rows = [",".join(future.result()) for future in futures]
+    rows = [",".join(_sweep_hop_row(topo, target, cfg, variant, settings,
+                                    bfs_cache))
+            for target in cfg["hop_targets"]]
     _write(out / "anonymity_vs_L.csv", provenance,
            header + "\n" + "\n".join(rows) + "\n")
 
@@ -487,27 +494,15 @@ def cmd_sweep(cfg: dict) -> int:
         substream(seed, "frontier"))
     header = ("technique,parameter,anonymity_single,anonymity_pair,"
               "tof_analytical,tof_measured,note")
-    points = _frontier_points(cfg)
-    with ThreadPoolExecutor(max_workers=_workers(len(points))) as pool:
-        futures = [pool.submit(_frontier_row, topo, frontier_source,
-                               frontier_dest, kind, count, cfg, settings)
-                   for kind, count in points]
-        rows = [",".join(future.result()) for future in futures]
+    rows = [",".join(_frontier_row(topo, frontier_source, frontier_dest,
+                                   kind, count, cfg, settings))
+            for kind, count in _frontier_points(cfg)]
     _write(out / "anonymity_vs_tof.csv", provenance,
            header + "\n" + "\n".join(rows) + "\n")
 
     print(f"wrote {out / 'anonymity_vs_L.csv'}")
     print(f"wrote {out / 'anonymity_vs_tof.csv'}")
     return 0
-
-
-def _analytical_source_success(plan) -> float:
-    """Expected source-guess rate for a branch-then-node guesser."""
-    branches = 1 + len(plan.duplicates) + len(plan.fake_paths)
-    if plan.variant.uses_cover:
-        assert plan.main is not None
-        return 1.0 / (branches * plan.main.route.hops)
-    return 1.0 / branches
 
 
 def cmd_attack(cfg: dict) -> int:
@@ -521,6 +516,9 @@ def cmd_attack(cfg: dict) -> int:
             cover = _parse_bool(cover_key)
         except ValueError as exc:
             raise ConfigError(f"bad value for cover: {exc}") from exc
+    if 0 < cfg["threshold"] < 1:
+        raise ConfigError(
+            f"threshold must be at least 1, got {cfg['threshold']}")
     threshold = cfg["threshold"] if cfg["threshold"] > 0 else None
 
     topo = _topology(cfg)
@@ -536,7 +534,12 @@ def cmd_attack(cfg: dict) -> int:
                             seed=child_seed(seed, "attack"),
                             cover_traffic=cover, threshold=threshold)
     plan0 = factory(substream(child_seed(seed, "attack"), "scenario-0"))
-    expected = _analytical_source_success(plan0)
+    main = plan0.main
+    expected = guess_success(len(plan0.cover_chains()),
+                             main.source_extension if main else 0,
+                             plan0.real_route.hops,
+                             main.dest_extension if main else 0,
+                             cover=plan0.variant.uses_cover)
     on_path = fmean(1.0 if v.on_real_path else 0.0 for v in summary.verdicts)
 
     out = Path(cfg["out"])
@@ -619,10 +622,8 @@ def main(argv: list[str] | None = None) -> int:
         overrides = {key: getattr(args, key) for _, key, _, _ in SCHEMA}
         cfg = resolve_config(args.config, overrides)
         return COMMANDS[args.command](cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except (UnreachableError, PlacementError, ValueError, OSError) as exc:
+    except (ConfigError, UnreachableError, PlacementError, NoTrafficError,
+            OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

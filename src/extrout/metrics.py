@@ -34,7 +34,7 @@ __all__ = [
     "anonymity_nfake",
     "anonymity_pair",
     "anonymity_single",
-    "guess_success_duplicates",
+    "guess_success",
     "reconcile",
     "reference_reconciliations",
     "report_csv_header",
@@ -148,22 +148,26 @@ def tof(variant: str, real_hops: int, source_ext: int = 0, dest_ext: int = 0,
                      f"{VARIANT_KINDS}")
 
 
-def guess_success_duplicates(n_duplicates: int, source_ext: int,
-                             real_hops: int, dest_ext: int) -> float:
-    """Chance a chain-picking attacker names the true source.
+def guess_success(extra_chains: int, source_ext: int, real_hops: int,
+                  dest_ext: int, cover: bool = True) -> float:
+    """Chance a branch-then-node attacker names the true source.
 
-    With n duplicates the attacker first has to pick the extended main
-    path out of n+1 equally plausible chains, then the source out of its
-    Ks + L + Kd transmitters: (1/(n+1)) * 1/(Ks + L + Kd).
+    The attacker first picks the carrier out of 1 + extra_chains equally
+    plausible chains (duplicate or fake paths), then the source out of
+    the carrier's Ks + L + Kd transmitters: 1/((n+1)(Ks + L + Kd)).
+    Without cover traffic the chain's first transmitter is the source,
+    leaving 1/(n+1).
     """
-    if n_duplicates < 0:
-        raise ValueError(f"duplicate count must be >= 0, got {n_duplicates}")
+    if extra_chains < 0:
+        raise ValueError(f"extra chain count must be >= 0, got {extra_chains}")
     if source_ext < 0 or dest_ext < 0:
         raise ValueError("extension hop counts must be >= 0")
     if real_hops < 1:
         raise ValueError(f"real path needs at least one hop, got {real_hops}")
-    chain = source_ext + real_hops + dest_ext
-    return (1.0 / (n_duplicates + 1)) * (1.0 / chain)
+    chains = extra_chains + 1
+    if not cover:
+        return 1.0 / chains
+    return 1.0 / (chains * (source_ext + real_hops + dest_ext))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 from .routing import ExtendedRoute, Route, extrapolate, hop_distances, shortest_path
@@ -20,7 +20,7 @@ logger = logging.getLogger(__name__)
 
 VARIANT_KINDS = ("no_privacy", "extrout_baseline", "extrout_duplicates",
                  "extrout_fake", "nfake_pairs")
-_PARAMETERISED = ("extrout_duplicates", "extrout_fake", "nfake_pairs")
+PARAMETERISED_KINDS = ("extrout_duplicates", "extrout_fake", "nfake_pairs")
 
 
 class PlacementError(Exception):
@@ -42,9 +42,9 @@ class ProtocolVariant:
     def __post_init__(self):
         if self.kind not in VARIANT_KINDS:
             raise ValueError(f"unknown variant kind {self.kind!r}")
-        if self.kind in _PARAMETERISED and self.count < 1:
+        if self.kind in PARAMETERISED_KINDS and self.count < 1:
             raise ValueError(f"{self.kind} needs count >= 1, got {self.count}")
-        if self.kind not in _PARAMETERISED and self.count != 0:
+        if self.kind not in PARAMETERISED_KINDS and self.count != 0:
             raise ValueError(f"{self.kind} takes no count")
         if self.residual_cover_rate < 0 or self.residual_cover_rate != int(self.residual_cover_rate):
             raise ValueError("residual_cover_rate must be a non-negative integer")
@@ -150,9 +150,6 @@ class TransmissionSchedule:
     @property
     def per_interval(self) -> int:
         return len(self.events)
-
-    def senders(self) -> tuple[int, ...]:
-        return tuple(sorted({ev.sender for ev in self.events}))
 
 
 def build_scenario(topo: Topology, source: int, dest: int,
@@ -311,16 +308,3 @@ def dummy_schedule(plan: ScenarioPlan) -> TransmissionSchedule:
         for _ in range(plan.variant.residual_cover_rate):
             events.append(TxEvent(node, None, "residual"))
     return TransmissionSchedule(tuple(events))
-
-
-def pad_link(rate_high: float, rate_low: float) -> float:
-    """Dummy rate to inject on the lower-rate branch at a merge node so both
-    inbound flows present the same observable rate.
-
-    With branch rates A1 >= A2 meeting at one relay, the relay forwards
-    A1 + A2 while the A2 branch pads itself by A2. Single-flow scenarios
-    never call this.
-    """
-    if rate_low < 0 or rate_high < rate_low:
-        raise ValueError(f"need rate_high >= rate_low >= 0, got ({rate_high}, {rate_low})")
-    return rate_low

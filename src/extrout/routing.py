@@ -144,11 +144,6 @@ def shortest_path(topo: Topology, source: int, dest: int) -> Route:
     return Route(tuple(nodes))
 
 
-def route_is_valid(topo: Topology, route: Route) -> bool:
-    """True when every consecutive pair of the route is a topology link."""
-    return all(topo.is_linked(u, v) for u, v in route.links())
-
-
 def extrapolate(topo: Topology, route: Route, source_ext: int, dest_ext: int,
                 rng: random.Random, strict: bool = True, avoid=()) -> ExtendedRoute:
     """Extend a shortest path beyond both endpoints, one hop at a time.

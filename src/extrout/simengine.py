@@ -11,7 +11,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .protocols import ScenarioPlan, dummy_schedule
-from .rng import substream
 from .topology import TopologyParams
 
 HEAT_GLYPHS = " .:-=+*#%@"  # 10 intensity levels for the ASCII matrix view
@@ -24,19 +23,17 @@ class TrafficTrace:
     node_tx: dict[int, int]
     link_tx: dict[tuple[int, int], int]
     intervals: int
-    delivered_real: int
 
     @property
     def total_transmissions(self) -> int:
         return sum(self.node_tx.values())
 
 
-def run(plan: ScenarioPlan, packet_budget: int | None = None, seed: int = 0) -> TrafficTrace:
+def run(plan: ScenarioPlan, packet_budget: int | None = None) -> TrafficTrace:
     """Execute the plan for packet_budget intervals (default: the plan's own).
 
-    Lossless and deterministic: every interval emits the same schedule, the
-    real packet is delivered each interval, and counts are exact multiples
-    of the per-interval schedule.
+    Lossless and deterministic: every interval emits the same schedule, so
+    counts are exact multiples of the per-interval schedule.
     """
     budget = plan.packet_budget if packet_budget is None else packet_budget
     if budget < 1:
@@ -49,27 +46,7 @@ def run(plan: ScenarioPlan, packet_budget: int | None = None, seed: int = 0) -> 
     per_link = Counter((min(ev.sender, ev.next_hop), max(ev.sender, ev.next_hop))
                        for ev in schedule.events if ev.next_hop is not None)
     link_tx = {lk: c * budget for lk, c in sorted(per_link.items())}
-    carries_real = any(ev.kind == "real" for ev in schedule.events)
-    delivered = budget * plan.source_rate if carries_real else 0
-    return TrafficTrace(node_tx=node_tx, link_tx=link_tx, intervals=budget,
-                        delivered_real=delivered)
-
-
-def iter_intervals(plan: ScenarioPlan, packet_budget: int | None = None,
-                   seed: int = 0, jitter: bool = False):
-    """Stream the per-interval event lists the closed-form run() aggregates.
-
-    With jitter on, each interval's emission order is shuffled (seeded);
-    totals are unaffected, which is why run() may aggregate closed-form.
-    """
-    budget = plan.packet_budget if packet_budget is None else packet_budget
-    schedule = dummy_schedule(plan)
-    rng = substream(seed, "jitter")
-    for _ in range(budget):
-        events = list(schedule.events)
-        if jitter:
-            rng.shuffle(events)
-        yield events
+    return TrafficTrace(node_tx=node_tx, link_tx=link_tx, intervals=budget)
 
 
 def transmission_matrix(trace: TrafficTrace, params: TopologyParams) -> list[list[int]]:
@@ -90,27 +67,10 @@ def mean_matrix(matrices: list[list[list[int]]]) -> list[list[float]]:
             for r in range(rows)]
 
 
-def trace_to_csv(trace: TrafficTrace) -> str:
-    """`node_id,tx_count` rows with the interval count in a comment header."""
-    lines = [f"# intervals={trace.intervals}", "node_id,tx_count"]
-    for n in sorted(trace.node_tx):
-        lines.append(f"{n},{trace.node_tx[n]}")
-    return "\n".join(lines) + "\n"
-
-
 def matrix_to_csv(matrix) -> str:
     return "\n".join(",".join(repr(cell) if isinstance(cell, float) else str(cell)
                               for cell in row)
                      for row in matrix) + "\n"
-
-
-def matrix_from_csv(text: str) -> list[list[float]]:
-    rows = []
-    for ln in text.splitlines():
-        if not ln.strip() or ln.lstrip().startswith("#"):
-            continue
-        rows.append([float(cell) for cell in ln.split(",")])
-    return rows
 
 
 def ascii_heatmap(matrix) -> str:

@@ -2,8 +2,24 @@
 
 These deliberately avoid sharing code or approach with the package: hop
 counts come from a frontier-list BFS and disjoint path counts from an
-Edmonds-Karp max flow on a dictionary-based residual graph.
+Edmonds-Karp max flow on a dictionary-based residual graph.  Route and
+output checks that only tests need live here too.
 """
+
+
+def route_is_valid(topo, route) -> bool:
+    """True when every consecutive pair of the route is a topology link."""
+    return all(topo.is_linked(u, v) for u, v in route.links())
+
+
+def matrix_from_csv(text: str) -> list[list[float]]:
+    """Parse a written matrix, skipping provenance comments and blanks."""
+    rows = []
+    for ln in text.splitlines():
+        if not ln.strip() or ln.lstrip().startswith("#"):
+            continue
+        rows.append([float(cell) for cell in ln.split(",")])
+    return rows
 
 
 def bfs_levels(adjacency: dict, start) -> dict:

@@ -284,8 +284,7 @@ def test_criterion_09_uniform_traffic_and_tamper_detection():
     bumped = dict(trace.node_tx)
     bumped[9] += 1
     tampered = TrafficTrace(node_tx=bumped, link_tx=dict(trace.link_tx),
-                            intervals=trace.intervals,
-                            delivered_real=trace.delivered_real)
+                            intervals=trace.intervals)
     report = report_from_run(plan, tampered)
     assert report.tof_measured != report.tof_analytical
     record = reconcile(report)

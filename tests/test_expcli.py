@@ -4,15 +4,16 @@ from __future__ import annotations
 
 import subprocess
 import sys
+import threading
 
 import pytest
 
 from extrout.expcli import ConfigError, main, resolve_config
 from extrout.metrics import ReconciliationRecord
-from extrout.simengine import matrix_from_csv
 from extrout.topology import load_topology, save_topology
 
 from ladders import line_topology
+from oracles import matrix_from_csv
 
 
 def _dense_flags(rows: int, cols: int) -> list[str]:
@@ -87,6 +88,52 @@ def test_main_exit_1_on_config_error(tmp_path, capsys):
     assert main(["attack", "--trials", "50", "--out", str(tmp_path)]) == 1
     assert main(["run", "--config", "/nope.ini"]) == 1
     assert main(["warp"]) == 1  # argparse usage errors map to exit 1
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--ext-low", "5", "--ext-high", "2"], "bad extension interval"),
+    (["--qudg-factor", "2"], "qudg_factor must be in [0, 1]"),
+    (["--variant", "extrout_duplicates", "--count", "0"],
+     "extrout_duplicates needs count >= 1"),
+    (["--threshold", "0.5"], "threshold must be at least 1"),
+    (["--threshold", "1e9"], "no active traffic"),  # above every count
+], ids=["ext-interval", "qudg-factor", "count", "threshold-low",
+        "threshold-high"])
+def test_main_exit_1_on_invalid_input(tmp_path, capsys, flags, message):
+    args = ["attack", *_dense_flags(5, 5), "--target-hops", "3", *flags,
+            "--trials", "100", "--budget", "5", "--out", str(tmp_path)]
+    assert main(args) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("3 150.0 0.95\n", "malformed header"),
+    # ids 0 and 1 do not cover the 1x2 grid, so no matrix view exists
+    ("2 150.0 0.95 0.0 100.0 0\n0 0.0 0.0\n1 100.0 0.0\n0 1\n",
+     "matrix view unavailable"),
+], ids=["header", "ids"])
+def test_main_exit_1_on_malformed_topology_file(tmp_path, capsys, text,
+                                                message):
+    path = tmp_path / "broken.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", "--topology-file", str(path), "--target-hops", "1",
+                 "--reps", "1", "--budget", "5",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+def test_program_errors_are_not_config_errors(tmp_path, monkeypatch):
+    import extrout.expcli as expcli
+
+    def broken_run(plan):
+        raise ValueError("simulated program bug")
+
+    monkeypatch.setattr(expcli, "run", broken_run)
+    with pytest.raises(ValueError, match="simulated program bug"):
+        main(["run", "--topology-file", _line_file(tmp_path),
+              "--source", "5", "--dest", "13",
+              "--reps", "1", "--budget", "10",
+              "--out", str(tmp_path / "out")])
 
 
 def test_main_exit_2_on_reconciliation_failure(tmp_path, monkeypatch):
@@ -179,19 +226,45 @@ def test_run_command_with_attack_reports_empirical(tmp_path):
     assert "anonymity attacked 0.000000" in report
 
 
+def _small_run(out) -> list[str]:
+    return ["run", *_dense_flags(6, 6), "--target-hops", "4",
+            "--reps", "3", "--budget", "25", "--out", str(out)]
+
+
+def _small_sweep(out) -> list[str]:
+    return ["sweep", *_dense_flags(6, 6), "--hop-targets", "3,4",
+            "--pairs-per-target", "2", "--frontier-hops", "4",
+            "--duplicate-counts", "1", "--fake-counts", "1",
+            "--nfake-counts", "1", "--reps", "2", "--budget", "20",
+            "--out", str(out)]
+
+
 def test_run_is_byte_reproducible(tmp_path):
     out = tmp_path / "out"
-    args = ["run", "--topology-file", _line_file(tmp_path),
-            "--source", "5", "--dest", "13",
-            "--reps", "2", "--budget", "25",
-            "--out", str(out)]
-    assert main(args) == 0
-    first = {name: (out / name).read_bytes()
-             for name in ("matrix.csv", "heatmap.txt", "report.txt",
-                          "report.csv")}
-    assert main(args) == 0
-    for name, payload in first.items():
-        assert (out / name).read_bytes() == payload
+    run_args = ["run", "--topology-file", _line_file(tmp_path),
+                "--source", "5", "--dest", "13",
+                "--reps", "2", "--budget", "25",
+                "--out", str(out)]
+    cases = [
+        (run_args, ("matrix.csv", "heatmap.txt", "report.txt", "report.csv")),
+        (_small_sweep(out), ("anonymity_vs_L.csv", "anonymity_vs_tof.csv")),
+    ]
+    for args, names in cases:
+        assert main(args) == 0
+        first = {name: (out / name).read_bytes() for name in names}
+        assert main(args) == 0
+        for name, payload in first.items():
+            assert (out / name).read_bytes() == payload
+
+
+@pytest.mark.parametrize("command", [_small_run, _small_sweep],
+                         ids=["run", "sweep"])
+def test_commands_start_no_thread(tmp_path, monkeypatch, command):
+    def refuse(thread):
+        raise AssertionError(f"thread started: {thread.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert main(command(tmp_path / "out")) == 0
 
 
 def test_sweep_curves_are_exact_on_a_dense_grid(tmp_path):

@@ -15,7 +15,7 @@ from extrout.metrics import (
     anonymity_nfake,
     anonymity_pair,
     anonymity_single,
-    guess_success_duplicates,
+    guess_success,
     reconcile,
     reference_reconciliations,
     report_csv_header,
@@ -95,11 +95,16 @@ def test_tof_validation():
 
 
 def test_guess_success_duplicates():
-    assert guess_success_duplicates(1, 3, 8, 4) == (1 / 2) * (1 / 15)
-    assert guess_success_duplicates(0, 3, 8, 4) == 1 / 15
-    assert guess_success_duplicates(2, 3, 8, 4) == pytest.approx(1 / 45)
+    assert guess_success(1, 3, 8, 4) == 1 / 30
+    assert guess_success(0, 3, 8, 4) == 1 / 15
+    assert guess_success(2, 3, 8, 4) == pytest.approx(1 / 45)
+    # without cover (no_privacy, fake pairs) each chain's head is its source
+    assert guess_success(0, 0, 8, 0, cover=False) == 1.0
+    assert guess_success(3, 0, 8, 0, cover=False) == 1 / 4
     with pytest.raises(ValueError):
-        guess_success_duplicates(-1, 3, 8, 4)
+        guess_success(-1, 3, 8, 4)
+    with pytest.raises(ValueError):
+        guess_success(0, 0, 0, 0, cover=False)
 
 
 def test_formula_monotonicity():

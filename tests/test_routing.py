@@ -15,13 +15,12 @@ from extrout.routing import (
     extrapolate,
     hop_distance,
     hop_distances,
-    route_is_valid,
     shortest_path,
 )
 from extrout.topology import Position, Topology, TopologyParams
 
 from ladders import line_topology, parallel_paths, random_topology
-from oracles import bfs_levels, max_node_disjoint_paths
+from oracles import bfs_levels, max_node_disjoint_paths, route_is_valid
 
 
 def _adjacency(topo: Topology) -> dict[int, tuple[int, ...]]:
