@@ -164,9 +164,14 @@ def endpoint_candidates(obs: AttackerObservation, cover_traffic: bool = True,
     source and every receiving node the destination; without it, time
     correlation exposes the chain heads and tails themselves.
     """
+    return _candidates(traffic_branches(obs, threshold), cover_traffic)
+
+
+def _candidates(branches, cover_traffic: bool
+                ) -> tuple[frozenset[int], frozenset[int]]:
     sources: set[int] = set()
     dests: set[int] = set()
-    for b in traffic_branches(obs, threshold):
+    for b in branches:
         if cover_traffic:
             sources.update(b.transmitters)
             dests.update(b.receivers)
@@ -188,7 +193,7 @@ def guess_endpoints(obs: AttackerObservation, rng: random.Random,
     branches = traffic_branches(obs, threshold)
     if not branches:
         raise NoTrafficError("no active traffic to attack")
-    gs, gd = endpoint_candidates(obs, cover_traffic, threshold)
+    gs, gd = _candidates(branches, cover_traffic)
     pick = branches[rng.randrange(len(branches))]
     if cover_traffic:
         src_pool, dst_pool = pick.transmitters, pick.receivers

@@ -48,7 +48,7 @@ from .protocols import (
     build_scenario,
 )
 from .rng import child_seed, substream
-from .routing import UnreachableError, hop_distance, hop_distances
+from .routing import UnreachableError, at_hop_distance, hop_distance
 from .simengine import (
     ascii_heatmap,
     matrix_to_csv,
@@ -254,19 +254,16 @@ def _make_settings(cfg: dict) -> ScenarioSettings:
     )
 
 
-def _sample_pair(topo, target_hops: int, rng,
-                 bfs_cache: dict) -> tuple[int, int]:
+def _sample_pair(topo, target_hops: int, rng) -> tuple[int, int]:
     """Draw random node pairs until one sits at the target hop distance."""
-    nodes = sorted(topo.nodes)
+    nodes = topo.nodes
     limit = 50 * len(nodes)
     for _ in range(limit):
         source = nodes[rng.randrange(len(nodes))]
         dest = nodes[rng.randrange(len(nodes))]
         if source == dest:
             continue
-        if source not in bfs_cache:
-            bfs_cache[source] = hop_distances(topo, source)
-        if bfs_cache[source].get(dest) == target_hops:
+        if at_hop_distance(topo, source, dest, target_hops):
             return source, dest
     raise ConfigError(
         f"no node pair at {target_hops} hops found in {limit} samples; "
@@ -286,7 +283,7 @@ def _pick_endpoints(topo, cfg: dict, rng) -> tuple[int, int]:
         except UnreachableError as exc:
             raise ConfigError(str(exc)) from exc
         return source, dest
-    return _sample_pair(topo, cfg["target_hops"], rng, {})
+    return _sample_pair(topo, cfg["target_hops"], rng)
 
 
 def cmd_topology(cfg: dict) -> int:
@@ -384,15 +381,14 @@ def cmd_run(cfg: dict) -> int:
     return 0
 
 
-def _sweep_hop_row(topo, target: int, cfg: dict, variant, settings,
-                   bfs_cache: dict) -> list[str]:
+def _sweep_hop_row(topo, target: int, cfg: dict, variant, settings) -> list[str]:
     seed = cfg["seed"]
     rng = substream(seed, f"hops-{target}")
     reports = []
     skipped = 0
     for index in range(cfg["pairs_per_target"]):
         try:
-            source, dest = _sample_pair(topo, target, rng, bfs_cache)
+            source, dest = _sample_pair(topo, target, rng)
         except ConfigError:
             break
         pair_rng = substream(seed, f"hops-{target}-pair-{index}")
@@ -480,11 +476,9 @@ def cmd_sweep(cfg: dict) -> int:
     out = Path(cfg["out"])
     provenance = _provenance(cfg, "sweep")
 
-    bfs_cache: dict[int, dict[int, int]] = {}
     header = ("hops,pairs_used,anonymity_single,anonymity_pair,"
               "tof_analytical,tof_measured,note")
-    rows = [",".join(_sweep_hop_row(topo, target, cfg, variant, settings,
-                                    bfs_cache))
+    rows = [",".join(_sweep_hop_row(topo, target, cfg, variant, settings))
             for target in cfg["hop_targets"]]
     _write(out / "anonymity_vs_L.csv", provenance,
            header + "\n" + "\n".join(rows) + "\n")

@@ -11,6 +11,8 @@ import logging
 import math
 import random
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import NamedTuple, Union
 
 from .routing import ExtendedRoute, Route, extrapolate, hop_distances, shortest_path
@@ -200,11 +202,9 @@ def build_scenario(topo: Topology, source: int, dest: int,
 def _fake_plain_routes(topo, source, dest, n, real, rng):
     """n fake shortest paths for the N-fake-pairs technique."""
     taken: set[int] = set()
-    hop_cache: dict[int, dict[int, int]] = {}
     routes = []
     for _ in range(n):
-        fs, fd = place_fake_pair(topo, source, dest, rng, avoid=taken,
-                                 hop_cache=hop_cache)
+        fs, fd = place_fake_pair(topo, source, dest, rng, avoid=taken)
         fake = shortest_path(topo, fs, fd)
         routes.append(fake)
         taken.update(fake.nodes)
@@ -215,11 +215,9 @@ def _fake_extended_routes(topo, source, dest, n, main, settings, rng):
     """n fake extended paths; their extrapolation never touches the real
     route or an earlier fake."""
     taken: set[int] = set()
-    hop_cache: dict[int, dict[int, int]] = {}
     fakes = []
     for _ in range(n):
-        fs, fd = place_fake_pair(topo, source, dest, rng, avoid=taken,
-                                 hop_cache=hop_cache)
+        fs, fd = place_fake_pair(topo, source, dest, rng, avoid=taken)
         fake = shortest_path(topo, fs, fd)
         f_src = settings.source_ext if settings.source_ext is not None \
             else rng.randint(settings.ext_low, settings.ext_high)
@@ -233,7 +231,7 @@ def _fake_extended_routes(topo, source, dest, n, main, settings, rng):
 
 
 def place_fake_pair(topo: Topology, source: int, dest: int, rng: random.Random,
-                    avoid=(), hop_cache: dict | None = None) -> tuple[int, int]:
+                    avoid=()) -> tuple[int, int]:
     """Pick a decoy pair whose hop separation is within 1 of the real pair's.
 
     Among admissible pairs the one whose segment midpoint lies farthest from
@@ -242,26 +240,44 @@ def place_fake_pair(topo: Topology, source: int, dest: int, rng: random.Random,
     relaxes to 2 if nothing qualifies at 1, then placement fails.
     """
     real = shortest_path(topo, source, dest)
-    want = real.hops
-    forbidden = set(real.nodes) | set(avoid)
-    real_pts = [topo.positions[n] for n in real.nodes]
-    cache = hop_cache if hop_cache is not None else {}
-
-    def dists(u):
-        if u not in cache:
-            cache[u] = hop_distances(topo, u)
-        return cache[u]
-
+    avoid = set(avoid)
+    forbidden = set(real.nodes) | avoid
     for slack in (1, 2):
+        for tier in _pair_tiers(topo, real, slack):
+            # Tiers hold equal gaps, so filtering each one yields the tiers
+            # of the filtered ranking; an emptied tier draws nothing.
+            tier = [(u, v) for u, v in tier if u not in avoid and v not in avoid]
+            rng.shuffle(tier)
+            for u, v in tier:
+                if forbidden.isdisjoint(shortest_path(topo, u, v).nodes):
+                    return u, v
+    raise PlacementError(
+        f"no fake pair within 2 hops of separation {real.hops} avoids the real route")
+
+
+def _pair_tiers(topo: Topology, real: Route, slack: int
+                ) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Pairs off the real route whose hop separation is within slack of
+    its hops, ranked by decreasing distance from their midpoint to the
+    route and cut into tiers of equal distance.
+
+    The ranking depends on neither the RNG nor `avoid`, so it is computed
+    once per slack and kept on the topology for the latest real route only.
+    """
+    memo = topo.fake_pair_tiers
+    if memo is None or memo[0] != real.nodes:
+        memo = topo.fake_pair_tiers = (real.nodes, {})
+    by_slack = memo[1]
+    if slack not in by_slack:
+        want = real.hops
+        on_route = set(real.nodes)
+        real_pts = [topo.positions[n] for n in real.nodes]
+        free = [n for n in topo.nodes if n not in on_route]
         scored = []
-        for u in topo.nodes:
-            if u in forbidden:
-                continue
-            du = dists(u)
+        for k, u in enumerate(free):
+            du = hop_distances(topo, u)
             ux, uy = topo.positions[u]
-            for v in topo.nodes:
-                if v <= u or v in forbidden:
-                    continue
+            for v in free[k + 1:]:
                 d = du.get(v)
                 if d is None or abs(d - want) > slack:
                     continue
@@ -270,21 +286,9 @@ def place_fake_pair(topo: Topology, source: int, dest: int, rng: random.Random,
                 gap = min(math.dist(mid, p) for p in real_pts)
                 scored.append((-gap, u, v))
         scored.sort()
-        i = 0
-        while i < len(scored):
-            # one score tier at a time, shuffled so ties break randomly
-            j = i
-            while j < len(scored) and scored[j][0] == scored[i][0]:
-                j += 1
-            tier = scored[i:j]
-            rng.shuffle(tier)
-            for _gap, u, v in tier:
-                fake = shortest_path(topo, u, v)
-                if not (set(fake.nodes) & forbidden):
-                    return u, v
-            i = j
-    raise PlacementError(
-        f"no fake pair within 2 hops of separation {want} avoids the real route")
+        by_slack[slack] = tuple(tuple((u, v) for _gap, u, v in tier)
+                                for _key, tier in groupby(scored, key=itemgetter(0)))
+    return by_slack[slack]
 
 
 def dummy_schedule(plan: ScenarioPlan) -> TransmissionSchedule:
@@ -304,7 +308,7 @@ def dummy_schedule(plan: ScenarioPlan) -> TransmissionSchedule:
         for u, v in chain.links():
             events.append(TxEvent(u, v, "dummy"))
     events *= plan.source_rate
-    for node in sorted(plan.topology.positions):
+    for node in plan.topology.nodes:
         for _ in range(plan.variant.residual_cover_rate):
             events.append(TxEvent(node, None, "residual"))
     return TransmissionSchedule(tuple(events))

@@ -7,12 +7,18 @@ here is deterministic for a fixed topology and seed.
 
 from __future__ import annotations
 
+import heapq
 import logging
 import random
 from collections import deque
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 from .topology import Topology
+
+# Landmark nodes whose hop tables bound pair distances in at_hop_distance.
+LANDMARKS = 4
 
 logger = logging.getLogger(__name__)
 
@@ -101,10 +107,26 @@ class ExtendedRoute:
         return Route(self.route.nodes[self.source_index:self.dest_index + 1])
 
 
-def hop_distances(topo: Topology, src: int) -> dict[int, int]:
-    """BFS hop counts from src to every reachable node."""
+def hop_distances(topo: Topology, src: int) -> Mapping[int, int]:
+    """BFS hop counts from src to every reachable node.
+
+    A source's table is kept in topo.hop_tables from its second request
+    on, so sources asked for once hold no memory. The view is read-only
+    because later callers share it.
+    """
+    table = topo.hop_tables.get(src)
+    if table is not None:
+        return table
     if src not in topo.positions:
         raise ValueError(f"node {src} not in topology")
+    table = _bfs(topo, src)
+    if src in topo.hop_sources_seen:
+        topo.hop_tables[src] = table
+    topo.hop_sources_seen.add(src)
+    return table
+
+
+def _bfs(topo: Topology, src: int) -> Mapping[int, int]:
     dist = {src: 0}
     queue = deque([src])
     while queue:
@@ -113,7 +135,64 @@ def hop_distances(topo: Topology, src: int) -> dict[int, int]:
             if v not in dist:
                 dist[v] = dist[u] + 1
                 queue.append(v)
-    return dist
+    return MappingProxyType(dist)
+
+
+def _landmarks(topo: Topology) -> tuple[Mapping[int, int], ...]:
+    """Hop tables of LANDMARKS nodes picked farthest-first from the lowest
+    node id (on a grid, its corners), kept in topo.landmarks."""
+    if topo.landmarks is None:
+        tables = [_bfs(topo, topo.nodes[0])]
+        nearest = dict(tables[0])
+        while len(tables) < LANDMARKS:
+            tables.append(_bfs(topo, max(nearest, key=nearest.__getitem__)))
+            for n, d in tables[-1].items():
+                if d < nearest[n]:
+                    nearest[n] = d
+        topo.landmarks = tuple(tables)
+    return topo.landmarks
+
+
+def at_hop_distance(topo: Topology, u: int, v: int, hops: int) -> bool:
+    """Whether v lies exactly `hops` hops from u.
+
+    Pair sampling asks this for every pair it draws, so it avoids a BFS
+    over the whole topology: an A* search from u, guided by the landmark
+    tables' lower bound on the distance to v (triangle inequality), finds
+    the distance exactly but expands only nodes that could still lie on a
+    path of at most `hops` hops.
+    """
+    if u == v:
+        return hops == 0
+    bounds = []
+    for table in _landmarks(topo):
+        if (u in table) != (v in table):
+            return False  # different components
+        if v in table:
+            bounds.append((table, table[v]))
+
+    def lower(n: int) -> int:
+        return max([abs(t[n] - tv) for t, tv in bounds]) if bounds else 0
+
+    if lower(u) > hops:
+        return False
+    depth = {u: 0}
+    heap = [(lower(u), 0, u)]
+    while heap:
+        _f, neg_depth, n = heapq.heappop(heap)
+        if n == v:
+            return -neg_depth == hops
+        if -neg_depth > depth[n]:
+            continue  # reached by a shorter path since it was pushed
+        step = 1 - neg_depth
+        for m in topo.neighbors(n):
+            if step < depth.get(m, hops + 1):
+                f = step + lower(m)
+                if f <= hops:
+                    depth[m] = step
+                    # deeper nodes first among equal bounds
+                    heapq.heappush(heap, (f, -step, m))
+    return False
 
 
 def hop_distance(topo: Topology, u: int, v: int) -> int:
@@ -165,7 +244,7 @@ def extrapolate(topo: Topology, route: Route, source_ext: int, dest_ext: int,
     dist_to_src = hop_distances(topo, src)
     used = set(route.nodes) | set(avoid)
 
-    def grow(tail: int, dist_map: dict[int, int], want: int) -> list[int]:
+    def grow(tail: int, dist_map: Mapping[int, int], want: int) -> list[int]:
         chain: list[int] = []
         for k in range(1, want + 1):
             cands = [m for m in topo.neighbors(tail)
@@ -220,7 +299,7 @@ def disjoint_paths(topo: Topology, anchor_source: int, anchor_dest: int,
     for n in allowed:
         if n not in (anchor_source, anchor_dest):
             add_arc(index[n], index[n] + 1, 1, 0)
-    for i, j in sorted(topo.links):
+    for i, j in topo.sorted_links:
         if i in banned or j in banned:
             continue
         add_arc(index[i] + 1, index[j], 1, 1)

@@ -39,7 +39,7 @@ def run(plan: ScenarioPlan, packet_budget: int | None = None) -> TrafficTrace:
     if budget < 1:
         raise ValueError(f"packet_budget must be at least 1, got {budget}")
     schedule = dummy_schedule(plan)
-    node_tx = {n: 0 for n in sorted(plan.topology.positions)}
+    node_tx = {n: 0 for n in plan.topology.nodes}
     per_node = Counter(ev.sender for ev in schedule.events)
     for n, c in per_node.items():
         node_tx[n] = c * budget

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 from .rng import substream
 
@@ -67,12 +67,26 @@ class TopologyParams:
 
 @dataclass
 class Topology:
-    """A placed node set plus its sampled link set; immutable after build."""
+    """A placed node set plus its sampled link set; immutable after build.
+
+    hop_tables (source -> read-only hop counts, with hop_sources_seen),
+    landmarks (the hop tables routing.at_hop_distance bounds pairs with)
+    and fake_pair_tiers (the latest real route's decoy-pair ranking)
+    memoize RNG-independent work; routing and protocols.place_fake_pair
+    fill them lazily. They take no part in equality, so a warmed topology
+    equals a fresh one.
+    """
 
     params: TopologyParams
     positions: dict[int, Position]
     links: frozenset[tuple[int, int]]
     adjacency: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    nodes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    sorted_links: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    hop_tables: dict[int, Mapping[int, int]] = field(init=False, repr=False, compare=False)
+    hop_sources_seen: set[int] = field(init=False, repr=False, compare=False)
+    landmarks: tuple[Mapping[int, int], ...] | None = field(init=False, repr=False, compare=False)
+    fake_pair_tiers: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pairs = set()
@@ -88,10 +102,12 @@ class Topology:
             nbrs[i].append(j)
             nbrs[j].append(i)
         self.adjacency = {n: tuple(sorted(v)) for n, v in nbrs.items()}
-
-    @property
-    def nodes(self) -> tuple[int, ...]:
-        return tuple(sorted(self.positions))
+        self.nodes = tuple(sorted(self.positions))
+        self.sorted_links = tuple(sorted(self.links))
+        self.hop_tables = {}
+        self.hop_sources_seen = set()
+        self.landmarks = None
+        self.fake_pair_tiers = None
 
     @property
     def node_count(self) -> int:
@@ -205,7 +221,7 @@ def topology_to_text(topo: Topology) -> str:
     for n in topo.nodes:
         pos = topo.positions[n]
         lines.append(f"{n} {pos.x!r} {pos.y!r}")
-    for i, j in sorted(topo.links):
+    for i, j in topo.sorted_links:
         lines.append(f"{i} {j}")
     return "\n".join(lines) + "\n"
 

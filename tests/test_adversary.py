@@ -7,6 +7,7 @@ import statistics
 
 import pytest
 
+from extrout import adversary
 from extrout.adversary import (
     AttackerObservation,
     active_subgraph,
@@ -209,6 +210,20 @@ def test_guess_is_seed_deterministic_and_needs_traffic():
     empty = _manual_obs({}, {})
     with pytest.raises(ValueError):
         guess_endpoints(empty, random.Random(0))
+
+
+def test_guess_builds_the_branches_once(monkeypatch):
+    _, obs = _baseline_obs()
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return traffic_branches(*args)
+
+    monkeypatch.setattr(adversary, "traffic_branches", counting)
+    _src, _dst, _pick, gs, gd = guess_endpoints(obs, random.Random(0))
+    assert len(calls) == 1
+    assert (gs, gd) == tuple(map(len, endpoint_candidates(obs)))
 
 
 # ------------------------------------------------------------ attack trials

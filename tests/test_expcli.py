@@ -8,12 +8,13 @@ import threading
 
 import pytest
 
-from extrout.expcli import ConfigError, main, resolve_config
+from extrout.expcli import ConfigError, _sample_pair, main, resolve_config
 from extrout.metrics import ReconciliationRecord
-from extrout.topology import load_topology, save_topology
+from extrout.rng import substream
+from extrout.topology import TopologyParams, generate, load_topology, save_topology
 
 from ladders import line_topology
-from oracles import matrix_from_csv
+from oracles import bfs_levels, matrix_from_csv
 
 
 def _dense_flags(rows: int, cols: int) -> list[str]:
@@ -152,6 +153,39 @@ def test_main_exit_2_on_reconciliation_failure(tmp_path, monkeypatch):
 
 
 # ------------------------------------------------------------- subcommands
+
+def test_pair_sampling_draws_the_bfs_pair_without_whole_topology_searches():
+    topo = generate(TopologyParams(30, 30, perturbation=0.0, tx_range=150.0,
+                                   qudg_factor=0.95, seed=1))
+    calls = 0
+    neighbors = topo.neighbors
+
+    def counting(node):
+        nonlocal calls
+        calls += 1
+        return neighbors(node)
+
+    topo.neighbors = counting
+    draws = 0
+    for seed in range(1, 9):
+        rng = substream(seed, "pairs")
+        got = _sample_pair(topo, 20, rng)
+        # the same draws, each checked by a BFS from its source
+        rng = substream(seed, "pairs")
+        while True:
+            source = topo.nodes[rng.randrange(topo.node_count)]
+            dest = topo.nodes[rng.randrange(topo.node_count)]
+            draws += 1
+            if (source != dest and bfs_levels(topo.adjacency, source).get(dest)
+                    == 20):
+                break
+        assert got == (source, dest)
+    # four landmark BFS, then a few expansions a draw, where a BFS from
+    # each drawn source would expand every node
+    assert draws > 100
+    assert calls - 4 * topo.node_count < draws * topo.node_count / 20
+    assert topo.hop_sources_seen == set()
+
 
 def test_topology_command_writes_loadable_file(tmp_path, capsys):
     out = tmp_path / "out"

@@ -15,6 +15,7 @@ from extrout.protocols import (
     place_fake_pair,
 )
 from extrout.routing import Route, shortest_path
+from extrout.topology import TopologyParams, generate
 
 from ladders import line_topology, parallel_paths
 
@@ -187,6 +188,70 @@ def test_place_fake_pair_fails_when_no_room():
     topo = line_topology(12)
     with pytest.raises(PlacementError):
         place_fake_pair(topo, 1, 9, random.Random(0))
+
+
+# ------------------------------------------------------ per-topology caches
+
+def _mesh():
+    """A connected 12x12 perturbed grid; 14 -> 131 is a 13-hop pair."""
+    return generate(TopologyParams(grid_rows=12, grid_cols=12, perturbation=0.25,
+                                   tx_range=160.0, qudg_factor=0.75, seed=4))
+
+
+def _fake_plans(topo, seeds=range(5)):
+    return [build_scenario(topo, 14, 131, variant, rng=random.Random(seed))
+            for variant in (ProtocolVariant.fake(1), ProtocolVariant.nfake(3))
+            for seed in seeds]
+
+
+def test_plans_do_not_depend_on_cache_state():
+    fresh = _fake_plans(_mesh())
+    warmed = _mesh()
+    warm_variants = (ProtocolVariant.fake(2), ProtocolVariant.nfake(1),
+                     ProtocolVariant.duplicates(2), ProtocolVariant.extrout())
+    for seed, (src, dst) in enumerate(((3, 100), (30, 90), (14, 131), (7, 138))):
+        for variant in warm_variants:
+            build_scenario(warmed, src, dst, variant, rng=random.Random(seed))
+    assert warmed.fake_pair_tiers[0] == shortest_path(warmed, 7, 138).nodes
+    assert _fake_plans(warmed) == fresh
+
+
+def test_later_fake_plans_reuse_the_hop_tables():
+    topo = _mesh()
+    calls = 0
+    neighbors = topo.neighbors
+
+    def counting(node):
+        nonlocal calls
+        calls += 1
+        return neighbors(node)
+
+    topo.neighbors = counting
+    per_plan = []
+    for seed in range(20):
+        calls = 0
+        build_scenario(topo, 14, 131, ProtocolVariant.fake(1),
+                       rng=random.Random(seed))
+        per_plan.append(calls)
+    # the first plan ranks every decoy pair, which takes a BFS from nearly
+    # every node; a later plan never ranks again and runs at most the odd
+    # BFS for a source asked for the second time
+    assert per_plan[0] > 100 * topo.node_count
+    assert max(per_plan[1:]) < 3 * topo.node_count
+
+
+def test_a_new_real_route_replaces_the_pair_ranking():
+    topo = _mesh()
+    place_fake_pair(topo, 14, 131, random.Random(0))
+    route, tiers = topo.fake_pair_tiers
+    assert route == shortest_path(topo, 14, 131).nodes
+    ranking = tiers[1]
+    place_fake_pair(topo, 14, 131, random.Random(1))
+    assert topo.fake_pair_tiers[1][1] is ranking
+    place_fake_pair(topo, 7, 138, random.Random(0))
+    route, tiers = topo.fake_pair_tiers
+    assert route == shortest_path(topo, 7, 138).nodes
+    assert ranking not in tiers.values()
 
 
 # ------------------------------------------------------------ dummy schedule

@@ -11,6 +11,7 @@ from extrout.routing import (
     ExtendedRoute,
     Route,
     UnreachableError,
+    at_hop_distance,
     disjoint_paths,
     extrapolate,
     hop_distance,
@@ -62,6 +63,32 @@ def test_hop_distances_match_independent_bfs():
         adjacency = _adjacency(topo)
         for start in (1, 12, 24):
             assert hop_distances(topo, start) == bfs_levels(adjacency, start)
+
+
+def test_hop_tables_are_kept_from_the_second_request_and_read_only():
+    topo = line_topology(6)
+    first = hop_distances(topo, 1)
+    assert topo.hop_tables == {}
+    table = hop_distances(topo, 1)
+    assert table == first and topo.hop_tables == {1: table}
+    assert hop_distances(topo, 1) is table
+    for view in (first, table):
+        with pytest.raises(TypeError):
+            view[6] = 0
+    assert hop_distance(topo, 1, 6) == 5
+
+
+def test_at_hop_distance_matches_bfs():
+    # p = 0.06 leaves several components; the landmarks lie in node 1's,
+    # so pairs elsewhere are searched without a bound
+    for p, seed in ((0.06, 1), (0.06, 2), (0.12, 3), (0.3, 4)):
+        topo = random_topology(24, p, seed)
+        adjacency = _adjacency(topo)
+        for u in topo.nodes:
+            levels = bfs_levels(adjacency, u)
+            for v in topo.nodes:
+                for hops in range(8):
+                    assert at_hop_distance(topo, u, v, hops) == (levels.get(v) == hops)
 
 
 def test_hop_distance_values_and_errors():
