@@ -33,8 +33,6 @@ from .protocols import (
     ProtocolVariant,
     ScenarioPlan,
     ScenarioSettings,
-    TransmissionSchedule,
-    TxEvent,
     build_scenario,
     dummy_schedule,
     place_fake_pair,

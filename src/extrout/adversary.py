@@ -1,9 +1,10 @@
 """Global passive adversary: rate-monitoring inference over observable traffic.
 
-The attacker sees every transmission count in the network plus the public
-topology, never packet contents, kinds or route metadata. Link counts stand
-for relayed-flow evidence (a designated next hop); undirected residual
-broadcasts raise node counts only.
+The attacker sees every transmission count in the network, never packet
+contents, kinds or route metadata. The topology is public, but rate
+monitoring never needs it. Link counts stand for relayed-flow evidence (a
+designated next hop); undirected residual broadcasts raise node counts
+only.
 
 Scheme knowledge is public: the attacker knows whether the deployed variant
 runs synchronized cover traffic. Without cover, forwarding is a causal relay
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 
 from .rng import substream
 from .simengine import TrafficTrace, run
-from .topology import Position, Topology
 
 
 class NoTrafficError(ValueError):
@@ -32,21 +32,17 @@ class NoTrafficError(ValueError):
 
 @dataclass(frozen=True)
 class AttackerObservation:
-    """Everything the eavesdropper gets to work with. Built by observe(),
-    which strips kinds, routes and endpoint identities."""
+    """Everything the eavesdropper gets to work with: transmit counts per
+    node and per link, without routes or endpoint identities."""
 
     node_tx: dict[int, int]
     link_tx: dict[tuple[int, int], int]
-    positions: dict[int, Position]
-    links: frozenset[tuple[int, int]]
 
 
-def observe(trace: TrafficTrace, topo: Topology) -> AttackerObservation:
-    """Project a trace onto the attacker-visible surface."""
+def observe(trace: TrafficTrace) -> AttackerObservation:
+    """Project a trace onto the attacker-visible surface, detached from it."""
     return AttackerObservation(node_tx=dict(trace.node_tx),
-                               link_tx=dict(trace.link_tx),
-                               positions=dict(topo.positions),
-                               links=topo.links)
+                               link_tx=dict(trace.link_tx))
 
 
 def _effective_threshold(obs: AttackerObservation, threshold: float | None) -> float:
@@ -252,7 +248,6 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
 
 def attack_trials(plan_factory, trials: int, seed: int = 0,
                   cover_traffic: bool | None = None,
-                  packet_budget: int | None = None,
                   threshold: float | None = None) -> AttackSummary:
     """Run (scenario, attack) pairs with fresh per-trial randomness.
 
@@ -267,8 +262,7 @@ def attack_trials(plan_factory, trials: int, seed: int = 0,
     for t in range(trials):
         plan = plan_factory(substream(seed, f"scenario-{t}"))
         cover = plan.variant.uses_cover if cover_traffic is None else cover_traffic
-        trace = run(plan, packet_budget)
-        obs = observe(trace, plan.topology)
+        obs = observe(run(plan))
         src, dst, branch, gs, gd = guess_endpoints(
             obs, substream(seed, f"attack-{t}"), cover, threshold)
         v = AttackVerdict(source_guess=src, dest_guess=dst,

@@ -167,8 +167,14 @@ def resolve_config(config_path: str | None,
         raise ConfigError("reps must be >= 1")
     if cfg["budget"] < 1:
         raise ConfigError("budget must be >= 1")
+    if cfg["source"] < 0 or cfg["dest"] < 0:
+        raise ConfigError("source and dest must be >= 0 (0 samples a pair)")
     if (cfg["source"] > 0) != (cfg["dest"] > 0):
         raise ConfigError("set both source and dest, or neither")
+    if cfg["pairs_per_target"] < 1:
+        raise ConfigError("pairs_per_target must be >= 1")
+    if cfg["attack_trials"] < 0:
+        raise ConfigError("attack_trials must be >= 0")
     return cfg
 
 
@@ -303,7 +309,7 @@ def _run_rep(topo, source, dest, variant, settings, seed: int, rep: int):
     plan = build_scenario(topo, source, dest, variant, settings, rng)
     trace = run(plan)
     matrix = _from_input(transmission_matrix, trace, topo.params)
-    unlink = unlinkability_score(observe(trace, topo))
+    unlink = unlinkability_score(observe(trace))
     report = report_from_run(plan, trace, unlinkability=unlink)
     return plan, trace, matrix, report
 
@@ -409,11 +415,15 @@ def _sweep_hop_row(topo, target: int, cfg: dict, variant, settings) -> list[str]
             continue
         reports.append(report_from_run(plan, run(plan)))
     note = f"skipped={skipped}" if skipped else ""
+    return [str(target), str(len(reports)), *_mean_cells(reports, note)]
+
+
+def _mean_cells(reports, note: str) -> list[str]:
+    """The four mean columns and the note of a sweep row; without reports
+    the means are blank and an empty note reads "insufficient"."""
     if not reports:
-        return [str(target), "0", "", "", "", "", note or "insufficient"]
+        return ["", "", "", "", note or "insufficient"]
     return [
-        str(target),
-        str(len(reports)),
         repr(_mean_exact(r.anonymity_single for r in reports)),
         repr(_mean_exact(r.anonymity_pair for r in reports)),
         repr(_mean_exact(r.tof_analytical for r in reports)),
@@ -452,18 +462,7 @@ def _frontier_row(topo, source: int, dest: int, kind: str, count: int,
         notes.append(f"placement_failed={failed}")
     if shortfall:
         notes.append(f"duplicate_shortfall={shortfall}")
-    note = " ".join(notes)
-    if not reports:
-        return [kind, str(count), "", "", "", "", note or "insufficient"]
-    return [
-        kind,
-        str(count),
-        repr(_mean_exact(r.anonymity_single for r in reports)),
-        repr(_mean_exact(r.anonymity_pair for r in reports)),
-        repr(_mean_exact(r.tof_analytical for r in reports)),
-        repr(_mean_exact(r.tof_measured for r in reports)),
-        note,
-    ]
+    return [kind, str(count), *_mean_cells(reports, " ".join(notes))]
 
 
 def cmd_sweep(cfg: dict) -> int:

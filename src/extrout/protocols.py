@@ -1,8 +1,8 @@
 """Scenario assembly for each privacy technique.
 
 A scenario plan fixes the real pair, the extended/duplicate/fake paths and
-the traffic parameters; the dummy schedule derived from it is the steady
-state one interval of synchronized cover traffic.
+the traffic parameters; the relay counts derived from it are one
+steady-state interval of synchronized cover traffic.
 """
 
 from __future__ import annotations
@@ -10,10 +10,11 @@ from __future__ import annotations
 import logging
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
-from typing import NamedTuple, Union
+from typing import Union
 
 from .routing import ExtendedRoute, Route, extrapolate, hop_distances, shortest_path
 from .topology import Topology
@@ -135,23 +136,6 @@ class ScenarioPlan:
 
     def all_chains(self) -> tuple[Route, ...]:
         return (self.carrier(),) + self.cover_chains()
-
-
-class TxEvent(NamedTuple):
-    sender: int
-    next_hop: int | None
-    kind: str  # "real" | "dummy" | "residual"
-
-
-@dataclass(frozen=True)
-class TransmissionSchedule:
-    """One steady-state interval of transmissions; the simulator repeats it."""
-
-    events: tuple[TxEvent, ...]
-
-    @property
-    def per_interval(self) -> int:
-        return len(self.events)
 
 
 def build_scenario(topo: Topology, source: int, dest: int,
@@ -291,24 +275,17 @@ def _pair_tiers(topo: Topology, real: Route, slack: int
     return by_slack[slack]
 
 
-def dummy_schedule(plan: ScenarioPlan) -> TransmissionSchedule:
-    """One steady-state interval: every non-terminal node of every active
-    chain forwards once per source packet; terminal sinks only receive.
+def dummy_schedule(plan: ScenarioPlan) -> Counter[tuple[int, int]]:
+    """Relays per (sender, next hop) in one steady-state interval: every
+    non-terminal node of every chain forwards once per source packet;
+    terminal sinks only receive.
 
-    The real packet rides the source-to-dest segment of the carrier chain,
-    everything else is dummy traffic. Counts never depend on the kind tags.
+    The attacker sees counts only, so the real packet and the dummies are
+    counted alike. Residual cover has no next hop and is added per node by
+    the simulator.
     """
-    events: list[TxEvent] = []
-    carrier = plan.carrier()
-    lo, hi = (plan.main.source_index, plan.main.dest_index) if plan.main is not None \
-        else (0, carrier.hops)
-    for idx, (u, v) in enumerate(carrier.links()):
-        events.append(TxEvent(u, v, "real" if lo <= idx < hi else "dummy"))
-    for chain in plan.cover_chains():
-        for u, v in chain.links():
-            events.append(TxEvent(u, v, "dummy"))
-    events *= plan.source_rate
-    for node in plan.topology.nodes:
-        for _ in range(plan.variant.residual_cover_rate):
-            events.append(TxEvent(node, None, "residual"))
-    return TransmissionSchedule(tuple(events))
+    relays: Counter[tuple[int, int]] = Counter()
+    for chain in plan.all_chains():
+        for link in chain.links():
+            relays[link] += plan.source_rate
+    return relays

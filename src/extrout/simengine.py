@@ -1,8 +1,8 @@
 """Deterministic interval-stepped execution of a scenario plan.
 
-Traffic is synchronous and lossless: each interval replays the steady-state
-schedule once, so per-node totals are the per-interval counts scaled by the
-interval count (order within an interval never affects totals).
+Traffic is synchronous and lossless: each interval repeats the steady-state
+relay counts once, so per-node totals are the per-interval counts scaled by
+the interval count (order within an interval never affects totals).
 """
 
 from __future__ import annotations
@@ -29,24 +29,24 @@ class TrafficTrace:
         return sum(self.node_tx.values())
 
 
-def run(plan: ScenarioPlan, packet_budget: int | None = None) -> TrafficTrace:
-    """Execute the plan for packet_budget intervals (default: the plan's own).
+def run(plan: ScenarioPlan) -> TrafficTrace:
+    """Execute the plan for its packet_budget intervals.
 
-    Lossless and deterministic: every interval emits the same schedule, so
-    counts are exact multiples of the per-interval schedule.
+    Lossless and deterministic: every interval relays the same counts and
+    adds residual_cover_rate transmissions at every node, so totals are
+    exact multiples of one interval.
     """
-    budget = plan.packet_budget if packet_budget is None else packet_budget
-    if budget < 1:
+    budget = plan.packet_budget
+    if budget < 1:  # a hand-built ScenarioPlan is not validated
         raise ValueError(f"packet_budget must be at least 1, got {budget}")
-    schedule = dummy_schedule(plan)
-    node_tx = {n: 0 for n in plan.topology.nodes}
-    per_node = Counter(ev.sender for ev in schedule.events)
-    for n, c in per_node.items():
-        node_tx[n] = c * budget
-    per_link = Counter((min(ev.sender, ev.next_hop), max(ev.sender, ev.next_hop))
-                       for ev in schedule.events if ev.next_hop is not None)
-    link_tx = {lk: c * budget for lk, c in sorted(per_link.items())}
-    return TrafficTrace(node_tx=node_tx, link_tx=link_tx, intervals=budget)
+    node_tx = dict.fromkeys(plan.topology.nodes,
+                            plan.variant.residual_cover_rate * budget)
+    link_tx: Counter[tuple[int, int]] = Counter()
+    for (sender, next_hop), relays in dummy_schedule(plan).items():
+        node_tx[sender] += relays * budget
+        link_tx[min(sender, next_hop), max(sender, next_hop)] += relays * budget
+    return TrafficTrace(node_tx=node_tx, link_tx=dict(sorted(link_tx.items())),
+                        intervals=budget)
 
 
 def transmission_matrix(trace: TrafficTrace, params: TopologyParams) -> list[list[int]]:

@@ -279,7 +279,7 @@ def test_criterion_09_uniform_traffic_and_tamper_detection():
     trace = run(plan)
     active = {n: c for n, c in trace.node_tx.items() if c > 0}
     assert len(set(active.values())) == 1  # CV = 0 across the live chain
-    assert unlinkability_score(observe(trace, plan.topology)) == 1.0
+    assert unlinkability_score(observe(trace)) == 1.0
 
     bumped = dict(trace.node_tx)
     bumped[9] += 1
@@ -290,7 +290,7 @@ def test_criterion_09_uniform_traffic_and_tamper_detection():
     record = reconcile(report)
     assert not record.passed
     assert any("tof_measured" in failure for failure in record.failures)
-    assert unlinkability_score(observe(tampered, plan.topology)) < 1.0
+    assert unlinkability_score(observe(tampered)) < 1.0
     _verdict(9, True,
              "uniform counts score 1.0, a single extra transmission fails "
              "reconciliation")

@@ -29,16 +29,19 @@ from ladders import line_topology, parallel_paths
 def _baseline_obs(budget: int = 4):
     topo = line_topology(20)
     plan = build_scenario(topo, 5, 13, ProtocolVariant.extrout(),
-                          ScenarioSettings(source_ext=3, dest_ext=4),
+                          ScenarioSettings(source_ext=3, dest_ext=4,
+                                           packet_budget=budget),
                           random.Random(0))
-    return plan, observe(run(plan, packet_budget=budget), topo)
+    return plan, observe(run(plan))
 
 
-def _theta_plan(interiors=(14, 14), n_dups: int = 1, residual: int = 0):
+def _theta_plan(interiors=(14, 14), n_dups: int = 1, residual: int = 0,
+                budget: int = 5):
     topo, hub_a, hub_b, rows = parallel_paths(list(interiors))
     variant = ProtocolVariant.duplicates(n_dups, residual_cover_rate=residual)
     plan = build_scenario(topo, rows[0][2], rows[0][10], variant,
-                          ScenarioSettings(source_ext=3, dest_ext=4),
+                          ScenarioSettings(source_ext=3, dest_ext=4,
+                                           packet_budget=budget),
                           random.Random(0))
     return plan, hub_a, hub_b, rows
 
@@ -48,28 +51,27 @@ def _small_theta():
     topo, hub_a, hub_b, rows = parallel_paths([2, 2])
     plan = build_scenario(topo, rows[0][0], rows[0][1],
                           ProtocolVariant.duplicates(1),
-                          ScenarioSettings(source_ext=1, dest_ext=1),
+                          ScenarioSettings(source_ext=1, dest_ext=1,
+                                           packet_budget=5),
                           random.Random(0))
     return plan, hub_a, hub_b, rows
 
 
 def _manual_obs(node_tx, link_tx):
-    nodes = set(node_tx) | {n for lk in link_tx for n in lk}
-    positions = {n: (float(n), 0.0) for n in nodes}
-    return AttackerObservation(node_tx=dict(node_tx), link_tx=dict(link_tx),
-                               positions=positions,
-                               links=frozenset(link_tx))
+    return AttackerObservation(node_tx=dict(node_tx), link_tx=dict(link_tx))
 
 
 # -------------------------------------------------------------- observation
 
 def test_observe_is_a_detached_projection():
-    plan, obs = _baseline_obs()
-    assert set(vars(obs)) == {"node_tx", "link_tx", "positions", "links"}
-    trace = run(plan, packet_budget=4)
-    assert obs.node_tx == trace.node_tx
+    plan, _ = _baseline_obs()
+    trace = run(plan)
+    obs = observe(trace)
+    assert set(vars(obs)) == {"node_tx", "link_tx"}
+    assert (obs.node_tx, obs.link_tx) == (trace.node_tx, trace.link_tx)
     obs.node_tx[5] += 1
-    assert run(plan, packet_budget=4).node_tx == trace.node_tx
+    obs.link_tx[5, 6] += 1
+    assert trace == run(plan)
 
 
 def test_active_subgraph_covers_chain_and_silent_sink():
@@ -106,7 +108,7 @@ def test_theta_splits_at_the_anchors():
     # both anchors have active degree 2, but the source anchor transmits
     # at double rate and the sink anchor not at all, so both cut the cycle
     plan, hub_a, hub_b, rows = _theta_plan()
-    obs = observe(run(plan, packet_budget=5), plan.topology)
+    obs = observe(run(plan))
     branches = traffic_branches(obs)
     assert len(branches) == 2
     for b in branches:
@@ -118,8 +120,9 @@ def test_theta_splits_at_the_anchors():
 
 
 def test_three_chains_between_shared_anchors():
-    plan, hub_a, hub_b, rows = _theta_plan(interiors=(14, 14, 14), n_dups=2)
-    obs = observe(run(plan, packet_budget=3), plan.topology)
+    plan, hub_a, hub_b, rows = _theta_plan(interiors=(14, 14, 14), n_dups=2,
+                                           budget=3)
+    obs = observe(run(plan))
     branches = traffic_branches(obs)
     assert len(branches) == 3
     assert all(b.head == hub_a and b.tail == hub_b for b in branches)
@@ -151,8 +154,9 @@ def test_orientation_and_uniform_flag_from_rates():
 
 def test_candidates_without_cover_are_the_chain_ends():
     topo = line_topology(12)
-    plan = build_scenario(topo, 2, 10, ProtocolVariant.no_privacy())
-    obs = observe(run(plan, packet_budget=6), topo)
+    plan = build_scenario(topo, 2, 10, ProtocolVariant.no_privacy(),
+                          ScenarioSettings(packet_budget=6))
+    obs = observe(run(plan))
     gs, gd = endpoint_candidates(obs, cover_traffic=False)
     assert gs == frozenset({2})
     assert gd == frozenset({10})
@@ -168,7 +172,7 @@ def test_candidates_with_cover_span_the_whole_chain():
 
 def test_duplicate_candidates_union_counts_shared_anchor_once():
     plan, hub_a, hub_b, rows = _theta_plan()
-    obs = observe(run(plan, packet_budget=5), plan.topology)
+    obs = observe(run(plan))
     gs, gd = endpoint_candidates(obs)
     assert gs == frozenset({hub_a, *rows[0], *rows[1]})
     assert len(gs) == 29  # two 15-transmitter chains sharing one anchor
@@ -181,7 +185,7 @@ def test_guess_law_is_uniform_over_branch_then_node():
     # two 3-hop chains: picking branch then transmitter gives each of the
     # source anchor's appearances probability 1/2 * 1/3
     plan, hub_a, hub_b, rows = _small_theta()
-    obs = observe(run(plan, packet_budget=5), plan.topology)
+    obs = observe(run(plan))
     hits = 0
     trials = 3000
     for s in range(trials):
@@ -194,8 +198,9 @@ def test_guess_law_is_uniform_over_branch_then_node():
 
 def test_guess_without_cover_hits_the_ends():
     topo = line_topology(12)
-    plan = build_scenario(topo, 2, 10, ProtocolVariant.no_privacy())
-    obs = observe(run(plan, packet_budget=6), topo)
+    plan = build_scenario(topo, 2, 10, ProtocolVariant.no_privacy(),
+                          ScenarioSettings(packet_budget=6))
+    obs = observe(run(plan))
     src, dst, pick, gs, gd = guess_endpoints(obs, random.Random(0),
                                              cover_traffic=False)
     assert (src, dst) == (2, 10)
@@ -234,7 +239,7 @@ def test_attack_trials_summary_and_determinism():
     def factory(rng):
         return plan
 
-    summary = attack_trials(factory, trials=400, seed=5, packet_budget=5)
+    summary = attack_trials(factory, trials=400, seed=5)
     assert summary.trials == 400 and len(summary.verdicts) == 400
     lo, hi = summary.source_ci
     assert lo <= 1 / 6 <= hi
@@ -242,7 +247,7 @@ def test_attack_trials_summary_and_determinism():
     assert summary.empirical_anonymity == 1.0 - summary.source_rate
     alo, ahi = summary.empirical_anonymity_ci()
     assert alo == 1.0 - hi and ahi == 1.0 - lo
-    again = attack_trials(factory, trials=400, seed=5, packet_budget=5)
+    again = attack_trials(factory, trials=400, seed=5)
     assert again.verdicts == summary.verdicts
     with pytest.raises(ValueError):
         attack_trials(factory, trials=0)
@@ -250,8 +255,9 @@ def test_attack_trials_summary_and_determinism():
 
 def test_attack_trials_no_privacy_always_wins():
     topo = line_topology(12)
-    plan = build_scenario(topo, 2, 10, ProtocolVariant.no_privacy())
-    summary = attack_trials(lambda rng: plan, trials=50, packet_budget=4)
+    plan = build_scenario(topo, 2, 10, ProtocolVariant.no_privacy(),
+                          ScenarioSettings(packet_budget=4))
+    summary = attack_trials(lambda rng: plan, trials=50)
     assert summary.source_rate == summary.dest_rate == summary.pair_rate == 1.0
     assert all(v.on_real_path for v in summary.verdicts)
 
@@ -296,7 +302,7 @@ def test_unlinkability_clamps_and_rejects_empty():
 
 def test_verdicts_csv_layout():
     plan, *_ = _small_theta()
-    summary = attack_trials(lambda rng: plan, trials=3, packet_budget=5)
+    summary = attack_trials(lambda rng: plan, trials=3)
     lines = verdicts_to_csv(summary).splitlines()
     assert lines[0] == "trial,source_guess,dest_guess,correct_source,correct_dest"
     assert len(lines) == 4

@@ -98,8 +98,12 @@ def test_main_exit_1_on_config_error(tmp_path, capsys):
      "extrout_duplicates needs count >= 1"),
     (["--threshold", "0.5"], "threshold must be at least 1"),
     (["--threshold", "1e9"], "no active traffic"),  # above every count
+    (["--source", "-5", "--dest", "-3"], "source and dest must be >= 0"),
+    (["--pairs-per-target", "-2"], "pairs_per_target must be >= 1"),
+    (["--attack-trials", "-1"], "attack_trials must be >= 0"),
 ], ids=["ext-interval", "qudg-factor", "count", "threshold-low",
-        "threshold-high"])
+        "threshold-high", "negative-endpoints", "pairs-per-target",
+        "attack-trials"])
 def test_main_exit_1_on_invalid_input(tmp_path, capsys, flags, message):
     args = ["attack", *_dense_flags(5, 5), "--target-hops", "3", *flags,
             "--trials", "100", "--budget", "5", "--out", str(tmp_path)]

@@ -171,9 +171,10 @@ def test_analytical_report_nfake():
 def test_report_from_baseline_run():
     topo = line_topology(20)
     plan = build_scenario(topo, 5, 13, ProtocolVariant.extrout(),
-                          ScenarioSettings(source_ext=3, dest_ext=4),
+                          ScenarioSettings(source_ext=3, dest_ext=4,
+                                           packet_budget=40),
                           random.Random(0))
-    report = report_from_run(plan, run(plan, packet_budget=40))
+    report = report_from_run(plan, run(plan))
     assert report.variant == "extrout_baseline"
     assert (report.real_hops, report.source_ext, report.dest_ext) == (8, 3, 4)
     assert report.anonymity_single == anonymity_single(15)
@@ -184,9 +185,10 @@ def test_report_from_duplicates_run():
     topo, hub_a, hub_b, rows = parallel_paths([14, 14])
     plan = build_scenario(topo, rows[0][2], rows[0][10],
                           ProtocolVariant.duplicates(1),
-                          ScenarioSettings(source_ext=3, dest_ext=4),
+                          ScenarioSettings(source_ext=3, dest_ext=4,
+                                           packet_budget=10),
                           random.Random(0))
-    report = report_from_run(plan, run(plan, packet_budget=10))
+    report = report_from_run(plan, run(plan))
     assert report.duplicate_hops == (15,)
     assert report.tof_measured == report.tof_analytical == 3.75
     assert report.anonymity_single == pytest.approx(0.9667, abs=5e-5)
@@ -195,8 +197,9 @@ def test_report_from_duplicates_run():
 def test_report_from_nfake_run():
     topo, _, _, rows = parallel_paths([14, 14, 14])
     plan = build_scenario(topo, rows[0][2], rows[0][10],
-                          ProtocolVariant.nfake(2), rng=random.Random(3))
-    report = report_from_run(plan, run(plan, packet_budget=5))
+                          ProtocolVariant.nfake(2),
+                          ScenarioSettings(packet_budget=5), random.Random(3))
+    report = report_from_run(plan, run(plan))
     assert report.n_fakes == 2
     assert report.fake_hops == tuple(r.hops for r in plan.fake_paths)
     assert report.anonymity_single == anonymity_nfake(2)
@@ -207,9 +210,10 @@ def test_report_from_run_with_residual_cover():
     topo = line_topology(20)
     variant = ProtocolVariant("extrout_baseline", residual_cover_rate=1)
     plan = build_scenario(topo, 5, 13, variant,
-                          ScenarioSettings(source_ext=3, dest_ext=4),
+                          ScenarioSettings(source_ext=3, dest_ext=4,
+                                           packet_budget=8),
                           random.Random(0))
-    report = report_from_run(plan, run(plan, packet_budget=8))
+    report = report_from_run(plan, run(plan))
     assert report.residual_rate == 1
     assert report.tof_measured == (15 + 20) / 8
     assert report.tof_analytical == 1.875

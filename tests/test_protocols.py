@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -15,6 +16,7 @@ from extrout.protocols import (
     place_fake_pair,
 )
 from extrout.routing import Route, shortest_path
+from extrout.simengine import run
 from extrout.topology import TopologyParams, generate
 
 from ladders import line_topology, parallel_paths
@@ -259,10 +261,10 @@ def test_a_new_real_route_replaces_the_pair_ranking():
 def test_schedule_no_privacy_is_all_real():
     topo = line_topology(12)
     plan = build_scenario(topo, 2, 10, ProtocolVariant.no_privacy())
-    sched = dummy_schedule(plan)
-    assert sched.per_interval == 8
-    assert all(ev.kind == "real" for ev in sched.events)
-    senders = {ev.sender for ev in sched.events}
+    relays = dummy_schedule(plan)
+    assert relays == Counter(plan.real_route.links())
+    assert relays.total() == 8
+    senders = {sender for sender, _ in relays}
     assert senders == set(range(2, 10))  # dest never transmits
 
 
@@ -270,13 +272,13 @@ def test_schedule_baseline_marks_the_real_segment():
     topo = line_topology(20)
     plan = build_scenario(topo, 5, 13, ProtocolVariant.extrout(),
                           _pinned(3, 4), random.Random(0))
-    sched = dummy_schedule(plan)
-    assert sched.per_interval == 15
-    real_links = [(ev.sender, ev.next_hop) for ev in sched.events
-                  if ev.kind == "real"]
-    assert real_links == [(n, n + 1) for n in range(5, 13)]
-    assert sum(ev.kind == "dummy" for ev in sched.events) == 7
-    senders = {ev.sender for ev in sched.events}
+    relays = dummy_schedule(plan)
+    assert relays == Counter({(n, n + 1): 1 for n in range(2, 17)})
+    assert plan.main.core() == plan.real_route
+    real_links = plan.real_route.links()
+    assert real_links == tuple((n, n + 1) for n in range(5, 13))
+    assert relays.total() - sum(relays[link] for link in real_links) == 7
+    senders = {sender for sender, _ in relays}
     assert senders == set(range(2, 17))  # anchor sink silent
 
 
@@ -285,34 +287,37 @@ def test_schedule_counts_follow_chain_hops():
     plan = build_scenario(topo, rows[0][2], rows[0][10],
                           ProtocolVariant.duplicates(1),
                           _pinned(3, 4), random.Random(0))
-    sched = dummy_schedule(plan)
-    assert sched.per_interval == sum(c.hops for c in plan.all_chains()) == 30
-    senders = [ev.sender for ev in sched.events]
-    assert senders.count(hub_a) == 2  # heads both chains
-    assert senders.count(hub_b) == 0  # terminal sink of both
+    relays = dummy_schedule(plan)
+    assert relays.total() == sum(c.hops for c in plan.all_chains()) == 30
+    sent = Counter()
+    for (sender, _), count in relays.items():
+        sent[sender] += count
+    assert sent[hub_a] == 2  # heads both chains
+    assert sent[hub_b] == 0  # terminal sink of both
     expected = set().union(*(c.nodes[:-1] for c in plan.all_chains()))
-    assert set(senders) == expected
+    assert set(sent) == expected
 
 
 def test_schedule_scales_with_source_rate():
     topo = line_topology(20)
     plan = build_scenario(topo, 5, 13, ProtocolVariant.extrout(),
                           _pinned(3, 4, source_rate=3), random.Random(0))
-    sched = dummy_schedule(plan)
-    assert sched.per_interval == 45
-    assert sum(ev.kind == "real" for ev in sched.events) == 24
+    relays = dummy_schedule(plan)
+    assert relays == Counter({link: 3 for link in plan.carrier().links()})
+    assert relays.total() == 45
+    assert sum(relays[link] for link in plan.real_route.links()) == 24
 
 
 def test_schedule_residual_cover_touches_every_node():
     topo = line_topology(12)
     variant = ProtocolVariant.no_privacy(residual_cover_rate=2)
-    plan = build_scenario(topo, 2, 10, variant)
-    sched = dummy_schedule(plan)
-    residual = [ev for ev in sched.events if ev.kind == "residual"]
-    assert len(residual) == 24
-    assert all(ev.next_hop is None for ev in residual)
-    assert {ev.sender for ev in residual} == set(topo.nodes)
-    assert sched.per_interval == 8 + 24
+    plan = build_scenario(topo, 2, 10, variant, ScenarioSettings(packet_budget=1))
+    # residual dummies have no next hop: the relay counts leave them out
+    assert dummy_schedule(plan) == Counter(plan.real_route.links())
+    trace = run(plan)
+    assert trace.node_tx == {n: 2 + (2 <= n < 10) for n in topo.nodes}
+    assert trace.total_transmissions == 8 + 24
+    assert sum(trace.link_tx.values()) == 8
 
 
 def test_fake_paths_never_contain_the_real_endpoints():

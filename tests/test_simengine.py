@@ -3,15 +3,12 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from extrout.protocols import (
-    ProtocolVariant,
-    ScenarioSettings,
-    build_scenario,
-    dummy_schedule,
-)
+from extrout.protocols import ProtocolVariant, ScenarioSettings, build_scenario
 from extrout.simengine import (
     HEAT_GLYPHS,
     ascii_heatmap,
@@ -26,9 +23,9 @@ from ladders import line_topology, parallel_paths
 from oracles import matrix_from_csv
 
 
-def _baseline_plan():
+def _baseline_plan(budget: int = 7000):
     topo = line_topology(20)
-    settings = ScenarioSettings(source_ext=3, dest_ext=4)
+    settings = ScenarioSettings(source_ext=3, dest_ext=4, packet_budget=budget)
     return build_scenario(topo, 5, 13, ProtocolVariant.extrout(), settings,
                           random.Random(0))
 
@@ -36,8 +33,8 @@ def _baseline_plan():
 # ------------------------------------------------------------------ run()
 
 def test_run_counts_scale_with_budget():
-    plan = _baseline_plan()
-    trace = run(plan, packet_budget=100)
+    plan = _baseline_plan(100)
+    trace = run(plan)
     assert trace.intervals == 100
     assert trace.total_transmissions == 1500
     # chain interiors transmit once per interval, the sink anchor never
@@ -48,8 +45,8 @@ def test_run_counts_scale_with_budget():
 
 
 def test_run_link_counts_cover_the_chain():
-    plan = _baseline_plan()
-    trace = run(plan, packet_budget=7)
+    plan = _baseline_plan(7)
+    trace = run(plan)
     assert trace.link_tx == {(n, n + 1): 7 for n in range(2, 17)}
 
 
@@ -60,16 +57,17 @@ def test_run_uses_plan_budget_by_default():
 
 def test_run_rejects_bad_budget():
     with pytest.raises(ValueError):
-        run(_baseline_plan(), packet_budget=0)
+        run(replace(_baseline_plan(), packet_budget=0))
 
 
 def test_run_counts_every_chain_and_residual():
     topo, hub_a, hub_b, rows = parallel_paths([14, 14])
     variant = ProtocolVariant.duplicates(1, residual_cover_rate=1)
     plan = build_scenario(topo, rows[0][2], rows[0][10], variant,
-                          ScenarioSettings(source_ext=3, dest_ext=4),
+                          ScenarioSettings(source_ext=3, dest_ext=4,
+                                           packet_budget=10),
                           random.Random(0))
-    trace = run(plan, packet_budget=10)
+    trace = run(plan)
     assert trace.node_tx[hub_a] == 30  # two chain heads + residual
     assert trace.node_tx[hub_b] == 10  # residual only: sink of both chains
     # residual dummies have no next hop, so links see chain traffic only
@@ -78,27 +76,35 @@ def test_run_counts_every_chain_and_residual():
 
 
 def test_run_is_deterministic():
-    plan = _baseline_plan()
-    a = run(plan, packet_budget=13)
-    b = run(plan, packet_budget=13)
+    plan = _baseline_plan(13)
+    a = run(plan)
+    b = run(plan)
     assert a == b
 
 
 def test_run_totals_match_an_interval_replay():
-    # replay the steady-state schedule interval by interval and count
-    # senders; run() must agree with this in closed form
+    # replay every chain link by link, once per source packet, plus the
+    # residual cover of every node, interval by interval; run() must agree
+    # with this in closed form
     topo, _, _, rows = parallel_paths([14, 14])
     plan = build_scenario(topo, rows[0][2], rows[0][10],
                           ProtocolVariant.duplicates(1, residual_cover_rate=1),
                           ScenarioSettings(source_ext=3, dest_ext=4,
-                                           source_rate=2),
+                                           source_rate=2, packet_budget=9),
                           random.Random(0))
-    budget = 9
-    totals = {n: 0 for n in topo.nodes}
-    for _ in range(budget):
-        for ev in dummy_schedule(plan).events:
-            totals[ev.sender] += 1
-    assert run(plan, packet_budget=budget).node_tx == totals
+    node_totals = {n: 0 for n in topo.nodes}
+    link_totals = Counter()
+    for _ in range(9):
+        for _ in range(plan.source_rate):
+            for chain in plan.all_chains():
+                for u, v in chain.links():
+                    node_totals[u] += 1
+                    link_totals[min(u, v), max(u, v)] += 1
+        for n in topo.nodes:
+            node_totals[n] += plan.variant.residual_cover_rate
+    trace = run(plan)
+    assert trace.node_tx == node_totals
+    assert trace.link_tx == link_totals
 
 
 # ----------------------------------------------------------------- matrices
@@ -108,8 +114,9 @@ def test_transmission_matrix_is_row_major():
                             perturbation=0.0, tx_range=150.0,
                             qudg_factor=0.95, seed=2)
     topo = generate(params)
-    plan = build_scenario(topo, 1, 9, ProtocolVariant.no_privacy())
-    trace = run(plan, packet_budget=5)
+    plan = build_scenario(topo, 1, 9, ProtocolVariant.no_privacy(),
+                          ScenarioSettings(packet_budget=5))
+    trace = run(plan)
     matrix = transmission_matrix(trace, params)
     assert len(matrix) == 3 and all(len(r) == 3 for r in matrix)
     total = sum(cell for row in matrix for cell in row)
@@ -119,8 +126,7 @@ def test_transmission_matrix_is_row_major():
 
 
 def test_transmission_matrix_needs_full_grid_coverage():
-    plan = _baseline_plan()
-    trace = run(plan, packet_budget=1)
+    trace = run(_baseline_plan(1))
     with pytest.raises(ValueError):
         transmission_matrix(trace, TopologyParams(grid_rows=2, grid_cols=2))
 
