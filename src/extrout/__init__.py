@@ -51,13 +51,10 @@ from .adversary import (
 from .metrics import (
     PrivacyReport,
     ReconciliationRecord,
-    anonymity_extrout,
-    anonymity_nfake,
     anonymity_pair,
     anonymity_single,
     reconcile,
     report_from_run,
-    tof,
 )
 
 __version__ = "0.1.0"

@@ -29,8 +29,7 @@ from .adversary import (
     verdicts_to_csv,
 )
 from .metrics import (
-    REFERENCE_RESULTS,
-    REFERENCE_SCENARIOS,
+    REFERENCES,
     guess_success,
     reconcile,
     reference_reconciliations,
@@ -112,7 +111,6 @@ SCHEMA = (
     ("scenario", "ext_low", _parse_int, 2),
     ("scenario", "ext_high", _parse_int, 5),
     ("scenario", "strict", _parse_bool, True),
-    ("scenario", "source_rate", _parse_int, 1),
     ("run", "seed", _parse_int, 1),
     ("run", "reps", _parse_int, 20),
     ("run", "budget", _parse_int, 7000),
@@ -175,6 +173,12 @@ def resolve_config(config_path: str | None,
         raise ConfigError("pairs_per_target must be >= 1")
     if cfg["attack_trials"] < 0:
         raise ConfigError("attack_trials must be >= 0")
+    for key in ("target_hops", "frontier_hops"):
+        if cfg[key] < 1:
+            raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
+    if any(target < 1 for target in cfg["hop_targets"]):
+        raise ConfigError("hop_targets must all be >= 1, got "
+                          f"{_format_value(cfg['hop_targets'])}")
     return cfg
 
 
@@ -255,7 +259,6 @@ def _make_settings(cfg: dict) -> ScenarioSettings:
         ext_low=cfg["ext_low"],
         ext_high=cfg["ext_high"],
         strict=cfg["strict"],
-        source_rate=cfg["source_rate"],
         packet_budget=cfg["budget"],
     )
 
@@ -348,13 +351,11 @@ def cmd_run(cfg: dict) -> int:
     notes = ()
     if cfg["reference"]:
         name = cfg["reference"]
-        if name not in REFERENCE_RESULTS:
+        if name not in REFERENCES:
             raise ConfigError(
                 f"unknown reference {name!r}, expected one of "
-                f"{sorted(REFERENCE_RESULTS)}")
-        reference = REFERENCE_RESULTS[name]
-        note = REFERENCE_SCENARIOS[name].get("note")
-        notes = (note,) if note else ()
+                f"{sorted(REFERENCES)}")
+        reference, notes = REFERENCES[name].quoted, REFERENCES[name].notes
     record = reconcile(headline, reference=reference, notes=notes)
     if not record.passed:
         failures.append("; ".join(record.failures))

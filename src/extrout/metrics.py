@@ -1,11 +1,16 @@
-"""Analytical privacy and overhead formulas plus reconciliation.
+"""Analytical privacy and overhead model plus reconciliation.
 
+One model covers every variant.  A scenario is a set of chains: the
+carrier of the real packet plus its duplicate or fake chains.  Under
+synchronized cover traffic every transmitter of every chain looks alike,
+so an endpoint hides among the summed chain hops; without cover each
+chain's ends are exposed and the endpoint hides only among the chains.
 Anonymity is reported in two forms that are both in circulation: the
-single-endpoint form 1 - 1/G (G = size of the anonymity set the endpoint
-hides in) and the pair form 1 - (1/Gs)(1/Gd) that multiplies the exposure
-of source and destination.  The transmission overhead factor (TOF) is the
-number of per-interval transmissions divided by the real path length, so
-1.0 means no privacy overhead at all.
+single-endpoint form 1 - 1/G (G = size of that anonymity group) and the
+pair form 1 - (1/Gs)(1/Gd) that multiplies the exposure of source and
+destination.  The transmission overhead factor (TOF) is the summed chain
+hops (the per-interval transmissions) divided by the real path length,
+so 1.0 means no privacy overhead at all.
 
 Reconciliation cross-checks three things: measured TOF against the
 analytical formula (exact when no residual cover traffic runs), an
@@ -19,19 +24,17 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .protocols import VARIANT_KINDS, ScenarioPlan
+from .protocols import COVER_KINDS, VARIANT_KINDS, ScenarioPlan
 from .simengine import TrafficTrace
 
 __all__ = [
     "PrivacyReport",
     "ReconciliationRecord",
-    "REFERENCE_RESULTS",
-    "REFERENCE_SCENARIOS",
+    "REFERENCES",
+    "Reference",
     "analytical_report",
-    "anonymity_extrout",
-    "anonymity_nfake",
     "anonymity_pair",
     "anonymity_single",
     "guess_success",
@@ -41,45 +44,52 @@ __all__ = [
     "report_from_run",
     "report_to_csv_row",
     "report_to_text",
-    "tof",
 ]
 
-# Reference evaluation numbers (anonymity, TOF) used as regression points.
+
+class Reference(NamedTuple):
+    """A reported evaluation point: its scenario parameters (keyword
+    arguments of analytical_report), the quoted (anonymity, TOF) pair and
+    interpretation notes."""
+
+    scenario: dict
+    quoted: tuple[float | None, float]
+    notes: tuple[str, ...] = ()
+
+
+# Reference evaluation numbers used as regression points.
 # fake_extended_17 is knowingly inconsistent with the formulas, which give
 # (0.96875, 4.0); reconcile() flags it rather than adopting either side.
-REFERENCE_RESULTS: dict[str, tuple[float | None, float]] = {
-    "baseline_3_8_4": (0.933, 1.875),
-    "duplicate_1x15": (0.967, 3.75),
-    "duplicate_2x15": (0.978, 5.625),
-    "five_path_total_80": (0.987, 10.0),
-    "fake_extended_17": (0.983, 4.25),
-    "one_fake_pair_12_13": (None, 2.08),
-}
-
-# Scenario parameters behind each reference entry, for recomputation.
-REFERENCE_SCENARIOS: dict[str, dict] = {
-    "baseline_3_8_4": dict(
-        variant="extrout_baseline", real_hops=8, source_ext=3, dest_ext=4),
-    "duplicate_1x15": dict(
-        variant="extrout_duplicates", real_hops=8, source_ext=3, dest_ext=4,
-        duplicate_hops=(15,)),
-    "duplicate_2x15": dict(
-        variant="extrout_duplicates", real_hops=8, source_ext=3, dest_ext=4,
-        duplicate_hops=(15, 15)),
-    "five_path_total_80": dict(
-        variant="extrout_duplicates", real_hops=8, source_ext=3, dest_ext=4,
-        duplicate_hops=(14, 16, 16, 19),
-        note="the five quoted path lengths 14+15+16+16+19 are read as the "
-             "total chain set: the 15-hop entry is the extended main path "
-             "and the other four are duplicates, giving 80 hops in all"),
-    "fake_extended_17": dict(
-        variant="extrout_fake", real_hops=8, source_ext=3, dest_ext=4,
-        fake_hops=(17,),
-        note="the quoted (0.983, 4.25) cannot be produced by the overhead "
-             "and anonymity formulas, which give (0.96875, 4.0); the "
-             "computed values are kept and the mismatch is flagged"),
-    "one_fake_pair_12_13": dict(
-        variant="nfake_pairs", real_hops=12, fake_hops=(13,), n_fakes=1),
+REFERENCES: dict[str, Reference] = {
+    "baseline_3_8_4": Reference(
+        dict(variant="extrout_baseline", real_hops=8, source_ext=3,
+             dest_ext=4),
+        (0.933, 1.875)),
+    "duplicate_1x15": Reference(
+        dict(variant="extrout_duplicates", real_hops=8, source_ext=3,
+             dest_ext=4, duplicate_hops=(15,)),
+        (0.967, 3.75)),
+    "duplicate_2x15": Reference(
+        dict(variant="extrout_duplicates", real_hops=8, source_ext=3,
+             dest_ext=4, duplicate_hops=(15, 15)),
+        (0.978, 5.625)),
+    "five_path_total_80": Reference(
+        dict(variant="extrout_duplicates", real_hops=8, source_ext=3,
+             dest_ext=4, duplicate_hops=(14, 16, 16, 19)),
+        (0.987, 10.0),
+        ("the five quoted path lengths 14+15+16+16+19 are read as the "
+         "total chain set: the 15-hop entry is the extended main path "
+         "and the other four are duplicates, giving 80 hops in all",)),
+    "fake_extended_17": Reference(
+        dict(variant="extrout_fake", real_hops=8, source_ext=3, dest_ext=4,
+             fake_hops=(17,)),
+        (0.983, 4.25),
+        ("the quoted (0.983, 4.25) cannot be produced by the overhead "
+         "and anonymity formulas, which give (0.96875, 4.0); the "
+         "computed values are kept and the mismatch is flagged",)),
+    "one_fake_pair_12_13": Reference(
+        dict(variant="nfake_pairs", real_hops=12, fake_hops=(13,)),
+        (None, 2.08)),
 }
 
 # A reference is considered met when it matches the computed value after
@@ -101,51 +111,6 @@ def anonymity_pair(source_group: int, dest_group: int) -> float:
         raise ValueError("group sizes must be >= 1, got "
                          f"({source_group}, {dest_group})")
     return 1.0 - (1.0 / source_group) * (1.0 / dest_group)
-
-
-def anonymity_extrout(source_ext: int, real_hops: int, dest_ext: int,
-                      extra_hops: int = 0) -> float:
-    """Single-endpoint anonymity of an extrapolated route.
-
-    The anonymity set is every transmitting node of the extended path plus
-    extra_hops transmitters contributed by duplicate or fake cover paths.
-    """
-    if source_ext < 0 or dest_ext < 0 or extra_hops < 0:
-        raise ValueError("extension and extra hop counts must be >= 0")
-    if real_hops < 1:
-        raise ValueError(f"real path needs at least one hop, got {real_hops}")
-    return anonymity_single(source_ext + real_hops + dest_ext + extra_hops)
-
-
-def anonymity_nfake(n_fakes: int) -> float:
-    """n/(n+1): the real pair hides among n fake source/dest pairs."""
-    if n_fakes < 0:
-        raise ValueError(f"fake pair count must be >= 0, got {n_fakes}")
-    return 1.0 - 1.0 / (n_fakes + 1)
-
-
-def tof(variant: str, real_hops: int, source_ext: int = 0, dest_ext: int = 0,
-        extra_hops: int = 0, fake_lengths: Sequence[int] = ()) -> float:
-    """Analytical transmission overhead factor for one scenario.
-
-    extra_hops is the summed hop count of duplicate or fake extended
-    paths; fake_lengths are the per-pair path lengths of a fake-pairs
-    scenario.  Transmissions per interval divided by real_hops.
-    """
-    if real_hops < 1:
-        raise ValueError(f"real path needs at least one hop, got {real_hops}")
-    if source_ext < 0 or dest_ext < 0 or extra_hops < 0:
-        raise ValueError("hop counts must be >= 0")
-    if any(length < 1 for length in fake_lengths):
-        raise ValueError("fake path lengths must be >= 1")
-    if variant == "no_privacy":
-        return 1.0
-    if variant in ("extrout_baseline", "extrout_duplicates", "extrout_fake"):
-        return (source_ext + real_hops + dest_ext + extra_hops) / real_hops
-    if variant == "nfake_pairs":
-        return (real_hops + sum(fake_lengths)) / real_hops
-    raise ValueError(f"unknown variant {variant!r}, expected one of "
-                     f"{VARIANT_KINDS}")
 
 
 def guess_success(extra_chains: int, source_ext: int, real_hops: int,
@@ -204,26 +169,28 @@ class PrivacyReport:
 
 def analytical_report(variant: str, real_hops: int, source_ext: int = 0,
                       dest_ext: int = 0, duplicate_hops: Sequence[int] = (),
-                      fake_hops: Sequence[int] = (), n_fakes: int = 0,
+                      fake_hops: Sequence[int] = (),
                       **extra) -> PrivacyReport:
-    """Build a report from scenario parameters alone (no simulation)."""
+    """Build a report from scenario parameters alone (no simulation).
+
+    The chains are the carrier (source_ext + real_hops + dest_ext hops)
+    plus one chain per duplicate and fake hop count.  The anonymity group
+    is their summed hops when the variant runs cover traffic and their
+    number when it does not; TOF is the summed hops over real_hops.
+    """
     duplicate_hops = tuple(duplicate_hops)
     fake_hops = tuple(fake_hops)
-    if variant == "nfake_pairs":
-        single = anonymity_nfake(n_fakes)
-        pair = anonymity_pair(n_fakes + 1, n_fakes + 1)
-        analytical = tof(variant, real_hops, fake_lengths=fake_hops)
-    elif variant == "no_privacy":
-        single = 0.0
-        pair = 0.0
-        analytical = tof(variant, real_hops)
-    else:
-        group = (source_ext + real_hops + dest_ext
-                 + sum(duplicate_hops) + sum(fake_hops))
-        single = anonymity_single(group)
-        pair = anonymity_pair(group, group)
-        analytical = tof(variant, real_hops, source_ext, dest_ext,
-                         sum(duplicate_hops) + sum(fake_hops))
+    if real_hops < 1:
+        raise ValueError(f"real path needs at least one hop, got {real_hops}")
+    if source_ext < 0 or dest_ext < 0:
+        raise ValueError("extension hop counts must be >= 0")
+    if any(hops < 1 for hops in duplicate_hops + fake_hops):
+        raise ValueError("duplicate and fake path lengths must be >= 1")
+    cover = variant in COVER_KINDS
+    total = (source_ext + real_hops + dest_ext
+             + sum(duplicate_hops) + sum(fake_hops))
+    chains = 1 + len(duplicate_hops) + len(fake_hops)
+    group = total if cover else chains
     return PrivacyReport(
         variant=variant,
         real_hops=real_hops,
@@ -231,10 +198,10 @@ def analytical_report(variant: str, real_hops: int, source_ext: int = 0,
         dest_ext=dest_ext,
         duplicate_hops=duplicate_hops,
         fake_hops=fake_hops,
-        n_fakes=n_fakes,
-        anonymity_single=single,
-        anonymity_pair=pair,
-        tof_analytical=analytical,
+        n_fakes=0 if cover else len(fake_hops),
+        anonymity_single=anonymity_single(group),
+        anonymity_pair=anonymity_pair(group, group),
+        tof_analytical=total / real_hops,
         **extra,
     )
 
@@ -248,15 +215,8 @@ def report_from_run(plan: ScenarioPlan, trace: TrafficTrace | None = None,
     Attack-based fields (empirical anonymity, unlinkability) are computed
     elsewhere and passed in; this module only does the accounting.
     """
-    kind = plan.variant.kind
     real_hops = plan.real_route.hops
     main = plan.main
-    if kind == "nfake_pairs":
-        fake_hops = tuple(r.hops for r in plan.fake_paths)
-        n_fakes = len(plan.fake_paths)
-    else:
-        fake_hops = tuple(f.route.hops for f in plan.fake_paths)
-        n_fakes = 0
 
     tof_measured = None
     if trace is not None:
@@ -269,13 +229,12 @@ def report_from_run(plan: ScenarioPlan, trace: TrafficTrace | None = None,
             tof_measured = total / (trace.intervals * real_hops)
 
     return analytical_report(
-        variant=kind,
+        variant=plan.variant.kind,
         real_hops=real_hops,
         source_ext=main.source_extension if main is not None else 0,
         dest_ext=main.dest_extension if main is not None else 0,
         duplicate_hops=tuple(r.hops for r in plan.duplicates),
-        fake_hops=fake_hops,
-        n_fakes=n_fakes,
+        fake_hops=tuple(r.hops for r in plan.fake_routes()),
         residual_rate=plan.variant.residual_cover_rate,
         tof_measured=tof_measured,
         anonymity_empirical=anonymity_empirical,
@@ -347,13 +306,10 @@ def reference_reconciliations() -> dict[str, tuple[PrivacyReport,
     flagged; nothing in this table is allowed to hard-fail.
     """
     out = {}
-    for name, params in REFERENCE_SCENARIOS.items():
-        params = dict(params)
-        note = params.pop("note", None)
-        report = analytical_report(**params)
-        record = reconcile(report, reference=REFERENCE_RESULTS[name],
-                           notes=(note,) if note else ())
-        out[name] = (report, record)
+    for name, ref in REFERENCES.items():
+        report = analytical_report(**ref.scenario)
+        out[name] = (report, reconcile(report, reference=ref.quoted,
+                                       notes=ref.notes))
     return out
 
 

@@ -24,6 +24,7 @@ logger = logging.getLogger(__name__)
 VARIANT_KINDS = ("no_privacy", "extrout_baseline", "extrout_duplicates",
                  "extrout_fake", "nfake_pairs")
 PARAMETERISED_KINDS = ("extrout_duplicates", "extrout_fake", "nfake_pairs")
+COVER_KINDS = ("extrout_baseline", "extrout_duplicates", "extrout_fake")
 
 
 class PlacementError(Exception):
@@ -75,7 +76,7 @@ class ProtocolVariant:
     @property
     def uses_cover(self) -> bool:
         """Extended variants run synchronized cover on their chains."""
-        return self.kind.startswith("extrout")
+        return self.kind in COVER_KINDS
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,6 @@ class ScenarioSettings:
     ext_low: int = 2
     ext_high: int = 5
     strict: bool = True
-    source_rate: int = 1
     packet_budget: int = 7000
 
     def __post_init__(self):
@@ -97,8 +97,6 @@ class ScenarioSettings:
         for v in (self.source_ext, self.dest_ext):
             if v is not None and v < 0:
                 raise ValueError("pinned extensions must be non-negative")
-        if self.source_rate < 1:
-            raise ValueError("source_rate must be at least 1")
         if self.packet_budget < 1:
             raise ValueError("packet_budget must be at least 1")
 
@@ -121,18 +119,20 @@ class ScenarioPlan:
     requested_source_ext: int = 0
     requested_dest_ext: int = 0
     duplicate_shortfall: int = 0
-    source_rate: int = 1
     packet_budget: int = 7000
 
     def carrier(self) -> Route:
         """The chain that carries the real packet."""
         return self.main.route if self.main is not None else self.real_route
 
+    def fake_routes(self) -> tuple[Route, ...]:
+        """The fake chains, extended or plain."""
+        return tuple(f.route if isinstance(f, ExtendedRoute) else f
+                     for f in self.fake_paths)
+
     def cover_chains(self) -> tuple[Route, ...]:
         """Chains that carry dummies only."""
-        fakes = tuple(f.route if isinstance(f, ExtendedRoute) else f
-                      for f in self.fake_paths)
-        return self.duplicates + fakes
+        return self.duplicates + self.fake_routes()
 
     def all_chains(self) -> tuple[Route, ...]:
         return (self.carrier(),) + self.cover_chains()
@@ -151,22 +151,18 @@ def build_scenario(topo: Topology, source: int, dest: int,
     rng = rng or random.Random(0)
     real = shortest_path(topo, source, dest)
     plan = ScenarioPlan(topology=topo, source=source, dest=dest, variant=variant,
-                        real_route=real, source_rate=settings.source_rate,
-                        packet_budget=settings.packet_budget)
+                        real_route=real, packet_budget=settings.packet_budget)
 
     if variant.kind == "no_privacy":
         return plan
 
     if variant.kind == "nfake_pairs":
-        plan.fake_paths = _fake_plain_routes(topo, source, dest, variant.count,
-                                             real, rng)
+        plan.fake_paths = _fake_paths(topo, source, dest, variant.count, None,
+                                      settings, rng)
         return plan
 
     # extrout family: extrapolate the real route first
-    src_ext = settings.source_ext if settings.source_ext is not None \
-        else rng.randint(settings.ext_low, settings.ext_high)
-    dst_ext = settings.dest_ext if settings.dest_ext is not None \
-        else rng.randint(settings.ext_low, settings.ext_high)
+    src_ext, dst_ext = _extension_lengths(settings, rng)
     plan.requested_source_ext = src_ext
     plan.requested_dest_ext = dst_ext
     plan.main = extrapolate(topo, real, src_ext, dst_ext, rng, strict=settings.strict)
@@ -178,39 +174,40 @@ def build_scenario(topo: Topology, source: int, dest: int,
         plan.duplicates = tuple(dups)
         plan.duplicate_shortfall = variant.count - len(dups)
     elif variant.kind == "extrout_fake":
-        plan.fake_paths = _fake_extended_routes(topo, source, dest, variant.count,
-                                                plan.main, settings, rng)
+        plan.fake_paths = _fake_paths(topo, source, dest, variant.count,
+                                      plan.main, settings, rng)
     return plan
 
 
-def _fake_plain_routes(topo, source, dest, n, real, rng):
-    """n fake shortest paths for the N-fake-pairs technique."""
-    taken: set[int] = set()
-    routes = []
-    for _ in range(n):
-        fs, fd = place_fake_pair(topo, source, dest, rng, avoid=taken)
-        fake = shortest_path(topo, fs, fd)
-        routes.append(fake)
-        taken.update(fake.nodes)
-    return tuple(routes)
+def _extension_lengths(settings: ScenarioSettings,
+                       rng: random.Random) -> tuple[int, int]:
+    """Source and destination extension lengths: pinned, else drawn."""
+    src_ext = settings.source_ext if settings.source_ext is not None \
+        else rng.randint(settings.ext_low, settings.ext_high)
+    dst_ext = settings.dest_ext if settings.dest_ext is not None \
+        else rng.randint(settings.ext_low, settings.ext_high)
+    return src_ext, dst_ext
 
 
-def _fake_extended_routes(topo, source, dest, n, main, settings, rng):
-    """n fake extended paths; their extrapolation never touches the real
-    route or an earlier fake."""
+def _fake_paths(topo, source, dest, n, main, settings, rng
+                ) -> tuple[FakePath, ...]:
+    """n fake paths, each placed off the earlier ones. Without a main
+    extended route they are plain shortest paths (N fake pairs); with one
+    each is extrapolated too, never touching the main route or an earlier
+    fake."""
     taken: set[int] = set()
     fakes = []
     for _ in range(n):
         fs, fd = place_fake_pair(topo, source, dest, rng, avoid=taken)
-        fake = shortest_path(topo, fs, fd)
-        f_src = settings.source_ext if settings.source_ext is not None \
-            else rng.randint(settings.ext_low, settings.ext_high)
-        f_dst = settings.dest_ext if settings.dest_ext is not None \
-            else rng.randint(settings.ext_low, settings.ext_high)
-        ext = extrapolate(topo, fake, f_src, f_dst, rng, strict=settings.strict,
-                          avoid=set(main.route.nodes) | taken)
-        fakes.append(ext)
-        taken.update(ext.route.nodes)
+        route = fake = shortest_path(topo, fs, fd)
+        if main is not None:
+            f_src, f_dst = _extension_lengths(settings, rng)
+            fake = extrapolate(topo, route, f_src, f_dst, rng,
+                               strict=settings.strict,
+                               avoid=set(main.route.nodes) | taken)
+            route = fake.route
+        fakes.append(fake)
+        taken.update(route.nodes)
     return tuple(fakes)
 
 
@@ -277,15 +274,12 @@ def _pair_tiers(topo: Topology, real: Route, slack: int
 
 def dummy_schedule(plan: ScenarioPlan) -> Counter[tuple[int, int]]:
     """Relays per (sender, next hop) in one steady-state interval: every
-    non-terminal node of every chain forwards once per source packet;
-    terminal sinks only receive.
+    non-terminal node of every chain forwards once; terminal sinks only
+    receive.
 
     The attacker sees counts only, so the real packet and the dummies are
     counted alike. Residual cover has no next hop and is added per node by
     the simulator.
     """
-    relays: Counter[tuple[int, int]] = Counter()
-    for chain in plan.all_chains():
-        for link in chain.links():
-            relays[link] += plan.source_rate
-    return relays
+    return Counter(link for chain in plan.all_chains()
+                   for link in chain.links())

@@ -15,8 +15,8 @@ import pytest
 
 from extrout.adversary import attack_trials, observe, unlinkability_score
 from extrout.expcli import main
-from extrout.metrics import (REFERENCE_RESULTS, REFERENCE_SCENARIOS,
-                             REFERENCE_TOLERANCE, reconcile, report_from_run)
+from extrout.metrics import (REFERENCE_TOLERANCE, REFERENCES, reconcile,
+                             report_from_run)
 from extrout.protocols import (ProtocolVariant, ScenarioPlan,
                                ScenarioSettings, build_scenario)
 from extrout.rng import substream
@@ -117,9 +117,8 @@ def test_criterion_03_five_paths_totalling_80_hops():
     report = report_from_run(plan, run(plan))
     assert report.tof_measured == 10.0 == report.tof_analytical
     assert report.anonymity_single == 1 - 1 / 80 == 0.9875
-    record = reconcile(report,
-                       reference=REFERENCE_RESULTS["five_path_total_80"],
-                       notes=(REFERENCE_SCENARIOS["five_path_total_80"]["note"],))
+    five = REFERENCES["five_path_total_80"]
+    record = reconcile(report, reference=five.quoted, notes=five.notes)
     assert record.passed and not record.flags
     assert any("total chain set" in note for note in record.notes)
     _verdict(3, True, "0.9875/10.0 exact, 80 chain hops, interpretation noted")
@@ -141,7 +140,7 @@ def test_criterion_04_fake_extended_path_mismatch_is_flagged():
     assert round(report.anonymity_single, 3) == 0.969
     assert report.tof_measured == 4.0 == report.tof_analytical
 
-    quoted_anonymity, quoted_tof = REFERENCE_RESULTS["fake_extended_17"]
+    quoted_anonymity, quoted_tof = REFERENCES["fake_extended_17"].quoted
     assert abs(report.anonymity_single - quoted_anonymity) > REFERENCE_TOLERANCE
     assert abs(report.tof_analytical - quoted_tof) > REFERENCE_TOLERANCE
     record = reconcile(report, reference=(quoted_anonymity, quoted_tof))
@@ -165,7 +164,7 @@ def test_criterion_05_single_fake_pair():
     assert report.tof_measured == 25 / 12 == report.tof_analytical
     assert abs(report.tof_measured - 2.08) <= 0.01
     record = reconcile(report,
-                       reference=REFERENCE_RESULTS["one_fake_pair_12_13"])
+                       reference=REFERENCES["one_fake_pair_12_13"].quoted)
     assert record.passed and not record.flags
     _verdict(5, True, "anonymity 0.5 exact, tof 25/12 within 0.01 of 2.08")
 

@@ -101,9 +101,14 @@ def test_main_exit_1_on_config_error(tmp_path, capsys):
     (["--source", "-5", "--dest", "-3"], "source and dest must be >= 0"),
     (["--pairs-per-target", "-2"], "pairs_per_target must be >= 1"),
     (["--attack-trials", "-1"], "attack_trials must be >= 0"),
+    (["--hop-targets", "0,-2"], "hop_targets must all be >= 1, got 0,-2"),
+    (["--target-hops", "0"], "target_hops must be >= 1, got 0"),
+    (["--frontier-hops", "-1"], "frontier_hops must be >= 1, got -1"),
+    (["--source-rate", "2"], "unrecognized arguments: --source-rate 2"),
 ], ids=["ext-interval", "qudg-factor", "count", "threshold-low",
         "threshold-high", "negative-endpoints", "pairs-per-target",
-        "attack-trials"])
+        "attack-trials", "hop-targets", "target-hops", "frontier-hops",
+        "source-rate"])
 def test_main_exit_1_on_invalid_input(tmp_path, capsys, flags, message):
     args = ["attack", *_dense_flags(5, 5), "--target-hops", "3", *flags,
             "--trials", "100", "--budget", "5", "--out", str(tmp_path)]

@@ -7,12 +7,10 @@ import random
 import pytest
 
 from extrout.metrics import (
-    REFERENCE_RESULTS,
     REFERENCE_TOLERANCE,
+    REFERENCES,
     PrivacyReport,
     analytical_report,
-    anonymity_extrout,
-    anonymity_nfake,
     anonymity_pair,
     anonymity_single,
     guess_success,
@@ -22,9 +20,13 @@ from extrout.metrics import (
     report_from_run,
     report_to_csv_row,
     report_to_text,
-    tof,
 )
-from extrout.protocols import ProtocolVariant, ScenarioSettings, build_scenario
+from extrout.protocols import (
+    COVER_KINDS,
+    ProtocolVariant,
+    ScenarioSettings,
+    build_scenario,
+)
 from extrout.simengine import run
 
 from ladders import line_topology, parallel_paths
@@ -49,49 +51,64 @@ def test_anonymity_pair_values():
         anonymity_pair(0, 5)
 
 
+def _single(*args, **kw) -> float:
+    return analytical_report(*args, **kw).anonymity_single
+
+
+def _tof(*args, **kw) -> float:
+    return analytical_report(*args, **kw).tof_analytical
+
+
 def test_anonymity_extrout_values():
-    assert anonymity_extrout(3, 8, 4) == anonymity_single(15)
-    assert anonymity_extrout(3, 8, 4) == pytest.approx(0.9333, abs=5e-5)
-    assert anonymity_extrout(3, 8, 4, extra_hops=15) == pytest.approx(
-        0.9667, abs=5e-5)
-    assert anonymity_extrout(3, 8, 4, extra_hops=30) == pytest.approx(
-        0.9778, abs=5e-5)
+    # under cover the group is every transmitter of every chain
+    assert _single("extrout_baseline", 8, 3, 4) == anonymity_single(15)
+    assert _single("extrout_baseline", 8, 3, 4) == pytest.approx(
+        0.9333, abs=5e-5)
+    assert _single("extrout_duplicates", 8, 3, 4,
+                   duplicate_hops=(15,)) == pytest.approx(0.9667, abs=5e-5)
+    assert _single("extrout_duplicates", 8, 3, 4,
+                   duplicate_hops=(15, 15)) == pytest.approx(0.9778, abs=5e-5)
     with pytest.raises(ValueError):
-        anonymity_extrout(-1, 8, 4)
+        analytical_report("extrout_baseline", 8, -1, 4)
     with pytest.raises(ValueError):
-        anonymity_extrout(3, 0, 4)
+        analytical_report("extrout_baseline", 0, 3, 4)
 
 
 def test_anonymity_nfake_values():
-    assert anonymity_nfake(0) == 0.0
-    assert anonymity_nfake(1) == 0.5
-    assert anonymity_nfake(9) == 0.9
+    # without cover the group is the chain count: n/(n+1) for n fake pairs
+    assert _single("nfake_pairs", 12) == 0.0
+    assert _single("nfake_pairs", 12, fake_hops=(13,)) == 0.5
+    assert _single("nfake_pairs", 12, fake_hops=(12,) * 9) == 0.9
+    assert analytical_report("nfake_pairs", 12, fake_hops=(12,) * 9
+                             ).n_fakes == 9
     with pytest.raises(ValueError):
-        anonymity_nfake(-1)
+        analytical_report("nfake_pairs", 12, fake_hops=(0,))
 
 
 def test_tof_per_variant():
-    assert tof("no_privacy", 8) == 1.0
-    assert tof("no_privacy", 44) == 1.0
-    assert tof("extrout_baseline", 8, 3, 4) == 1.875
-    assert tof("extrout_duplicates", 8, 3, 4, extra_hops=15) == 3.75
-    assert tof("extrout_duplicates", 8, 3, 4, extra_hops=30) == 5.625
-    assert tof("extrout_duplicates", 8, 3, 4, extra_hops=65) == 10.0
-    assert tof("extrout_fake", 8, 3, 4, extra_hops=17) == 4.0
-    assert tof("nfake_pairs", 12, fake_lengths=(13,)) == 25 / 12
-    assert tof("nfake_pairs", 12, fake_lengths=(13,)) == pytest.approx(
+    assert _tof("no_privacy", 8) == 1.0
+    assert _tof("no_privacy", 44) == 1.0
+    assert _tof("extrout_baseline", 8, 3, 4) == 1.875
+    assert _tof("extrout_duplicates", 8, 3, 4, duplicate_hops=(15,)) == 3.75
+    assert _tof("extrout_duplicates", 8, 3, 4,
+                duplicate_hops=(15, 15)) == 5.625
+    assert _tof("extrout_duplicates", 8, 3, 4,
+                duplicate_hops=(14, 16, 16, 19)) == 10.0
+    assert _tof("extrout_fake", 8, 3, 4, fake_hops=(17,)) == 4.0
+    assert _tof("nfake_pairs", 12, fake_hops=(13,)) == 25 / 12
+    assert _tof("nfake_pairs", 12, fake_hops=(13,)) == pytest.approx(
         2.08, abs=0.005)
 
 
 def test_tof_validation():
     with pytest.raises(ValueError):
-        tof("warp_drive", 8)
+        analytical_report("warp_drive", 8)
     with pytest.raises(ValueError):
-        tof("extrout_baseline", 0, 3, 4)
+        analytical_report("extrout_baseline", 0, 3, 4)
     with pytest.raises(ValueError):
-        tof("extrout_baseline", 8, -1, 4)
+        analytical_report("extrout_baseline", 8, -1, 4)
     with pytest.raises(ValueError):
-        tof("nfake_pairs", 8, fake_lengths=(0,))
+        analytical_report("nfake_pairs", 8, fake_hops=(0,))
 
 
 def test_guess_success_duplicates():
@@ -113,12 +130,17 @@ def test_formula_monotonicity():
         g = rng.randint(1, 500)
         assert anonymity_single(g + 1) > anonymity_single(g)
         ks, l, kd = rng.randint(0, 9), rng.randint(1, 30), rng.randint(0, 9)
-        extra = rng.randint(0, 40)
-        assert (anonymity_extrout(ks, l, kd, extra + 1)
-                > anonymity_extrout(ks, l, kd, extra))
-        assert (tof("extrout_duplicates", l, ks, kd, extra + l)
-                > tof("extrout_duplicates", l, ks, kd, extra))
-        assert anonymity_nfake(rng.randint(0, 50)) < 1.0
+        extra = rng.randint(1, 40)
+        assert (_single("extrout_duplicates", l, ks, kd,
+                        duplicate_hops=(extra + 1,))
+                > _single("extrout_duplicates", l, ks, kd,
+                          duplicate_hops=(extra,)))
+        assert (_tof("extrout_duplicates", l, ks, kd,
+                     duplicate_hops=(extra + l,))
+                > _tof("extrout_duplicates", l, ks, kd,
+                       duplicate_hops=(extra,)))
+        assert _single("nfake_pairs", l,
+                       fake_hops=(l,) * rng.randint(0, 50)) < 1.0
 
 
 # ------------------------------------------------------------------ reports
@@ -159,10 +181,12 @@ def test_analytical_report_extended_family():
     fake = analytical_report("extrout_fake", 8, 3, 4, fake_hops=(17,))
     assert fake.anonymity_single == anonymity_single(32) == 0.96875
     assert fake.tof_analytical == 4.0
+    assert fake.n_fakes == 0  # fake chains under cover are not fake pairs
 
 
 def test_analytical_report_nfake():
-    report = analytical_report("nfake_pairs", 12, fake_hops=(13,), n_fakes=1)
+    report = analytical_report("nfake_pairs", 12, fake_hops=(13,))
+    assert report.n_fakes == 1
     assert report.anonymity_single == 0.5
     assert report.anonymity_pair == 0.75
     assert report.tof_analytical == 25 / 12
@@ -202,8 +226,28 @@ def test_report_from_nfake_run():
     report = report_from_run(plan, run(plan))
     assert report.n_fakes == 2
     assert report.fake_hops == tuple(r.hops for r in plan.fake_paths)
-    assert report.anonymity_single == anonymity_nfake(2)
+    assert report.anonymity_single == anonymity_single(3)
     assert report.tof_measured == report.tof_analytical
+
+
+@pytest.mark.parametrize("variant", [
+    ProtocolVariant.no_privacy(), ProtocolVariant.extrout(),
+    ProtocolVariant.duplicates(2), ProtocolVariant.fake(1),
+    ProtocolVariant.nfake(2)], ids=lambda v: v.kind)
+def test_report_from_run_follows_chain_hops_and_cover(variant):
+    topo, _, _, rows = parallel_paths([14, 14, 14, 14])
+    for seed in range(3):
+        plan = build_scenario(topo, rows[0][2], rows[0][10], variant,
+                              ScenarioSettings(packet_budget=3),
+                              random.Random(seed))
+        chains = plan.all_chains()
+        total = sum(c.hops for c in chains)
+        report = report_from_run(plan, run(plan))
+        assert report.tof_analytical == total / plan.real_route.hops
+        assert report.tof_measured == report.tof_analytical
+        group = total if variant.kind in COVER_KINDS else len(chains)
+        assert report.anonymity_single == anonymity_single(group)
+        assert report.anonymity_pair == anonymity_pair(group, group)
 
 
 def test_report_from_run_with_residual_cover():
@@ -258,7 +302,7 @@ def test_reconcile_checks_empirical_interval():
 
 def test_reference_mismatch_flags_but_does_not_fail():
     report = analytical_report("extrout_fake", 8, 3, 4, fake_hops=(17,))
-    record = reconcile(report, reference=REFERENCE_RESULTS["fake_extended_17"])
+    record = reconcile(report, reference=REFERENCES["fake_extended_17"].quoted)
     assert record.passed
     assert len(record.flags) == 2
     assert any("0.983" in f for f in record.flags)
@@ -280,7 +324,7 @@ def test_reconcile_keeps_notes():
 
 def test_reference_table_reconciles_cleanly():
     results = reference_reconciliations()
-    assert set(results) == set(REFERENCE_RESULTS)
+    assert list(results) == list(REFERENCES)
     for name, (report, record) in results.items():
         assert record.passed, name
     fake_report, fake_record = results["fake_extended_17"]

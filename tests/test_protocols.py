@@ -58,8 +58,6 @@ def test_settings_validation():
     with pytest.raises(ValueError):
         ScenarioSettings(source_ext=-1)
     with pytest.raises(ValueError):
-        ScenarioSettings(source_rate=0)
-    with pytest.raises(ValueError):
         ScenarioSettings(packet_budget=0)
 
 
@@ -296,16 +294,6 @@ def test_schedule_counts_follow_chain_hops():
     assert sent[hub_b] == 0  # terminal sink of both
     expected = set().union(*(c.nodes[:-1] for c in plan.all_chains()))
     assert set(sent) == expected
-
-
-def test_schedule_scales_with_source_rate():
-    topo = line_topology(20)
-    plan = build_scenario(topo, 5, 13, ProtocolVariant.extrout(),
-                          _pinned(3, 4, source_rate=3), random.Random(0))
-    relays = dummy_schedule(plan)
-    assert relays == Counter({link: 3 for link in plan.carrier().links()})
-    assert relays.total() == 45
-    assert sum(relays[link] for link in plan.real_route.links()) == 24
 
 
 def test_schedule_residual_cover_touches_every_node():

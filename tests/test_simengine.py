@@ -83,23 +83,21 @@ def test_run_is_deterministic():
 
 
 def test_run_totals_match_an_interval_replay():
-    # replay every chain link by link, once per source packet, plus the
-    # residual cover of every node, interval by interval; run() must agree
-    # with this in closed form
+    # replay every chain link by link plus the residual cover of every
+    # node, interval by interval; run() must agree with this in closed form
     topo, _, _, rows = parallel_paths([14, 14])
     plan = build_scenario(topo, rows[0][2], rows[0][10],
                           ProtocolVariant.duplicates(1, residual_cover_rate=1),
                           ScenarioSettings(source_ext=3, dest_ext=4,
-                                           source_rate=2, packet_budget=9),
+                                           packet_budget=9),
                           random.Random(0))
     node_totals = {n: 0 for n in topo.nodes}
     link_totals = Counter()
     for _ in range(9):
-        for _ in range(plan.source_rate):
-            for chain in plan.all_chains():
-                for u, v in chain.links():
-                    node_totals[u] += 1
-                    link_totals[min(u, v), max(u, v)] += 1
+        for chain in plan.all_chains():
+            for u, v in chain.links():
+                node_totals[u] += 1
+                link_totals[min(u, v), max(u, v)] += 1
         for n in topo.nodes:
             node_totals[n] += plan.variant.residual_cover_rate
     trace = run(plan)
