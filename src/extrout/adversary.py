@@ -78,7 +78,6 @@ class Branch:
     transmit counts (the silent end is the sink side)."""
 
     nodes: tuple[int, ...]
-    uniform: bool
 
     @property
     def head(self) -> int:
@@ -146,9 +145,7 @@ def _orient(chain: list[int], obs: AttackerObservation) -> Branch:
     tail_tx = obs.node_tx.get(chain[-1], 0)
     if head_tx < tail_tx:
         chain = chain[::-1]
-    rates = {obs.link_tx.get((min(u, v), max(u, v)), 0)
-             for u, v in zip(chain, chain[1:])}
-    return Branch(nodes=tuple(chain), uniform=len(rates) == 1)
+    return Branch(nodes=tuple(chain))
 
 
 def endpoint_candidates(obs: AttackerObservation, cover_traffic: bool = True,

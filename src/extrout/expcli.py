@@ -18,6 +18,9 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
+from collections import Counter
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from statistics import fmean
 
@@ -176,9 +179,16 @@ def resolve_config(config_path: str | None,
     for key in ("target_hops", "frontier_hops"):
         if cfg[key] < 1:
             raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
-    if any(target < 1 for target in cfg["hop_targets"]):
-        raise ConfigError("hop_targets must all be >= 1, got "
-                          f"{_format_value(cfg['hop_targets'])}")
+    if not cfg["hop_targets"]:
+        raise ConfigError("hop_targets must be nonempty")
+    for key in ("hop_targets", "duplicate_counts", "fake_counts",
+                "nfake_counts"):
+        if any(value < 1 for value in cfg[key]):
+            raise ConfigError(f"{key} must all be >= 1, got "
+                              f"{_format_value(cfg[key])}")
+    if cfg["threshold"] != 0 and cfg["threshold"] < 1:
+        raise ConfigError("threshold must be at least 1 (0 for the default), "
+                          f"got {cfg['threshold']}")
     return cfg
 
 
@@ -295,6 +305,14 @@ def _pick_endpoints(topo, cfg: dict, rng) -> tuple[int, int]:
     return _sample_pair(topo, cfg["target_hops"], rng)
 
 
+def _scenario(cfg: dict):
+    """The topology and a builder of the configured scenario's plan per rng."""
+    topo = _topology(cfg)
+    source, dest = _pick_endpoints(topo, cfg, substream(cfg["seed"], "pairs"))
+    return topo, partial(build_scenario, topo, source, dest,
+                         _make_variant(cfg), _make_settings(cfg))
+
+
 def cmd_topology(cfg: dict) -> int:
     topo = _topology(cfg)
     out = Path(cfg["out"])
@@ -307,45 +325,35 @@ def cmd_topology(cfg: dict) -> int:
     return 0
 
 
-def _run_rep(topo, source, dest, variant, settings, seed: int, rep: int):
-    rng = substream(seed, f"rep-{rep}")
-    plan = build_scenario(topo, source, dest, variant, settings, rng)
-    trace = run(plan)
-    matrix = _from_input(transmission_matrix, trace, topo.params)
-    unlink = unlinkability_score(observe(trace))
-    report = report_from_run(plan, trace, unlinkability=unlink)
-    return plan, trace, matrix, report
-
-
 def cmd_run(cfg: dict) -> int:
-    topo = _topology(cfg)
+    topo, scenario = _scenario(cfg)
     seed = cfg["seed"]
-    source, dest = _pick_endpoints(topo, cfg, substream(seed, "pairs"))
-    variant = _make_variant(cfg)
-    settings = _make_settings(cfg)
     reps = cfg["reps"]
-    results = [_run_rep(topo, source, dest, variant, settings, seed, rep)
-               for rep in range(reps)]
-
+    totals: Counter[int] = Counter()
+    reports = []
     failures = []
-    for rep, (_, _, _, report) in enumerate(results):
+    for rep in range(reps):
+        plan = scenario(substream(seed, f"rep-{rep}"))
+        trace = run(plan)
+        totals.update(trace.node_tx)
+        unlink = unlinkability_score(observe(trace))
+        report = report_from_run(plan, trace, unlinkability=unlink)
         record = reconcile(report)
         if not record.passed:
             failures.append(f"rep {rep}: " + "; ".join(record.failures))
+        reports.append(report)
+    totals_matrix = _from_input(transmission_matrix, totals, topo.params)
+    averaged = mean_matrix(totals_matrix, reps)
 
-    plan0, trace0, _, report0 = results[0]
     empirical = None
     ci = None
     if cfg["attack_trials"] > 0:
-        def factory(rng):
-            return build_scenario(topo, source, dest, variant, settings, rng)
-        summary = attack_trials(factory, cfg["attack_trials"],
+        summary = attack_trials(scenario, cfg["attack_trials"],
                                 seed=child_seed(seed, "attack"))
         empirical = summary.empirical_anonymity
         ci = summary.empirical_anonymity_ci()
-    headline = report_from_run(plan0, trace0, anonymity_empirical=empirical,
-                               empirical_ci=ci,
-                               unlinkability=report0.unlinkability)
+    headline = replace(reports[0], anonymity_empirical=empirical,
+                       empirical_ci=ci)
 
     reference = None
     notes = ()
@@ -362,20 +370,19 @@ def cmd_run(cfg: dict) -> int:
 
     out = Path(cfg["out"])
     provenance = _provenance(cfg, "run")
-    averaged = mean_matrix([matrix for _, _, matrix, _ in results])
     _write(out / "matrix.csv", provenance, matrix_to_csv(averaged))
     _write(out / "heatmap.txt", provenance, ascii_heatmap(averaged) + "\n")
 
     text = report_to_text(headline, record)
     text += f"repetitions        {reps}\n"
-    tof_mean = _mean_exact(r.tof_measured for _, _, _, r in results)
+    tof_mean = _mean_exact(r.tof_measured for r in reports)
     text += f"tof measured mean  {tof_mean:.6f}\n"
-    unlink_mean = _mean_exact(r.unlinkability for _, _, _, r in results)
+    unlink_mean = _mean_exact(r.unlinkability for r in reports)
     text += f"unlinkability mean {unlink_mean:.6f}\n"
     _write(out / "report.txt", provenance, text)
 
     rows = [report_csv_header()]
-    rows += [report_to_csv_row(report) for _, _, _, report in results]
+    rows += [report_to_csv_row(report) for report in reports]
     _write(out / "report.csv", provenance, "\n".join(rows) + "\n")
 
     for name in ("matrix.csv", "heatmap.txt", "report.txt", "report.csv"):
@@ -467,8 +474,6 @@ def _frontier_row(topo, source: int, dest: int, kind: str, count: int,
 
 
 def cmd_sweep(cfg: dict) -> int:
-    if not cfg["hop_targets"]:
-        raise ConfigError("hop_targets must be nonempty")
     topo = _topology(cfg)
     seed = cfg["seed"]
     variant = _make_variant(cfg)
@@ -510,24 +515,14 @@ def cmd_attack(cfg: dict) -> int:
             cover = _parse_bool(cover_key)
         except ValueError as exc:
             raise ConfigError(f"bad value for cover: {exc}") from exc
-    if 0 < cfg["threshold"] < 1:
-        raise ConfigError(
-            f"threshold must be at least 1, got {cfg['threshold']}")
-    threshold = cfg["threshold"] if cfg["threshold"] > 0 else None
+    threshold = cfg["threshold"] or None
 
-    topo = _topology(cfg)
+    _, scenario = _scenario(cfg)
     seed = cfg["seed"]
-    source, dest = _pick_endpoints(topo, cfg, substream(seed, "pairs"))
-    variant = _make_variant(cfg)
-    settings = _make_settings(cfg)
-
-    def factory(rng):
-        return build_scenario(topo, source, dest, variant, settings, rng)
-
-    summary = attack_trials(factory, cfg["trials"],
+    summary = attack_trials(scenario, cfg["trials"],
                             seed=child_seed(seed, "attack"),
                             cover_traffic=cover, threshold=threshold)
-    plan0 = factory(substream(child_seed(seed, "attack"), "scenario-0"))
+    plan0 = scenario(substream(child_seed(seed, "attack"), "scenario-0"))
     main = plan0.main
     expected = guess_success(len(plan0.cover_chains()),
                              main.source_extension if main else 0,

@@ -8,6 +8,7 @@ the interval count (order within an interval never affects totals).
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .protocols import ScenarioPlan, dummy_schedule
@@ -49,22 +50,21 @@ def run(plan: ScenarioPlan) -> TrafficTrace:
                         intervals=budget)
 
 
-def transmission_matrix(trace: TrafficTrace, params: TopologyParams) -> list[list[int]]:
+def transmission_matrix(node_tx: Mapping[int, int],
+                        params: TopologyParams) -> list[list[int]]:
     """Per-grid-cell transmit counts, row-major, for grid-placed topologies."""
-    ids = set(trace.node_tx)
-    if ids != set(range(1, params.node_count + 1)):
-        raise ValueError("matrix view unavailable: trace does not cover the full grid")
-    return [[trace.node_tx[params.node_at(r, c)] for c in range(params.grid_cols)]
+    if set(node_tx) != set(range(1, params.node_count + 1)):
+        raise ValueError("matrix view unavailable: node counts do not cover "
+                         "the full grid")
+    return [[node_tx[params.node_at(r, c)] for c in range(params.grid_cols)]
             for r in range(params.grid_rows)]
 
 
-def mean_matrix(matrices: list[list[list[int]]]) -> list[list[float]]:
-    """Cell-wise mean over equally shaped matrices."""
-    if not matrices:
-        raise ValueError("no matrices to average")
-    rows, cols = len(matrices[0]), len(matrices[0][0])
-    return [[sum(m[r][c] for m in matrices) / len(matrices) for c in range(cols)]
-            for r in range(rows)]
+def mean_matrix(totals: list[list[int]], runs: int) -> list[list[float]]:
+    """Cell-wise mean of `runs` runs from their summed matrix."""
+    if runs < 1:
+        raise ValueError("no runs to average")
+    return [[cell / runs for cell in row] for row in totals]
 
 
 def matrix_to_csv(matrix) -> str:

@@ -99,7 +99,6 @@ def test_single_chain_is_one_oriented_branch():
     b = branches[0]
     assert b.nodes == tuple(range(2, 18))
     assert b.head == 2 and b.tail == 17
-    assert b.uniform
     assert b.transmitters == tuple(range(2, 17))
     assert b.receivers == tuple(range(3, 18))
 
@@ -113,7 +112,6 @@ def test_theta_splits_at_the_anchors():
     assert len(branches) == 2
     for b in branches:
         assert b.head == hub_a and b.tail == hub_b
-        assert b.uniform
         assert len(b.nodes) == 16
     chains = {b.nodes[1:-1] for b in branches}
     assert chains == {tuple(rows[0]), tuple(rows[1])}
@@ -139,13 +137,12 @@ def test_uniform_cycle_falls_back_to_a_deterministic_cut():
     assert set(b.transmitters) == {1, 2, 3, 4}
 
 
-def test_orientation_and_uniform_flag_from_rates():
+def test_orientation_from_rates():
     # middle node matches one neighbor's rate, so the chain stays whole
     obs = _manual_obs({1: 10, 2: 10, 3: 0}, {(1, 2): 10, (2, 3): 5})
     b, = traffic_branches(obs)
     assert b.nodes == (1, 2, 3)
     assert b.head == 1
-    assert not b.uniform  # link rates 10 and 5 differ along the chain
     flipped = _manual_obs({1: 0, 2: 10, 3: 10}, {(1, 2): 5, (2, 3): 10})
     assert traffic_branches(flipped)[0].head == 3
 

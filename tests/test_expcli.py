@@ -10,7 +10,9 @@ import pytest
 
 from extrout.expcli import ConfigError, _sample_pair, main, resolve_config
 from extrout.metrics import ReconciliationRecord
+from extrout.protocols import ProtocolVariant, ScenarioSettings, build_scenario
 from extrout.rng import substream
+from extrout.simengine import run
 from extrout.topology import TopologyParams, generate, load_topology, save_topology
 
 from ladders import line_topology
@@ -98,6 +100,8 @@ def test_main_exit_1_on_config_error(tmp_path, capsys):
      "extrout_duplicates needs count >= 1"),
     (["--threshold", "0.5"], "threshold must be at least 1"),
     (["--threshold", "1e9"], "no active traffic"),  # above every count
+    (["--threshold", "-5"],
+     "threshold must be at least 1 (0 for the default), got -5.0"),
     (["--source", "-5", "--dest", "-3"], "source and dest must be >= 0"),
     (["--pairs-per-target", "-2"], "pairs_per_target must be >= 1"),
     (["--attack-trials", "-1"], "attack_trials must be >= 0"),
@@ -106,7 +110,7 @@ def test_main_exit_1_on_config_error(tmp_path, capsys):
     (["--frontier-hops", "-1"], "frontier_hops must be >= 1, got -1"),
     (["--source-rate", "2"], "unrecognized arguments: --source-rate 2"),
 ], ids=["ext-interval", "qudg-factor", "count", "threshold-low",
-        "threshold-high", "negative-endpoints", "pairs-per-target",
+        "threshold-high", "threshold-negative", "negative-endpoints", "pairs-per-target",
         "attack-trials", "hop-targets", "target-hops", "frontier-hops",
         "source-rate"])
 def test_main_exit_1_on_invalid_input(tmp_path, capsys, flags, message):
@@ -114,6 +118,20 @@ def test_main_exit_1_on_invalid_input(tmp_path, capsys, flags, message):
             "--trials", "100", "--budget", "5", "--out", str(tmp_path)]
     assert main(args) == 1
     assert f"config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--duplicate-counts", "1,0"], "duplicate_counts must all be >= 1, got 1,0"),
+    (["--fake-counts", "0"], "fake_counts must all be >= 1, got 0"),
+    (["--nfake-counts", "1,-3"], "nfake_counts must all be >= 1, got 1,-3"),
+    (["--hop-targets", ""], "hop_targets must be nonempty"),
+], ids=["duplicate-counts", "fake-counts", "nfake-counts", "hop-targets"])
+def test_sweep_rejects_bad_counts_before_writing(tmp_path, capsys, flags,
+                                                 message):
+    out = tmp_path / "out"
+    assert main([*_small_sweep(out), *flags]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text, message", [
@@ -130,6 +148,7 @@ def test_main_exit_1_on_malformed_topology_file(tmp_path, capsys, text,
                  "--reps", "1", "--budget", "5",
                  "--out", str(tmp_path / "out")]) == 1
     assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_program_errors_are_not_config_errors(tmp_path, monkeypatch):
@@ -253,6 +272,48 @@ def test_run_command_outputs_and_reconciliation(tmp_path, capsys):
     heat = (out / "heatmap.txt").read_text(encoding="utf-8")
     lines = [ln for ln in heat.splitlines() if ln and not ln.startswith("#")]
     assert lines[0] == " " + "@" * 15 + "    "
+
+
+def test_run_matrix_is_the_mean_of_the_repetitions(tmp_path):
+    rows, cols, seed, budget = 6, 6, 4, 7
+    out = tmp_path / "out"
+    assert main(["run", *_dense_flags(rows, cols), "--seed", str(seed),
+                 "--variant", "extrout_duplicates", "--count", "1",
+                 "--residual-rate", "1", "--source", "8", "--dest", "29",
+                 "--reps", "3", "--budget", str(budget),
+                 "--out", str(out)]) == 0
+
+    topo = generate(TopologyParams(rows, cols, perturbation=0.0,
+                                   tx_range=150.0, qudg_factor=0.95,
+                                   seed=seed))
+    variant = ProtocolVariant.duplicates(1, residual_cover_rate=1)
+    settings = ScenarioSettings(packet_budget=budget)
+    counts = [run(build_scenario(topo, 8, 29, variant, settings,
+                                 substream(seed, f"rep-{rep}"))).node_tx
+              for rep in range(3)]
+    expected = [[sum(c[r * cols + col + 1] for c in counts) / 3
+                 for col in range(cols)] for r in range(rows)]
+    assert len({tuple(c.values()) for c in counts}) > 1  # the reps differ
+    matrix = matrix_from_csv((out / "matrix.csv").read_text(encoding="utf-8"))
+    assert matrix == expected
+
+
+@pytest.mark.parametrize("reps", [1, 4])
+def test_run_builds_one_matrix_per_command(tmp_path, monkeypatch, reps):
+    import extrout.expcli as expcli
+
+    calls = []
+    reshape = expcli.transmission_matrix
+
+    def counting(*args):
+        calls.append(args)
+        return reshape(*args)
+
+    monkeypatch.setattr(expcli, "transmission_matrix", counting)
+    assert main(["run", "--topology-file", _line_file(tmp_path),
+                 "--source", "5", "--dest", "13", "--reps", str(reps),
+                 "--budget", "10", "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
 
 
 def test_run_command_with_attack_reports_empirical(tmp_path):

@@ -1,0 +1,85 @@
+"""Golden outputs: every command's files on a small grid, hashed.
+
+The hashes skip the provenance block the same way `perfbench/run.py`'s
+`digest` does, so this checks the benchmark's byte-for-byte rule in
+seconds. A deliberate output change re-records them (print `_digests` of
+each command) and says so in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import re
+
+import pytest
+
+from extrout.expcli import main
+
+GRID = ["--rows", "8", "--cols", "8", "--perturbation", "0",
+        "--tx-range", "150", "--qudg-factor", "0.95", "--seed", "3"]
+
+# Provenance lines embed the output directory, so the hashes skip them.
+_PROVENANCE = re.compile(rb"# (command|[a-z]+\.[a-z_]+)=")
+
+GOLDEN = {
+    "topology": (["topology"], {
+        "topology.txt":
+            "c3428009b2ba7586590d4b9c6a16d0662aa8e5a0923bae7858d7f22a7539f71a",
+    }),
+    "run": (["run", "--variant", "extrout_fake", "--count", "1",
+             "--residual-rate", "1", "--target-hops", "4", "--reps", "3",
+             "--budget", "25", "--attack-trials", "100"], {
+        "matrix.csv":
+            "e1122f30d3827f34415414f4eb5446041f86f8547dec820f0f7c89fb838e5fad",
+        "heatmap.txt":
+            "5af7990eda60aebc7b6a47a108e23e39f9ce7b33fad73d36567a82da4110f7e6",
+        "report.txt":
+            "b06e5ec31ded6d88bfe7d020225c2127f8a9fc09b4903e95cee61fda8e98c1db",
+        "report.csv":
+            "330926b4f141cfa2484ddd41b42f6b62d81de5a6835e32ee81e30c6e9b399af7",
+    }),
+    "attack_duplicates": (["attack", "--variant", "extrout_duplicates",
+                           "--count", "2", "--target-hops", "4",
+                           "--trials", "100", "--budget", "25"], {
+        "attack.csv":
+            "596851e5c8e224c01fb12a6f1b260b21ecd1ad63b275c7b44e64ed68660c4b10",
+        "attack.txt":
+            "e63d2031b1ae97334d10795b0e044d707d82288ac982ebc21a8c57a7431ac5f3",
+    }),
+    "attack_fake": (["attack", "--variant", "extrout_fake", "--count", "1",
+                     "--target-hops", "4", "--trials", "100",
+                     "--budget", "25"], {
+        "attack.csv":
+            "d8aa624e5e5a6a42dc540bf66bae1f5adae3b5aa53ff795fae95f20bb460de24",
+        "attack.txt":
+            "79ec26aab0b383f30e193f04299a3d599ea7747da4141a834aca5045d5304ec3",
+    }),
+    "sweep": (["sweep", "--hop-targets", "3,4,5", "--pairs-per-target", "2",
+               "--source-ext", "1", "--dest-ext", "1", "--frontier-hops", "4",
+               "--duplicate-counts", "1,2", "--fake-counts", "1",
+               "--nfake-counts", "1,3", "--reps", "2", "--budget", "20"], {
+        "anonymity_vs_L.csv":
+            "0f53c0a41ba4be3284ab35782da75ed0a755244bbd3fc5378f8558902939375a",
+        "anonymity_vs_tof.csv":
+            "4aa73968cfd6be4c00c65aab050810a743355ea0cd740a7534324cb5a4958e3f",
+    }),
+}
+
+
+def _digest(payload: bytes) -> str:
+    lines = payload.splitlines(keepends=True)
+    start = 0
+    while start < len(lines) and _PROVENANCE.match(lines[start]):
+        start += 1
+    return hashlib.sha256(b"".join(lines[start:])).hexdigest()
+
+
+def _digests(command: str, out) -> dict[str, str]:
+    args, expected = GOLDEN[command]
+    assert main([*args, *GRID, "--out", str(out)]) == 0
+    return {name: _digest((out / name).read_bytes()) for name in expected}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_outputs_match_the_recorded_digests(tmp_path, command):
+    assert _digests(command, tmp_path / "out") == GOLDEN[command][1]

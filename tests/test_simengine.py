@@ -115,7 +115,7 @@ def test_transmission_matrix_is_row_major():
     plan = build_scenario(topo, 1, 9, ProtocolVariant.no_privacy(),
                           ScenarioSettings(packet_budget=5))
     trace = run(plan)
-    matrix = transmission_matrix(trace, params)
+    matrix = transmission_matrix(trace.node_tx, params)
     assert len(matrix) == 3 and all(len(r) == 3 for r in matrix)
     total = sum(cell for row in matrix for cell in row)
     assert total == trace.total_transmissions
@@ -125,14 +125,16 @@ def test_transmission_matrix_is_row_major():
 
 def test_transmission_matrix_needs_full_grid_coverage():
     trace = run(_baseline_plan(1))
-    with pytest.raises(ValueError):
-        transmission_matrix(trace, TopologyParams(grid_rows=2, grid_cols=2))
+    with pytest.raises(ValueError, match="matrix view unavailable"):
+        transmission_matrix(trace.node_tx,
+                            TopologyParams(grid_rows=2, grid_cols=2))
 
 
 def test_mean_matrix_cellwise():
-    assert mean_matrix([[[2, 4]], [[4, 8]]]) == [[3.0, 6.0]]
+    # two runs of [[2, 4]] and [[4, 8]] sum to [[6, 12]]
+    assert mean_matrix([[6, 12]], 2) == [[3.0, 6.0]]
     with pytest.raises(ValueError):
-        mean_matrix([])
+        mean_matrix([[6, 12]], 0)
 
 
 # ------------------------------------------------------------- serialization
