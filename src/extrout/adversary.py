@@ -4,14 +4,15 @@ The attacker sees every transmission count in the network, never packet
 contents, kinds or route metadata. The topology is public, but rate
 monitoring never needs it. Link counts stand for relayed-flow evidence (a
 designated next hop); undirected residual broadcasts raise node counts
-only.
+only. So every nonzero count is evidence, and there is no rate threshold.
 
 Scheme knowledge is public: the attacker knows whether the deployed variant
-runs synchronized cover traffic. Without cover, forwarding is a causal relay
-wave and time correlation pins each chain's head and tail; with cover, every
-chain node transmits every interval, timing is uninformative, and any
-transmitting node of a uniform-rate chain is a source candidate (that is
-exactly what route extrapolation forces).
+runs synchronized cover traffic, and each attack reads it from the variant.
+Without cover, forwarding is a causal relay wave and time correlation pins
+each chain's head and tail; with cover, every chain node transmits every
+interval, timing is uninformative, and any transmitting node of a
+uniform-rate chain is a source candidate (that is exactly what route
+extrapolation forces).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .simengine import TrafficTrace, run
 
 
 class NoTrafficError(ValueError):
-    """Nothing in the observation transmits at or above the threshold."""
+    """The observation holds no link traffic, so there is no chain to attack."""
 
 
 @dataclass(frozen=True)
@@ -45,27 +46,15 @@ def observe(trace: TrafficTrace) -> AttackerObservation:
                                link_tx=dict(trace.link_tx))
 
 
-def _effective_threshold(obs: AttackerObservation, threshold: float | None) -> float:
-    if threshold is None:
-        # Chain evidence lives in the link counts and residual dummies
-        # never form links, so any repeated transmission is signal.
-        return 1.0
-    if threshold < 1:
-        raise ValueError(f"threshold must be at least 1, got {threshold}")
-    return float(threshold)
-
-
-def active_subgraph(obs: AttackerObservation, threshold: float | None = None
+def active_subgraph(obs: AttackerObservation
                     ) -> tuple[frozenset[int], frozenset[tuple[int, int]]]:
-    """Nodes and links carrying sustained traffic.
+    """Nodes and links carrying traffic.
 
-    A node is active when it transmits at or above the threshold (default:
-    any transmission at all) or terminates an active link, so silent
-    terminal sinks are included through their inbound traffic.
+    A node is active when it transmits at all or terminates an active link,
+    so silent terminal sinks are included through their inbound traffic.
     """
-    thr = _effective_threshold(obs, threshold)
-    links = frozenset(lk for lk, c in obs.link_tx.items() if c >= thr)
-    nodes = {n for n, c in obs.node_tx.items() if c >= thr}
+    links = frozenset(lk for lk, c in obs.link_tx.items() if c > 0)
+    nodes = {n for n, c in obs.node_tx.items() if c > 0}
     for i, j in links:
         nodes.add(i)
         nodes.add(j)
@@ -96,8 +85,7 @@ class Branch:
         return self.nodes[1:]
 
 
-def traffic_branches(obs: AttackerObservation, threshold: float | None = None
-                     ) -> tuple[Branch, ...]:
+def traffic_branches(obs: AttackerObservation) -> tuple[Branch, ...]:
     """Decompose the active subgraph into maximal simple chains.
 
     Chains are cut at structural junctions (active-degree != 2) and at
@@ -105,7 +93,7 @@ def traffic_branches(obs: AttackerObservation, threshold: float | None = None
     parallel paths sharing their end nodes form a degree-2 cycle, but the
     shared ends still stand out by transmitting double rate (or nothing).
     """
-    nodes, links = active_subgraph(obs, threshold)
+    nodes, links = active_subgraph(obs)
     adj: dict[int, list[int]] = defaultdict(list)
     for i, j in sorted(links):
         adj[i].append(j)
@@ -148,8 +136,7 @@ def _orient(chain: list[int], obs: AttackerObservation) -> Branch:
     return Branch(nodes=tuple(chain))
 
 
-def endpoint_candidates(obs: AttackerObservation, cover_traffic: bool = True,
-                        threshold: float | None = None
+def endpoint_candidates(obs: AttackerObservation, cover_traffic: bool = True
                         ) -> tuple[frozenset[int], frozenset[int]]:
     """Candidate source and destination sets under rate monitoring.
 
@@ -157,7 +144,7 @@ def endpoint_candidates(obs: AttackerObservation, cover_traffic: bool = True,
     source and every receiving node the destination; without it, time
     correlation exposes the chain heads and tails themselves.
     """
-    return _candidates(traffic_branches(obs, threshold), cover_traffic)
+    return _candidates(traffic_branches(obs), cover_traffic)
 
 
 def _candidates(branches, cover_traffic: bool
@@ -175,7 +162,7 @@ def _candidates(branches, cover_traffic: bool
 
 
 def guess_endpoints(obs: AttackerObservation, rng: random.Random,
-                    cover_traffic: bool = True, threshold: float | None = None
+                    cover_traffic: bool = True
                     ) -> tuple[int, int, Branch, int, int]:
     """One attack: pick a chain uniformly, then endpoints within it.
 
@@ -183,7 +170,7 @@ def guess_endpoints(obs: AttackerObservation, rng: random.Random,
     source-guess law is uniform over the picked chain's candidates, which
     realizes the guess-one-of-N arithmetic the candidate sets announce.
     """
-    branches = traffic_branches(obs, threshold)
+    branches = traffic_branches(obs)
     if not branches:
         raise NoTrafficError("no active traffic to attack")
     gs, gd = _candidates(branches, cover_traffic)
@@ -243,14 +230,13 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     return max(0.0, centre - half), min(1.0, centre + half)
 
 
-def attack_trials(plan_factory, trials: int, seed: int = 0,
-                  cover_traffic: bool | None = None,
-                  threshold: float | None = None) -> AttackSummary:
+def attack_trials(plan_factory, trials: int, seed: int = 0) -> AttackSummary:
     """Run (scenario, attack) pairs with fresh per-trial randomness.
 
     plan_factory(rng) supplies the scenario for each trial; guesses come
-    from the observation only, and are scored here against the plan's
-    ground truth. cover_traffic defaults to whatever the variant implies.
+    from the observation and the public scheme only (whether the plan's
+    variant runs cover traffic), and are scored here against the plan's
+    ground truth.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -258,10 +244,9 @@ def attack_trials(plan_factory, trials: int, seed: int = 0,
     s_hits = d_hits = p_hits = 0
     for t in range(trials):
         plan = plan_factory(substream(seed, f"scenario-{t}"))
-        cover = plan.variant.uses_cover if cover_traffic is None else cover_traffic
         obs = observe(run(plan))
         src, dst, branch, gs, gd = guess_endpoints(
-            obs, substream(seed, f"attack-{t}"), cover, threshold)
+            obs, substream(seed, f"attack-{t}"), plan.variant.uses_cover)
         v = AttackVerdict(source_guess=src, dest_guess=dst,
                           source_candidates=gs, dest_candidates=gd,
                           correct_source=src == plan.source,
@@ -281,7 +266,7 @@ def attack_trials(plan_factory, trials: int, seed: int = 0,
                          verdicts=tuple(verdicts))
 
 
-def unlinkability_score(obs: AttackerObservation, threshold: float | None = None) -> float:
+def unlinkability_score(obs: AttackerObservation) -> float:
     """1 minus the coefficient of variation of transmit counts over actively
     transmitting nodes, clamped to [0, 1].
 
@@ -289,9 +274,7 @@ def unlinkability_score(obs: AttackerObservation, threshold: float | None = None
     latch onto); 0.0 means the count structure fully exposes the flow.
     Silent sinks never transmit, so they sit outside the population.
     """
-    thr = _effective_threshold(obs, threshold)
-    nodes, _links = active_subgraph(obs, threshold)
-    counts = [obs.node_tx[n] for n in sorted(nodes) if obs.node_tx.get(n, 0) >= thr]
+    counts = [c for c in obs.node_tx.values() if c > 0]
     if not counts:
         raise ValueError("no active transmitters to score")
     mean = statistics.fmean(counts)

@@ -25,7 +25,6 @@ from pathlib import Path
 from statistics import fmean
 
 from .adversary import (
-    NoTrafficError,
     attack_trials,
     observe,
     unlinkability_score,
@@ -127,8 +126,6 @@ SCHEMA = (
     ("sweep", "fake_counts", _parse_int_list, (1,)),
     ("sweep", "nfake_counts", _parse_int_list, (1, 3, 5, 7, 9)),
     ("attack", "trials", _parse_int, 1000),
-    ("attack", "cover", _parse_str, "auto"),
-    ("attack", "threshold", _parse_float, 0.0),
 )
 
 _SECTION_OF = {key: section for section, key, _, _ in SCHEMA}
@@ -140,7 +137,7 @@ def resolve_config(config_path: str | None,
     """Defaults, then INI file, then command-line overrides."""
     cfg = {key: default for _, key, _, default in SCHEMA}
     if config_path:
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
         try:
             read = parser.read(config_path)
         except configparser.Error as exc:
@@ -172,6 +169,10 @@ def resolve_config(config_path: str | None,
         raise ConfigError("source and dest must be >= 0 (0 samples a pair)")
     if (cfg["source"] > 0) != (cfg["dest"] > 0):
         raise ConfigError("set both source and dest, or neither")
+    for key in ("source_ext", "dest_ext"):
+        if cfg[key] < -1:
+            raise ConfigError(f"{key} must be >= -1 (-1 draws it from "
+                              f"[ext_low, ext_high]), got {cfg[key]}")
     if cfg["pairs_per_target"] < 1:
         raise ConfigError("pairs_per_target must be >= 1")
     if cfg["attack_trials"] < 0:
@@ -186,9 +187,12 @@ def resolve_config(config_path: str | None,
         if any(value < 1 for value in cfg[key]):
             raise ConfigError(f"{key} must all be >= 1, got "
                               f"{_format_value(cfg[key])}")
-    if cfg["threshold"] != 0 and cfg["threshold"] < 1:
-        raise ConfigError("threshold must be at least 1 (0 for the default), "
-                          f"got {cfg['threshold']}")
+    if cfg["reference"] and cfg["reference"] not in REFERENCES:
+        raise ConfigError(
+            f"unknown reference {cfg['reference']!r}, expected one of "
+            f"{sorted(REFERENCES)}")
+    if cfg["trials"] < 100:
+        raise ConfigError("attack needs at least 100 trials")
     return cfg
 
 
@@ -355,15 +359,10 @@ def cmd_run(cfg: dict) -> int:
     headline = replace(reports[0], anonymity_empirical=empirical,
                        empirical_ci=ci)
 
-    reference = None
-    notes = ()
+    reference, notes = None, ()
     if cfg["reference"]:
-        name = cfg["reference"]
-        if name not in REFERENCES:
-            raise ConfigError(
-                f"unknown reference {name!r}, expected one of "
-                f"{sorted(REFERENCES)}")
-        reference, notes = REFERENCES[name].quoted, REFERENCES[name].notes
+        ref = REFERENCES[cfg["reference"]]
+        reference, notes = ref.quoted, ref.notes
     record = reconcile(headline, reference=reference, notes=notes)
     if not record.passed:
         failures.append("; ".join(record.failures))
@@ -505,23 +504,10 @@ def cmd_sweep(cfg: dict) -> int:
 
 
 def cmd_attack(cfg: dict) -> int:
-    if cfg["trials"] < 100:
-        raise ConfigError("attack needs at least 100 trials")
-    cover_key = cfg["cover"].lower()
-    if cover_key == "auto":
-        cover = None
-    else:
-        try:
-            cover = _parse_bool(cover_key)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for cover: {exc}") from exc
-    threshold = cfg["threshold"] or None
-
     _, scenario = _scenario(cfg)
     seed = cfg["seed"]
     summary = attack_trials(scenario, cfg["trials"],
-                            seed=child_seed(seed, "attack"),
-                            cover_traffic=cover, threshold=threshold)
+                            seed=child_seed(seed, "attack"))
     plan0 = scenario(substream(child_seed(seed, "attack"), "scenario-0"))
     main = plan0.main
     expected = guess_success(len(plan0.cover_chains()),
@@ -611,8 +597,7 @@ def main(argv: list[str] | None = None) -> int:
         overrides = {key: getattr(args, key) for _, key, _, _ in SCHEMA}
         cfg = resolve_config(args.config, overrides)
         return COMMANDS[args.command](cfg)
-    except (ConfigError, UnreachableError, PlacementError, NoTrafficError,
-            OSError) as exc:
+    except (ConfigError, UnreachableError, PlacementError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import configparser
+import re
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
-from extrout.expcli import ConfigError, _sample_pair, main, resolve_config
+from extrout.expcli import SCHEMA, ConfigError, _sample_pair, main, resolve_config
 from extrout.metrics import ReconciliationRecord
 from extrout.protocols import ProtocolVariant, ScenarioSettings, build_scenario
 from extrout.rng import substream
@@ -17,6 +20,9 @@ from extrout.topology import TopologyParams, generate, load_topology, save_topol
 
 from ladders import line_topology
 from oracles import bfs_levels, matrix_from_csv
+from test_golden import GRID, _digest
+
+HERE = Path(__file__).resolve().parent
 
 
 def _dense_flags(rows: int, cols: int) -> list[str]:
@@ -39,7 +45,6 @@ def test_resolve_config_defaults():
     assert cfg["variant"] == "extrout_baseline"
     assert cfg["budget"] == 7000
     assert cfg["hop_targets"] == tuple(range(3, 17))
-    assert cfg["cover"] == "auto"
 
 
 def test_resolve_config_ini_then_cli_precedence(tmp_path):
@@ -78,6 +83,18 @@ def test_resolve_config_bad_values(tmp_path):
         resolve_config(None, {"source": "4"})
 
 
+def test_readme_config_block_holds_every_key_at_its_default(tmp_path):
+    readme = (HERE.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    ini = tmp_path / "readme.ini"
+    ini.write_text(block, encoding="utf-8")
+    assert resolve_config(str(ini), {}) == resolve_config(None, {})
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    parser.read_string(block)
+    keys = {key for section in parser.sections() for key in parser[section]}
+    assert keys == {key for _, key, _, _ in SCHEMA}
+
+
 def test_resolve_config_missing_file():
     with pytest.raises(ConfigError, match="not found"):
         resolve_config("/nonexistent/exp.ini", {})
@@ -98,19 +115,20 @@ def test_main_exit_1_on_config_error(tmp_path, capsys):
     (["--qudg-factor", "2"], "qudg_factor must be in [0, 1]"),
     (["--variant", "extrout_duplicates", "--count", "0"],
      "extrout_duplicates needs count >= 1"),
-    (["--threshold", "0.5"], "threshold must be at least 1"),
-    (["--threshold", "1e9"], "no active traffic"),  # above every count
-    (["--threshold", "-5"],
-     "threshold must be at least 1 (0 for the default), got -5.0"),
+    (["--threshold", "1"], "unrecognized arguments: --threshold 1"),
+    (["--cover", "off"], "unrecognized arguments: --cover off"),
     (["--source", "-5", "--dest", "-3"], "source and dest must be >= 0"),
+    (["--source-ext", "-7", "--dest-ext", "-3"],
+     "source_ext must be >= -1 (-1 draws it from [ext_low, ext_high]), "
+     "got -7"),
     (["--pairs-per-target", "-2"], "pairs_per_target must be >= 1"),
     (["--attack-trials", "-1"], "attack_trials must be >= 0"),
     (["--hop-targets", "0,-2"], "hop_targets must all be >= 1, got 0,-2"),
     (["--target-hops", "0"], "target_hops must be >= 1, got 0"),
     (["--frontier-hops", "-1"], "frontier_hops must be >= 1, got -1"),
     (["--source-rate", "2"], "unrecognized arguments: --source-rate 2"),
-], ids=["ext-interval", "qudg-factor", "count", "threshold-low",
-        "threshold-high", "threshold-negative", "negative-endpoints", "pairs-per-target",
+], ids=["ext-interval", "qudg-factor", "count", "threshold", "cover",
+        "negative-endpoints", "negative-extensions", "pairs-per-target",
         "attack-trials", "hop-targets", "target-hops", "frontier-hops",
         "source-rate"])
 def test_main_exit_1_on_invalid_input(tmp_path, capsys, flags, message):
@@ -118,6 +136,41 @@ def test_main_exit_1_on_invalid_input(tmp_path, capsys, flags, message):
             "--trials", "100", "--budget", "5", "--out", str(tmp_path)]
     assert main(args) == 1
     assert f"config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[attack]\ncover = auto\n", "unknown key [attack] cover"),
+    ("[attack]\nthreshold = 0\n", "unknown key [attack] threshold"),
+], ids=["cover", "threshold"])
+def test_main_exit_1_on_removed_ini_key(tmp_path, capsys, text, message):
+    ini = tmp_path / "exp.ini"
+    ini.write_text(text, encoding="utf-8")
+    assert main(["attack", "--config", str(ini),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert f"config error: {ini}: {message}" in capsys.readouterr().err
+
+
+def test_unknown_reference_fails_before_any_scenario(tmp_path, monkeypatch,
+                                                      capsys):
+    import extrout.expcli as expcli
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return build_scenario(*args)
+
+    monkeypatch.setattr(expcli, "build_scenario", counting)
+    args = ["run", "--topology-file", _line_file(tmp_path),
+            "--source", "5", "--dest", "13", "--reps", "2", "--budget", "10"]
+    assert main([*args, "--out", str(tmp_path / "good")]) == 0
+    assert len(calls) == 2  # the counter sees every repetition
+    calls.clear()
+    out = tmp_path / "out"
+    assert main([*args, "--reference", "nope", "--out", str(out)]) == 1
+    assert "config error: unknown reference 'nope'" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -369,6 +422,81 @@ def test_commands_start_no_thread(tmp_path, monkeypatch, command):
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
     assert main(command(tmp_path / "out")) == 0
+
+
+# Each command's small run on the golden dense grid, and for every key but
+# `out` (a path) a command and a non-default value that must change at
+# least one of that command's output files.
+_BASES = {
+    "topology": ["topology"],
+    "run": ["run", "--target-hops", "2", "--reps", "2", "--budget", "25"],
+    "attack": ["attack", "--variant", "extrout_duplicates", "--count", "1",
+               "--source", "10", "--dest", "37", "--trials", "100",
+               "--budget", "5"],
+    "sweep": ["sweep", "--hop-targets", "3,4", "--pairs-per-target", "2",
+              "--frontier-hops", "4", "--duplicate-counts", "1",
+              "--fake-counts", "1", "--nfake-counts", "1", "--reps", "2",
+              "--budget", "20"],
+}
+_KEY_CASES = {
+    "rows": ("topology", "7"),
+    "cols": ("topology", "7"),
+    "spacing": ("topology", "90"),
+    "perturbation": ("topology", "0.1"),
+    "tx_range": ("topology", "120"),
+    "qudg_factor": ("topology", "0.5"),
+    "topology_file": ("topology", str(HERE / "data" / "golden_2x2.txt")),
+    "seed": ("run", "4"),
+    "variant": ("run", "no_privacy"),
+    "residual_rate": ("run", "1"),
+    "target_hops": ("run", "5"),
+    "source_ext": ("run", "1"),
+    "dest_ext": ("run", "1"),
+    "ext_low": ("run", "0"),
+    "ext_high": ("run", "2"),
+    "strict": ("run", "false"),
+    "reps": ("run", "3"),
+    "budget": ("run", "30"),
+    "attack_trials": ("run", "100"),
+    "reference": ("run", "baseline_3_8_4"),
+    "count": ("attack", "2"),
+    "source": ("attack", "11"),
+    "dest": ("attack", "38"),
+    "trials": ("attack", "101"),
+    "hop_targets": ("sweep", "3,5"),
+    "pairs_per_target": ("sweep", "3"),
+    "frontier_hops": ("sweep", "5"),
+    "duplicate_counts": ("sweep", "2"),
+    "fake_counts": ("sweep", "2"),
+    "nfake_counts": ("sweep", "3"),
+}
+
+
+def _output_digests(args: list[str], out) -> dict[str, str]:
+    assert main([*args, "--out", str(out)]) == 0
+    return {path.name: _digest(path.read_bytes())
+            for path in sorted(out.iterdir())}
+
+
+@pytest.fixture(scope="module")
+def base_outputs(tmp_path_factory):
+    return {name: _output_digests([*args, *GRID],
+                                  tmp_path_factory.mktemp(name))
+            for name, args in _BASES.items()}
+
+
+@pytest.mark.parametrize("key, parse, default",
+                         [pytest.param(key, parse, default, id=key)
+                          for _, key, parse, default in SCHEMA
+                          if key != "out"])
+def test_every_key_reaches_an_output(tmp_path, base_outputs, key, parse,
+                                     default):
+    command, value = _KEY_CASES[key]
+    assert parse(value) != default
+    flag = f"--{key.replace('_', '-')}"
+    got = _output_digests([*_BASES[command], *GRID, flag, value], tmp_path)
+    assert got.keys() == base_outputs[command].keys()
+    assert got != base_outputs[command]
 
 
 def test_sweep_curves_are_exact_on_a_dense_grid(tmp_path):
