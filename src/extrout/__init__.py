@@ -16,7 +16,6 @@ from .topology import (
     link_probability,
     load_topology,
     place_nodes,
-    save_topology,
 )
 from .routing import (
     ExtendedRoute,

@@ -220,14 +220,20 @@ class AttackSummary:
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+    """Wilson score interval for a binomial proportion.
+
+    The bound at an all-fail or all-succeed end is exactly 0 or 1; the
+    float formula can miss it by rounding.
+    """
     if trials <= 0:
         raise ValueError("trials must be positive")
     p = successes / trials
     denom = 1 + z * z / trials
     centre = (p + z * z / (2 * trials)) / denom
     half = (z / denom) * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials))
-    return max(0.0, centre - half), min(1.0, centre + half)
+    low = 0.0 if successes == 0 else max(0.0, centre - half)
+    high = 1.0 if successes == trials else min(1.0, centre + half)
+    return low, high
 
 
 def attack_trials(plan_factory, trials: int, seed: int = 0) -> AttackSummary:

@@ -32,7 +32,6 @@ from .adversary import (
 )
 from .metrics import (
     REFERENCES,
-    guess_success,
     reconcile,
     reference_reconciliations,
     report_csv_header,
@@ -480,6 +479,12 @@ def cmd_sweep(cfg: dict) -> int:
     out = Path(cfg["out"])
     provenance = _provenance(cfg, "sweep")
 
+    # Picked first so that a frontier pair that cannot be found fails
+    # before any output is written; it draws from its own substream.
+    frontier_source, frontier_dest = _pick_endpoints(
+        topo, {**cfg, "target_hops": cfg["frontier_hops"]},
+        substream(seed, "frontier"))
+
     header = ("hops,pairs_used,anonymity_single,anonymity_pair,"
               "tof_analytical,tof_measured,note")
     rows = [",".join(_sweep_hop_row(topo, target, cfg, variant, settings))
@@ -487,9 +492,6 @@ def cmd_sweep(cfg: dict) -> int:
     _write(out / "anonymity_vs_L.csv", provenance,
            header + "\n" + "\n".join(rows) + "\n")
 
-    frontier_source, frontier_dest = _pick_endpoints(
-        topo, {**cfg, "target_hops": cfg["frontier_hops"]},
-        substream(seed, "frontier"))
     header = ("technique,parameter,anonymity_single,anonymity_pair,"
               "tof_analytical,tof_measured,note")
     rows = [",".join(_frontier_row(topo, frontier_source, frontier_dest,
@@ -509,12 +511,7 @@ def cmd_attack(cfg: dict) -> int:
     summary = attack_trials(scenario, cfg["trials"],
                             seed=child_seed(seed, "attack"))
     plan0 = scenario(substream(child_seed(seed, "attack"), "scenario-0"))
-    main = plan0.main
-    expected = guess_success(len(plan0.cover_chains()),
-                             main.source_extension if main else 0,
-                             plan0.real_route.hops,
-                             main.dest_extension if main else 0,
-                             cover=plan0.variant.uses_cover)
+    expected = report_from_run(plan0).guess_success
     on_path = fmean(1.0 if v.on_real_path else 0.0 for v in summary.verdicts)
 
     out = Path(cfg["out"])

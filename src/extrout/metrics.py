@@ -1,6 +1,8 @@
 """Analytical privacy and overhead model plus reconciliation.
 
-One model covers every variant.  A scenario is a set of chains: the
+One model covers every variant, and PrivacyReport is its only home: it
+stores a scenario's chain hops and derives every figure from them, so
+each formula is written once.  A scenario is a set of chains: the
 carrier of the real packet plus its duplicate or fake chains.  Under
 synchronized cover traffic every transmitter of every chain looks alike,
 so an endpoint hides among the summed chain hops; without cover each
@@ -34,10 +36,8 @@ __all__ = [
     "ReconciliationRecord",
     "REFERENCES",
     "Reference",
-    "analytical_report",
     "anonymity_pair",
     "anonymity_single",
-    "guess_success",
     "reconcile",
     "reference_reconciliations",
     "report_csv_header",
@@ -49,7 +49,7 @@ __all__ = [
 
 class Reference(NamedTuple):
     """A reported evaluation point: its scenario parameters (keyword
-    arguments of analytical_report), the quoted (anonymity, TOF) pair and
+    arguments of PrivacyReport), the quoted (anonymity, TOF) pair and
     interpretation notes."""
 
     scenario: dict
@@ -113,42 +113,25 @@ def anonymity_pair(source_group: int, dest_group: int) -> float:
     return 1.0 - (1.0 / source_group) * (1.0 / dest_group)
 
 
-def guess_success(extra_chains: int, source_ext: int, real_hops: int,
-                  dest_ext: int, cover: bool = True) -> float:
-    """Chance a branch-then-node attacker names the true source.
-
-    The attacker first picks the carrier out of 1 + extra_chains equally
-    plausible chains (duplicate or fake paths), then the source out of
-    the carrier's Ks + L + Kd transmitters: 1/((n+1)(Ks + L + Kd)).
-    Without cover traffic the chain's first transmitter is the source,
-    leaving 1/(n+1).
-    """
-    if extra_chains < 0:
-        raise ValueError(f"extra chain count must be >= 0, got {extra_chains}")
-    if source_ext < 0 or dest_ext < 0:
-        raise ValueError("extension hop counts must be >= 0")
-    if real_hops < 1:
-        raise ValueError(f"real path needs at least one hop, got {real_hops}")
-    chains = extra_chains + 1
-    if not cover:
-        return 1.0 / chains
-    return 1.0 / (chains * (source_ext + real_hops + dest_ext))
-
-
 @dataclass(frozen=True)
 class PrivacyReport:
-    """Analytical and measured privacy figures for one scenario."""
+    """One scenario's chain hops, its derived privacy figures and what a
+    run measured.
+
+    The chains are the carrier (source_ext + real_hops + dest_ext hops)
+    plus one chain per duplicate and fake hop count.  The anonymity group
+    is their summed hops when the variant runs cover traffic and their
+    number when it does not; TOF is the summed hops over real_hops.  Only
+    the inputs and the measurements are stored; every analytical figure is
+    a property, so valid inputs always give valid figures.
+    """
 
     variant: str
     real_hops: int
-    source_ext: int
-    dest_ext: int
-    duplicate_hops: tuple[int, ...]
-    fake_hops: tuple[int, ...]
-    n_fakes: int
-    anonymity_single: float
-    anonymity_pair: float
-    tof_analytical: float
+    source_ext: int = 0
+    dest_ext: int = 0
+    duplicate_hops: tuple[int, ...] = ()
+    fake_hops: tuple[int, ...] = ()
     residual_rate: int = 0
     tof_measured: float | None = None
     anonymity_empirical: float | None = None
@@ -158,52 +141,62 @@ class PrivacyReport:
     def __post_init__(self):
         if self.variant not in VARIANT_KINDS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        for name in ("anonymity_single", "anonymity_pair"):
-            value = getattr(self, name)
-            if not 0.0 <= value < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1), got {value}")
-        if self.tof_analytical < 1.0:
-            raise ValueError("TOF cannot drop below 1.0, got "
-                             f"{self.tof_analytical}")
+        if self.real_hops < 1:
+            raise ValueError("real path needs at least one hop, got "
+                             f"{self.real_hops}")
+        if self.source_ext < 0 or self.dest_ext < 0:
+            raise ValueError("extension hop counts must be >= 0")
+        if any(hops < 1 for hops in self.duplicate_hops + self.fake_hops):
+            raise ValueError("duplicate and fake path lengths must be >= 1")
 
+    @property
+    def _cover(self) -> bool:
+        return self.variant in COVER_KINDS
 
-def analytical_report(variant: str, real_hops: int, source_ext: int = 0,
-                      dest_ext: int = 0, duplicate_hops: Sequence[int] = (),
-                      fake_hops: Sequence[int] = (),
-                      **extra) -> PrivacyReport:
-    """Build a report from scenario parameters alone (no simulation).
+    @property
+    def _chains(self) -> int:
+        return 1 + len(self.duplicate_hops) + len(self.fake_hops)
 
-    The chains are the carrier (source_ext + real_hops + dest_ext hops)
-    plus one chain per duplicate and fake hop count.  The anonymity group
-    is their summed hops when the variant runs cover traffic and their
-    number when it does not; TOF is the summed hops over real_hops.
-    """
-    duplicate_hops = tuple(duplicate_hops)
-    fake_hops = tuple(fake_hops)
-    if real_hops < 1:
-        raise ValueError(f"real path needs at least one hop, got {real_hops}")
-    if source_ext < 0 or dest_ext < 0:
-        raise ValueError("extension hop counts must be >= 0")
-    if any(hops < 1 for hops in duplicate_hops + fake_hops):
-        raise ValueError("duplicate and fake path lengths must be >= 1")
-    cover = variant in COVER_KINDS
-    total = (source_ext + real_hops + dest_ext
-             + sum(duplicate_hops) + sum(fake_hops))
-    chains = 1 + len(duplicate_hops) + len(fake_hops)
-    group = total if cover else chains
-    return PrivacyReport(
-        variant=variant,
-        real_hops=real_hops,
-        source_ext=source_ext,
-        dest_ext=dest_ext,
-        duplicate_hops=duplicate_hops,
-        fake_hops=fake_hops,
-        n_fakes=0 if cover else len(fake_hops),
-        anonymity_single=anonymity_single(group),
-        anonymity_pair=anonymity_pair(group, group),
-        tof_analytical=total / real_hops,
-        **extra,
-    )
+    @property
+    def _total_hops(self) -> int:
+        return (self.source_ext + self.real_hops + self.dest_ext
+                + sum(self.duplicate_hops) + sum(self.fake_hops))
+
+    @property
+    def _group(self) -> int:
+        return self._total_hops if self._cover else self._chains
+
+    @property
+    def anonymity_single(self) -> float:
+        return anonymity_single(self._group)
+
+    @property
+    def anonymity_pair(self) -> float:
+        return anonymity_pair(self._group, self._group)
+
+    @property
+    def tof_analytical(self) -> float:
+        return self._total_hops / self.real_hops
+
+    @property
+    def n_fakes(self) -> int:
+        """Fake source-destination pairs; fake chains under cover are
+        extensions of the scheme, not fake pairs."""
+        return 0 if self._cover else len(self.fake_hops)
+
+    @property
+    def guess_success(self) -> float:
+        """Chance a branch-then-node attacker names the true source.
+
+        The attacker first picks the carrier out of the equally plausible
+        chains, then the source out of the carrier's Ks + L + Kd
+        transmitters: 1/(chains (Ks + L + Kd)).  Without cover traffic the
+        chain's first transmitter is the source, leaving 1/chains.
+        """
+        if not self._cover:
+            return 1.0 / self._chains
+        return 1.0 / (self._chains
+                      * (self.source_ext + self.real_hops + self.dest_ext))
 
 
 def report_from_run(plan: ScenarioPlan, trace: TrafficTrace | None = None,
@@ -228,7 +221,7 @@ def report_from_run(plan: ScenarioPlan, trace: TrafficTrace | None = None,
         else:
             tof_measured = total / (trace.intervals * real_hops)
 
-    return analytical_report(
+    return PrivacyReport(
         variant=plan.variant.kind,
         real_hops=real_hops,
         source_ext=main.source_extension if main is not None else 0,
@@ -307,7 +300,7 @@ def reference_reconciliations() -> dict[str, tuple[PrivacyReport,
     """
     out = {}
     for name, ref in REFERENCES.items():
-        report = analytical_report(**ref.scenario)
+        report = PrivacyReport(**ref.scenario)
         out[name] = (report, reconcile(report, reference=ref.quoted,
                                        notes=ref.notes))
     return out
@@ -326,33 +319,23 @@ def report_csv_header() -> str:
 
 
 def report_to_csv_row(report: PrivacyReport) -> str:
-    """One flat CSV row per scenario, for sweep aggregation."""
+    """One flat CSV row per scenario report."""
     ci_low, ci_high = report.empirical_ci or (None, None)
-    cells = {
-        "variant": report.variant,
-        "real_hops": report.real_hops,
-        "source_ext": report.source_ext,
-        "dest_ext": report.dest_ext,
+    own_cells = {
         "duplicate_hops": "+".join(str(h) for h in report.duplicate_hops),
         "fake_hops": "+".join(str(h) for h in report.fake_hops),
-        "n_fakes": report.n_fakes,
-        "anonymity_single": report.anonymity_single,
-        "anonymity_pair": report.anonymity_pair,
-        "anonymity_empirical": report.anonymity_empirical,
         "ci_low": ci_low,
         "ci_high": ci_high,
-        "tof_analytical": report.tof_analytical,
-        "tof_measured": report.tof_measured,
-        "unlinkability": report.unlinkability,
-        "residual_rate": report.residual_rate,
     }
-    def fmt(value):
+    def fmt(name):
+        value = (own_cells[name] if name in own_cells
+                 else getattr(report, name))
         if value is None:
             return ""
         if isinstance(value, float):
             return repr(value)
         return str(value)
-    return ",".join(fmt(cells[name]) for name in CSV_FIELDS)
+    return ",".join(fmt(name) for name in CSV_FIELDS)
 
 
 def report_to_text(report: PrivacyReport,

@@ -53,26 +53,6 @@ class ProtocolVariant:
         if self.residual_cover_rate < 0 or self.residual_cover_rate != int(self.residual_cover_rate):
             raise ValueError("residual_cover_rate must be a non-negative integer")
 
-    @classmethod
-    def no_privacy(cls, residual_cover_rate: int = 0):
-        return cls("no_privacy", residual_cover_rate=residual_cover_rate)
-
-    @classmethod
-    def extrout(cls, residual_cover_rate: int = 0):
-        return cls("extrout_baseline", residual_cover_rate=residual_cover_rate)
-
-    @classmethod
-    def duplicates(cls, n: int, residual_cover_rate: int = 0):
-        return cls("extrout_duplicates", count=n, residual_cover_rate=residual_cover_rate)
-
-    @classmethod
-    def fake(cls, n: int, residual_cover_rate: int = 0):
-        return cls("extrout_fake", count=n, residual_cover_rate=residual_cover_rate)
-
-    @classmethod
-    def nfake(cls, n: int, residual_cover_rate: int = 0):
-        return cls("nfake_pairs", count=n, residual_cover_rate=residual_cover_rate)
-
     @property
     def uses_cover(self) -> bool:
         """Extended variants run synchronized cover on their chains."""
@@ -130,12 +110,9 @@ class ScenarioPlan:
         return tuple(f.route if isinstance(f, ExtendedRoute) else f
                      for f in self.fake_paths)
 
-    def cover_chains(self) -> tuple[Route, ...]:
-        """Chains that carry dummies only."""
-        return self.duplicates + self.fake_routes()
-
     def all_chains(self) -> tuple[Route, ...]:
-        return (self.carrier(),) + self.cover_chains()
+        """The carrier, then the chains that carry dummies only."""
+        return (self.carrier(),) + self.duplicates + self.fake_routes()
 
 
 def build_scenario(topo: Topology, source: int, dest: int,

@@ -99,10 +99,6 @@ class ExtendedRoute:
         """Achieved hops appended on the destination side."""
         return self.route.hops - self.dest_index
 
-    @property
-    def core_hops(self) -> int:
-        return self.dest_index - self.source_index
-
     def core(self) -> Route:
         return Route(self.route.nodes[self.source_index:self.dest_index + 1])
 

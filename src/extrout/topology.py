@@ -119,12 +119,6 @@ class Topology:
     def degree(self, node: int) -> int:
         return len(self.adjacency[node])
 
-    def is_linked(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.links
-
-    def distance(self, i: int, j: int) -> float:
-        return math.dist(self.positions[i], self.positions[j])
-
 
 def link_probability(d: float, tx_range: float, qudg_factor: float) -> float:
     """Probability that two nodes at distance d share a link.
@@ -226,11 +220,6 @@ def topology_to_text(topo: Topology) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_topology(topo: Topology, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(topology_to_text(topo))
-
-
 def topology_from_text(text: str) -> Topology:
     """Parse the text exchange format; leading `#` comment lines are skipped.
 
@@ -256,7 +245,10 @@ def topology_from_text(text: str) -> Topology:
     for ln in rows[1:]:
         parts = ln.split()
         if len(parts) == 3:
-            positions[int(parts[0])] = Position(float(parts[1]), float(parts[2]))
+            node = int(parts[0])
+            if node in positions:
+                raise ValueError(f"node {node} listed twice")
+            positions[node] = Position(float(parts[1]), float(parts[2]))
         elif len(parts) == 2:
             i, j = int(parts[0]), int(parts[1])
             links.add((min(i, j), max(i, j)))

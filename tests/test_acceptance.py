@@ -24,7 +24,7 @@ from extrout.routing import ExtendedRoute, Route, disjoint_paths, extrapolate, s
 from extrout.simengine import TrafficTrace, run
 from extrout.topology import (Position, Topology, TopologyParams,
                               average_degree, build_qudg, generate,
-                              link_probability, save_topology)
+                              link_probability, topology_to_text)
 
 from ladders import line_topology, parallel_paths, random_topology
 from oracles import bfs_levels, max_node_disjoint_paths
@@ -49,7 +49,7 @@ def _data_rows(path: Path) -> list[list[str]]:
 def _baseline_plan(rng_seed: int = 0) -> ScenarioPlan:
     # 8-hop route on a 20-node line, extended 3 ahead and 4 behind
     topo = line_topology(20)
-    return build_scenario(topo, 5, 13, ProtocolVariant.extrout(),
+    return build_scenario(topo, 5, 13, ProtocolVariant("extrout_baseline"),
                           ScenarioSettings(source_ext=3, dest_ext=4),
                           random.Random(rng_seed))
 
@@ -59,14 +59,15 @@ def _theta_plan(interiors, n_dup: int, rng_seed: int = 0) -> ScenarioPlan:
     n_dup duplicates routed over the remaining rows."""
     topo, _, _, rows = parallel_paths(interiors)
     return build_scenario(topo, rows[0][2], rows[0][10],
-                          ProtocolVariant.duplicates(n_dup),
+                          ProtocolVariant("extrout_duplicates", n_dup),
                           ScenarioSettings(source_ext=3, dest_ext=4),
                           random.Random(rng_seed))
 
 
 def test_criterion_01_baseline_run_via_cli(tmp_path):
     topo_file = tmp_path / "line.txt"
-    save_topology(line_topology(20), topo_file)
+    topo_file.write_text(topology_to_text(line_topology(20)),
+                         encoding="utf-8")
     out = tmp_path / "out"
     started = time.perf_counter()
     rc = main(["run", "--topology-file", str(topo_file),
@@ -132,7 +133,7 @@ def test_criterion_04_fake_extended_path_mismatch_is_flagged():
     assert fake.route.hops == 17
     assert not set(fake.route.nodes) & set(main.route.nodes)
     plan = ScenarioPlan(topology=topo, source=5, dest=13,
-                        variant=ProtocolVariant.fake(1), real_route=real,
+                        variant=ProtocolVariant("extrout_fake", 1), real_route=real,
                         main=main, fake_paths=(fake,),
                         requested_source_ext=3, requested_dest_ext=4)
     report = report_from_run(plan, run(plan))
@@ -157,7 +158,7 @@ def test_criterion_05_single_fake_pair():
     assert real.hops == 12
     fake = Route(tuple(range(16, 30)))  # 13 hops, clear of the real pair
     plan = ScenarioPlan(topology=topo, source=2, dest=14,
-                        variant=ProtocolVariant.nfake(1), real_route=real,
+                        variant=ProtocolVariant("nfake_pairs", 1), real_route=real,
                         fake_paths=(fake,))
     report = report_from_run(plan, run(plan))
     assert report.anonymity_single == 0.5
@@ -175,7 +176,7 @@ def test_criterion_06_attack_success_rates():
 
     def baseline_factory(rng):
         topo = line_topology(20)
-        return build_scenario(topo, 5, 13, ProtocolVariant.extrout(),
+        return build_scenario(topo, 5, 13, ProtocolVariant("extrout_baseline"),
                               ScenarioSettings(source_ext=3, dest_ext=4), rng)
 
     summary = attack_trials(baseline_factory, trials, seed=11)
@@ -186,7 +187,7 @@ def test_criterion_06_attack_success_rates():
     def duplicate_factory(rng):
         topo, _, _, rows = parallel_paths([14, 14])
         return build_scenario(topo, rows[0][2], rows[0][10],
-                              ProtocolVariant.duplicates(1),
+                              ProtocolVariant("extrout_duplicates", 1),
                               ScenarioSettings(source_ext=3, dest_ext=4), rng)
 
     dup = attack_trials(duplicate_factory, trials, seed=12)
@@ -226,11 +227,11 @@ def test_criterion_07_link_model_properties():
         for j in dense.nodes:
             if j <= i:
                 continue
-            d = dense.distance(i, j)
+            d = math.dist(dense.positions[i], dense.positions[j])
             if d < certain:
-                assert dense.is_linked(i, j)
+                assert (i, j) in dense.links
             if d >= dense.params.tx_range:
-                assert not dense.is_linked(i, j)
+                assert (i, j) not in dense.links
     assert len(dense.links) == 20
 
     # default-parameter deployment: degree is measured and reported only,

@@ -28,7 +28,7 @@ from ladders import line_topology, parallel_paths
 
 def _baseline_obs(budget: int = 4):
     topo = line_topology(20)
-    plan = build_scenario(topo, 5, 13, ProtocolVariant.extrout(),
+    plan = build_scenario(topo, 5, 13, ProtocolVariant("extrout_baseline"),
                           ScenarioSettings(source_ext=3, dest_ext=4,
                                            packet_budget=budget),
                           random.Random(0))
@@ -38,7 +38,7 @@ def _baseline_obs(budget: int = 4):
 def _theta_plan(interiors=(14, 14), n_dups: int = 1, residual: int = 0,
                 budget: int = 5):
     topo, hub_a, hub_b, rows = parallel_paths(list(interiors))
-    variant = ProtocolVariant.duplicates(n_dups, residual_cover_rate=residual)
+    variant = ProtocolVariant("extrout_duplicates", n_dups, residual_cover_rate=residual)
     plan = build_scenario(topo, rows[0][2], rows[0][10], variant,
                           ScenarioSettings(source_ext=3, dest_ext=4,
                                            packet_budget=budget),
@@ -50,7 +50,7 @@ def _small_theta():
     """Two 3-hop chains sharing their anchors; real pair inside row 0."""
     topo, hub_a, hub_b, rows = parallel_paths([2, 2])
     plan = build_scenario(topo, rows[0][0], rows[0][1],
-                          ProtocolVariant.duplicates(1),
+                          ProtocolVariant("extrout_duplicates", 1),
                           ScenarioSettings(source_ext=1, dest_ext=1,
                                            packet_budget=5),
                           random.Random(0))
@@ -142,7 +142,7 @@ def test_orientation_from_rates():
 
 def test_candidates_without_cover_are_the_chain_ends():
     topo = line_topology(12)
-    plan = build_scenario(topo, 2, 10, ProtocolVariant.no_privacy(),
+    plan = build_scenario(topo, 2, 10, ProtocolVariant("no_privacy"),
                           ScenarioSettings(packet_budget=6))
     obs = observe(run(plan))
     gs, gd = endpoint_candidates(obs, cover_traffic=False)
@@ -186,7 +186,7 @@ def test_guess_law_is_uniform_over_branch_then_node():
 
 def test_guess_without_cover_hits_the_ends():
     topo = line_topology(12)
-    plan = build_scenario(topo, 2, 10, ProtocolVariant.no_privacy(),
+    plan = build_scenario(topo, 2, 10, ProtocolVariant("no_privacy"),
                           ScenarioSettings(packet_budget=6))
     obs = observe(run(plan))
     src, dst, pick, gs, gd = guess_endpoints(obs, random.Random(0),
@@ -244,7 +244,7 @@ def test_attack_trials_summary_and_determinism():
 
 def test_attack_trials_no_privacy_always_wins():
     topo = line_topology(12)
-    plan = build_scenario(topo, 2, 10, ProtocolVariant.no_privacy(),
+    plan = build_scenario(topo, 2, 10, ProtocolVariant("no_privacy"),
                           ScenarioSettings(packet_budget=4))
     summary = attack_trials(lambda rng: plan, trials=50)
     assert summary.source_rate == summary.dest_rate == summary.pair_rate == 1.0
@@ -257,12 +257,17 @@ def test_wilson_interval_shape():
     lo, hi = wilson_interval(0, 100)
     assert lo == 0.0 and 0.0 < hi < 0.05
     lo, hi = wilson_interval(100, 100)
-    assert hi == pytest.approx(1.0) and lo > 0.95
+    assert hi == 1.0 and lo > 0.95
     lo, hi = wilson_interval(50, 100)
     assert lo < 0.5 < hi
     assert hi - 0.5 == pytest.approx(0.5 - lo, abs=1e-12)
     with pytest.raises(ValueError):
         wilson_interval(1, 0)
+    # the float formula misses 1.0 by an ulp at 100, 300 and 500 trials
+    # and 0.0 by 1e-19 at 2000, so the ends are set exactly
+    for trials in (300, 500, 2000):
+        assert wilson_interval(trials, trials)[1] == 1.0
+        assert wilson_interval(0, trials)[0] == 0.0
 
 
 def test_unlinkability_perfect_for_uniform_cover():

@@ -16,7 +16,8 @@ from extrout.metrics import ReconciliationRecord
 from extrout.protocols import ProtocolVariant, ScenarioSettings, build_scenario
 from extrout.rng import substream
 from extrout.simengine import run
-from extrout.topology import TopologyParams, generate, load_topology, save_topology
+from extrout.topology import (TopologyParams, generate, load_topology,
+                              topology_to_text)
 
 from ladders import line_topology
 from oracles import bfs_levels, matrix_from_csv
@@ -33,7 +34,7 @@ def _dense_flags(rows: int, cols: int) -> list[str]:
 
 def _line_file(tmp_path, n: int = 20) -> str:
     path = tmp_path / "line.txt"
-    save_topology(line_topology(n), path)
+    path.write_text(topology_to_text(line_topology(n)), encoding="utf-8")
     return str(path)
 
 
@@ -178,7 +179,10 @@ def test_unknown_reference_fails_before_any_scenario(tmp_path, monkeypatch,
     (["--fake-counts", "0"], "fake_counts must all be >= 1, got 0"),
     (["--nfake-counts", "1,-3"], "nfake_counts must all be >= 1, got 1,-3"),
     (["--hop-targets", ""], "hop_targets must be nonempty"),
-], ids=["duplicate-counts", "fake-counts", "nfake-counts", "hop-targets"])
+    # a 6x6 grid has no pair 9 hops apart; the hop rows must not run first
+    (["--frontier-hops", "9"], "no node pair at 9 hops"),
+], ids=["duplicate-counts", "fake-counts", "nfake-counts", "hop-targets",
+        "frontier-hops"])
 def test_sweep_rejects_bad_counts_before_writing(tmp_path, capsys, flags,
                                                  message):
     out = tmp_path / "out"
@@ -192,7 +196,10 @@ def test_sweep_rejects_bad_counts_before_writing(tmp_path, capsys, flags,
     # ids 0 and 1 do not cover the 1x2 grid, so no matrix view exists
     ("2 150.0 0.95 0.0 100.0 0\n0 0.0 0.0\n1 100.0 0.0\n0 1\n",
      "matrix view unavailable"),
-], ids=["header", "ids"])
+    # four node lines for three nodes: the first position of node 1 is lost
+    ("3 150.0 0.95 0.0 100.0 0\n1 0.0 0.0\n1 50.0 0.0\n2 100.0 0.0\n"
+     "3 200.0 0.0\n1 2\n2 3\n", "node 1 listed twice"),
+], ids=["header", "ids", "repeated-id"])
 def test_main_exit_1_on_malformed_topology_file(tmp_path, capsys, text,
                                                 message):
     path = tmp_path / "broken.txt"
@@ -339,7 +346,7 @@ def test_run_matrix_is_the_mean_of_the_repetitions(tmp_path):
     topo = generate(TopologyParams(rows, cols, perturbation=0.0,
                                    tx_range=150.0, qudg_factor=0.95,
                                    seed=seed))
-    variant = ProtocolVariant.duplicates(1, residual_cover_rate=1)
+    variant = ProtocolVariant("extrout_duplicates", 1, residual_cover_rate=1)
     settings = ScenarioSettings(packet_budget=budget)
     counts = [run(build_scenario(topo, 8, 29, variant, settings,
                                  substream(seed, f"rep-{rep}"))).node_tx
@@ -381,6 +388,18 @@ def test_run_command_with_attack_reports_empirical(tmp_path):
     report = (out / "report.txt").read_text(encoding="utf-8")
     # the attacker always wins against an uncovered single chain
     assert "anonymity attacked 0.000000" in report
+
+
+def test_run_passes_when_every_attack_trial_succeeds(tmp_path):
+    # at 100 trials the interval's end must be 0.0 exactly, not 1.1e-16,
+    # for the analytical 0.0 of an uncovered chain to fall inside it
+    out = tmp_path / "out"
+    assert main(["run", *_dense_flags(8, 8), "--target-hops", "5",
+                 "--variant", "no_privacy", "--reps", "1",
+                 "--attack-trials", "100", "--out", str(out)]) == 0
+    report = (out / "report.txt").read_text(encoding="utf-8")
+    assert "(95% CI [0.000000, 0.036995])" in report
+    assert "reconciliation     pass" in report
 
 
 def _small_run(out) -> list[str]:

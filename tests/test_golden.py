@@ -54,6 +54,30 @@ GOLDEN = {
         "attack.txt":
             "79ec26aab0b383f30e193f04299a3d599ea7747da4141a834aca5045d5304ec3",
     }),
+    "attack_no_privacy": (["attack", "--variant", "no_privacy",
+                           "--target-hops", "4", "--trials", "100",
+                           "--budget", "25"], {
+        "attack.csv":
+            "a86230fa237a5050c6a7fd3bf3d19d37d231f608683d0ff261378a71b3f1f1fe",
+        "attack.txt":
+            "3ceebb27bf3797149db8bb599cb4f5b96663ac7cccc1f09f6914762d3e1cd13e",
+    }),
+    "attack_baseline": (["attack", "--variant", "extrout_baseline",
+                         "--target-hops", "4", "--trials", "100",
+                         "--budget", "25"], {
+        "attack.csv":
+            "62f15a33b8f56532e201d2da42478b629c51f54bc8c8c9c1e8f200761d4ccd09",
+        "attack.txt":
+            "5ff7016edb305becc51191194bebf3de5929188389b5c11fc9a9126791cda622",
+    }),
+    "attack_nfake": (["attack", "--variant", "nfake_pairs", "--count", "2",
+                      "--target-hops", "4", "--trials", "100",
+                      "--budget", "25"], {
+        "attack.csv":
+            "831b6ed01b2dd94163e7cd9a65b97f8c206d77dc008553c079eff68cf3a8c5e4",
+        "attack.txt":
+            "ef4222f9d2e267d9913dc67f61c9f143e948dedcdcf1ea7befcec56d7037d1eb",
+    }),
     "sweep": (["sweep", "--hop-targets", "3,4,5", "--pairs-per-target", "2",
                "--source-ext", "1", "--dest-ext", "1", "--frontier-hops", "4",
                "--duplicate-counts", "1,2", "--fake-counts", "1",

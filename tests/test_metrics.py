@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -10,10 +11,8 @@ from extrout.metrics import (
     REFERENCE_TOLERANCE,
     REFERENCES,
     PrivacyReport,
-    analytical_report,
     anonymity_pair,
     anonymity_single,
-    guess_success,
     reconcile,
     reference_reconciliations,
     report_csv_header,
@@ -52,11 +51,11 @@ def test_anonymity_pair_values():
 
 
 def _single(*args, **kw) -> float:
-    return analytical_report(*args, **kw).anonymity_single
+    return PrivacyReport(*args, **kw).anonymity_single
 
 
 def _tof(*args, **kw) -> float:
-    return analytical_report(*args, **kw).tof_analytical
+    return PrivacyReport(*args, **kw).tof_analytical
 
 
 def test_anonymity_extrout_values():
@@ -69,9 +68,9 @@ def test_anonymity_extrout_values():
     assert _single("extrout_duplicates", 8, 3, 4,
                    duplicate_hops=(15, 15)) == pytest.approx(0.9778, abs=5e-5)
     with pytest.raises(ValueError):
-        analytical_report("extrout_baseline", 8, -1, 4)
+        PrivacyReport("extrout_baseline", 8, -1, 4)
     with pytest.raises(ValueError):
-        analytical_report("extrout_baseline", 0, 3, 4)
+        PrivacyReport("extrout_baseline", 0, 3, 4)
 
 
 def test_anonymity_nfake_values():
@@ -79,10 +78,10 @@ def test_anonymity_nfake_values():
     assert _single("nfake_pairs", 12) == 0.0
     assert _single("nfake_pairs", 12, fake_hops=(13,)) == 0.5
     assert _single("nfake_pairs", 12, fake_hops=(12,) * 9) == 0.9
-    assert analytical_report("nfake_pairs", 12, fake_hops=(12,) * 9
-                             ).n_fakes == 9
+    assert PrivacyReport("nfake_pairs", 12, fake_hops=(12,) * 9
+                         ).n_fakes == 9
     with pytest.raises(ValueError):
-        analytical_report("nfake_pairs", 12, fake_hops=(0,))
+        PrivacyReport("nfake_pairs", 12, fake_hops=(0,))
 
 
 def test_tof_per_variant():
@@ -102,26 +101,29 @@ def test_tof_per_variant():
 
 def test_tof_validation():
     with pytest.raises(ValueError):
-        analytical_report("warp_drive", 8)
+        PrivacyReport("warp_drive", 8)
     with pytest.raises(ValueError):
-        analytical_report("extrout_baseline", 0, 3, 4)
+        PrivacyReport("extrout_baseline", 0, 3, 4)
     with pytest.raises(ValueError):
-        analytical_report("extrout_baseline", 8, -1, 4)
+        PrivacyReport("extrout_baseline", 8, -1, 4)
     with pytest.raises(ValueError):
-        analytical_report("nfake_pairs", 8, fake_hops=(0,))
+        PrivacyReport("nfake_pairs", 8, fake_hops=(0,))
 
 
 def test_guess_success_duplicates():
-    assert guess_success(1, 3, 8, 4) == 1 / 30
-    assert guess_success(0, 3, 8, 4) == 1 / 15
-    assert guess_success(2, 3, 8, 4) == pytest.approx(1 / 45)
+    assert PrivacyReport("extrout_duplicates", 8, 3, 4,
+                         duplicate_hops=(15,)).guess_success == 1 / 30
+    assert PrivacyReport("extrout_baseline", 8, 3, 4).guess_success == 1 / 15
+    assert PrivacyReport("extrout_duplicates", 8, 3, 4,
+                         duplicate_hops=(15, 15)
+                         ).guess_success == pytest.approx(1 / 45)
+    # only the carrier's transmitters count, not the other chains' hops
+    assert PrivacyReport("extrout_fake", 8, 3, 4,
+                         fake_hops=(17,)).guess_success == 1 / 30
     # without cover (no_privacy, fake pairs) each chain's head is its source
-    assert guess_success(0, 0, 8, 0, cover=False) == 1.0
-    assert guess_success(3, 0, 8, 0, cover=False) == 1 / 4
-    with pytest.raises(ValueError):
-        guess_success(-1, 3, 8, 4)
-    with pytest.raises(ValueError):
-        guess_success(0, 0, 0, 0, cover=False)
+    assert PrivacyReport("no_privacy", 8).guess_success == 1.0
+    assert PrivacyReport("nfake_pairs", 8,
+                         fake_hops=(8, 9, 10)).guess_success == 1 / 4
 
 
 def test_formula_monotonicity():
@@ -146,46 +148,44 @@ def test_formula_monotonicity():
 # ------------------------------------------------------------------ reports
 
 def test_report_validation():
-    with pytest.raises(ValueError):
-        analytical_report("mystery", 8)
-    kw = dict(duplicate_hops=(), fake_hops=(), n_fakes=0,
-              anonymity_pair=0.5, tof_analytical=1.5)
-    with pytest.raises(ValueError):
-        PrivacyReport(variant="no_privacy", real_hops=8, source_ext=0,
-                      dest_ext=0, anonymity_single=1.0, **kw)
-    with pytest.raises(ValueError):
-        PrivacyReport(variant="no_privacy", real_hops=8, source_ext=0,
-                      dest_ext=0, anonymity_single=0.5, anonymity_pair=0.5,
-                      duplicate_hops=(), fake_hops=(), n_fakes=0,
-                      tof_analytical=0.8)
+    with pytest.raises(ValueError, match="unknown variant"):
+        PrivacyReport("mystery", 8)
+    with pytest.raises(ValueError, match="extension"):
+        PrivacyReport("extrout_baseline", 8, 0, -1)
+    with pytest.raises(ValueError, match="path lengths"):
+        PrivacyReport("extrout_duplicates", 8, 3, 4, duplicate_hops=(15, 0))
+    # the figures are derived, so no field can contradict them
+    names = {f.name for f in fields(PrivacyReport)}
+    assert names.isdisjoint({"anonymity_single", "anonymity_pair",
+                             "tof_analytical", "n_fakes", "guess_success"})
 
 
 def test_analytical_report_no_privacy():
-    report = analytical_report("no_privacy", 8)
+    report = PrivacyReport("no_privacy", 8)
     assert report.anonymity_single == 0.0
     assert report.anonymity_pair == 0.0
     assert report.tof_analytical == 1.0
 
 
 def test_analytical_report_extended_family():
-    report = analytical_report("extrout_baseline", 8, 3, 4)
+    report = PrivacyReport("extrout_baseline", 8, 3, 4)
     assert report.anonymity_single == anonymity_single(15)
     assert report.anonymity_pair == anonymity_pair(15, 15)
     assert report.tof_analytical == 1.875
 
-    dup = analytical_report("extrout_duplicates", 8, 3, 4,
+    dup = PrivacyReport("extrout_duplicates", 8, 3, 4,
                             duplicate_hops=(15,))
     assert dup.anonymity_single == anonymity_single(30)
     assert dup.tof_analytical == 3.75
 
-    fake = analytical_report("extrout_fake", 8, 3, 4, fake_hops=(17,))
+    fake = PrivacyReport("extrout_fake", 8, 3, 4, fake_hops=(17,))
     assert fake.anonymity_single == anonymity_single(32) == 0.96875
     assert fake.tof_analytical == 4.0
     assert fake.n_fakes == 0  # fake chains under cover are not fake pairs
 
 
 def test_analytical_report_nfake():
-    report = analytical_report("nfake_pairs", 12, fake_hops=(13,))
+    report = PrivacyReport("nfake_pairs", 12, fake_hops=(13,))
     assert report.n_fakes == 1
     assert report.anonymity_single == 0.5
     assert report.anonymity_pair == 0.75
@@ -194,7 +194,7 @@ def test_analytical_report_nfake():
 
 def test_report_from_baseline_run():
     topo = line_topology(20)
-    plan = build_scenario(topo, 5, 13, ProtocolVariant.extrout(),
+    plan = build_scenario(topo, 5, 13, ProtocolVariant("extrout_baseline"),
                           ScenarioSettings(source_ext=3, dest_ext=4,
                                            packet_budget=40),
                           random.Random(0))
@@ -208,7 +208,7 @@ def test_report_from_baseline_run():
 def test_report_from_duplicates_run():
     topo, hub_a, hub_b, rows = parallel_paths([14, 14])
     plan = build_scenario(topo, rows[0][2], rows[0][10],
-                          ProtocolVariant.duplicates(1),
+                          ProtocolVariant("extrout_duplicates", 1),
                           ScenarioSettings(source_ext=3, dest_ext=4,
                                            packet_budget=10),
                           random.Random(0))
@@ -221,7 +221,7 @@ def test_report_from_duplicates_run():
 def test_report_from_nfake_run():
     topo, _, _, rows = parallel_paths([14, 14, 14])
     plan = build_scenario(topo, rows[0][2], rows[0][10],
-                          ProtocolVariant.nfake(2),
+                          ProtocolVariant("nfake_pairs", 2),
                           ScenarioSettings(packet_budget=5), random.Random(3))
     report = report_from_run(plan, run(plan))
     assert report.n_fakes == 2
@@ -231,9 +231,9 @@ def test_report_from_nfake_run():
 
 
 @pytest.mark.parametrize("variant", [
-    ProtocolVariant.no_privacy(), ProtocolVariant.extrout(),
-    ProtocolVariant.duplicates(2), ProtocolVariant.fake(1),
-    ProtocolVariant.nfake(2)], ids=lambda v: v.kind)
+    ProtocolVariant("no_privacy"), ProtocolVariant("extrout_baseline"),
+    ProtocolVariant("extrout_duplicates", 2), ProtocolVariant("extrout_fake", 1),
+    ProtocolVariant("nfake_pairs", 2)], ids=lambda v: v.kind)
 def test_report_from_run_follows_chain_hops_and_cover(variant):
     topo, _, _, rows = parallel_paths([14, 14, 14, 14])
     for seed in range(3):
@@ -267,14 +267,14 @@ def test_report_from_run_with_residual_cover():
 
 def test_report_without_trace_has_no_measurement():
     topo = line_topology(12)
-    plan = build_scenario(topo, 2, 10, ProtocolVariant.no_privacy())
+    plan = build_scenario(topo, 2, 10, ProtocolVariant("no_privacy"))
     assert report_from_run(plan).tof_measured is None
 
 
 # ------------------------------------------------------------- reconcile
 
 def _baseline_report(**overrides):
-    base = analytical_report("extrout_baseline", 8, 3, 4)
+    base = PrivacyReport("extrout_baseline", 8, 3, 4)
     merged = {**vars(base), **overrides}
     return PrivacyReport(**merged)
 
@@ -301,7 +301,7 @@ def test_reconcile_checks_empirical_interval():
 
 
 def test_reference_mismatch_flags_but_does_not_fail():
-    report = analytical_report("extrout_fake", 8, 3, 4, fake_hops=(17,))
+    report = PrivacyReport("extrout_fake", 8, 3, 4, fake_hops=(17,))
     record = reconcile(report, reference=REFERENCES["fake_extended_17"].quoted)
     assert record.passed
     assert len(record.flags) == 2
@@ -310,7 +310,7 @@ def test_reference_mismatch_flags_but_does_not_fail():
 
 
 def test_reference_within_rounding_raises_no_flag():
-    report = analytical_report("extrout_duplicates", 8, 3, 4,
+    report = PrivacyReport("extrout_duplicates", 8, 3, 4,
                                duplicate_hops=(15,))
     record = reconcile(report, reference=(0.967, 3.75))
     assert record.passed and not record.flags
@@ -344,7 +344,7 @@ def test_csv_header_and_row():
     header = report_csv_header()
     assert header.startswith("variant,real_hops,")
     assert header.endswith(",residual_rate")
-    report = analytical_report("extrout_duplicates", 8, 3, 4,
+    report = PrivacyReport("extrout_duplicates", 8, 3, 4,
                                duplicate_hops=(15, 15),
                                tof_measured=5.625)
     row = report_to_csv_row(report)
@@ -357,7 +357,7 @@ def test_csv_header_and_row():
 
 
 def test_report_text_rendering():
-    report = analytical_report("extrout_baseline", 8, 3, 4,
+    report = PrivacyReport("extrout_baseline", 8, 3, 4,
                                tof_measured=1.875)
     text = report_to_text(report, reconcile(report))
     assert "variant            extrout_baseline" in text

@@ -44,9 +44,9 @@ def test_cache_state_never_changes_a_plan(rows, cols, perturbation, qudg_factor,
     fresh, warmed = generate(params), generate(params)
     pair = _far_pair(fresh, 1 + (starts[0] - 1) % fresh.node_count)
     other = _far_pair(warmed, 1 + (starts[1] - 1) % warmed.node_count)
-    variants = (ProtocolVariant.fake(1), ProtocolVariant.nfake(3))
+    variants = (ProtocolVariant("extrout_fake", 1), ProtocolVariant("nfake_pairs", 3))
     expected = _outcomes(fresh, pair, variants, plan_seed)
     if other[0] != other[1]:
-        _outcomes(warmed, other, variants + (ProtocolVariant.duplicates(1),),
+        _outcomes(warmed, other, variants + (ProtocolVariant("extrout_duplicates", 1),),
                   plan_seed + 1)
     assert _outcomes(warmed, pair, variants, plan_seed) == expected

@@ -29,15 +29,15 @@ def _pinned(src_ext: int, dst_ext: int, **kw) -> ScenarioSettings:
 # ----------------------------------------------------------------- variants
 
 def test_variant_kinds_and_validation():
-    assert ProtocolVariant.no_privacy().kind == "no_privacy"
-    assert ProtocolVariant.extrout().kind == "extrout_baseline"
-    assert ProtocolVariant.duplicates(2).count == 2
-    assert ProtocolVariant.fake(1).kind == "extrout_fake"
-    assert ProtocolVariant.nfake(5).count == 5
+    assert ProtocolVariant("no_privacy").kind == "no_privacy"
+    assert ProtocolVariant("extrout_baseline").kind == "extrout_baseline"
+    assert ProtocolVariant("extrout_duplicates", 2).count == 2
+    assert ProtocolVariant("extrout_fake", 1).kind == "extrout_fake"
+    assert ProtocolVariant("nfake_pairs", 5).count == 5
     with pytest.raises(ValueError):
         ProtocolVariant("mystery")
     with pytest.raises(ValueError):
-        ProtocolVariant.duplicates(0)
+        ProtocolVariant("extrout_duplicates", 0)
     with pytest.raises(ValueError):
         ProtocolVariant("no_privacy", count=3)
     with pytest.raises(ValueError):
@@ -45,11 +45,11 @@ def test_variant_kinds_and_validation():
 
 
 def test_cover_flag_tracks_the_extended_family():
-    assert not ProtocolVariant.no_privacy().uses_cover
-    assert not ProtocolVariant.nfake(1).uses_cover
-    assert ProtocolVariant.extrout().uses_cover
-    assert ProtocolVariant.duplicates(1).uses_cover
-    assert ProtocolVariant.fake(2).uses_cover
+    assert not ProtocolVariant("no_privacy").uses_cover
+    assert not ProtocolVariant("nfake_pairs", 1).uses_cover
+    assert ProtocolVariant("extrout_baseline").uses_cover
+    assert ProtocolVariant("extrout_duplicates", 1).uses_cover
+    assert ProtocolVariant("extrout_fake", 2).uses_cover
 
 
 def test_settings_validation():
@@ -65,7 +65,7 @@ def test_settings_validation():
 
 def test_no_privacy_plan_is_just_the_real_route():
     topo = line_topology(12)
-    plan = build_scenario(topo, 2, 10, ProtocolVariant.no_privacy())
+    plan = build_scenario(topo, 2, 10, ProtocolVariant("no_privacy"))
     assert plan.real_route == shortest_path(topo, 2, 10)
     assert plan.main is None
     assert plan.duplicates == () and plan.fake_paths == ()
@@ -75,20 +75,20 @@ def test_no_privacy_plan_is_just_the_real_route():
 
 def test_baseline_plan_extends_both_sides():
     topo = line_topology(20)
-    plan = build_scenario(topo, 5, 13, ProtocolVariant.extrout(),
+    plan = build_scenario(topo, 5, 13, ProtocolVariant("extrout_baseline"),
                           _pinned(3, 4), random.Random(1))
     assert plan.real_route.hops == 8
     assert plan.main.route.nodes == tuple(range(2, 18))
     assert plan.requested_source_ext == 3 and plan.requested_dest_ext == 4
     assert plan.carrier() == plan.main.route
-    assert plan.cover_chains() == ()
+    assert plan.all_chains() == (plan.main.route,)
 
 
 def test_baseline_unpinned_extensions_stay_in_interval():
     topo = line_topology(40)
     lengths = set()
     for seed in range(30):
-        plan = build_scenario(topo, 15, 23, ProtocolVariant.extrout(),
+        plan = build_scenario(topo, 15, 23, ProtocolVariant("extrout_baseline"),
                               ScenarioSettings(ext_low=2, ext_high=5),
                               random.Random(seed))
         lengths.add((plan.main.source_extension, plan.main.dest_extension))
@@ -102,7 +102,7 @@ def test_baseline_unpinned_extensions_stay_in_interval():
 def test_duplicates_plan_uses_the_disjoint_row():
     topo, hub_a, hub_b, rows = parallel_paths([14, 14])
     src, dst = rows[0][2], rows[0][10]
-    plan = build_scenario(topo, src, dst, ProtocolVariant.duplicates(1),
+    plan = build_scenario(topo, src, dst, ProtocolVariant("extrout_duplicates", 1),
                           _pinned(3, 4), random.Random(0))
     assert plan.main.route.hops == 15
     assert plan.main.anchor_source == hub_a and plan.main.anchor_dest == hub_b
@@ -114,7 +114,7 @@ def test_duplicates_plan_uses_the_disjoint_row():
 def test_duplicates_shortfall_is_recorded_not_fatal():
     topo, hub_a, hub_b, rows = parallel_paths([14, 14])
     plan = build_scenario(topo, rows[0][2], rows[0][10],
-                          ProtocolVariant.duplicates(3),
+                          ProtocolVariant("extrout_duplicates", 3),
                           _pinned(3, 4), random.Random(0))
     assert len(plan.duplicates) == 1
     assert plan.duplicate_shortfall == 2
@@ -123,19 +123,20 @@ def test_duplicates_shortfall_is_recorded_not_fatal():
 def test_fake_extended_paths_avoid_the_main_route():
     topo, hub_a, hub_b, rows = parallel_paths([14, 14, 14])
     src, dst = rows[0][2], rows[0][10]
-    plan = build_scenario(topo, src, dst, ProtocolVariant.fake(1),
+    plan = build_scenario(topo, src, dst, ProtocolVariant("extrout_fake", 1),
                           _pinned(3, 4), random.Random(2))
     assert len(plan.fake_paths) == 1
     fake = plan.fake_paths[0]
-    assert abs(fake.core_hops - plan.real_route.hops) <= 1
+    core_hops = fake.dest_index - fake.source_index
+    assert abs(core_hops - plan.real_route.hops) <= 1
     assert set(fake.route.nodes).isdisjoint(plan.main.route.nodes)
-    assert plan.cover_chains() == (fake.route,)
+    assert plan.all_chains() == (plan.main.route, fake.route)
 
 
 def test_nfake_plan_places_disjoint_plain_routes():
     topo, hub_a, hub_b, rows = parallel_paths([14, 14, 14])
     src, dst = rows[0][2], rows[0][10]
-    plan = build_scenario(topo, src, dst, ProtocolVariant.nfake(2),
+    plan = build_scenario(topo, src, dst, ProtocolVariant("nfake_pairs", 2),
                           rng=random.Random(7))
     assert plan.main is None
     assert len(plan.fake_paths) == 2
@@ -149,7 +150,7 @@ def test_nfake_plan_places_disjoint_plain_routes():
 
 def test_build_scenario_is_seed_deterministic():
     topo, _, _, rows = parallel_paths([14, 14, 14])
-    args = (topo, rows[0][2], rows[0][10], ProtocolVariant.fake(1))
+    args = (topo, rows[0][2], rows[0][10], ProtocolVariant("extrout_fake", 1))
     one = build_scenario(*args, ScenarioSettings(), random.Random(11))
     two = build_scenario(*args, ScenarioSettings(), random.Random(11))
     assert one.main == two.main and one.fake_paths == two.fake_paths
@@ -200,15 +201,15 @@ def _mesh():
 
 def _fake_plans(topo, seeds=range(5)):
     return [build_scenario(topo, 14, 131, variant, rng=random.Random(seed))
-            for variant in (ProtocolVariant.fake(1), ProtocolVariant.nfake(3))
+            for variant in (ProtocolVariant("extrout_fake", 1), ProtocolVariant("nfake_pairs", 3))
             for seed in seeds]
 
 
 def test_plans_do_not_depend_on_cache_state():
     fresh = _fake_plans(_mesh())
     warmed = _mesh()
-    warm_variants = (ProtocolVariant.fake(2), ProtocolVariant.nfake(1),
-                     ProtocolVariant.duplicates(2), ProtocolVariant.extrout())
+    warm_variants = (ProtocolVariant("extrout_fake", 2), ProtocolVariant("nfake_pairs", 1),
+                     ProtocolVariant("extrout_duplicates", 2), ProtocolVariant("extrout_baseline"))
     for seed, (src, dst) in enumerate(((3, 100), (30, 90), (14, 131), (7, 138))):
         for variant in warm_variants:
             build_scenario(warmed, src, dst, variant, rng=random.Random(seed))
@@ -230,7 +231,7 @@ def test_later_fake_plans_reuse_the_hop_tables():
     per_plan = []
     for seed in range(20):
         calls = 0
-        build_scenario(topo, 14, 131, ProtocolVariant.fake(1),
+        build_scenario(topo, 14, 131, ProtocolVariant("extrout_fake", 1),
                        rng=random.Random(seed))
         per_plan.append(calls)
     # the first plan ranks every decoy pair, which takes a BFS from nearly
@@ -258,7 +259,7 @@ def test_a_new_real_route_replaces_the_pair_ranking():
 
 def test_schedule_no_privacy_is_all_real():
     topo = line_topology(12)
-    plan = build_scenario(topo, 2, 10, ProtocolVariant.no_privacy())
+    plan = build_scenario(topo, 2, 10, ProtocolVariant("no_privacy"))
     relays = dummy_schedule(plan)
     assert relays == Counter(plan.real_route.links())
     assert relays.total() == 8
@@ -268,7 +269,7 @@ def test_schedule_no_privacy_is_all_real():
 
 def test_schedule_baseline_marks_the_real_segment():
     topo = line_topology(20)
-    plan = build_scenario(topo, 5, 13, ProtocolVariant.extrout(),
+    plan = build_scenario(topo, 5, 13, ProtocolVariant("extrout_baseline"),
                           _pinned(3, 4), random.Random(0))
     relays = dummy_schedule(plan)
     assert relays == Counter({(n, n + 1): 1 for n in range(2, 17)})
@@ -283,7 +284,7 @@ def test_schedule_baseline_marks_the_real_segment():
 def test_schedule_counts_follow_chain_hops():
     topo, hub_a, hub_b, rows = parallel_paths([14, 14])
     plan = build_scenario(topo, rows[0][2], rows[0][10],
-                          ProtocolVariant.duplicates(1),
+                          ProtocolVariant("extrout_duplicates", 1),
                           _pinned(3, 4), random.Random(0))
     relays = dummy_schedule(plan)
     assert relays.total() == sum(c.hops for c in plan.all_chains()) == 30
@@ -298,7 +299,7 @@ def test_schedule_counts_follow_chain_hops():
 
 def test_schedule_residual_cover_touches_every_node():
     topo = line_topology(12)
-    variant = ProtocolVariant.no_privacy(residual_cover_rate=2)
+    variant = ProtocolVariant("no_privacy", residual_cover_rate=2)
     plan = build_scenario(topo, 2, 10, variant, ScenarioSettings(packet_budget=1))
     # residual dummies have no next hop: the relay counts leave them out
     assert dummy_schedule(plan) == Counter(plan.real_route.links())
@@ -312,7 +313,7 @@ def test_fake_paths_never_contain_the_real_endpoints():
     topo, _, _, rows = parallel_paths([14, 14, 14])
     src, dst = rows[0][2], rows[0][10]
     for seed in range(6):
-        plan = build_scenario(topo, src, dst, ProtocolVariant.nfake(2),
+        plan = build_scenario(topo, src, dst, ProtocolVariant("nfake_pairs", 2),
                               rng=random.Random(seed))
         for fake in plan.fake_paths:
             assert src not in fake.nodes and dst not in fake.nodes

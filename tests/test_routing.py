@@ -47,7 +47,6 @@ def test_extended_route_accessors():
     assert ext.source == 5 and ext.dest == 13
     assert ext.anchor_source == 2 and ext.anchor_dest == 17
     assert ext.source_extension == 3 and ext.dest_extension == 4
-    assert ext.core_hops == 8
     assert ext.core() == Route(tuple(range(5, 14)))
     with pytest.raises(ValueError):
         ExtendedRoute(route=full, source_index=5, dest_index=3)

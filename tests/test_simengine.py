@@ -26,7 +26,7 @@ from oracles import matrix_from_csv
 def _baseline_plan(budget: int = 7000):
     topo = line_topology(20)
     settings = ScenarioSettings(source_ext=3, dest_ext=4, packet_budget=budget)
-    return build_scenario(topo, 5, 13, ProtocolVariant.extrout(), settings,
+    return build_scenario(topo, 5, 13, ProtocolVariant("extrout_baseline"), settings,
                           random.Random(0))
 
 
@@ -62,7 +62,7 @@ def test_run_rejects_bad_budget():
 
 def test_run_counts_every_chain_and_residual():
     topo, hub_a, hub_b, rows = parallel_paths([14, 14])
-    variant = ProtocolVariant.duplicates(1, residual_cover_rate=1)
+    variant = ProtocolVariant("extrout_duplicates", 1, residual_cover_rate=1)
     plan = build_scenario(topo, rows[0][2], rows[0][10], variant,
                           ScenarioSettings(source_ext=3, dest_ext=4,
                                            packet_budget=10),
@@ -87,7 +87,7 @@ def test_run_totals_match_an_interval_replay():
     # node, interval by interval; run() must agree with this in closed form
     topo, _, _, rows = parallel_paths([14, 14])
     plan = build_scenario(topo, rows[0][2], rows[0][10],
-                          ProtocolVariant.duplicates(1, residual_cover_rate=1),
+                          ProtocolVariant("extrout_duplicates", 1, residual_cover_rate=1),
                           ScenarioSettings(source_ext=3, dest_ext=4,
                                            packet_budget=9),
                           random.Random(0))
@@ -112,7 +112,7 @@ def test_transmission_matrix_is_row_major():
                             perturbation=0.0, tx_range=150.0,
                             qudg_factor=0.95, seed=2)
     topo = generate(params)
-    plan = build_scenario(topo, 1, 9, ProtocolVariant.no_privacy(),
+    plan = build_scenario(topo, 1, 9, ProtocolVariant("no_privacy"),
                           ScenarioSettings(packet_budget=5))
     trace = run(plan)
     matrix = transmission_matrix(trace.node_tx, params)
