@@ -38,7 +38,6 @@ from .protocols import (
 )
 from .simengine import TrafficTrace, run, transmission_matrix
 from .adversary import (
-    AttackerObservation,
     AttackSummary,
     AttackVerdict,
     active_subgraph,

@@ -23,6 +23,7 @@ import statistics
 from collections import defaultdict
 from dataclasses import dataclass
 
+from .protocols import ScenarioPlan
 from .rng import substream
 from .simengine import TrafficTrace, run
 
@@ -31,22 +32,13 @@ class NoTrafficError(ValueError):
     """The observation holds no link traffic, so there is no chain to attack."""
 
 
-@dataclass(frozen=True)
-class AttackerObservation:
-    """Everything the eavesdropper gets to work with: transmit counts per
-    node and per link, without routes or endpoint identities."""
-
-    node_tx: dict[int, int]
-    link_tx: dict[tuple[int, int], int]
+def observe(trace: TrafficTrace) -> TrafficTrace:
+    """The attacker's copy of a trace: the same counts, detached from it."""
+    return TrafficTrace(node_tx=dict(trace.node_tx),
+                        link_tx=dict(trace.link_tx))
 
 
-def observe(trace: TrafficTrace) -> AttackerObservation:
-    """Project a trace onto the attacker-visible surface, detached from it."""
-    return AttackerObservation(node_tx=dict(trace.node_tx),
-                               link_tx=dict(trace.link_tx))
-
-
-def active_subgraph(obs: AttackerObservation
+def active_subgraph(obs: TrafficTrace
                     ) -> tuple[frozenset[int], frozenset[tuple[int, int]]]:
     """Nodes and links carrying traffic.
 
@@ -85,7 +77,7 @@ class Branch:
         return self.nodes[1:]
 
 
-def traffic_branches(obs: AttackerObservation) -> tuple[Branch, ...]:
+def traffic_branches(obs: TrafficTrace) -> tuple[Branch, ...]:
     """Decompose the active subgraph into maximal simple chains.
 
     Chains are cut at structural junctions (active-degree != 2) and at
@@ -128,7 +120,7 @@ def traffic_branches(obs: AttackerObservation) -> tuple[Branch, ...]:
     return tuple(branches)
 
 
-def _orient(chain: list[int], obs: AttackerObservation) -> Branch:
+def _orient(chain: list[int], obs: TrafficTrace) -> Branch:
     head_tx = obs.node_tx.get(chain[0], 0)
     tail_tx = obs.node_tx.get(chain[-1], 0)
     if head_tx < tail_tx:
@@ -136,7 +128,7 @@ def _orient(chain: list[int], obs: AttackerObservation) -> Branch:
     return Branch(nodes=tuple(chain))
 
 
-def endpoint_candidates(obs: AttackerObservation, cover_traffic: bool = True
+def endpoint_candidates(obs: TrafficTrace, cover_traffic: bool = True
                         ) -> tuple[frozenset[int], frozenset[int]]:
     """Candidate source and destination sets under rate monitoring.
 
@@ -161,7 +153,7 @@ def _candidates(branches, cover_traffic: bool
     return frozenset(sources), frozenset(dests)
 
 
-def guess_endpoints(obs: AttackerObservation, rng: random.Random,
+def guess_endpoints(obs: TrafficTrace, rng: random.Random,
                     cover_traffic: bool = True
                     ) -> tuple[int, int, Branch, int, int]:
     """One attack: pick a chain uniformly, then endpoints within it.
@@ -197,16 +189,46 @@ class AttackVerdict:
 
 @dataclass(frozen=True)
 class AttackSummary:
-    """Monte Carlo attack outcome with Wilson 95% intervals."""
+    """Monte Carlo attack outcome: the verdict of every trial and the plan
+    of the first. Rates and Wilson 95% intervals derive from the verdicts."""
 
-    trials: int
-    source_rate: float
-    dest_rate: float
-    pair_rate: float  # both endpoints correct in the same trial
-    source_ci: tuple[float, float]
-    dest_ci: tuple[float, float]
-    pair_ci: tuple[float, float]
     verdicts: tuple[AttackVerdict, ...]
+    first_plan: ScenarioPlan
+
+    @property
+    def trials(self) -> int:
+        return len(self.verdicts)
+
+    @property
+    def _hits(self) -> tuple[int, int, int]:
+        """Trials that named the source, the destination, and both."""
+        return (sum(v.correct_source for v in self.verdicts),
+                sum(v.correct_dest for v in self.verdicts),
+                sum(v.correct_source and v.correct_dest for v in self.verdicts))
+
+    @property
+    def source_rate(self) -> float:
+        return self._hits[0] / self.trials
+
+    @property
+    def dest_rate(self) -> float:
+        return self._hits[1] / self.trials
+
+    @property
+    def pair_rate(self) -> float:
+        return self._hits[2] / self.trials
+
+    @property
+    def source_ci(self) -> tuple[float, float]:
+        return wilson_interval(self._hits[0], self.trials)
+
+    @property
+    def dest_ci(self) -> tuple[float, float]:
+        return wilson_interval(self._hits[1], self.trials)
+
+    @property
+    def pair_ci(self) -> tuple[float, float]:
+        return wilson_interval(self._hits[2], self.trials)
 
     @property
     def empirical_anonymity(self) -> float:
@@ -247,32 +269,23 @@ def attack_trials(plan_factory, trials: int, seed: int = 0) -> AttackSummary:
     if trials < 1:
         raise ValueError("trials must be at least 1")
     verdicts = []
-    s_hits = d_hits = p_hits = 0
     for t in range(trials):
         plan = plan_factory(substream(seed, f"scenario-{t}"))
-        obs = observe(run(plan))
+        if t == 0:
+            first_plan = plan
         src, dst, branch, gs, gd = guess_endpoints(
-            obs, substream(seed, f"attack-{t}"), plan.variant.uses_cover)
-        v = AttackVerdict(source_guess=src, dest_guess=dst,
-                          source_candidates=gs, dest_candidates=gd,
-                          correct_source=src == plan.source,
-                          correct_dest=dst == plan.dest,
-                          on_real_path=plan.source in branch.nodes)
-        verdicts.append(v)
-        s_hits += v.correct_source
-        d_hits += v.correct_dest
-        p_hits += v.correct_source and v.correct_dest
-    return AttackSummary(trials=trials,
-                         source_rate=s_hits / trials,
-                         dest_rate=d_hits / trials,
-                         pair_rate=p_hits / trials,
-                         source_ci=wilson_interval(s_hits, trials),
-                         dest_ci=wilson_interval(d_hits, trials),
-                         pair_ci=wilson_interval(p_hits, trials),
-                         verdicts=tuple(verdicts))
+            observe(run(plan)), substream(seed, f"attack-{t}"),
+            plan.variant.uses_cover)
+        verdicts.append(AttackVerdict(
+            source_guess=src, dest_guess=dst,
+            source_candidates=gs, dest_candidates=gd,
+            correct_source=src == plan.source,
+            correct_dest=dst == plan.dest,
+            on_real_path=plan.source in branch.nodes))
+    return AttackSummary(verdicts=tuple(verdicts), first_plan=first_plan)
 
 
-def unlinkability_score(obs: AttackerObservation) -> float:
+def unlinkability_score(obs: TrafficTrace) -> float:
     """1 minus the coefficient of variation of transmit counts over actively
     transmitting nodes, clamped to [0, 1].
 

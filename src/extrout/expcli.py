@@ -133,7 +133,8 @@ _PARSER_OF = {key: parse for _, key, parse, _ in SCHEMA}
 
 def resolve_config(config_path: str | None,
                    overrides: dict[str, str]) -> dict:
-    """Defaults, then INI file, then command-line overrides."""
+    """Defaults, then INI file, then command-line overrides; every input
+    check runs here, so bad input exits before any work."""
     cfg = {key: default for _, key, _, default in SCHEMA}
     if config_path:
         parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
@@ -192,6 +193,8 @@ def resolve_config(config_path: str | None,
             f"{sorted(REFERENCES)}")
     if cfg["trials"] < 100:
         raise ConfigError("attack needs at least 100 trials")
+    _make_variant(cfg)
+    _make_settings(cfg)
     return cfg
 
 
@@ -348,15 +351,13 @@ def cmd_run(cfg: dict) -> int:
     totals_matrix = _from_input(transmission_matrix, totals, topo.params)
     averaged = mean_matrix(totals_matrix, reps)
 
-    empirical = None
-    ci = None
+    headline = reports[0]
     if cfg["attack_trials"] > 0:
         summary = attack_trials(scenario, cfg["attack_trials"],
                                 seed=child_seed(seed, "attack"))
-        empirical = summary.empirical_anonymity
-        ci = summary.empirical_anonymity_ci()
-    headline = replace(reports[0], anonymity_empirical=empirical,
-                       empirical_ci=ci)
+        headline = replace(headline,
+                           anonymity_empirical=summary.empirical_anonymity,
+                           empirical_ci=summary.empirical_anonymity_ci())
 
     reference, notes = None, ()
     if cfg["reference"]:
@@ -507,11 +508,9 @@ def cmd_sweep(cfg: dict) -> int:
 
 def cmd_attack(cfg: dict) -> int:
     _, scenario = _scenario(cfg)
-    seed = cfg["seed"]
     summary = attack_trials(scenario, cfg["trials"],
-                            seed=child_seed(seed, "attack"))
-    plan0 = scenario(substream(child_seed(seed, "attack"), "scenario-0"))
-    expected = report_from_run(plan0).guess_success
+                            seed=child_seed(cfg["seed"], "attack"))
+    expected = report_from_run(summary.first_plan).guess_success
     on_path = fmean(1.0 if v.on_real_path else 0.0 for v in summary.verdicts)
 
     out = Path(cfg["out"])

@@ -200,13 +200,11 @@ class PrivacyReport:
 
 
 def report_from_run(plan: ScenarioPlan, trace: TrafficTrace | None = None,
-                    anonymity_empirical: float | None = None,
-                    empirical_ci: tuple[float, float] | None = None,
                     unlinkability: float | None = None) -> PrivacyReport:
     """Derive a PrivacyReport from a scenario plan and optional trace.
 
-    Attack-based fields (empirical anonymity, unlinkability) are computed
-    elsewhere and passed in; this module only does the accounting.
+    Attack-based fields (unlinkability here, empirical anonymity later) are
+    computed elsewhere; this module only does the accounting.
     """
     real_hops = plan.real_route.hops
     main = plan.main
@@ -214,12 +212,13 @@ def report_from_run(plan: ScenarioPlan, trace: TrafficTrace | None = None,
     tof_measured = None
     if trace is not None:
         total = trace.total_transmissions
+        budget = plan.packet_budget
         # The engine scales one interval by the budget, so the division is
         # exact; keep it integer-first so equality checks stay meaningful.
-        if total % trace.intervals == 0:
-            tof_measured = (total // trace.intervals) / real_hops
+        if total % budget == 0:
+            tof_measured = (total // budget) / real_hops
         else:
-            tof_measured = total / (trace.intervals * real_hops)
+            tof_measured = total / (budget * real_hops)
 
     return PrivacyReport(
         variant=plan.variant.kind,
@@ -230,8 +229,6 @@ def report_from_run(plan: ScenarioPlan, trace: TrafficTrace | None = None,
         fake_hops=tuple(r.hops for r in plan.fake_routes()),
         residual_rate=plan.variant.residual_cover_rate,
         tof_measured=tof_measured,
-        anonymity_empirical=anonymity_empirical,
-        empirical_ci=empirical_ci,
         unlinkability=unlinkability,
     )
 

@@ -89,8 +89,6 @@ class ScenarioPlan:
     """Everything the simulator needs for one scenario instance."""
 
     topology: Topology
-    source: int
-    dest: int
     variant: ProtocolVariant
     real_route: Route
     main: ExtendedRoute | None = None
@@ -101,9 +99,13 @@ class ScenarioPlan:
     duplicate_shortfall: int = 0
     packet_budget: int = 7000
 
-    def carrier(self) -> Route:
-        """The chain that carries the real packet."""
-        return self.main.route if self.main is not None else self.real_route
+    @property
+    def source(self) -> int:
+        return self.real_route.source
+
+    @property
+    def dest(self) -> int:
+        return self.real_route.dest
 
     def fake_routes(self) -> tuple[Route, ...]:
         """The fake chains, extended or plain."""
@@ -111,8 +113,9 @@ class ScenarioPlan:
                      for f in self.fake_paths)
 
     def all_chains(self) -> tuple[Route, ...]:
-        """The carrier, then the chains that carry dummies only."""
-        return (self.carrier(),) + self.duplicates + self.fake_routes()
+        """The real packet's carrier, then the chains that carry dummies only."""
+        carrier = self.main.route if self.main is not None else self.real_route
+        return (carrier,) + self.duplicates + self.fake_routes()
 
 
 def build_scenario(topo: Topology, source: int, dest: int,
@@ -127,14 +130,14 @@ def build_scenario(topo: Topology, source: int, dest: int,
     settings = settings or ScenarioSettings()
     rng = rng or random.Random(0)
     real = shortest_path(topo, source, dest)
-    plan = ScenarioPlan(topology=topo, source=source, dest=dest, variant=variant,
-                        real_route=real, packet_budget=settings.packet_budget)
+    plan = ScenarioPlan(topology=topo, variant=variant, real_route=real,
+                        packet_budget=settings.packet_budget)
 
     if variant.kind == "no_privacy":
         return plan
 
     if variant.kind == "nfake_pairs":
-        plan.fake_paths = _fake_paths(topo, source, dest, variant.count, None,
+        plan.fake_paths = _fake_paths(topo, real, variant.count, None,
                                       settings, rng)
         return plan
 
@@ -151,7 +154,7 @@ def build_scenario(topo: Topology, source: int, dest: int,
         plan.duplicates = tuple(dups)
         plan.duplicate_shortfall = variant.count - len(dups)
     elif variant.kind == "extrout_fake":
-        plan.fake_paths = _fake_paths(topo, source, dest, variant.count,
+        plan.fake_paths = _fake_paths(topo, real, variant.count,
                                       plan.main, settings, rng)
     return plan
 
@@ -166,7 +169,7 @@ def _extension_lengths(settings: ScenarioSettings,
     return src_ext, dst_ext
 
 
-def _fake_paths(topo, source, dest, n, main, settings, rng
+def _fake_paths(topo, real, n, main, settings, rng
                 ) -> tuple[FakePath, ...]:
     """n fake paths, each placed off the earlier ones. Without a main
     extended route they are plain shortest paths (N fake pairs); with one
@@ -175,7 +178,7 @@ def _fake_paths(topo, source, dest, n, main, settings, rng
     taken: set[int] = set()
     fakes = []
     for _ in range(n):
-        fs, fd = place_fake_pair(topo, source, dest, rng, avoid=taken)
+        fs, fd = place_fake_pair(topo, real, rng, avoid=taken)
         route = fake = shortest_path(topo, fs, fd)
         if main is not None:
             f_src, f_dst = _extension_lengths(settings, rng)
@@ -188,16 +191,15 @@ def _fake_paths(topo, source, dest, n, main, settings, rng
     return tuple(fakes)
 
 
-def place_fake_pair(topo: Topology, source: int, dest: int, rng: random.Random,
+def place_fake_pair(topo: Topology, real: Route, rng: random.Random,
                     avoid=()) -> tuple[int, int]:
-    """Pick a decoy pair whose hop separation is within 1 of the real pair's.
+    """Pick a decoy pair whose hop separation is within 1 of the real route's.
 
     Among admissible pairs the one whose segment midpoint lies farthest from
     the real route wins (ties break via rng); the fake shortest path must
     share no node with the real route or with `avoid`. The separation slack
     relaxes to 2 if nothing qualifies at 1, then placement fails.
     """
-    real = shortest_path(topo, source, dest)
     avoid = set(avoid)
     forbidden = set(real.nodes) | avoid
     for slack in (1, 2):

@@ -74,14 +74,6 @@ class ExtendedRoute:
                 f"{self.route.hops}-hop route")
 
     @property
-    def source(self) -> int:
-        return self.route.nodes[self.source_index]
-
-    @property
-    def dest(self) -> int:
-        return self.route.nodes[self.dest_index]
-
-    @property
     def anchor_source(self) -> int:
         return self.route.nodes[0]
 
@@ -98,9 +90,6 @@ class ExtendedRoute:
     def dest_extension(self) -> int:
         """Achieved hops appended on the destination side."""
         return self.route.hops - self.dest_index
-
-    def core(self) -> Route:
-        return Route(self.route.nodes[self.source_index:self.dest_index + 1])
 
 
 def hop_distances(topo: Topology, src: int) -> Mapping[int, int]:

@@ -19,11 +19,11 @@ HEAT_GLYPHS = " .:-=+*#%@"  # 10 intensity levels for the ASCII matrix view
 
 @dataclass
 class TrafficTrace:
-    """What the network did: transmit counts per node and per link."""
+    """What the network did, and all the global attacker sees: transmit
+    counts per node and per link."""
 
     node_tx: dict[int, int]
     link_tx: dict[tuple[int, int], int]
-    intervals: int
 
     @property
     def total_transmissions(self) -> int:
@@ -46,8 +46,7 @@ def run(plan: ScenarioPlan) -> TrafficTrace:
     for (sender, next_hop), relays in dummy_schedule(plan).items():
         node_tx[sender] += relays * budget
         link_tx[min(sender, next_hop), max(sender, next_hop)] += relays * budget
-    return TrafficTrace(node_tx=node_tx, link_tx=dict(sorted(link_tx.items())),
-                        intervals=budget)
+    return TrafficTrace(node_tx=node_tx, link_tx=dict(sorted(link_tx.items())))
 
 
 def transmission_matrix(node_tx: Mapping[int, int],

@@ -132,7 +132,7 @@ def test_criterion_04_fake_extended_path_mismatch_is_flagged():
     fake = ExtendedRoute(Route(tuple(range(20, 38))), 2, 15)  # 17 hops, disjoint
     assert fake.route.hops == 17
     assert not set(fake.route.nodes) & set(main.route.nodes)
-    plan = ScenarioPlan(topology=topo, source=5, dest=13,
+    plan = ScenarioPlan(topology=topo,
                         variant=ProtocolVariant("extrout_fake", 1), real_route=real,
                         main=main, fake_paths=(fake,),
                         requested_source_ext=3, requested_dest_ext=4)
@@ -157,7 +157,7 @@ def test_criterion_05_single_fake_pair():
     real = shortest_path(topo, 2, 14)
     assert real.hops == 12
     fake = Route(tuple(range(16, 30)))  # 13 hops, clear of the real pair
-    plan = ScenarioPlan(topology=topo, source=2, dest=14,
+    plan = ScenarioPlan(topology=topo,
                         variant=ProtocolVariant("nfake_pairs", 1), real_route=real,
                         fake_paths=(fake,))
     report = report_from_run(plan, run(plan))
@@ -283,8 +283,7 @@ def test_criterion_09_uniform_traffic_and_tamper_detection():
 
     bumped = dict(trace.node_tx)
     bumped[9] += 1
-    tampered = TrafficTrace(node_tx=bumped, link_tx=dict(trace.link_tx),
-                            intervals=trace.intervals)
+    tampered = TrafficTrace(node_tx=bumped, link_tx=dict(trace.link_tx))
     report = report_from_run(plan, tampered)
     assert report.tof_measured != report.tof_analytical
     record = reconcile(report)

@@ -9,7 +9,6 @@ import pytest
 
 from extrout import adversary
 from extrout.adversary import (
-    AttackerObservation,
     active_subgraph,
     attack_trials,
     endpoint_candidates,
@@ -21,7 +20,7 @@ from extrout.adversary import (
     wilson_interval,
 )
 from extrout.protocols import ProtocolVariant, ScenarioSettings, build_scenario
-from extrout.simengine import run
+from extrout.simengine import TrafficTrace, run
 
 from ladders import line_topology, parallel_paths
 
@@ -58,7 +57,7 @@ def _small_theta():
 
 
 def _manual_obs(node_tx, link_tx):
-    return AttackerObservation(node_tx=dict(node_tx), link_tx=dict(link_tx))
+    return TrafficTrace(node_tx=dict(node_tx), link_tx=dict(link_tx))
 
 
 # -------------------------------------------------------------- observation

@@ -174,6 +174,29 @@ def test_unknown_reference_fails_before_any_scenario(tmp_path, monkeypatch,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["attack", "topology"])
+@pytest.mark.parametrize("flags, message", [
+    (["--variant", "bogus"], "unknown variant 'bogus'"),
+    (["--variant", "extrout_duplicates", "--count", "0"],
+     "extrout_duplicates needs count >= 1"),
+    (["--residual-rate", "-1"],
+     "residual_cover_rate must be a non-negative integer"),
+    (["--ext-low", "6", "--ext-high", "2"], "bad extension interval [6, 2]"),
+], ids=["variant", "count", "residual-rate", "ext-interval"])
+def test_bad_scenario_input_fails_before_any_topology_work(
+        tmp_path, monkeypatch, capsys, command, flags, message):
+    import extrout.expcli as expcli
+
+    def refuse(params):
+        raise AssertionError("topology generated before input checks")
+
+    monkeypatch.setattr(expcli, "generate", refuse)
+    out = tmp_path / "out"
+    assert main([command, *flags, "--out", str(out)]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--duplicate-counts", "1,0"], "duplicate_counts must all be >= 1, got 1,0"),
     (["--fake-counts", "0"], "fake_counts must all be >= 1, got 0"),
@@ -581,6 +604,22 @@ def test_attack_command_on_exposed_chain(tmp_path, capsys):
                  if not ln.startswith("#")]
     assert csv_lines[0].startswith("trial,source_guess,")
     assert len(csv_lines) == 121
+
+
+def test_attack_builds_one_plan_per_trial(tmp_path, monkeypatch):
+    import extrout.expcli as expcli
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return build_scenario(*args)
+
+    monkeypatch.setattr(expcli, "build_scenario", counting)
+    assert main(["attack", "--topology-file", _line_file(tmp_path),
+                 "--source", "5", "--dest", "13", "--trials", "100",
+                 "--budget", "10", "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 100
 
 
 def test_report_command_reconciles_references(tmp_path, capsys):

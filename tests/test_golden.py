@@ -78,6 +78,10 @@ GOLDEN = {
         "attack.txt":
             "ef4222f9d2e267d9913dc67f61c9f143e948dedcdcf1ea7befcec56d7037d1eb",
     }),
+    "report": (["report"], {
+        "reference_report.txt":
+            "93d3ff1d8f65bd7ad3a2bb7efbd628f2d566f6798f7e8798653c95c6382ae9cf",
+    }),
     "sweep": (["sweep", "--hop-targets", "3,4,5", "--pairs-per-target", "2",
                "--source-ext", "1", "--dest-ext", "1", "--frontier-hops", "4",
                "--duplicate-counts", "1,2", "--fake-counts", "1",

@@ -4,12 +4,28 @@ from __future__ import annotations
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from extrout.protocols import PlacementError, ProtocolVariant, build_scenario
+from extrout.metrics import reconcile, report_from_run
+from extrout.protocols import (
+    PARAMETERISED_KINDS,
+    VARIANT_KINDS,
+    PlacementError,
+    ProtocolVariant,
+    ScenarioSettings,
+    build_scenario,
+)
 from extrout.routing import hop_distances
+from extrout.simengine import run
 from extrout.topology import TopologyParams, generate
+
+# Random small Q-UDG deployments: perturbed grids up to 7x7, from sparse to
+# nearly unit-disk link models.
+topology_params = st.builds(
+    TopologyParams, grid_rows=st.integers(3, 7), grid_cols=st.integers(3, 7),
+    perturbation=st.floats(0.0, 0.5), tx_range=st.just(150.0),
+    qudg_factor=st.floats(0.3, 1.0), seed=st.integers(0, 2**16))
 
 
 def _far_pair(topo, start: int) -> tuple[int, int]:
@@ -32,15 +48,9 @@ def _outcomes(topo, pair, variants, seed: int) -> list:
 
 
 @settings(max_examples=40, deadline=None)
-@given(rows=st.integers(3, 7), cols=st.integers(3, 7),
-       perturbation=st.floats(0.0, 0.5), qudg_factor=st.floats(0.3, 1.0),
-       topo_seed=st.integers(0, 2**16), plan_seed=st.integers(0, 2**16),
+@given(params=topology_params, plan_seed=st.integers(0, 2**16),
        starts=st.tuples(st.integers(1, 49), st.integers(1, 49)))
-def test_cache_state_never_changes_a_plan(rows, cols, perturbation, qudg_factor,
-                                          topo_seed, plan_seed, starts):
-    params = TopologyParams(grid_rows=rows, grid_cols=cols,
-                            perturbation=perturbation, tx_range=150.0,
-                            qudg_factor=qudg_factor, seed=topo_seed)
+def test_cache_state_never_changes_a_plan(params, plan_seed, starts):
     fresh, warmed = generate(params), generate(params)
     pair = _far_pair(fresh, 1 + (starts[0] - 1) % fresh.node_count)
     other = _far_pair(warmed, 1 + (starts[1] - 1) % warmed.node_count)
@@ -50,3 +60,26 @@ def test_cache_state_never_changes_a_plan(rows, cols, perturbation, qudg_factor,
         _outcomes(warmed, other, variants + (ProtocolVariant("extrout_duplicates", 1),),
                   plan_seed + 1)
     assert _outcomes(warmed, pair, variants, plan_seed) == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(params=topology_params, plan_seed=st.integers(0, 2**16),
+       start=st.integers(1, 49), count=st.integers(1, 3),
+       budget=st.integers(1, 50))
+def test_measured_tof_is_the_summed_chain_hops(params, plan_seed, start,
+                                               count, budget):
+    topo = generate(params)
+    pair = _far_pair(topo, 1 + (start - 1) % topo.node_count)
+    assume(pair[0] != pair[1])
+    for kind in VARIANT_KINDS:
+        variant = ProtocolVariant(kind, count if kind in PARAMETERISED_KINDS else 0)
+        try:
+            plan = build_scenario(topo, *pair, variant,
+                                  ScenarioSettings(packet_budget=budget),
+                                  random.Random(plan_seed))
+        except PlacementError:
+            continue
+        report = report_from_run(plan, run(plan))
+        assert reconcile(report).passed, kind
+        assert report.tof_measured == (sum(c.hops for c in plan.all_chains())
+                                       / plan.real_route.hops)

@@ -69,7 +69,6 @@ def test_no_privacy_plan_is_just_the_real_route():
     assert plan.real_route == shortest_path(topo, 2, 10)
     assert plan.main is None
     assert plan.duplicates == () and plan.fake_paths == ()
-    assert plan.carrier() == plan.real_route
     assert plan.all_chains() == (plan.real_route,)
 
 
@@ -80,7 +79,6 @@ def test_baseline_plan_extends_both_sides():
     assert plan.real_route.hops == 8
     assert plan.main.route.nodes == tuple(range(2, 18))
     assert plan.requested_source_ext == 3 and plan.requested_dest_ext == 4
-    assert plan.carrier() == plan.main.route
     assert plan.all_chains() == (plan.main.route,)
 
 
@@ -161,9 +159,9 @@ def test_build_scenario_is_seed_deterministic():
 def test_place_fake_pair_separation_within_one_hop():
     topo, _, _, rows = parallel_paths([14, 14])
     real_src, real_dst = rows[0][2], rows[0][10]
-    fs, fd = place_fake_pair(topo, real_src, real_dst, random.Random(0))
-    fake = shortest_path(topo, fs, fd)
     real = shortest_path(topo, real_src, real_dst)
+    fs, fd = place_fake_pair(topo, real, random.Random(0))
+    fake = shortest_path(topo, fs, fd)
     assert abs(fake.hops - real.hops) <= 1
     assert set(fake.nodes).isdisjoint(real.nodes)
 
@@ -173,22 +171,22 @@ def test_place_fake_pair_lands_on_the_far_row():
     # maximizes midpoint separation, so it must use the farthest row
     topo, _, _, rows = parallel_paths([14, 14, 14])
     for seed in range(8):
-        fs, fd = place_fake_pair(topo, rows[0][2], rows[0][10],
+        fs, fd = place_fake_pair(topo, shortest_path(topo, rows[0][2], rows[0][10]),
                                  random.Random(seed))
         assert fs in rows[2] and fd in rows[2]
 
 
 def test_place_fake_pair_respects_avoid_set():
     topo, _, _, rows = parallel_paths([14, 14, 14])
-    fs, fd = place_fake_pair(topo, rows[0][2], rows[0][10], random.Random(1),
-                             avoid=set(rows[2]))
+    fs, fd = place_fake_pair(topo, shortest_path(topo, rows[0][2], rows[0][10]),
+                             random.Random(1), avoid=set(rows[2]))
     assert fs in rows[1] and fd in rows[1]
 
 
 def test_place_fake_pair_fails_when_no_room():
     topo = line_topology(12)
     with pytest.raises(PlacementError):
-        place_fake_pair(topo, 1, 9, random.Random(0))
+        place_fake_pair(topo, shortest_path(topo, 1, 9), random.Random(0))
 
 
 # ------------------------------------------------------ per-topology caches
@@ -243,15 +241,16 @@ def test_later_fake_plans_reuse_the_hop_tables():
 
 def test_a_new_real_route_replaces_the_pair_ranking():
     topo = _mesh()
-    place_fake_pair(topo, 14, 131, random.Random(0))
+    first, second = shortest_path(topo, 14, 131), shortest_path(topo, 7, 138)
+    place_fake_pair(topo, first, random.Random(0))
     route, tiers = topo.fake_pair_tiers
-    assert route == shortest_path(topo, 14, 131).nodes
+    assert route == first.nodes
     ranking = tiers[1]
-    place_fake_pair(topo, 14, 131, random.Random(1))
+    place_fake_pair(topo, first, random.Random(1))
     assert topo.fake_pair_tiers[1][1] is ranking
-    place_fake_pair(topo, 7, 138, random.Random(0))
+    place_fake_pair(topo, second, random.Random(0))
     route, tiers = topo.fake_pair_tiers
-    assert route == shortest_path(topo, 7, 138).nodes
+    assert route == second.nodes
     assert ranking not in tiers.values()
 
 
@@ -273,7 +272,8 @@ def test_schedule_baseline_marks_the_real_segment():
                           _pinned(3, 4), random.Random(0))
     relays = dummy_schedule(plan)
     assert relays == Counter({(n, n + 1): 1 for n in range(2, 17)})
-    assert plan.main.core() == plan.real_route
+    main = plan.main
+    assert main.route.nodes[main.source_index:main.dest_index + 1] == plan.real_route.nodes
     real_links = plan.real_route.links()
     assert real_links == tuple((n, n + 1) for n in range(5, 13))
     assert relays.total() - sum(relays[link] for link in real_links) == 7

@@ -35,7 +35,6 @@ def _baseline_plan(budget: int = 7000):
 def test_run_counts_scale_with_budget():
     plan = _baseline_plan(100)
     trace = run(plan)
-    assert trace.intervals == 100
     assert trace.total_transmissions == 1500
     # chain interiors transmit once per interval, the sink anchor never
     for node in range(2, 17):
@@ -52,7 +51,7 @@ def test_run_link_counts_cover_the_chain():
 
 def test_run_uses_plan_budget_by_default():
     plan = _baseline_plan()
-    assert run(plan).intervals == plan.packet_budget == 7000
+    assert run(plan).node_tx[5] == plan.packet_budget == 7000
 
 
 def test_run_rejects_bad_budget():
