@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import operator
 import sys
-from collections import Counter
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -163,8 +163,6 @@ def resolve_config(config_path: str | None,
             raise ConfigError(f"bad value for --{key}: {exc}") from exc
     if cfg["reps"] < 1:
         raise ConfigError("reps must be >= 1")
-    if cfg["budget"] < 1:
-        raise ConfigError("budget must be >= 1")
     if cfg["source"] < 0 or cfg["dest"] < 0:
         raise ConfigError("source and dest must be >= 0 (0 samples a pair)")
     if (cfg["source"] > 0) != (cfg["dest"] > 0):
@@ -335,20 +333,22 @@ def cmd_run(cfg: dict) -> int:
     topo, scenario = _scenario(cfg)
     seed = cfg["seed"]
     reps = cfg["reps"]
-    totals: Counter[int] = Counter()
+    # run keys node_tx in topo.nodes order, so totals[k] is topo.nodes[k]'s sum.
+    totals = [0] * topo.node_count
     reports = []
     failures = []
     for rep in range(reps):
         plan = scenario(substream(seed, f"rep-{rep}"))
         trace = run(plan)
-        totals.update(trace.node_tx)
+        totals = list(map(operator.add, totals, trace.node_tx.values()))
         unlink = unlinkability_score(observe(trace))
         report = report_from_run(plan, trace, unlinkability=unlink)
         record = reconcile(report)
         if not record.passed:
             failures.append(f"rep {rep}: " + "; ".join(record.failures))
         reports.append(report)
-    totals_matrix = _from_input(transmission_matrix, totals, topo.params)
+    totals_matrix = _from_input(transmission_matrix,
+                                dict(zip(topo.nodes, totals)), topo.params)
     averaged = mean_matrix(totals_matrix, reps)
 
     headline = reports[0]

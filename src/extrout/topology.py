@@ -161,16 +161,29 @@ def build_qudg(positions: dict[int, Position], params: TopologyParams,
                rng: random.Random) -> Topology:
     """Sample the Q-UDG link set over the given positions.
 
-    Pairs are visited in ascending (i, j) order and a variate is drawn only
-    for pairs inside the probabilistic band, so a fixed seed reproduces the
-    identical link set.
+    Links are found by testing neighbouring cells: nodes are bucketed into
+    square cells a hair wider than tx_range, so a linked pair (d < tx_range)
+    always sits in the same or adjacent cells, and each node is tested only
+    against the higher ids of its 3x3 cell block. Those candidates are
+    sorted, so band variates are still drawn in ascending (i, j) order, and
+    only for pairs inside the probabilistic band: a fixed seed reproduces
+    the identical link set.
     """
     certain = params.qudg_factor * params.tx_range
-    ids = sorted(positions)
+    # The margin keeps rounding in x / side from ever putting a linked pair
+    # two cells apart.
+    side = params.tx_range * (1 + 1e-9)
+    cell_of = {i: (math.floor(x / side), math.floor(y / side))
+               for i, (x, y) in sorted(positions.items())}
+    cells: dict[tuple[int, int], list[int]] = {}
+    for i, cell in cell_of.items():
+        cells.setdefault(cell, []).append(i)
     links = set()
-    for a, i in enumerate(ids):
+    for i, (cx, cy) in cell_of.items():
         pi = positions[i]
-        for j in ids[a + 1:]:
+        candidates = sorted(j for dx in (-1, 0, 1) for dy in (-1, 0, 1)
+                            for j in cells.get((cx + dx, cy + dy), ()) if j > i)
+        for j in candidates:
             d = math.dist(pi, positions[j])
             if d < certain:
                 links.add((i, j))

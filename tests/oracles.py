@@ -1,10 +1,13 @@
 """Independent reference implementations used only to check the library.
 
 These deliberately avoid sharing code or approach with the package: hop
-counts come from a frontier-list BFS and disjoint path counts from an
-Edmonds-Karp max flow on a dictionary-based residual graph.  Route and
+counts come from a frontier-list BFS, disjoint path counts from an
+Edmonds-Karp max flow on a dictionary-based residual graph and Q-UDG links
+from a scan of every node pair.  Route and
 output checks that only tests need live here too.
 """
+
+import math
 
 
 def route_is_valid(topo, route) -> bool:
@@ -93,3 +96,25 @@ def max_node_disjoint_paths(adjacency: dict, source, sink,
             capacity[(node, prev)] += 1
             node = prev
         flow += 1
+
+
+def qudg_links(positions: dict, params, rng) -> set:
+    """Q-UDG link set by testing every pair in ascending (i, j) order.
+
+    No spatial index: every pair's distance is computed, and a variate is
+    drawn only for pairs in the band between the certain radius and
+    tx_range.
+    """
+    certain = params.qudg_factor * params.tx_range
+    ids = sorted(positions)
+    links = set()
+    for a, i in enumerate(ids):
+        pi = positions[i]
+        for j in ids[a + 1:]:
+            d = math.dist(pi, positions[j])
+            if d < certain:
+                links.add((i, j))
+            elif d < params.tx_range:
+                if rng.random() < (params.tx_range - d) / (params.tx_range - certain):
+                    links.add((i, j))
+    return links

@@ -128,13 +128,15 @@ def test_main_exit_1_on_config_error(tmp_path, capsys):
     (["--target-hops", "0"], "target_hops must be >= 1, got 0"),
     (["--frontier-hops", "-1"], "frontier_hops must be >= 1, got -1"),
     (["--source-rate", "2"], "unrecognized arguments: --source-rate 2"),
+    (["--budget", "0"], "packet_budget must be at least 1"),
 ], ids=["ext-interval", "qudg-factor", "count", "threshold", "cover",
         "negative-endpoints", "negative-extensions", "pairs-per-target",
         "attack-trials", "hop-targets", "target-hops", "frontier-hops",
-        "source-rate"])
+        "source-rate", "budget"])
 def test_main_exit_1_on_invalid_input(tmp_path, capsys, flags, message):
-    args = ["attack", *_dense_flags(5, 5), "--target-hops", "3", *flags,
-            "--trials", "100", "--budget", "5", "--out", str(tmp_path)]
+    # flags come last, so they override the defaults set before them
+    args = ["attack", *_dense_flags(5, 5), "--target-hops", "3",
+            "--trials", "100", "--budget", "5", *flags, "--out", str(tmp_path)]
     assert main(args) == 1
     assert f"config error: {message}" in capsys.readouterr().err
 

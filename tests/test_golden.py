@@ -1,5 +1,6 @@
 """Golden outputs: every command's files on a small grid, hashed.
 
+Each entry's own flags follow the shared GRID flags, so they override them.
 The hashes skip the provenance block the same way `perfbench/run.py`'s
 `digest` does, so this checks the benchmark's byte-for-byte rule in
 seconds. A deliberate output change re-records them (print `_digests` of
@@ -25,6 +26,14 @@ GOLDEN = {
     "topology": (["topology"], {
         "topology.txt":
             "c3428009b2ba7586590d4b9c6a16d0662aa8e5a0923bae7858d7f22a7539f71a",
+    }),
+    # A band of 36.25-145 m around jittered nodes: link variates are drawn,
+    # so this digest changes if they are drawn in another pair order.
+    "topology_sparse": (["topology", "--rows", "7", "--cols", "11",
+                         "--perturbation", "0.25", "--tx-range", "145",
+                         "--qudg-factor", "0.25", "--seed", "3"], {
+        "topology.txt":
+            "8fc56d31dfddcab8f9773604406b111f04aafc9b735578b655f4ec8a1d895f1d",
     }),
     "run": (["run", "--variant", "extrout_fake", "--count", "1",
              "--residual-rate", "1", "--target-hops", "4", "--reps", "3",
@@ -104,7 +113,7 @@ def _digest(payload: bytes) -> str:
 
 def _digests(command: str, out) -> dict[str, str]:
     args, expected = GOLDEN[command]
-    assert main([*args, *GRID, "--out", str(out)]) == 0
+    assert main([args[0], *GRID, *args[1:], "--out", str(out)]) == 0
     return {name: _digest((out / name).read_bytes()) for name in expected}
 
 

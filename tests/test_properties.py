@@ -16,9 +16,12 @@ from extrout.protocols import (
     ScenarioSettings,
     build_scenario,
 )
+from extrout.rng import substream
 from extrout.routing import hop_distances
 from extrout.simengine import run
-from extrout.topology import TopologyParams, generate
+from extrout.topology import TopologyParams, build_qudg, generate, place_nodes
+
+from oracles import qudg_links
 
 # Random small Q-UDG deployments: perturbed grids up to 7x7, from sparse to
 # nearly unit-disk link models.
@@ -26,6 +29,20 @@ topology_params = st.builds(
     TopologyParams, grid_rows=st.integers(3, 7), grid_cols=st.integers(3, 7),
     perturbation=st.floats(0.0, 0.5), tx_range=st.just(150.0),
     qudg_factor=st.floats(0.3, 1.0), seed=st.integers(0, 2**16))
+
+
+@settings(max_examples=150, deadline=None)
+@given(params=st.builds(
+    TopologyParams, grid_rows=st.integers(1, 9), grid_cols=st.integers(1, 9),
+    perturbation=st.floats(0.0, 1.0), tx_range=st.floats(20.0, 450.0),
+    qudg_factor=st.floats(0.0, 1.0), seed=st.integers(0, 2**16)))
+def test_cell_grid_links_match_the_all_pairs_scan(params):
+    # tx_range from a fifth of the 100 m spacing to 4.5 spacings leaves
+    # cells empty or crowded; perturbation 1 puts nodes below zero.
+    positions = place_nodes(params, substream(params.seed, "placement"))
+    built = build_qudg(positions, params, substream(params.seed, "links"))
+    assert built.links == qudg_links(positions, params,
+                                     substream(params.seed, "links"))
 
 
 def _far_pair(topo, start: int) -> tuple[int, int]:

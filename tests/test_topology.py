@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from extrout import topology
 from extrout.rng import substream
 from extrout.topology import (
     Position,
@@ -171,6 +172,32 @@ def test_build_qudg_respects_hard_bounds_with_jitter():
 def test_build_qudg_deterministic_per_seed():
     params = TopologyParams(grid_rows=8, grid_cols=8, seed=77)
     assert generate(params).links == generate(params).links
+
+
+class _CountingMath:
+    """Stands in for the math module and counts dist calls."""
+
+    def __init__(self):
+        self.dist_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def dist(self, p, q):
+        self.dist_calls += 1
+        return math.dist(p, q)
+
+
+def test_build_qudg_evaluates_linearly_many_distances(monkeypatch):
+    # Counting instead of timing: an all-pairs scan makes N(N-1)/2 =
+    # 1,279,200 evaluations here, the cell grid about 8 per node.
+    params = TopologyParams(grid_rows=40, grid_cols=40, seed=1)
+    positions = place_nodes(params, substream(params.seed, "placement"))
+    counting = _CountingMath()
+    monkeypatch.setattr(topology, "math", counting)
+    topo = build_qudg(positions, params, substream(params.seed, "links"))
+    assert topo.links
+    assert counting.dist_calls < 20 * params.node_count
 
 
 def _two_node_params(seed: int) -> TopologyParams:
