@@ -41,7 +41,6 @@ from .metrics import (
 )
 from .protocols import (
     PARAMETERISED_KINDS,
-    VARIANT_KINDS,
     PlacementError,
     ProtocolVariant,
     ScenarioSettings,
@@ -65,14 +64,6 @@ class ConfigError(Exception):
     """Configuration cannot be parsed or describes an infeasible setup."""
 
 
-def _parse_int(text: str) -> int:
-    return int(text, 10)
-
-
-def _parse_float(text: str) -> float:
-    return float(text)
-
-
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -82,49 +73,75 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    items = [piece.strip() for piece in text.split(",")]
-    return tuple(int(piece, 10) for piece in items if piece)
+def _int_at_least(least: int):
+    """Parser of an int that must be >= least."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise ValueError(f"must be >= {least}, got {value}")
+        return value
+    return parse
 
 
-def _parse_str(text: str) -> str:
-    return text.strip()
+def _parse_counts(text: str) -> tuple[int, ...]:
+    values = tuple(int(piece) for piece in text.split(",") if piece.strip())
+    if any(value < 1 for value in values):
+        raise ValueError(f"must all be >= 1, got {_format_value(values)}")
+    return values
+
+
+def _parse_hop_targets(text: str) -> tuple[int, ...]:
+    values = _parse_counts(text)
+    if not values:
+        raise ValueError("must be nonempty")
+    return values
+
+
+def _parse_reference(text: str) -> str:
+    name = text.strip()
+    if name and name not in REFERENCES:
+        raise ValueError(f"must be empty or one of {sorted(REFERENCES)}, "
+                         f"got {name!r}")
+    return name
 
 
 # section, key, parser, default.  Keys are globally unique so every one
-# can double as a command-line flag.
+# can double as a command-line flag.  A rule on one key lives in its
+# parser, a rule joining keys in the object they build (TopologyParams,
+# ProtocolVariant, ScenarioSettings); only the source/dest pairing is
+# checked in resolve_config.
 SCHEMA = (
-    ("topology", "rows", _parse_int, 20),
-    ("topology", "cols", _parse_int, 20),
-    ("topology", "spacing", _parse_float, 100.0),
-    ("topology", "perturbation", _parse_float, 0.25),
-    ("topology", "tx_range", _parse_float, 145.0),
-    ("topology", "qudg_factor", _parse_float, 0.25),
-    ("topology", "topology_file", _parse_str, ""),
-    ("scenario", "variant", _parse_str, "extrout_baseline"),
-    ("scenario", "count", _parse_int, 1),
-    ("scenario", "residual_rate", _parse_int, 0),
-    ("scenario", "source", _parse_int, 0),
-    ("scenario", "dest", _parse_int, 0),
-    ("scenario", "target_hops", _parse_int, 8),
-    ("scenario", "source_ext", _parse_int, -1),
-    ("scenario", "dest_ext", _parse_int, -1),
-    ("scenario", "ext_low", _parse_int, 2),
-    ("scenario", "ext_high", _parse_int, 5),
+    ("topology", "rows", int, 20),
+    ("topology", "cols", int, 20),
+    ("topology", "spacing", float, 100.0),
+    ("topology", "perturbation", float, 0.25),
+    ("topology", "tx_range", float, 145.0),
+    ("topology", "qudg_factor", float, 0.25),
+    ("topology", "topology_file", str.strip, ""),
+    ("scenario", "variant", str.strip, "extrout_baseline"),
+    ("scenario", "count", int, 1),
+    ("scenario", "residual_rate", int, 0),
+    ("scenario", "source", _int_at_least(0), 0),
+    ("scenario", "dest", _int_at_least(0), 0),
+    ("scenario", "target_hops", _int_at_least(1), 8),
+    ("scenario", "source_ext", _int_at_least(-1), -1),
+    ("scenario", "dest_ext", _int_at_least(-1), -1),
+    ("scenario", "ext_low", int, 2),
+    ("scenario", "ext_high", int, 5),
     ("scenario", "strict", _parse_bool, True),
-    ("run", "seed", _parse_int, 1),
-    ("run", "reps", _parse_int, 20),
-    ("run", "budget", _parse_int, 7000),
-    ("run", "out", _parse_str, "out"),
-    ("run", "attack_trials", _parse_int, 0),
-    ("run", "reference", _parse_str, ""),
-    ("sweep", "hop_targets", _parse_int_list, tuple(range(3, 17))),
-    ("sweep", "pairs_per_target", _parse_int, 20),
-    ("sweep", "frontier_hops", _parse_int, 12),
-    ("sweep", "duplicate_counts", _parse_int_list, (1, 2, 3, 4, 5)),
-    ("sweep", "fake_counts", _parse_int_list, (1,)),
-    ("sweep", "nfake_counts", _parse_int_list, (1, 3, 5, 7, 9)),
-    ("attack", "trials", _parse_int, 1000),
+    ("run", "seed", int, 1),
+    ("run", "reps", _int_at_least(1), 20),
+    ("run", "budget", int, 7000),
+    ("run", "out", str.strip, "out"),
+    ("run", "attack_trials", _int_at_least(0), 0),
+    ("run", "reference", _parse_reference, ""),
+    ("sweep", "hop_targets", _parse_hop_targets, tuple(range(3, 17))),
+    ("sweep", "pairs_per_target", _int_at_least(1), 20),
+    ("sweep", "frontier_hops", _int_at_least(1), 12),
+    ("sweep", "duplicate_counts", _parse_counts, (1, 2, 3, 4, 5)),
+    ("sweep", "fake_counts", _parse_counts, (1,)),
+    ("sweep", "nfake_counts", _parse_counts, (1, 3, 5, 7, 9)),
+    ("attack", "trials", _int_at_least(100), 1000),
 )
 
 _SECTION_OF = {key: section for section, key, _, _ in SCHEMA}
@@ -133,8 +150,10 @@ _PARSER_OF = {key: parse for _, key, parse, _ in SCHEMA}
 
 def resolve_config(config_path: str | None,
                    overrides: dict[str, str]) -> dict:
-    """Defaults, then INI file, then command-line overrides; every input
-    check runs here, so bad input exits before any work."""
+    """Defaults, then INI file, then command-line overrides.  Each parser
+    checks its key and resolve_config checks the source/dest pairing, then
+    builds the variant and the settings, so bad input exits before any
+    work."""
     cfg = {key: default for _, key, _, default in SCHEMA}
     if config_path:
         parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
@@ -149,51 +168,23 @@ def resolve_config(config_path: str | None,
                 if _SECTION_OF.get(key) != section:
                     raise ConfigError(
                         f"{config_path}: unknown key [{section}] {key}")
-                try:
-                    cfg[key] = _PARSER_OF[key](raw)
-                except ValueError as exc:
-                    raise ConfigError(
-                        f"{config_path}: bad value for {key}: {exc}") from exc
+                cfg[key] = _parse(key, raw, f"{config_path}: bad value for {key}")
     for key, raw in overrides.items():
-        if raw is None:
-            continue
-        try:
-            cfg[key] = _PARSER_OF[key](raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for --{key}: {exc}") from exc
-    if cfg["reps"] < 1:
-        raise ConfigError("reps must be >= 1")
-    if cfg["source"] < 0 or cfg["dest"] < 0:
-        raise ConfigError("source and dest must be >= 0 (0 samples a pair)")
+        if raw is not None:
+            flag = "--" + key.replace("_", "-")
+            cfg[key] = _parse(key, raw, f"bad value for {flag}")
     if (cfg["source"] > 0) != (cfg["dest"] > 0):
         raise ConfigError("set both source and dest, or neither")
-    for key in ("source_ext", "dest_ext"):
-        if cfg[key] < -1:
-            raise ConfigError(f"{key} must be >= -1 (-1 draws it from "
-                              f"[ext_low, ext_high]), got {cfg[key]}")
-    if cfg["pairs_per_target"] < 1:
-        raise ConfigError("pairs_per_target must be >= 1")
-    if cfg["attack_trials"] < 0:
-        raise ConfigError("attack_trials must be >= 0")
-    for key in ("target_hops", "frontier_hops"):
-        if cfg[key] < 1:
-            raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
-    if not cfg["hop_targets"]:
-        raise ConfigError("hop_targets must be nonempty")
-    for key in ("hop_targets", "duplicate_counts", "fake_counts",
-                "nfake_counts"):
-        if any(value < 1 for value in cfg[key]):
-            raise ConfigError(f"{key} must all be >= 1, got "
-                              f"{_format_value(cfg[key])}")
-    if cfg["reference"] and cfg["reference"] not in REFERENCES:
-        raise ConfigError(
-            f"unknown reference {cfg['reference']!r}, expected one of "
-            f"{sorted(REFERENCES)}")
-    if cfg["trials"] < 100:
-        raise ConfigError("attack needs at least 100 trials")
     _make_variant(cfg)
     _make_settings(cfg)
     return cfg
+
+
+def _parse(key: str, raw: str, where: str):
+    try:
+        return _PARSER_OF[key](raw)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _format_value(value) -> str:
@@ -254,9 +245,6 @@ def _topology(cfg: dict):
 
 def _make_variant(cfg: dict) -> ProtocolVariant:
     kind = cfg["variant"]
-    if kind not in VARIANT_KINDS:
-        raise ConfigError(
-            f"unknown variant {kind!r}, expected one of {VARIANT_KINDS}")
     return _from_input(
         ProtocolVariant,
         kind=kind,

@@ -7,7 +7,6 @@ steady-state interval of synchronized cover traffic.
 
 from __future__ import annotations
 
-import logging
 import math
 import random
 from collections import Counter
@@ -16,10 +15,9 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Union
 
-from .routing import ExtendedRoute, Route, extrapolate, hop_distances, shortest_path
+from .routing import (ExtendedRoute, Route, _bfs, disjoint_paths, extrapolate,
+                      shortest_path)
 from .topology import Topology
-
-logger = logging.getLogger(__name__)
 
 VARIANT_KINDS = ("no_privacy", "extrout_baseline", "extrout_duplicates",
                  "extrout_fake", "nfake_pairs")
@@ -45,7 +43,8 @@ class ProtocolVariant:
 
     def __post_init__(self):
         if self.kind not in VARIANT_KINDS:
-            raise ValueError(f"unknown variant kind {self.kind!r}")
+            raise ValueError(f"unknown variant {self.kind!r}, "
+                             f"expected one of {VARIANT_KINDS}")
         if self.kind in PARAMETERISED_KINDS and self.count < 1:
             raise ValueError(f"{self.kind} needs count >= 1, got {self.count}")
         if self.kind not in PARAMETERISED_KINDS and self.count != 0:
@@ -148,7 +147,6 @@ def build_scenario(topo: Topology, source: int, dest: int,
     plan.main = extrapolate(topo, real, src_ext, dst_ext, rng, strict=settings.strict)
 
     if variant.kind == "extrout_duplicates":
-        from .routing import disjoint_paths
         dups = disjoint_paths(topo, plan.main.anchor_source, plan.main.anchor_dest,
                               variant.count, excluded=plan.main.route)
         plan.duplicates = tuple(dups)
@@ -223,6 +221,8 @@ def _pair_tiers(topo: Topology, real: Route, slack: int
 
     The ranking depends on neither the RNG nor `avoid`, so it is computed
     once per slack and kept on the topology for the latest real route only.
+    Its BFS from every free node bypasses topo.hop_tables, which would
+    otherwise end up holding a table per node.
     """
     memo = topo.fake_pair_tiers
     if memo is None or memo[0] != real.nodes:
@@ -235,7 +235,7 @@ def _pair_tiers(topo: Topology, real: Route, slack: int
         free = [n for n in topo.nodes if n not in on_route]
         scored = []
         for k, u in enumerate(free):
-            du = hop_distances(topo, u)
+            du = _bfs(topo, u)
             ux, uy = topo.positions[u]
             for v in free[k + 1:]:
                 d = du.get(v)

@@ -95,19 +95,15 @@ class ExtendedRoute:
 def hop_distances(topo: Topology, src: int) -> Mapping[int, int]:
     """BFS hop counts from src to every reachable node.
 
-    A source's table is kept in topo.hop_tables from its second request
-    on, so sources asked for once hold no memory. The view is read-only
-    because later callers share it.
+    Every table is kept in topo.hop_tables; the view is read-only because
+    later callers share it. Scans that take every node as a source (the
+    landmarks, the decoy-pair ranking) call _bfs and keep nothing here.
     """
     table = topo.hop_tables.get(src)
-    if table is not None:
-        return table
-    if src not in topo.positions:
-        raise ValueError(f"node {src} not in topology")
-    table = _bfs(topo, src)
-    if src in topo.hop_sources_seen:
-        topo.hop_tables[src] = table
-    topo.hop_sources_seen.add(src)
+    if table is None:
+        if src not in topo.positions:
+            raise ValueError(f"node {src} not in topology")
+        table = topo.hop_tables[src] = _bfs(topo, src)
     return table
 
 
@@ -298,7 +294,7 @@ def disjoint_paths(topo: Topology, anchor_source: int, anchor_dest: int,
             break
         found += 1
     if found < count:
-        logger.warning("only %d of %d requested disjoint paths exist", found, count)
+        logger.info("only %d of %d requested disjoint paths exist", found, count)
 
     # Decompose the integral flow into node sequences.
     out_of = {n: index[n] + 1 for n in allowed}

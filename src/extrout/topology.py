@@ -69,12 +69,12 @@ class TopologyParams:
 class Topology:
     """A placed node set plus its sampled link set; immutable after build.
 
-    hop_tables (source -> read-only hop counts, with hop_sources_seen),
-    landmarks (the hop tables routing.at_hop_distance bounds pairs with)
-    and fake_pair_tiers (the latest real route's decoy-pair ranking)
-    memoize RNG-independent work; routing and protocols.place_fake_pair
-    fill them lazily. They take no part in equality, so a warmed topology
-    equals a fresh one.
+    hop_tables (source -> read-only hop counts of every source
+    routing.hop_distances was asked for), landmarks (the hop tables
+    routing.at_hop_distance bounds pairs with) and fake_pair_tiers (the
+    latest real route's decoy-pair ranking) memoize RNG-independent work;
+    routing and protocols.place_fake_pair fill them lazily. They take no
+    part in equality, so a warmed topology equals a fresh one.
     """
 
     params: TopologyParams
@@ -84,7 +84,6 @@ class Topology:
     nodes: tuple[int, ...] = field(init=False, repr=False, compare=False)
     sorted_links: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
     hop_tables: dict[int, Mapping[int, int]] = field(init=False, repr=False, compare=False)
-    hop_sources_seen: set[int] = field(init=False, repr=False, compare=False)
     landmarks: tuple[Mapping[int, int], ...] | None = field(init=False, repr=False, compare=False)
     fake_pair_tiers: tuple | None = field(init=False, repr=False, compare=False)
 
@@ -105,7 +104,6 @@ class Topology:
         self.nodes = tuple(sorted(self.positions))
         self.sorted_links = tuple(sorted(self.links))
         self.hop_tables = {}
-        self.hop_sources_seen = set()
         self.landmarks = None
         self.fake_pair_tiers = None
 

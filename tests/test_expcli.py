@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from extrout.expcli import SCHEMA, ConfigError, _sample_pair, main, resolve_config
+from extrout.expcli import (SCHEMA, ConfigError, _format_value, _sample_pair,
+                            main, resolve_config)
 from extrout.metrics import ReconciliationRecord
 from extrout.protocols import ProtocolVariant, ScenarioSettings, build_scenario
 from extrout.rng import substream
@@ -101,6 +102,15 @@ def test_resolve_config_missing_file():
         resolve_config("/nonexistent/exp.ini", {})
 
 
+@pytest.mark.parametrize("key, parse, default",
+                         [pytest.param(key, parse, default, id=key)
+                          for _, key, parse, default in SCHEMA])
+def test_provenance_values_parse_back_to_the_defaults(key, parse, default):
+    # provenance prints each value with _format_value; reading it back
+    # must give the same value, or a run cannot be reproduced from it
+    assert parse(_format_value(default)) == default
+
+
 # ------------------------------------------------------------- exit codes
 
 def test_main_exit_1_on_config_error(tmp_path, capsys):
@@ -118,15 +128,19 @@ def test_main_exit_1_on_config_error(tmp_path, capsys):
      "extrout_duplicates needs count >= 1"),
     (["--threshold", "1"], "unrecognized arguments: --threshold 1"),
     (["--cover", "off"], "unrecognized arguments: --cover off"),
-    (["--source", "-5", "--dest", "-3"], "source and dest must be >= 0"),
+    (["--source", "-5", "--dest", "-3"],
+     "bad value for --source: must be >= 0, got -5"),
     (["--source-ext", "-7", "--dest-ext", "-3"],
-     "source_ext must be >= -1 (-1 draws it from [ext_low, ext_high]), "
-     "got -7"),
-    (["--pairs-per-target", "-2"], "pairs_per_target must be >= 1"),
-    (["--attack-trials", "-1"], "attack_trials must be >= 0"),
-    (["--hop-targets", "0,-2"], "hop_targets must all be >= 1, got 0,-2"),
-    (["--target-hops", "0"], "target_hops must be >= 1, got 0"),
-    (["--frontier-hops", "-1"], "frontier_hops must be >= 1, got -1"),
+     "bad value for --source-ext: must be >= -1, got -7"),
+    (["--pairs-per-target", "-2"],
+     "bad value for --pairs-per-target: must be >= 1, got -2"),
+    (["--attack-trials", "-1"],
+     "bad value for --attack-trials: must be >= 0, got -1"),
+    (["--hop-targets", "0,-2"],
+     "bad value for --hop-targets: must all be >= 1, got 0,-2"),
+    (["--target-hops", "0"], "bad value for --target-hops: must be >= 1, got 0"),
+    (["--frontier-hops", "-1"],
+     "bad value for --frontier-hops: must be >= 1, got -1"),
     (["--source-rate", "2"], "unrecognized arguments: --source-rate 2"),
     (["--budget", "0"], "packet_budget must be at least 1"),
 ], ids=["ext-interval", "qudg-factor", "count", "threshold", "cover",
@@ -153,6 +167,53 @@ def test_main_exit_1_on_removed_ini_key(tmp_path, capsys, text, message):
     assert f"config error: {ini}: {message}" in capsys.readouterr().err
 
 
+# One bad value per key whose parser bounds it; SCHEMA order.
+_BOUNDED_CASES = [
+    ("scenario", "source", "-1", "must be >= 0, got -1"),
+    ("scenario", "dest", "-1", "must be >= 0, got -1"),
+    ("scenario", "target_hops", "0", "must be >= 1, got 0"),
+    ("scenario", "source_ext", "-2", "must be >= -1, got -2"),
+    ("scenario", "dest_ext", "-2", "must be >= -1, got -2"),
+    ("run", "reps", "0", "must be >= 1, got 0"),
+    ("run", "attack_trials", "-1", "must be >= 0, got -1"),
+    ("run", "reference", "nope", "got 'nope'"),
+    ("sweep", "hop_targets", " , ", "must be nonempty"),
+    ("sweep", "pairs_per_target", "0", "must be >= 1, got 0"),
+    ("sweep", "frontier_hops", "0", "must be >= 1, got 0"),
+    ("sweep", "duplicate_counts", "2,0", "must all be >= 1, got 2,0"),
+    ("sweep", "fake_counts", "-1", "must all be >= 1, got -1"),
+    ("sweep", "nfake_counts", "0", "must all be >= 1, got 0"),
+    ("attack", "trials", "99", "must be >= 100, got 99"),
+]
+
+
+@pytest.mark.parametrize("source", ["ini", "flag"])
+@pytest.mark.parametrize("section, key, value, message",
+                         [pytest.param(*case, id=case[1])
+                          for case in _BOUNDED_CASES])
+def test_bounded_key_exits_1_naming_where_the_value_came_from(
+        tmp_path, monkeypatch, capsys, source, section, key, value, message):
+    import extrout.expcli as expcli
+
+    def refuse(params):
+        raise AssertionError("topology generated before input checks")
+
+    monkeypatch.setattr(expcli, "generate", refuse)
+    flag = f"--{key.replace('_', '-')}"
+    if source == "ini":
+        ini = tmp_path / "exp.ini"
+        ini.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
+        args, where = ["--config", str(ini)], f"{ini}: bad value for {key}"
+    else:
+        args, where = [flag, value], f"bad value for {flag}"
+    out = tmp_path / "out"
+    assert main(["attack", *args, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: {where}: " in err
+    assert message in err
+    assert not out.exists()
+
+
 def test_unknown_reference_fails_before_any_scenario(tmp_path, monkeypatch,
                                                       capsys):
     import extrout.expcli as expcli
@@ -171,7 +232,9 @@ def test_unknown_reference_fails_before_any_scenario(tmp_path, monkeypatch,
     calls.clear()
     out = tmp_path / "out"
     assert main([*args, "--reference", "nope", "--out", str(out)]) == 1
-    assert "config error: unknown reference 'nope'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error: bad value for --reference: must be empty or one of" in err
+    assert "got 'nope'" in err
     assert calls == []
     assert not out.exists()
 
@@ -200,10 +263,12 @@ def test_bad_scenario_input_fails_before_any_topology_work(
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--duplicate-counts", "1,0"], "duplicate_counts must all be >= 1, got 1,0"),
-    (["--fake-counts", "0"], "fake_counts must all be >= 1, got 0"),
-    (["--nfake-counts", "1,-3"], "nfake_counts must all be >= 1, got 1,-3"),
-    (["--hop-targets", ""], "hop_targets must be nonempty"),
+    (["--duplicate-counts", "1,0"],
+     "bad value for --duplicate-counts: must all be >= 1, got 1,0"),
+    (["--fake-counts", "0"], "bad value for --fake-counts: must all be >= 1, got 0"),
+    (["--nfake-counts", "1,-3"],
+     "bad value for --nfake-counts: must all be >= 1, got 1,-3"),
+    (["--hop-targets", ""], "bad value for --hop-targets: must be nonempty"),
     # a 6x6 grid has no pair 9 hops apart; the hop rows must not run first
     (["--frontier-hops", "9"], "no node pair at 9 hops"),
 ], ids=["duplicate-counts", "fake-counts", "nfake-counts", "hop-targets",
@@ -297,7 +362,7 @@ def test_pair_sampling_draws_the_bfs_pair_without_whole_topology_searches():
     # each drawn source would expand every node
     assert draws > 100
     assert calls - 4 * topo.node_count < draws * topo.node_count / 20
-    assert topo.hop_sources_seen == set()
+    assert topo.hop_tables == {}
 
 
 def test_topology_command_writes_loadable_file(tmp_path, capsys):
@@ -438,6 +503,24 @@ def _small_sweep(out) -> list[str]:
             "--duplicate-counts", "1", "--fake-counts", "1",
             "--nfake-counts", "1", "--reps", "2", "--budget", "20",
             "--out", str(out)]
+
+
+def test_duplicate_shortfalls_print_no_line_per_plan(tmp_path):
+    # a line has no second path, so every plan falls short; the plans
+    # record it, and a fresh interpreter must not log it on stderr
+    plan = build_scenario(line_topology(20), 5, 13,
+                          ProtocolVariant("extrout_duplicates", 2),
+                          rng=substream(1, "rep-0"))
+    assert plan.duplicate_shortfall == 2
+    out = tmp_path / "out"
+    result = subprocess.run(
+        [sys.executable, "-m", "extrout", "run",
+         "--topology-file", _line_file(tmp_path), "--source", "5",
+         "--dest", "13", "--variant", "extrout_duplicates", "--count", "2",
+         "--reps", "4", "--budget", "10", "--out", str(out)],
+        capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
 
 
 def test_run_is_byte_reproducible(tmp_path):

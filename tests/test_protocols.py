@@ -234,9 +234,11 @@ def test_later_fake_plans_reuse_the_hop_tables():
         per_plan.append(calls)
     # the first plan ranks every decoy pair, which takes a BFS from nearly
     # every node; a later plan never ranks again and runs at most the odd
-    # BFS for a source asked for the second time
+    # BFS for a route endpoint asked for the first time
     assert per_plan[0] > 100 * topo.node_count
     assert max(per_plan[1:]) < 3 * topo.node_count
+    # the ranking's BFS from every free node keeps no hop table
+    assert len(topo.hop_tables) < 10
 
 
 def test_a_new_real_route_replaces_the_pair_ranking():
