@@ -253,99 +253,93 @@ def disjoint_paths(topo: Topology, anchor_source: int, anchor_dest: int,
     """Up to `count` anchor-to-anchor paths, pairwise internally
     vertex-disjoint and avoiding the interior of `excluded`.
 
-    Runs successive shortest-path augmentation on a node-split unit-capacity
-    flow network, so the returned set has maximum cardinality (up to count)
-    and, for that cardinality, minimum total hop count. Returns fewer than
-    `count` paths when the topology cannot supply them.
+    Runs successive shortest-path augmentation (Suurballe & Tarjan) on a
+    node-split unit-capacity flow network, so the returned set has maximum
+    cardinality (up to count) and, for that cardinality, minimum total hop
+    count. Returns fewer than `count` paths when the topology cannot supply
+    them. No network is built: each residual arc is read off topo.adjacency
+    and the flow so far, in the order an arc list built from the sorted
+    links would hold it, and that order picks among equally short path
+    sets.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     if anchor_source == anchor_dest:
         raise ValueError("anchors must differ")
-    banned = set(excluded.nodes[1:-1]) - {anchor_source, anchor_dest}
-    allowed = [n for n in topo.nodes if n not in banned]
     if anchor_source not in topo.positions or anchor_dest not in topo.positions:
         raise ValueError("anchors must be topology nodes")
+    nodes, adjacency = topo.nodes, topo.adjacency
+    banned = set(excluded.nodes[1:-1]) - {anchor_source, anchor_dest}
+    # Side 2k is the in-node and side 2k + 1 the out-node of nodes[k]; ids
+    # can be any ints, so lists are indexed by position. Flow on the link arc
+    # k_out -> w_in (cost 1) puts w in succ[k]; flow on an interior node's
+    # unit split arc k_in -> k_out (cost 0) sets through[k]. Anchors have no
+    # split arc (through is None) and banned nodes no arcs at all.
+    at = {n: k for k, n in enumerate(nodes)}
+    succ: list[set[int]] = [set() for _ in nodes]
+    through: list[bool | None] = [False] * len(nodes)
+    through[at[anchor_source]] = through[at[anchor_dest]] = None
+    start, goal = 2 * at[anchor_source] + 1, 2 * at[anchor_dest]
 
-    # Node-split flow network: v_in = 2k, v_out = 2k + 1. Interior nodes get
-    # unit capacity across the split arc; anchors carry flow only out of the
-    # source's out-node and into the dest's in-node.
-    index = {n: 2 * k for k, n in enumerate(allowed)}
-    graph: list[list[list[int]]] = [[] for _ in range(2 * len(allowed))]
+    def relax(to: int, dt: int, u: int) -> None:
+        if dt < dist[to]:
+            dist[to] = dt
+            prev[to] = u
+            if not queued[to]:
+                queued[to] = True
+                queue.append(to)
 
-    def add_arc(u: int, v: int, cap: int, cost: int) -> None:
-        graph[u].append([v, cap, cost, len(graph[v])])
-        graph[v].append([u, 0, -cost, len(graph[u]) - 1])
-
-    for n in allowed:
-        if n not in (anchor_source, anchor_dest):
-            add_arc(index[n], index[n] + 1, 1, 0)
-    for i, j in topo.sorted_links:
-        if i in banned or j in banned:
-            continue
-        add_arc(index[i] + 1, index[j], 1, 1)
-        add_arc(index[j] + 1, index[i], 1, 1)
-
-    start = index[anchor_source] + 1
-    goal = index[anchor_dest]
     found = 0
-    for _ in range(count):
-        if not _augment_cheapest(graph, start, goal):
+    while found < count:
+        # SPFA, since the residual arcs of used links cost -1.
+        dist = [float("inf")] * (2 * len(nodes))
+        prev = [-1] * (2 * len(nodes))
+        queued = [False] * (2 * len(nodes))
+        dist[start] = 0
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            queued[u] = False
+            k = u >> 1
+            node = nodes[k]
+            if u & 1:
+                if through[k]:
+                    relax(u - 1, dist[u], u)
+                for w in adjacency[node]:
+                    if w not in succ[k] and w not in banned:
+                        relax(2 * at[w], dist[u] + 1, u)
+            elif through[k] is False:  # so no flow enters node either
+                relax(u + 1, dist[u], u)
+            else:
+                for w in adjacency[node]:
+                    if node in succ[at[w]]:
+                        relax(2 * at[w] + 1, dist[u] - 1, u)
+        if prev[goal] < 0:
             break
+        to = goal
+        while to != start:
+            u = prev[to]
+            if u >> 1 == to >> 1:  # the split arc, forward or back
+                through[u >> 1] = u < to
+            elif u & 1:
+                succ[u >> 1].add(nodes[to >> 1])
+            else:
+                succ[to >> 1].remove(nodes[u >> 1])
+            to = u
         found += 1
     if found < count:
         logger.info("only %d of %d requested disjoint paths exist", found, count)
 
-    # Decompose the integral flow into node sequences.
-    out_of = {n: index[n] + 1 for n in allowed}
-    node_of_in = {index[n]: n for n in allowed}
+    # Decompose the flow: from the source anchor, take each node's smallest
+    # used link out and consume it.
     paths = []
     for _ in range(found):
-        nodes = [anchor_source]
-        at = start
-        while at != goal:
-            for arc in graph[at]:
-                to, cap, cost, _rev = arc
-                if cost == 1 and cap == 0:
-                    arc[1] = 1  # consume this flow unit
-                    rev = graph[to][arc[3]]
-                    rev[1] = 0
-                    break
-            else:
+        path = [anchor_source]
+        while path[-1] != anchor_dest:
+            out = succ[at[path[-1]]]
+            if not out:
                 raise RuntimeError("flow decomposition lost a path")
-            nodes.append(node_of_in[to])
-            at = goal if to == goal else out_of[node_of_in[to]]
-        paths.append(Route(tuple(nodes)))
+            path.append(min(out))
+            out.remove(path[-1])
+        paths.append(Route(tuple(path)))
     return paths
-
-
-def _augment_cheapest(graph, start: int, goal: int) -> bool:
-    """Push one unit of flow along a cheapest residual path (SPFA, since
-    residual arcs of used edges carry negative cost)."""
-    n = len(graph)
-    inf = float("inf")
-    dist = [inf] * n
-    in_queue = [False] * n
-    prev: list[tuple[int, int] | None] = [None] * n
-    dist[start] = 0
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        in_queue[u] = False
-        for k, (to, cap, cost, _rev) in enumerate(graph[u]):
-            if cap > 0 and dist[u] + cost < dist[to]:
-                dist[to] = dist[u] + cost
-                prev[to] = (u, k)
-                if not in_queue[to]:
-                    in_queue[to] = True
-                    queue.append(to)
-    if dist[goal] == inf:
-        return False
-    at = goal
-    while at != start:
-        u, k = prev[at]
-        graph[u][k][1] -= 1
-        rev = graph[u][k][3]
-        graph[at][rev][1] += 1
-        at = u
-    return True

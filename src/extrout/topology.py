@@ -69,12 +69,15 @@ class TopologyParams:
 class Topology:
     """A placed node set plus its sampled link set; immutable after build.
 
-    hop_tables (source -> read-only hop counts of every source
-    routing.hop_distances was asked for), landmarks (the hop tables
-    routing.at_hop_distance bounds pairs with) and fake_pair_tiers (the
-    latest real route's decoy-pair ranking) memoize RNG-independent work;
-    routing and protocols.place_fake_pair fill them lazily. They take no
-    part in equality, so a warmed topology equals a fresh one.
+    nodes (the ids ascending) and adjacency (each node's neighbours
+    ascending) are derived once; routing reads its searches, the residual
+    graph of disjoint_paths included, off them in that order. hop_tables
+    (source -> read-only hop counts of every source routing.hop_distances
+    was asked for), landmarks (the hop tables routing.at_hop_distance
+    bounds pairs with) and fake_pair_tiers (the latest real route's
+    decoy-pair ranking) memoize RNG-independent work; routing and
+    protocols.place_fake_pair fill them lazily. They take no part in
+    equality, so a warmed topology equals a fresh one.
     """
 
     params: TopologyParams
@@ -82,7 +85,6 @@ class Topology:
     links: frozenset[tuple[int, int]]
     adjacency: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
     nodes: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    sorted_links: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
     hop_tables: dict[int, Mapping[int, int]] = field(init=False, repr=False, compare=False)
     landmarks: tuple[Mapping[int, int], ...] | None = field(init=False, repr=False, compare=False)
     fake_pair_tiers: tuple | None = field(init=False, repr=False, compare=False)
@@ -102,7 +104,6 @@ class Topology:
             nbrs[j].append(i)
         self.adjacency = {n: tuple(sorted(v)) for n, v in nbrs.items()}
         self.nodes = tuple(sorted(self.positions))
-        self.sorted_links = tuple(sorted(self.links))
         self.hop_tables = {}
         self.landmarks = None
         self.fake_pair_tiers = None
@@ -226,7 +227,7 @@ def topology_to_text(topo: Topology) -> str:
     for n in topo.nodes:
         pos = topo.positions[n]
         lines.append(f"{n} {pos.x!r} {pos.y!r}")
-    for i, j in topo.sorted_links:
+    for i, j in sorted(topo.links):
         lines.append(f"{i} {j}")
     return "\n".join(lines) + "\n"
 

@@ -2,9 +2,10 @@
 
 These deliberately avoid sharing code or approach with the package: hop
 counts come from a frontier-list BFS, disjoint path counts from an
-Edmonds-Karp max flow on a dictionary-based residual graph and Q-UDG links
-from a scan of every node pair.  Route and
-output checks that only tests need live here too.
+Edmonds-Karp max flow on a dictionary-based residual graph, least
+disjoint-path hop totals from enumerating every simple path and Q-UDG
+links from a scan of every node pair.  Route and output checks that only
+tests need live here too.
 """
 
 import math
@@ -96,6 +97,55 @@ def max_node_disjoint_paths(adjacency: dict, source, sink,
             capacity[(node, prev)] += 1
             node = prev
         flow += 1
+
+
+def min_disjoint_hops(adjacency: dict, source, sink, banned=()) -> list[int]:
+    """Least total hops of c internally node-disjoint source-sink paths,
+    indexed by c from 0 up to the largest c that exists.
+
+    Brute force for graphs of at most 9 nodes: enumerate every simple path
+    avoiding `banned`, keep the fewest hops per interior node set, then
+    split the interior nodes among paths in every way (memoized over the
+    nodes still free). The direct link, which has no interior, can be
+    taken once on top of any set.
+    """
+    if len(adjacency) > 9:
+        raise ValueError("brute force is for graphs of at most 9 nodes")
+    banned = set(banned) - {source, sink}
+    bit = {n: 1 << k for k, n in enumerate(
+        n for n in adjacency if n not in banned and n not in (source, sink))}
+    fewest: dict[int, int] = {}  # interior bit set -> fewest hops
+
+    def walk(node, interior: int, hops: int) -> None:
+        for neighbor in adjacency[node]:
+            if neighbor == sink:
+                fewest[interior] = min(fewest.get(interior, hops + 1), hops + 1)
+            elif neighbor in bit and not interior & bit[neighbor]:
+                walk(neighbor, interior | bit[neighbor], hops + 1)
+
+    walk(source, 0, 0)
+    memo: dict[int, list[int]] = {}
+
+    def best(free: int) -> list[int]:
+        if free not in memo:
+            lowest = free & -free
+            result = list(best(free & ~lowest)) if free else [0]
+            for interior, hops in fewest.items():
+                if interior & lowest and interior & free == interior:
+                    for c, total in enumerate(best(free & ~interior), start=1):
+                        if c == len(result):
+                            result.append(total + hops)
+                        else:
+                            result[c] = min(result[c], total + hops)
+            memo[free] = result
+        return memo[free]
+
+    totals = best(sum(bit.values()))
+    if 0 in fewest:  # the direct link
+        with_link = [total + 1 for total in totals]
+        totals = ([0] + [min(pair) for pair in zip(totals[1:], with_link)]
+                  + with_link[-1:])
+    return totals
 
 
 def qudg_links(positions: dict, params, rng) -> set:

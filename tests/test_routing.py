@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import random
 
@@ -18,10 +19,11 @@ from extrout.routing import (
     hop_distances,
     shortest_path,
 )
-from extrout.topology import Position, Topology, TopologyParams
+from extrout.topology import Position, Topology, TopologyParams, generate
 
 from ladders import line_topology, parallel_paths, random_topology
-from oracles import bfs_levels, max_node_disjoint_paths, route_is_valid
+from oracles import (bfs_levels, max_node_disjoint_paths, min_disjoint_hops,
+                     route_is_valid)
 
 
 def _adjacency(topo: Topology) -> dict[int, tuple[int, ...]]:
@@ -294,9 +296,109 @@ def test_disjoint_paths_flow_oracle_with_banned_interior():
     assert exercised >= 20
 
 
+def _brute_force_cases():
+    # Here augmenting along the paths with fewest arcs, which still yields
+    # the most paths, totals 7 hops for two paths from 3 to 4, not 6.
+    links = ((1, 3), (1, 5), (1, 7), (2, 6), (2, 7), (3, 6), (4, 5), (4, 7), (5, 6))
+    trap = Topology(TopologyParams(1, 7), {n: Position(float(n), 0.0) for n in range(1, 8)},
+                    frozenset(links))
+    yield trap, 3, 4, Route((3, 4))
+    rng = random.Random(17)
+    for seed in range(120):
+        topo = random_topology(9, (0.25, 0.35, 0.6)[seed % 3], seed)
+        a, b = rng.sample(topo.nodes, 2)
+        excluded = Route((a, b))
+        if seed % 2:
+            try:
+                excluded = shortest_path(topo, a, b)
+            except UnreachableError:
+                pass
+        yield topo, a, b, excluded
+
+
+def test_disjoint_paths_min_total_hops_matches_brute_force():
+    checked = 0
+    for topo, a, b, excluded in _brute_force_cases():
+        totals = min_disjoint_hops(_adjacency(topo), a, b, excluded.nodes[1:-1])
+        for count in (1, 2, 3, 5):
+            paths = disjoint_paths(topo, a, b, count, excluded)
+            assert len(paths) == min(count, len(totals) - 1)
+            assert sum(p.hops for p in paths) == totals[len(paths)]
+            checked += len(paths) >= 2
+    assert checked >= 100
+
+
+def test_disjoint_paths_ignores_how_nodes_are_numbered():
+    # Ids read from a topology file can be any ints, negative included;
+    # relabelling every node (in the same order) relabels every path.
+    topo = generate(TopologyParams(8, 8, perturbation=0.25, tx_range=180.0,
+                                   qudg_factor=0.5, seed=4))
+    relabel = {n: 7 * n - 100 for n in topo.nodes}
+    moved = Topology(topo.params, {relabel[n]: pos for n, pos in topo.positions.items()},
+                     frozenset((relabel[i], relabel[j]) for i, j in topo.links))
+    rng = random.Random(8)
+    found = 0
+    for _ in range(20):
+        a, b = rng.sample(topo.nodes, 2)
+        excluded = shortest_path(topo, a, b)
+        paths = disjoint_paths(topo, a, b, 3, excluded)
+        moved_paths = disjoint_paths(moved, relabel[a], relabel[b], 3,
+                                     Route(tuple(relabel[n] for n in excluded.nodes)))
+        assert moved_paths == [Route(tuple(relabel[n] for n in p.nodes)) for p in paths]
+        found += len(paths)
+    assert found >= 30
+
+
 def test_disjoint_paths_validation():
     topo = line_topology(4)
     with pytest.raises(ValueError):
         disjoint_paths(topo, 1, 1, 2, Route((1, 4)))
     with pytest.raises(ValueError):
         disjoint_paths(topo, 1, 4, 0, Route((1, 4)))
+    for outside in (9, -3):
+        with pytest.raises(ValueError, match="anchors must be topology nodes"):
+            disjoint_paths(topo, 1, outside, 2, Route((1, outside)))
+
+
+# Link profiles: the README dense one, the default sparse one and a
+# heavily jittered one with a wide probabilistic band.
+_PROFILES = ({"perturbation": 0.0, "tx_range": 150.0, "qudg_factor": 0.95},
+             {},
+             {"perturbation": 1.0, "qudg_factor": 0.1})
+
+
+def _disjoint_cases():
+    """Seeded disjoint_paths calls on 6x6 to 12x12 grids: anchors come from
+    extrapolated shortest paths, excluding that path as a plan does or
+    nothing."""
+    for side in range(6, 13):
+        for k, profile in enumerate(_PROFILES):
+            topo = generate(TopologyParams(side, side, seed=10 * side + k, **profile))
+            rng = random.Random(side * 31 + k)
+            for _ in range(8):
+                a = rng.choice(topo.nodes)
+                reachable = sorted(hop_distances(topo, a).keys() - {a})
+                if not reachable:
+                    continue
+                real = shortest_path(topo, a, rng.choice(reachable))
+                main = extrapolate(topo, real, rng.randint(0, 3), rng.randint(0, 3),
+                                   rng, strict=rng.random() < 0.5)
+                a, b = main.anchor_source, main.anchor_dest
+                for excluded in (main.route, Route((a, b))):
+                    for count in range(1, 6):
+                        yield topo, a, b, count, excluded
+
+
+def test_disjoint_paths_tie_order_is_pinned():
+    # Which of several equally short path sets comes back is an output:
+    # plans, traces and attack files all follow it. The hash was recorded
+    # from the arc-list implementation the implicit search replaced.
+    digest = hashlib.sha256()
+    calls = 0
+    for topo, a, b, count, excluded in _disjoint_cases():
+        paths = disjoint_paths(topo, a, b, count, excluded)
+        digest.update(repr([p.nodes for p in paths]).encode() + b"\n")
+        calls += 1
+    assert calls == 1490
+    assert digest.hexdigest() == (
+        "d80336b14e58f04b65a9e580f8b9a04dd20780483792c15cd12471ec569ace00")
