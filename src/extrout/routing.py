@@ -251,16 +251,17 @@ def extrapolate(topo: Topology, route: Route, source_ext: int, dest_ext: int,
 def disjoint_paths(topo: Topology, anchor_source: int, anchor_dest: int,
                    count: int, excluded: Route) -> list[Route]:
     """Up to `count` anchor-to-anchor paths, pairwise internally
-    vertex-disjoint and avoiding the interior of `excluded`.
+    vertex-disjoint and avoiding the interior of `excluded` (ids outside
+    the topology ban nothing).
 
     Runs successive shortest-path augmentation (Suurballe & Tarjan) on a
     node-split unit-capacity flow network, so the returned set has maximum
     cardinality (up to count) and, for that cardinality, minimum total hop
     count. Returns fewer than `count` paths when the topology cannot supply
-    them. No network is built: each residual arc is read off topo.adjacency
-    and the flow so far, in the order an arc list built from the sorted
-    links would hold it, and that order picks among equally short path
-    sets.
+    them. No network is built: each residual arc is read off the flow so
+    far and topo.side_index, the neighbours as side ids, filled on the
+    first call, in the order an arc list built from the sorted links would
+    hold it, and that order picks among equally short path sets.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -268,18 +269,27 @@ def disjoint_paths(topo: Topology, anchor_source: int, anchor_dest: int,
         raise ValueError("anchors must differ")
     if anchor_source not in topo.positions or anchor_dest not in topo.positions:
         raise ValueError("anchors must be topology nodes")
-    nodes, adjacency = topo.nodes, topo.adjacency
-    banned = set(excluded.nodes[1:-1]) - {anchor_source, anchor_dest}
+    nodes = topo.nodes
+    if topo.side_index is None:
+        at = {n: k for k, n in enumerate(nodes)}
+        topo.side_index = at, tuple(tuple(2 * at[w] for w in topo.adjacency[n]) for n in nodes)
+    at, sides = topo.side_index
     # Side 2k is the in-node and side 2k + 1 the out-node of nodes[k]; ids
     # can be any ints, so lists are indexed by position. Flow on the link arc
-    # k_out -> w_in (cost 1) puts w in succ[k]; flow on an interior node's
+    # k_out -> w_in (cost 1) puts w_in in succ[k]; flow on an interior node's
     # unit split arc k_in -> k_out (cost 0) sets through[k]. Anchors have no
-    # split arc (through is None) and banned nodes no arcs at all.
-    at = {n: k for k, n in enumerate(nodes)}
+    # split arc (through is None) and blocked nodes, marked on the in-side
+    # every arc into them enters, no arcs at all.
+    size = 2 * len(nodes)
     succ: list[set[int]] = [set() for _ in nodes]
     through: list[bool | None] = [False] * len(nodes)
-    through[at[anchor_source]] = through[at[anchor_dest]] = None
+    blocked = [False] * size
+    for n in excluded.nodes[1:-1]:
+        if n in at:
+            blocked[2 * at[n]] = True
     start, goal = 2 * at[anchor_source] + 1, 2 * at[anchor_dest]
+    through[start >> 1] = through[goal >> 1] = None
+    blocked[start - 1] = blocked[goal] = False
 
     def relax(to: int, dt: int, u: int) -> None:
         if dt < dist[to]:
@@ -292,28 +302,33 @@ def disjoint_paths(topo: Topology, anchor_source: int, anchor_dest: int,
     found = 0
     while found < count:
         # SPFA, since the residual arcs of used links cost -1.
-        dist = [float("inf")] * (2 * len(nodes))
-        prev = [-1] * (2 * len(nodes))
-        queued = [False] * (2 * len(nodes))
+        dist = [float("inf")] * size
+        prev = [-1] * size
+        queued = [False] * size
         dist[start] = 0
         queue = deque([start])
         while queue:
             u = queue.popleft()
             queued[u] = False
             k = u >> 1
-            node = nodes[k]
             if u & 1:
                 if through[k]:
                     relax(u - 1, dist[u], u)
-                for w in adjacency[node]:
-                    if w not in succ[k] and w not in banned:
-                        relax(2 * at[w], dist[u] + 1, u)
+                # relax inlined: nearly every arc tried is one of these
+                dt, used = dist[u] + 1, succ[k]
+                for to in sides[k]:
+                    if dt < dist[to] and not blocked[to] and to not in used:
+                        dist[to] = dt
+                        prev[to] = u
+                        if not queued[to]:
+                            queued[to] = True
+                            queue.append(to)
             elif through[k] is False:  # so no flow enters node either
                 relax(u + 1, dist[u], u)
             else:
-                for w in adjacency[node]:
-                    if node in succ[at[w]]:
-                        relax(2 * at[w] + 1, dist[u] - 1, u)
+                for w_in in sides[k]:
+                    if u in succ[w_in >> 1]:
+                        relax(w_in + 1, dist[u] - 1, u)
         if prev[goal] < 0:
             break
         to = goal
@@ -322,24 +337,25 @@ def disjoint_paths(topo: Topology, anchor_source: int, anchor_dest: int,
             if u >> 1 == to >> 1:  # the split arc, forward or back
                 through[u >> 1] = u < to
             elif u & 1:
-                succ[u >> 1].add(nodes[to >> 1])
+                succ[u >> 1].add(to)
             else:
-                succ[to >> 1].remove(nodes[u >> 1])
+                succ[to >> 1].remove(u)
             to = u
         found += 1
     if found < count:
         logger.info("only %d of %d requested disjoint paths exist", found, count)
 
     # Decompose the flow: from the source anchor, take each node's smallest
-    # used link out and consume it.
+    # used link out (side ids ascend with node ids) and consume it.
     paths = []
     for _ in range(found):
-        path = [anchor_source]
-        while path[-1] != anchor_dest:
-            out = succ[at[path[-1]]]
+        path, side = [anchor_source], start
+        while side != goal:
+            out = succ[side >> 1]
             if not out:
                 raise RuntimeError("flow decomposition lost a path")
-            path.append(min(out))
-            out.remove(path[-1])
+            side = min(out)
+            out.remove(side)
+            path.append(nodes[side >> 1])
         paths.append(Route(tuple(path)))
     return paths

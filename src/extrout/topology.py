@@ -70,11 +70,13 @@ class Topology:
     """A placed node set plus its sampled link set; immutable after build.
 
     nodes (the ids ascending) and adjacency (each node's neighbours
-    ascending) are derived once; routing reads its searches, the residual
-    graph of disjoint_paths included, off them in that order. hop_tables
-    (source -> read-only hop counts of every source routing.hop_distances
-    was asked for), landmarks (the hop tables routing.at_hop_distance
-    bounds pairs with) and fake_pair_tiers (the latest real route's
+    ascending) are derived once; routing reads its searches off them in
+    that order. hop_tables (source -> read-only hop counts of every source
+    routing.hop_distances was asked for), landmarks (the hop tables
+    routing.at_hop_distance bounds pairs with), side_index (each id's
+    position in nodes, and for each position its neighbours' in-side ids,
+    twice their positions, ascending: the residual graph of
+    routing.disjoint_paths) and fake_pair_tiers (the latest real route's
     decoy-pair ranking) memoize RNG-independent work; routing and
     protocols.place_fake_pair fill them lazily. They take no part in
     equality, so a warmed topology equals a fresh one.
@@ -88,6 +90,7 @@ class Topology:
     hop_tables: dict[int, Mapping[int, int]] = field(init=False, repr=False, compare=False)
     landmarks: tuple[Mapping[int, int], ...] | None = field(init=False, repr=False, compare=False)
     fake_pair_tiers: tuple | None = field(init=False, repr=False, compare=False)
+    side_index: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pairs = set()
@@ -107,6 +110,7 @@ class Topology:
         self.hop_tables = {}
         self.landmarks = None
         self.fake_pair_tiers = None
+        self.side_index = None
 
     @property
     def node_count(self) -> int:

@@ -72,11 +72,14 @@ def test_cache_state_never_changes_a_plan(params, plan_seed, starts):
     pair = _far_pair(fresh, 1 + (starts[0] - 1) % fresh.node_count)
     other = _far_pair(warmed, 1 + (starts[1] - 1) % warmed.node_count)
     variants = (ProtocolVariant("extrout_fake", 1), ProtocolVariant("nfake_pairs", 3))
+    if pair[0] != pair[1]:  # an isolated node's anchors coincide
+        variants += (ProtocolVariant("extrout_duplicates", 2),)
     expected = _outcomes(fresh, pair, variants, plan_seed)
     if other[0] != other[1]:
         _outcomes(warmed, other, variants + (ProtocolVariant("extrout_duplicates", 1),),
                   plan_seed + 1)
     assert _outcomes(warmed, pair, variants, plan_seed) == expected
+    assert warmed == generate(params)
 
 
 @settings(max_examples=30, deadline=None)

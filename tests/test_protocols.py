@@ -197,14 +197,15 @@ def _mesh():
                                    tx_range=160.0, qudg_factor=0.75, seed=4))
 
 
-def _fake_plans(topo, seeds=range(5)):
+def _cover_plans(topo, seeds=range(5)):
     return [build_scenario(topo, 14, 131, variant, rng=random.Random(seed))
-            for variant in (ProtocolVariant("extrout_fake", 1), ProtocolVariant("nfake_pairs", 3))
+            for variant in (ProtocolVariant("extrout_fake", 1), ProtocolVariant("nfake_pairs", 3),
+                            ProtocolVariant("extrout_duplicates", 2))
             for seed in seeds]
 
 
 def test_plans_do_not_depend_on_cache_state():
-    fresh = _fake_plans(_mesh())
+    fresh = _cover_plans(_mesh())
     warmed = _mesh()
     warm_variants = (ProtocolVariant("extrout_fake", 2), ProtocolVariant("nfake_pairs", 1),
                      ProtocolVariant("extrout_duplicates", 2), ProtocolVariant("extrout_baseline"))
@@ -212,7 +213,8 @@ def test_plans_do_not_depend_on_cache_state():
         for variant in warm_variants:
             build_scenario(warmed, src, dst, variant, rng=random.Random(seed))
     assert warmed.fake_pair_tiers[0] == shortest_path(warmed, 7, 138).nodes
-    assert _fake_plans(warmed) == fresh
+    assert _cover_plans(warmed) == fresh
+    assert warmed == _mesh()
 
 
 def test_later_fake_plans_reuse_the_hop_tables():

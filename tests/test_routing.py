@@ -248,6 +248,18 @@ def test_disjoint_paths_avoids_excluded_interior():
     assert sorted(p.hops for p in paths) == [5, 6]
 
 
+def test_disjoint_paths_ignore_excluded_ids_outside_the_topology():
+    # excluded only names nodes to avoid: an id the topology lacks bans
+    # nothing and must not crash the search.
+    topo, hub_a, hub_b, rows = parallel_paths([3, 4, 5])
+    stray = Route((hub_a, max(topo.nodes) + 1, -7, rows[1][0], hub_b))
+    assert (disjoint_paths(topo, hub_a, hub_b, 3, stray)
+            == disjoint_paths(topo, hub_a, hub_b, 3, Route((hub_a, rows[1][0], hub_b))))
+    stray = Route((hub_a, 0, 10**9, hub_b))
+    assert (disjoint_paths(topo, hub_a, hub_b, 3, stray)
+            == disjoint_paths(topo, hub_a, hub_b, 3, Route((hub_a, hub_b))))
+
+
 def test_disjoint_paths_shortfall_returns_fewer(caplog):
     topo, hub_a, hub_b, _ = parallel_paths([2, 3])
     with caplog.at_level(logging.INFO, logger="extrout.routing"):
@@ -389,16 +401,48 @@ def _disjoint_cases():
                         yield topo, a, b, count, excluded
 
 
+def _grid20_cases():
+    """Seeded disjoint_paths calls on 20x20 grids, the size the attack
+    workloads plan on, in the README dense and the default sparse profile:
+    anchors come from strict and lenient extrapolation of one drawn route,
+    excluding that route or only the anchor pair."""
+    for k, profile in enumerate(_PROFILES[:2]):
+        topo = generate(TopologyParams(20, 20, seed=3 + k, **profile))
+        rng = random.Random(k)
+        for _ in range(16):
+            a = rng.choice(topo.nodes)
+            reachable = sorted(hop_distances(topo, a).keys() - {a})
+            if not reachable:
+                continue
+            real = shortest_path(topo, a, rng.choice(reachable))
+            ext = rng.randint(0, 4), rng.randint(0, 4)
+            for strict in (True, False):
+                main = extrapolate(topo, real, *ext, rng, strict=strict)
+                a, b = main.anchor_source, main.anchor_dest
+                for excluded in (main.route, Route((a, b))):
+                    for count in range(1, 4):
+                        yield topo, a, b, count, excluded
+
+
+def _paths_digest(cases) -> tuple[int, str]:
+    digest = hashlib.sha256()
+    calls = 0
+    for topo, a, b, count, excluded in cases:
+        paths = disjoint_paths(topo, a, b, count, excluded)
+        digest.update(repr([p.nodes for p in paths]).encode() + b"\n")
+        calls += 1
+    return calls, digest.hexdigest()
+
+
 def test_disjoint_paths_tie_order_is_pinned():
     # Which of several equally short path sets comes back is an output:
     # plans, traces and attack files all follow it. The hash was recorded
     # from the arc-list implementation the implicit search replaced.
-    digest = hashlib.sha256()
-    calls = 0
-    for topo, a, b, count, excluded in _disjoint_cases():
-        paths = disjoint_paths(topo, a, b, count, excluded)
-        digest.update(repr([p.nodes for p in paths]).encode() + b"\n")
-        calls += 1
-    assert calls == 1490
-    assert digest.hexdigest() == (
-        "d80336b14e58f04b65a9e580f8b9a04dd20780483792c15cd12471ec569ace00")
+    assert _paths_digest(_disjoint_cases()) == (
+        1490, "d80336b14e58f04b65a9e580f8b9a04dd20780483792c15cd12471ec569ace00")
+
+
+def test_disjoint_paths_tie_order_is_pinned_on_20x20_grids():
+    # Recorded from the node-id search that the side-id search replaced.
+    assert _paths_digest(_grid20_cases()) == (
+        372, "4fe05267973a892cb5564ca190d4f7db59ef2d2f91edc3cd6a50013bf490c6a2")
