@@ -7,6 +7,7 @@ steady-state interval of synchronized cover traffic.
 
 from __future__ import annotations
 
+import logging
 import math
 import random
 from collections import Counter
@@ -15,7 +16,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Union
 
-from .routing import (ExtendedRoute, Route, _bfs, disjoint_paths, extrapolate,
+from .routing import (ExtendedRoute, Route, disjoint_paths, extrapolate,
                       shortest_path)
 from .topology import Topology
 
@@ -23,6 +24,8 @@ VARIANT_KINDS = ("no_privacy", "extrout_baseline", "extrout_duplicates",
                  "extrout_fake", "nfake_pairs")
 PARAMETERISED_KINDS = ("extrout_duplicates", "extrout_fake", "nfake_pairs")
 COVER_KINDS = ("extrout_baseline", "extrout_duplicates", "extrout_fake")
+
+logger = logging.getLogger(__name__)
 
 
 class PlacementError(Exception):
@@ -147,8 +150,10 @@ def build_scenario(topo: Topology, source: int, dest: int,
     plan.main = extrapolate(topo, real, src_ext, dst_ext, rng, strict=settings.strict)
 
     if variant.kind == "extrout_duplicates":
-        dups = disjoint_paths(topo, plan.main.anchor_source, plan.main.anchor_dest,
-                              variant.count, excluded=plan.main.route)
+        a, b = plan.main.anchor_source, plan.main.anchor_dest
+        # a zero-hop route that cannot be extended has one anchor: no duplicate
+        dups = disjoint_paths(topo, a, b, variant.count,
+                              excluded=plan.main.route) if a != b else []
         plan.duplicates = tuple(dups)
         plan.duplicate_shortfall = variant.count - len(dups)
     elif variant.kind == "extrout_fake":
@@ -201,6 +206,8 @@ def place_fake_pair(topo: Topology, real: Route, rng: random.Random,
     avoid = set(avoid)
     forbidden = set(real.nodes) | avoid
     for slack in (1, 2):
+        if slack == 2:
+            logger.info("no fake pair within 1 hop of separation %d, trying 2", real.hops)
         for tier in _pair_tiers(topo, real, slack):
             # Tiers hold equal gaps, so filtering each one yields the tiers
             # of the filtered ranking; an emptied tier draws nothing.
@@ -221,30 +228,48 @@ def _pair_tiers(topo: Topology, real: Route, slack: int
 
     The ranking depends on neither the RNG nor `avoid`, so it is computed
     once per slack and kept on the topology for the latest real route only.
-    Its BFS from every free node bypasses topo.hop_tables, which would
-    otherwise end up holding a table per node.
+    Separations come from hop balls (bitsets over positions in topo.nodes,
+    grown a hop at a time), so no hop table is computed; v is admissible
+    for u when it lies in u's ball of radius hops + slack but not in the
+    one of radius hops - slack - 1.
     """
     memo = topo.fake_pair_tiers
     if memo is None or memo[0] != real.nodes:
         memo = topo.fake_pair_tiers = (real.nodes, {})
     by_slack = memo[1]
     if slack not in by_slack:
-        want = real.hops
+        want, nodes = real.hops, topo.nodes
+        at = {n: i for i, n in enumerate(nodes)}
         on_route = set(real.nodes)
+        free = sum(1 << i for i, n in enumerate(nodes) if n not in on_route)
         real_pts = [topo.positions[n] for n in real.nodes]
-        free = [n for n in topo.nodes if n not in on_route]
-        scored = []
-        for k, u in enumerate(free):
-            du = _bfs(topo, u)
+        nbrs = [[at[m] for m in topo.neighbors(n)] for n in nodes]
+        balls = [1 << i for i in range(len(nodes))]
+        inner = [0] * len(nodes)
+        for radius in range(want + slack):
+            if radius == want - slack - 1:
+                inner = balls
+            grown = []
+            for ball, adj in zip(balls, nbrs):
+                for j in adj:
+                    ball |= balls[j]
+                grown.append(ball)
+            balls = grown
+        gaps, scored = {}, []
+        for i, u in enumerate(nodes):
+            if u in on_route:
+                continue
             ux, uy = topo.positions[u]
-            for v in free[k + 1:]:
-                d = du.get(v)
-                if d is None or abs(d - want) > slack:
-                    continue
+            # admissible partners after u, as bits above position i
+            row = (balls[i] & ~inner[i] & free) >> (i + 1)
+            while row:
+                v = nodes[i + (row & -row).bit_length()]
+                row &= row - 1
                 vx, vy = topo.positions[v]
                 mid = ((ux + vx) / 2, (uy + vy) / 2)
-                gap = min(math.dist(mid, p) for p in real_pts)
-                scored.append((-gap, u, v))
+                if mid not in gaps:  # grid layouts share many midpoints
+                    gaps[mid] = min(math.dist(mid, p) for p in real_pts)
+                scored.append((-gaps[mid], u, v))
         scored.sort()
         by_slack[slack] = tuple(tuple((u, v) for _gap, u, v in tier)
                                 for _key, tier in groupby(scored, key=itemgetter(0)))

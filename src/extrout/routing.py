@@ -96,8 +96,8 @@ def hop_distances(topo: Topology, src: int) -> Mapping[int, int]:
     """BFS hop counts from src to every reachable node.
 
     Every table is kept in topo.hop_tables; the view is read-only because
-    later callers share it. Scans that take every node as a source (the
-    landmarks, the decoy-pair ranking) call _bfs and keep nothing here.
+    later callers share it. The landmarks call _bfs and keep nothing here;
+    the decoy-pair ranking uses hop balls and no table at all.
     """
     table = topo.hop_tables.get(src)
     if table is None:

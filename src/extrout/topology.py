@@ -77,9 +77,9 @@ class Topology:
     position in nodes, and for each position its neighbours' in-side ids,
     twice their positions, ascending: the residual graph of
     routing.disjoint_paths) and fake_pair_tiers (the latest real route's
-    decoy-pair ranking) memoize RNG-independent work; routing and
-    protocols.place_fake_pair fill them lazily. They take no part in
-    equality, so a warmed topology equals a fresh one.
+    decoy-pair ranking per slack, from hop balls) memoize RNG-independent
+    work; routing and protocols.place_fake_pair fill them lazily. They
+    take no part in equality, so a warmed topology equals a fresh one.
     """
 
     params: TopologyParams

@@ -1,9 +1,17 @@
 """Hand-built topologies with known hop counts, plus a seeded random
-graph builder for oracle comparisons."""
+graph builder for oracle comparisons and the link profiles that seeded
+grids are generated with."""
 
 import random
 
 from extrout.topology import Position, Topology, TopologyParams
+
+# Link profiles for seeded grids: the README dense one, the default sparse
+# one (often disconnected) and a heavily jittered one with a wide
+# probabilistic band.
+LINK_PROFILES = ({"perturbation": 0.0, "tx_range": 150.0, "qudg_factor": 0.95},
+                 {},
+                 {"perturbation": 1.0, "qudg_factor": 0.1})
 
 
 def _params(node_count: int, seed: int = 0) -> TopologyParams:

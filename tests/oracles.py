@@ -3,9 +3,9 @@
 These deliberately avoid sharing code or approach with the package: hop
 counts come from a frontier-list BFS, disjoint path counts from an
 Edmonds-Karp max flow on a dictionary-based residual graph, least
-disjoint-path hop totals from enumerating every simple path and Q-UDG
-links from a scan of every node pair.  Route and output checks that only
-tests need live here too.
+disjoint-path hop totals from enumerating every simple path, Q-UDG
+links from a scan of every node pair and decoy-pair tiers from a BFS per
+node.  Route and output checks that only tests need live here too.
 """
 
 import math
@@ -168,3 +168,28 @@ def qudg_links(positions: dict, params, rng) -> set:
                 if rng.random() < (params.tx_range - d) / (params.tx_range - certain):
                     links.add((i, j))
     return links
+
+
+def decoy_pair_tiers(adjacency: dict, positions: dict, route_nodes,
+                     slack: int) -> list[list[tuple]]:
+    """Pairs of nodes off the route whose hop separation is within slack
+    of the route's hops, grouped by the distance from their midpoint to
+    the nearest route node: tiers from the farthest down, each tier's
+    pairs ascending.
+
+    A BFS from every free node gives the separations, and every pair's
+    distance is computed on its own.
+    """
+    want = len(route_nodes) - 1
+    points = [positions[n] for n in route_nodes]
+    free = sorted(set(adjacency) - set(route_nodes))
+    tiers: dict[float, list[tuple]] = {}
+    for u in free:
+        levels = bfs_levels(adjacency, u)
+        for v in free:
+            if u < v and v in levels and abs(levels[v] - want) <= slack:
+                (ux, uy), (vx, vy) = positions[u], positions[v]
+                mid = ((ux + vx) / 2, (uy + vy) / 2)
+                gap = min(math.dist(mid, p) for p in points)
+                tiers.setdefault(gap, []).append((u, v))
+    return [sorted(tiers[gap]) for gap in sorted(tiers, reverse=True)]

@@ -14,14 +14,15 @@ from extrout.protocols import (
     PlacementError,
     ProtocolVariant,
     ScenarioSettings,
+    _pair_tiers,
     build_scenario,
 )
 from extrout.rng import substream
-from extrout.routing import hop_distances
+from extrout.routing import hop_distances, shortest_path
 from extrout.simengine import run
 from extrout.topology import TopologyParams, build_qudg, generate, place_nodes
 
-from oracles import qudg_links
+from oracles import decoy_pair_tiers, qudg_links
 
 # Random small Q-UDG deployments: perturbed grids up to 7x7, from sparse to
 # nearly unit-disk link models.
@@ -71,15 +72,27 @@ def test_cache_state_never_changes_a_plan(params, plan_seed, starts):
     fresh, warmed = generate(params), generate(params)
     pair = _far_pair(fresh, 1 + (starts[0] - 1) % fresh.node_count)
     other = _far_pair(warmed, 1 + (starts[1] - 1) % warmed.node_count)
-    variants = (ProtocolVariant("extrout_fake", 1), ProtocolVariant("nfake_pairs", 3))
-    if pair[0] != pair[1]:  # an isolated node's anchors coincide
-        variants += (ProtocolVariant("extrout_duplicates", 2),)
+    variants = (ProtocolVariant("extrout_fake", 1), ProtocolVariant("nfake_pairs", 3),
+                ProtocolVariant("extrout_duplicates", 2))
     expected = _outcomes(fresh, pair, variants, plan_seed)
-    if other[0] != other[1]:
-        _outcomes(warmed, other, variants + (ProtocolVariant("extrout_duplicates", 1),),
-                  plan_seed + 1)
+    _outcomes(warmed, other, variants + (ProtocolVariant("extrout_duplicates", 1),),
+              plan_seed + 1)
     assert _outcomes(warmed, pair, variants, plan_seed) == expected
     assert warmed == generate(params)
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=topology_params, ends=st.tuples(st.integers(1, 49), st.integers(1, 49)),
+       slack=st.integers(1, 2))
+def test_pair_ranking_matches_a_bfs_per_node(params, ends, slack):
+    # Any route the start node reaches, from zero hops up, on layouts that
+    # leave components apart.
+    topo = generate(params)
+    start = topo.nodes[(ends[0] - 1) % topo.node_count]
+    reached = sorted(hop_distances(topo, start))
+    route = shortest_path(topo, start, reached[(ends[1] - 1) % len(reached)])
+    expected = decoy_pair_tiers(topo.adjacency, topo.positions, route.nodes, slack)
+    assert [list(tier) for tier in _pair_tiers(topo, route, slack)] == expected
 
 
 @settings(max_examples=30, deadline=None)

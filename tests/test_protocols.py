@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import logging
 import random
 from collections import Counter
 
@@ -11,15 +13,16 @@ from extrout.protocols import (
     PlacementError,
     ProtocolVariant,
     ScenarioSettings,
+    _pair_tiers,
     build_scenario,
     dummy_schedule,
     place_fake_pair,
 )
-from extrout.routing import Route, shortest_path
+from extrout.routing import Route, hop_distances, shortest_path
 from extrout.simengine import run
-from extrout.topology import TopologyParams, generate
+from extrout.topology import Position, Topology, TopologyParams, generate
 
-from ladders import line_topology, parallel_paths
+from ladders import LINK_PROFILES, line_topology, parallel_paths
 
 
 def _pinned(src_ext: int, dst_ext: int, **kw) -> ScenarioSettings:
@@ -109,6 +112,19 @@ def test_duplicates_plan_uses_the_disjoint_row():
     assert plan.all_chains() == (plan.main.route,) + plan.duplicates
 
 
+def test_duplicates_plan_at_an_isolated_node_has_none():
+    # Node 1 has no link, so its zero-hop route cannot be extended and both
+    # anchors are node 1: no duplicate exists, as no fake needs one.
+    topo = generate(TopologyParams(3, 3, perturbation=0.0, tx_range=150.0,
+                                   qudg_factor=0.375, seed=0))
+    assert topo.degree(1) == 0
+    plan = build_scenario(topo, 1, 1, ProtocolVariant("extrout_duplicates", 2))
+    assert plan.main.route.nodes == (1,)
+    assert plan.duplicates == ()
+    assert plan.duplicate_shortfall == 2
+    assert plan.all_chains() == (Route((1,)),)
+
+
 def test_duplicates_shortfall_is_recorded_not_fatal():
     topo, hub_a, hub_b, rows = parallel_paths([14, 14])
     plan = build_scenario(topo, rows[0][2], rows[0][10],
@@ -189,6 +205,81 @@ def test_place_fake_pair_fails_when_no_room():
         place_fake_pair(topo, shortest_path(topo, 1, 9), random.Random(0))
 
 
+def test_place_fake_pair_logs_the_slack_fallback(caplog):
+    # 1-2-3-4 carries the 3-hop real route; the only free pair, 5-6, is one
+    # hop apart, which only slack 2 admits.
+    positions = {n: Position(100.0 * n, 0.0) for n in range(1, 7)}
+    topo = Topology(TopologyParams(1, 6, perturbation=0.0), positions,
+                    ((1, 2), (2, 3), (3, 4), (5, 6)))
+    real = shortest_path(topo, 1, 4)
+    with caplog.at_level(logging.INFO, logger="extrout.protocols"):
+        assert place_fake_pair(topo, real, random.Random(0)) == (5, 6)
+    assert "separation 3, trying 2" in caplog.text
+    caplog.clear()
+    wide = line_topology(20)
+    with caplog.at_level(logging.INFO, logger="extrout.protocols"):
+        place_fake_pair(wide, shortest_path(wide, 1, 4), random.Random(0))
+    assert "trying 2" not in caplog.text
+
+
+def _tier_cases():
+    """Seeded _pair_tiers calls on 6x6 to 20x20 grids at slack 1 and 2: from
+    one node with a link, routes of 0, 1 and 2 hops (where the inner hop
+    ball has a negative radius or is the node alone), to the farthest node
+    and to a drawn one."""
+    for side in range(6, 21, 2):
+        for k, profile in enumerate(LINK_PROFILES):
+            topo = generate(TopologyParams(side, side, seed=10 * side + k, **profile))
+            rng = random.Random(side * 31 + k)
+            a = rng.choice([n for n in topo.nodes if topo.degree(n)])
+            dist = hop_distances(topo, a)
+            far = max(dist.values())
+            ends = (a, min(n for n, d in dist.items() if d == 1),
+                    min((n for n, d in dist.items() if d == 2), default=a),
+                    min(n for n, d in dist.items() if d == far),
+                    rng.choice(sorted(dist)))
+            for b in ends:
+                route = shortest_path(topo, a, b)
+                for slack in (1, 2):
+                    yield topo, route, slack
+
+
+def test_pair_ranking_tie_order_is_pinned():
+    # The ranking and its tiers decide which decoy each seed draws, so they
+    # are an output. Recorded from the BFS-per-node ranking the hop balls
+    # replaced.
+    digest = hashlib.sha256()
+    calls = 0
+    for topo, route, slack in _tier_cases():
+        digest.update(repr(_pair_tiers(topo, route, slack)).encode() + b"\n")
+        calls += 1
+    assert (calls, digest.hexdigest()) == (
+        240, "9371e08537fd51210f21811f19efb23572043a40cf97edc3d0b8a7891763bb66")
+
+
+def test_pair_ranking_ignores_how_nodes_are_numbered():
+    # Hop balls index nodes by position, not by id; ids read from a topology
+    # file can be any ints, negative included. Relabelling every node (in
+    # the same order) relabels every tier.
+    topo = generate(TopologyParams(8, 8, perturbation=0.25, tx_range=180.0,
+                                   qudg_factor=0.5, seed=4))
+    relabel = {n: 7 * n - 100 for n in topo.nodes}
+    moved = Topology(topo.params, {relabel[n]: pos for n, pos in topo.positions.items()},
+                     frozenset((relabel[i], relabel[j]) for i, j in topo.links))
+    rng = random.Random(8)
+    ranked = 0
+    for _ in range(10):
+        a = rng.choice(topo.nodes)
+        route = shortest_path(topo, a, rng.choice(sorted(hop_distances(topo, a))))
+        moved_route = Route(tuple(relabel[n] for n in route.nodes))
+        for slack in (1, 2):
+            tiers = _pair_tiers(topo, route, slack)
+            assert _pair_tiers(moved, moved_route, slack) == tuple(
+                tuple((relabel[u], relabel[v]) for u, v in tier) for tier in tiers)
+            ranked += sum(map(len, tiers))
+    assert ranked > 1000
+
+
 # ------------------------------------------------------ per-topology caches
 
 def _mesh():
@@ -228,18 +319,19 @@ def test_later_fake_plans_reuse_the_hop_tables():
         return neighbors(node)
 
     topo.neighbors = counting
-    per_plan = []
+    per_plan, memos = [], []
     for seed in range(20):
         calls = 0
         build_scenario(topo, 14, 131, ProtocolVariant("extrout_fake", 1),
                        rng=random.Random(seed))
         per_plan.append(calls)
-    # the first plan ranks every decoy pair, which takes a BFS from nearly
-    # every node; a later plan never ranks again and runs at most the odd
-    # BFS for a route endpoint asked for the first time
-    assert per_plan[0] > 100 * topo.node_count
+        memos.append(topo.fake_pair_tiers)
+    # the first plan ranks every decoy pair; a later plan never ranks again
+    # and runs at most the odd BFS for a route endpoint asked for the first
+    # time
     assert max(per_plan[1:]) < 3 * topo.node_count
-    # the ranking's BFS from every free node keeps no hop table
+    assert all(memo is memos[0] for memo in memos)
+    # the ranking's hop balls keep no hop table
     assert len(topo.hop_tables) < 10
 
 

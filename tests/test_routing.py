@@ -21,7 +21,7 @@ from extrout.routing import (
 )
 from extrout.topology import Position, Topology, TopologyParams, generate
 
-from ladders import line_topology, parallel_paths, random_topology
+from ladders import LINK_PROFILES, line_topology, parallel_paths, random_topology
 from oracles import (bfs_levels, max_node_disjoint_paths, min_disjoint_hops,
                      route_is_valid)
 
@@ -372,19 +372,12 @@ def test_disjoint_paths_validation():
             disjoint_paths(topo, 1, outside, 2, Route((1, outside)))
 
 
-# Link profiles: the README dense one, the default sparse one and a
-# heavily jittered one with a wide probabilistic band.
-_PROFILES = ({"perturbation": 0.0, "tx_range": 150.0, "qudg_factor": 0.95},
-             {},
-             {"perturbation": 1.0, "qudg_factor": 0.1})
-
-
 def _disjoint_cases():
     """Seeded disjoint_paths calls on 6x6 to 12x12 grids: anchors come from
     extrapolated shortest paths, excluding that path as a plan does or
     nothing."""
     for side in range(6, 13):
-        for k, profile in enumerate(_PROFILES):
+        for k, profile in enumerate(LINK_PROFILES):
             topo = generate(TopologyParams(side, side, seed=10 * side + k, **profile))
             rng = random.Random(side * 31 + k)
             for _ in range(8):
@@ -406,7 +399,7 @@ def _grid20_cases():
     workloads plan on, in the README dense and the default sparse profile:
     anchors come from strict and lenient extrapolation of one drawn route,
     excluding that route or only the anchor pair."""
-    for k, profile in enumerate(_PROFILES[:2]):
+    for k, profile in enumerate(LINK_PROFILES[:2]):
         topo = generate(TopologyParams(20, 20, seed=3 + k, **profile))
         rng = random.Random(k)
         for _ in range(16):
