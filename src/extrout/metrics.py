@@ -209,16 +209,9 @@ def report_from_run(plan: ScenarioPlan, trace: TrafficTrace | None = None,
     real_hops = plan.real_route.hops
     main = plan.main
 
-    tof_measured = None
-    if trace is not None:
-        total = trace.total_transmissions
-        budget = plan.packet_budget
-        # The engine scales one interval by the budget, so the division is
-        # exact; keep it integer-first so equality checks stay meaningful.
-        if total % budget == 0:
-            tof_measured = (total // budget) / real_hops
-        else:
-            tof_measured = total / (budget * real_hops)
+    # run scales one interval by the budget, so the first division is exact
+    tof_measured = (trace.total_transmissions / plan.packet_budget / real_hops
+                    if trace is not None else None)
 
     return PrivacyReport(
         variant=plan.variant.kind,

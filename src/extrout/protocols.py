@@ -176,9 +176,9 @@ def _fake_paths(topo, real, n, main, settings, rng
                 ) -> tuple[FakePath, ...]:
     """n fake paths, each placed off the earlier ones. Without a main
     extended route they are plain shortest paths (N fake pairs); with one
-    each is extrapolated too, never touching the main route or an earlier
-    fake."""
-    taken: set[int] = set()
+    each is extrapolated too; no fake touches the main extended route or an
+    earlier fake."""
+    taken = set(main.route.nodes) if main is not None else set()
     fakes = []
     for _ in range(n):
         fs, fd = place_fake_pair(topo, real, rng, avoid=taken)
@@ -186,8 +186,7 @@ def _fake_paths(topo, real, n, main, settings, rng
         if main is not None:
             f_src, f_dst = _extension_lengths(settings, rng)
             fake = extrapolate(topo, route, f_src, f_dst, rng,
-                               strict=settings.strict,
-                               avoid=set(main.route.nodes) | taken)
+                               strict=settings.strict, avoid=taken)
             route = fake.route
         fakes.append(fake)
         taken.update(route.nodes)
@@ -227,23 +226,22 @@ def _pair_tiers(topo: Topology, real: Route, slack: int
     route and cut into tiers of equal distance.
 
     The ranking depends on neither the RNG nor `avoid`, so it is computed
-    once per slack and kept on the topology for the latest real route only.
-    Separations come from hop balls (bitsets over positions in topo.nodes,
-    grown a hop at a time), so no hop table is computed; v is admissible
-    for u when it lies in u's ball of radius hops + slack but not in the
-    one of radius hops - slack - 1.
+    once per slack and kept in topo.memo[_pair_tiers], as (route nodes,
+    tiers by slack), for the latest real route only. Separations come from
+    hop balls (bitsets over indices into topo.nodes, grown a hop at a time
+    along topo.neighbor_indices), so no hop table is computed; v is
+    admissible for u when it lies in u's ball of radius hops + slack but
+    not in the one of radius hops - slack - 1.
     """
-    memo = topo.fake_pair_tiers
+    memo = topo.memo.get(_pair_tiers)
     if memo is None or memo[0] != real.nodes:
-        memo = topo.fake_pair_tiers = (real.nodes, {})
+        memo = topo.memo[_pair_tiers] = (real.nodes, {})
     by_slack = memo[1]
     if slack not in by_slack:
-        want, nodes = real.hops, topo.nodes
-        at = {n: i for i, n in enumerate(nodes)}
+        want, nodes, nbrs = real.hops, topo.nodes, topo.neighbor_indices
         on_route = set(real.nodes)
         free = sum(1 << i for i, n in enumerate(nodes) if n not in on_route)
         real_pts = [topo.positions[n] for n in real.nodes]
-        nbrs = [[at[m] for m in topo.neighbors(n)] for n in nodes]
         balls = [1 << i for i in range(len(nodes))]
         inner = [0] * len(nodes)
         for radius in range(want + slack):

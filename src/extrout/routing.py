@@ -95,15 +95,19 @@ class ExtendedRoute:
 def hop_distances(topo: Topology, src: int) -> Mapping[int, int]:
     """BFS hop counts from src to every reachable node.
 
-    Every table is kept in topo.hop_tables; the view is read-only because
-    later callers share it. The landmarks call _bfs and keep nothing here;
-    the decoy-pair ranking uses hop balls and no table at all.
+    Every table is kept in topo.memo[hop_distances], a dict by source; the
+    view is read-only because later callers share it. The landmarks call
+    _bfs and keep nothing here; the decoy-pair ranking uses hop balls and
+    no table at all.
     """
-    table = topo.hop_tables.get(src)
+    tables = topo.memo.get(hop_distances)
+    if tables is None:
+        tables = topo.memo[hop_distances] = {}
+    table = tables.get(src)
     if table is None:
         if src not in topo.positions:
             raise ValueError(f"node {src} not in topology")
-        table = topo.hop_tables[src] = _bfs(topo, src)
+        table = tables[src] = _bfs(topo, src)
     return table
 
 
@@ -121,8 +125,9 @@ def _bfs(topo: Topology, src: int) -> Mapping[int, int]:
 
 def _landmarks(topo: Topology) -> tuple[Mapping[int, int], ...]:
     """Hop tables of LANDMARKS nodes picked farthest-first from the lowest
-    node id (on a grid, its corners), kept in topo.landmarks."""
-    if topo.landmarks is None:
+    node id (on a grid, its corners), kept in topo.memo[_landmarks]."""
+    tables = topo.memo.get(_landmarks)
+    if tables is None:
         tables = [_bfs(topo, topo.nodes[0])]
         nearest = dict(tables[0])
         while len(tables) < LANDMARKS:
@@ -130,8 +135,8 @@ def _landmarks(topo: Topology) -> tuple[Mapping[int, int], ...]:
             for n, d in tables[-1].items():
                 if d < nearest[n]:
                     nearest[n] = d
-        topo.landmarks = tuple(tables)
-    return topo.landmarks
+        tables = topo.memo[_landmarks] = tuple(tables)
+    return tables
 
 
 def at_hop_distance(topo: Topology, u: int, v: int, hops: int) -> bool:
@@ -259,9 +264,9 @@ def disjoint_paths(topo: Topology, anchor_source: int, anchor_dest: int,
     cardinality (up to count) and, for that cardinality, minimum total hop
     count. Returns fewer than `count` paths when the topology cannot supply
     them. No network is built: each residual arc is read off the flow so
-    far and topo.side_index, the neighbours as side ids, filled on the
-    first call, in the order an arc list built from the sorted links would
-    hold it, and that order picks among equally short path sets.
+    far and topo.neighbor_indices, in the order an arc list built from the
+    sorted links would hold it, and that order picks among equally short
+    path sets.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -269,27 +274,24 @@ def disjoint_paths(topo: Topology, anchor_source: int, anchor_dest: int,
         raise ValueError("anchors must differ")
     if anchor_source not in topo.positions or anchor_dest not in topo.positions:
         raise ValueError("anchors must be topology nodes")
-    nodes = topo.nodes
-    if topo.side_index is None:
-        at = {n: k for k, n in enumerate(nodes)}
-        topo.side_index = at, tuple(tuple(2 * at[w] for w in topo.adjacency[n]) for n in nodes)
-    at, sides = topo.side_index
-    # Side 2k is the in-node and side 2k + 1 the out-node of nodes[k]; ids
-    # can be any ints, so lists are indexed by position. Flow on the link arc
-    # k_out -> w_in (cost 1) puts w_in in succ[k]; flow on an interior node's
+    at, nbrs = topo.node_index, topo.neighbor_indices
+    # Side k is the in-node and side n + k the out-node of nodes[k], so a
+    # neighbour's index is its in-side id. Flow on the link arc
+    # k_out -> w_in (cost 1) puts w in succ[k]; flow on an interior node's
     # unit split arc k_in -> k_out (cost 0) sets through[k]. Anchors have no
-    # split arc (through is None) and blocked nodes, marked on the in-side
-    # every arc into them enters, no arcs at all.
-    size = 2 * len(nodes)
-    succ: list[set[int]] = [set() for _ in nodes]
-    through: list[bool | None] = [False] * len(nodes)
-    blocked = [False] * size
-    for n in excluded.nodes[1:-1]:
-        if n in at:
-            blocked[2 * at[n]] = True
-    start, goal = 2 * at[anchor_source] + 1, 2 * at[anchor_dest]
-    through[start >> 1] = through[goal >> 1] = None
-    blocked[start - 1] = blocked[goal] = False
+    # split arc (through is None) and blocked nodes no arcs at all.
+    n = len(nbrs)
+    size = 2 * n
+    succ: list[set[int]] = [set() for _ in nbrs]
+    through: list[bool | None] = [False] * n
+    blocked = [False] * n
+    for node in excluded.nodes[1:-1]:
+        if node in at:
+            blocked[at[node]] = True
+    source, goal = at[anchor_source], at[anchor_dest]
+    start = n + source
+    through[source] = through[goal] = None
+    blocked[source] = blocked[goal] = False
 
     def relax(to: int, dt: int, u: int) -> None:
         if dt < dist[to]:
@@ -310,52 +312,53 @@ def disjoint_paths(topo: Topology, anchor_source: int, anchor_dest: int,
         while queue:
             u = queue.popleft()
             queued[u] = False
-            k = u >> 1
-            if u & 1:
+            if u >= n:
+                k = u - n
                 if through[k]:
-                    relax(u - 1, dist[u], u)
+                    relax(k, dist[u], u)
                 # relax inlined: nearly every arc tried is one of these
                 dt, used = dist[u] + 1, succ[k]
-                for to in sides[k]:
+                for to in nbrs[k]:
                     if dt < dist[to] and not blocked[to] and to not in used:
                         dist[to] = dt
                         prev[to] = u
                         if not queued[to]:
                             queued[to] = True
                             queue.append(to)
-            elif through[k] is False:  # so no flow enters node either
-                relax(u + 1, dist[u], u)
+            elif through[u] is False:  # so no flow enters node either
+                relax(n + u, dist[u], u)
             else:
-                for w_in in sides[k]:
-                    if u in succ[w_in >> 1]:
-                        relax(w_in + 1, dist[u] - 1, u)
+                for w in nbrs[u]:
+                    if u in succ[w]:
+                        relax(n + w, dist[u] - 1, u)
         if prev[goal] < 0:
             break
         to = goal
         while to != start:
             u = prev[to]
-            if u >> 1 == to >> 1:  # the split arc, forward or back
-                through[u >> 1] = u < to
-            elif u & 1:
-                succ[u >> 1].add(to)
+            if abs(u - to) == n:  # the split arc, forward or back
+                through[min(u, to)] = u < to
+            elif u >= n:
+                succ[u - n].add(to)
             else:
-                succ[to >> 1].remove(u)
+                succ[to - n].remove(u)
             to = u
         found += 1
     if found < count:
         logger.info("only %d of %d requested disjoint paths exist", found, count)
 
     # Decompose the flow: from the source anchor, take each node's smallest
-    # used link out (side ids ascend with node ids) and consume it.
+    # used link out (indices ascend with node ids) and consume it.
+    nodes = topo.nodes
     paths = []
     for _ in range(found):
-        path, side = [anchor_source], start
-        while side != goal:
-            out = succ[side >> 1]
+        path, k = [anchor_source], source
+        while k != goal:
+            out = succ[k]
             if not out:
                 raise RuntimeError("flow decomposition lost a path")
-            side = min(out)
-            out.remove(side)
-            path.append(nodes[side >> 1])
+            k = min(out)
+            out.remove(k)
+            path.append(nodes[k])
         paths.append(Route(tuple(path)))
     return paths

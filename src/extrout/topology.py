@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple
+from functools import cached_property
+from typing import NamedTuple
 
 from .rng import substream
 
@@ -71,15 +72,12 @@ class Topology:
 
     nodes (the ids ascending) and adjacency (each node's neighbours
     ascending) are derived once; routing reads its searches off them in
-    that order. hop_tables (source -> read-only hop counts of every source
-    routing.hop_distances was asked for), landmarks (the hop tables
-    routing.at_hop_distance bounds pairs with), side_index (each id's
-    position in nodes, and for each position its neighbours' in-side ids,
-    twice their positions, ascending: the residual graph of
-    routing.disjoint_paths) and fake_pair_tiers (the latest real route's
-    decoy-pair ranking per slack, from hop balls) memoize RNG-independent
-    work; routing and protocols.place_fake_pair fill them lazily. They
-    take no part in equality, so a warmed topology equals a fresh one.
+    that order. node_index and neighbor_indices are the same graph by
+    index into nodes, built on first use by the searches that run on int
+    lists. memo keeps RNG-independent results that other modules derive
+    from the graph, each under a key that the function filling it owns and
+    documents. None of these take part in equality, so a warmed topology
+    equals a fresh one.
     """
 
     params: TopologyParams
@@ -87,10 +85,7 @@ class Topology:
     links: frozenset[tuple[int, int]]
     adjacency: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
     nodes: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    hop_tables: dict[int, Mapping[int, int]] = field(init=False, repr=False, compare=False)
-    landmarks: tuple[Mapping[int, int], ...] | None = field(init=False, repr=False, compare=False)
-    fake_pair_tiers: tuple | None = field(init=False, repr=False, compare=False)
-    side_index: tuple | None = field(init=False, repr=False, compare=False)
+    memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pairs = set()
@@ -107,10 +102,18 @@ class Topology:
             nbrs[j].append(i)
         self.adjacency = {n: tuple(sorted(v)) for n, v in nbrs.items()}
         self.nodes = tuple(sorted(self.positions))
-        self.hop_tables = {}
-        self.landmarks = None
-        self.fake_pair_tiers = None
-        self.side_index = None
+        self.memo = {}
+
+    @cached_property
+    def node_index(self) -> dict[int, int]:
+        """Each id's index in nodes."""
+        return {n: k for k, n in enumerate(self.nodes)}
+
+    @cached_property
+    def neighbor_indices(self) -> tuple[tuple[int, ...], ...]:
+        """For each index into nodes, its neighbours' indices, ascending."""
+        at = self.node_index
+        return tuple(tuple(at[m] for m in self.adjacency[n]) for n in self.nodes)
 
     @property
     def node_count(self) -> int:

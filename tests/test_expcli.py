@@ -16,6 +16,7 @@ from extrout.expcli import (SCHEMA, ConfigError, _format_value, _sample_pair,
 from extrout.metrics import ReconciliationRecord
 from extrout.protocols import ProtocolVariant, ScenarioSettings, build_scenario
 from extrout.rng import substream
+from extrout.routing import hop_distances
 from extrout.simengine import run
 from extrout.topology import (TopologyParams, generate, load_topology,
                               topology_to_text)
@@ -362,7 +363,7 @@ def test_pair_sampling_draws_the_bfs_pair_without_whole_topology_searches():
     # each drawn source would expand every node
     assert draws > 100
     assert calls - 4 * topo.node_count < draws * topo.node_count / 20
-    assert topo.hop_tables == {}
+    assert hop_distances not in topo.memo
 
 
 def test_topology_command_writes_loadable_file(tmp_path, capsys):

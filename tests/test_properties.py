@@ -116,3 +116,30 @@ def test_measured_tof_is_the_summed_chain_hops(params, plan_seed, start,
         assert reconcile(report).passed, kind
         assert report.tof_measured == (sum(c.hops for c in plan.all_chains())
                                        / plan.real_route.hops)
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=topology_params, plan_seed=st.integers(0, 2**16),
+       ends=st.tuples(st.integers(1, 49), st.integers(1, 49)),
+       count=st.integers(1, 3), strict=st.booleans())
+def test_chains_share_no_node_but_the_duplicate_anchors(params, plan_seed, ends,
+                                                        count, strict):
+    topo = generate(params)
+    source = topo.nodes[(ends[0] - 1) % topo.node_count]
+    reached = sorted(hop_distances(topo, source))
+    dest = reached[(ends[1] - 1) % len(reached)]
+    assume(source != dest)
+    for kind in VARIANT_KINDS:
+        variant = ProtocolVariant(kind, count if kind in PARAMETERISED_KINDS else 0)
+        try:
+            plan = build_scenario(topo, source, dest, variant,
+                                  ScenarioSettings(strict=strict),
+                                  random.Random(plan_seed))
+        except PlacementError:
+            continue
+        shared = ({plan.main.anchor_source, plan.main.anchor_dest}
+                  if kind == "extrout_duplicates" else set())
+        chains = [set(chain.nodes) for chain in plan.all_chains()]
+        for i, chain in enumerate(chains):
+            for other in chains[i + 1:]:
+                assert chain & other <= shared, kind

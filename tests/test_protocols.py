@@ -9,6 +9,8 @@ from collections import Counter
 
 import pytest
 
+from extrout.adversary import endpoint_candidates
+from extrout.metrics import anonymity_single, report_from_run
 from extrout.protocols import (
     PlacementError,
     ProtocolVariant,
@@ -145,6 +147,19 @@ def test_fake_extended_paths_avoid_the_main_route():
     assert abs(core_hops - plan.real_route.hops) <= 1
     assert set(fake.route.nodes).isdisjoint(plan.main.route.nodes)
     assert plan.all_chains() == (plan.main.route, fake.route)
+
+
+def test_fake_core_avoids_the_main_extension():
+    # The decoy (8, 15, 14, 22, ...) once crossed node 22, the end of the
+    # main route's destination extension, so the model counted a group of
+    # 21 transmitters where the attacker sees only 20 sources.
+    topo = generate(TopologyParams(8, 8, perturbation=0.25, qudg_factor=0.5, seed=1))
+    plan = build_scenario(topo, 49, 28, ProtocolVariant("extrout_fake", 1),
+                          rng=random.Random(8))
+    main, fake = plan.all_chains()
+    assert set(fake.nodes).isdisjoint(main.nodes)
+    sources, _dests = endpoint_candidates(run(plan))
+    assert report_from_run(plan).anonymity_single == anonymity_single(len(sources))
 
 
 def test_nfake_plan_places_disjoint_plain_routes():
@@ -303,7 +318,7 @@ def test_plans_do_not_depend_on_cache_state():
     for seed, (src, dst) in enumerate(((3, 100), (30, 90), (14, 131), (7, 138))):
         for variant in warm_variants:
             build_scenario(warmed, src, dst, variant, rng=random.Random(seed))
-    assert warmed.fake_pair_tiers[0] == shortest_path(warmed, 7, 138).nodes
+    assert warmed.memo[_pair_tiers][0] == shortest_path(warmed, 7, 138).nodes
     assert _cover_plans(warmed) == fresh
     assert warmed == _mesh()
 
@@ -325,27 +340,27 @@ def test_later_fake_plans_reuse_the_hop_tables():
         build_scenario(topo, 14, 131, ProtocolVariant("extrout_fake", 1),
                        rng=random.Random(seed))
         per_plan.append(calls)
-        memos.append(topo.fake_pair_tiers)
+        memos.append(topo.memo[_pair_tiers])
     # the first plan ranks every decoy pair; a later plan never ranks again
     # and runs at most the odd BFS for a route endpoint asked for the first
     # time
     assert max(per_plan[1:]) < 3 * topo.node_count
     assert all(memo is memos[0] for memo in memos)
     # the ranking's hop balls keep no hop table
-    assert len(topo.hop_tables) < 10
+    assert len(topo.memo[hop_distances]) < 10
 
 
 def test_a_new_real_route_replaces_the_pair_ranking():
     topo = _mesh()
     first, second = shortest_path(topo, 14, 131), shortest_path(topo, 7, 138)
     place_fake_pair(topo, first, random.Random(0))
-    route, tiers = topo.fake_pair_tiers
+    route, tiers = topo.memo[_pair_tiers]
     assert route == first.nodes
     ranking = tiers[1]
     place_fake_pair(topo, first, random.Random(1))
-    assert topo.fake_pair_tiers[1][1] is ranking
+    assert topo.memo[_pair_tiers][1][1] is ranking
     place_fake_pair(topo, second, random.Random(0))
-    route, tiers = topo.fake_pair_tiers
+    route, tiers = topo.memo[_pair_tiers]
     assert route == second.nodes
     assert ranking not in tiers.values()
 

@@ -67,9 +67,9 @@ def test_hop_distances_match_independent_bfs():
 
 def test_hop_tables_are_kept_from_the_first_request_and_read_only():
     topo = line_topology(6)
-    assert topo.hop_tables == {}
+    assert topo.memo == {}
     table = hop_distances(topo, 1)
-    assert topo.hop_tables == {1: table}
+    assert topo.memo[hop_distances] == {1: table}
     assert hop_distances(topo, 1) is table
     with pytest.raises(TypeError):
         table[6] = 0
