@@ -23,7 +23,6 @@ from .routing import (
     UnreachableError,
     disjoint_paths,
     extrapolate,
-    hop_distance,
     hop_distances,
     shortest_path,
 )

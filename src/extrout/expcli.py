@@ -47,7 +47,7 @@ from .protocols import (
     build_scenario,
 )
 from .rng import child_seed, substream
-from .routing import UnreachableError, at_hop_distance, hop_distance
+from .routing import at_hop_distance, hop_distances
 from .simengine import (
     ascii_heatmap,
     matrix_to_csv,
@@ -156,7 +156,10 @@ def resolve_config(config_path: str | None,
     work."""
     cfg = {key: default for _, key, _, default in SCHEMA}
     if config_path:
-        parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+        # No section can be named "", so [DEFAULT] reads as an ordinary
+        # section whose keys are rejected below, not copied into every other.
+        parser = configparser.ConfigParser(inline_comment_prefixes=(";",),
+                                           default_section="")
         try:
             read = parser.read(config_path)
         except configparser.Error as exc:
@@ -289,10 +292,8 @@ def _pick_endpoints(topo, cfg: dict, rng) -> tuple[int, int]:
                 raise ConfigError(f"node {node} not in topology")
         if source == dest:
             raise ConfigError("source and dest must differ")
-        try:
-            hop_distance(topo, source, dest)
-        except UnreachableError as exc:
-            raise ConfigError(str(exc)) from exc
+        if dest not in hop_distances(topo, source):
+            raise ConfigError(f"no path from {source} to {dest}")
         return source, dest
     return _sample_pair(topo, cfg["target_hops"], rng)
 
@@ -319,6 +320,9 @@ def cmd_topology(cfg: dict) -> int:
 
 def cmd_run(cfg: dict) -> int:
     topo, scenario = _scenario(cfg)
+    # The grid of indices into topo.nodes, built first so that ids that are
+    # not the grid's cells fail before any plan.
+    cells = _from_input(transmission_matrix, topo.node_index, topo.params)
     seed = cfg["seed"]
     reps = cfg["reps"]
     # run keys node_tx in topo.nodes order, so totals[k] is topo.nodes[k]'s sum.
@@ -335,9 +339,7 @@ def cmd_run(cfg: dict) -> int:
         if not record.passed:
             failures.append(f"rep {rep}: " + "; ".join(record.failures))
         reports.append(report)
-    totals_matrix = _from_input(transmission_matrix,
-                                dict(zip(topo.nodes, totals)), topo.params)
-    averaged = mean_matrix(totals_matrix, reps)
+    averaged = mean_matrix([[totals[k] for k in row] for row in cells], reps)
 
     headline = reports[0]
     if cfg["attack_trials"] > 0:
@@ -581,7 +583,7 @@ def main(argv: list[str] | None = None) -> int:
         overrides = {key: getattr(args, key) for _, key, _, _ in SCHEMA}
         cfg = resolve_config(args.config, overrides)
         return COMMANDS[args.command](cfg)
-    except (ConfigError, UnreachableError, PlacementError, OSError) as exc:
+    except (ConfigError, PlacementError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

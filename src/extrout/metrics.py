@@ -219,7 +219,7 @@ def report_from_run(plan: ScenarioPlan, trace: TrafficTrace | None = None,
         source_ext=main.source_extension if main is not None else 0,
         dest_ext=main.dest_extension if main is not None else 0,
         duplicate_hops=tuple(r.hops for r in plan.duplicates),
-        fake_hops=tuple(r.hops for r in plan.fake_routes()),
+        fake_hops=tuple(r.hops for r in plan.fake_paths),
         residual_rate=plan.variant.residual_cover_rate,
         tof_measured=tof_measured,
         unlinkability=unlinkability,

@@ -14,7 +14,6 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
-from typing import Union
 
 from .routing import (ExtendedRoute, Route, disjoint_paths, extrapolate,
                       shortest_path)
@@ -83,9 +82,6 @@ class ScenarioSettings:
             raise ValueError("packet_budget must be at least 1")
 
 
-FakePath = Union[ExtendedRoute, Route]
-
-
 @dataclass
 class ScenarioPlan:
     """Everything the simulator needs for one scenario instance."""
@@ -95,7 +91,7 @@ class ScenarioPlan:
     real_route: Route
     main: ExtendedRoute | None = None
     duplicates: tuple[Route, ...] = ()
-    fake_paths: tuple[FakePath, ...] = ()
+    fake_paths: tuple[Route, ...] = ()
     requested_source_ext: int = 0
     requested_dest_ext: int = 0
     duplicate_shortfall: int = 0
@@ -109,15 +105,10 @@ class ScenarioPlan:
     def dest(self) -> int:
         return self.real_route.dest
 
-    def fake_routes(self) -> tuple[Route, ...]:
-        """The fake chains, extended or plain."""
-        return tuple(f.route if isinstance(f, ExtendedRoute) else f
-                     for f in self.fake_paths)
-
     def all_chains(self) -> tuple[Route, ...]:
         """The real packet's carrier, then the chains that carry dummies only."""
         carrier = self.main.route if self.main is not None else self.real_route
-        return (carrier,) + self.duplicates + self.fake_routes()
+        return (carrier,) + self.duplicates + self.fake_paths
 
 
 def build_scenario(topo: Topology, source: int, dest: int,
@@ -172,23 +163,21 @@ def _extension_lengths(settings: ScenarioSettings,
     return src_ext, dst_ext
 
 
-def _fake_paths(topo, real, n, main, settings, rng
-                ) -> tuple[FakePath, ...]:
+def _fake_paths(topo, real, n, main, settings, rng) -> tuple[Route, ...]:
     """n fake paths, each placed off the earlier ones. Without a main
     extended route they are plain shortest paths (N fake pairs); with one
-    each is extrapolated too; no fake touches the main extended route or an
-    earlier fake."""
+    each is extrapolated too, and the extended route is kept; no fake
+    touches the main extended route or an earlier fake."""
     taken = set(main.route.nodes) if main is not None else set()
     fakes = []
     for _ in range(n):
         fs, fd = place_fake_pair(topo, real, rng, avoid=taken)
-        route = fake = shortest_path(topo, fs, fd)
+        route = shortest_path(topo, fs, fd)
         if main is not None:
             f_src, f_dst = _extension_lengths(settings, rng)
-            fake = extrapolate(topo, route, f_src, f_dst, rng,
-                               strict=settings.strict, avoid=taken)
-            route = fake.route
-        fakes.append(fake)
+            route = extrapolate(topo, route, f_src, f_dst, rng,
+                                strict=settings.strict, avoid=taken).route
+        fakes.append(route)
         taken.update(route.nodes)
     return tuple(fakes)
 

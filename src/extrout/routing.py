@@ -112,11 +112,12 @@ def hop_distances(topo: Topology, src: int) -> Mapping[int, int]:
 
 
 def _bfs(topo: Topology, src: int) -> Mapping[int, int]:
+    adjacency = topo.adjacency
     dist = {src: 0}
     queue = deque([src])
     while queue:
         u = queue.popleft()
-        for v in topo.neighbors(u):
+        for v in adjacency[u]:
             if v not in dist:
                 dist[v] = dist[u] + 1
                 queue.append(v)
@@ -162,6 +163,7 @@ def at_hop_distance(topo: Topology, u: int, v: int, hops: int) -> bool:
 
     if lower(u) > hops:
         return False
+    adjacency = topo.adjacency
     depth = {u: 0}
     heap = [(lower(u), 0, u)]
     while heap:
@@ -171,7 +173,7 @@ def at_hop_distance(topo: Topology, u: int, v: int, hops: int) -> bool:
         if -neg_depth > depth[n]:
             continue  # reached by a shorter path since it was pushed
         step = 1 - neg_depth
-        for m in topo.neighbors(n):
+        for m in adjacency[n]:
             if step < depth.get(m, hops + 1):
                 f = step + lower(m)
                 if f <= hops:
@@ -179,13 +181,6 @@ def at_hop_distance(topo: Topology, u: int, v: int, hops: int) -> bool:
                     # deeper nodes first among equal bounds
                     heapq.heappush(heap, (f, -step, m))
     return False
-
-
-def hop_distance(topo: Topology, u: int, v: int) -> int:
-    d = hop_distances(topo, u).get(v)
-    if d is None:
-        raise UnreachableError(f"no path from {u} to {v}")
-    return d
 
 
 def shortest_path(topo: Topology, source: int, dest: int) -> Route:
@@ -200,11 +195,12 @@ def shortest_path(topo: Topology, source: int, dest: int) -> Route:
     dist = hop_distances(topo, dest)
     if source not in dist:
         raise UnreachableError(f"no path from {source} to {dest}")
+    adjacency = topo.adjacency
     nodes = [source]
     current = source
     while current != dest:
         step = dist[current] - 1
-        current = min(m for m in topo.neighbors(current) if dist.get(m, -1) == step)
+        current = min(m for m in adjacency[current] if dist.get(m, -1) == step)
         nodes.append(current)
     return Route(tuple(nodes))
 
@@ -229,11 +225,12 @@ def extrapolate(topo: Topology, route: Route, source_ext: int, dest_ext: int,
         raise ValueError("route is not a shortest path between its endpoints")
     dist_to_src = hop_distances(topo, src)
     used = set(route.nodes) | set(avoid)
+    adjacency = topo.adjacency
 
     def grow(tail: int, dist_map: Mapping[int, int], want: int) -> list[int]:
         chain: list[int] = []
         for k in range(1, want + 1):
-            cands = [m for m in topo.neighbors(tail)
+            cands = [m for m in adjacency[tail]
                      if m not in used and (not strict or dist_map.get(m) == hops + k)]
             if not cands:
                 break

@@ -119,12 +119,6 @@ class Topology:
     def node_count(self) -> int:
         return len(self.positions)
 
-    def neighbors(self, node: int) -> tuple[int, ...]:
-        return self.adjacency[node]
-
-    def degree(self, node: int) -> int:
-        return len(self.adjacency[node])
-
 
 def link_probability(d: float, tx_range: float, qudg_factor: float) -> float:
     """Probability that two nodes at distance d share a link.
@@ -210,16 +204,18 @@ def average_degree(topo: Topology) -> float:
     """Mean link count over interior grid nodes.
 
     Boundary rows/columns are excluded to avoid edge effects; when the grid
-    has no interior (fewer than 3 rows or columns) all nodes count.
+    has no interior (fewer than 3 rows or columns), or the node ids are not
+    its cells 1..N (a loaded file may number nodes freely), all nodes count.
     """
     p = topo.params
-    interior = [
-        n for n in topo.nodes
-        if 0 < p.grid_cell(n)[0] < p.grid_rows - 1
-        and 0 < p.grid_cell(n)[1] < p.grid_cols - 1
-    ]
-    pool = interior or list(topo.nodes)
-    return sum(topo.degree(n) for n in pool) / len(pool)
+    pool = topo.nodes
+    if pool == tuple(range(1, p.node_count + 1)):
+        pool = [
+            n for n in pool
+            if 0 < p.grid_cell(n)[0] < p.grid_rows - 1
+            and 0 < p.grid_cell(n)[1] < p.grid_cols - 1
+        ] or pool
+    return sum(len(topo.adjacency[n]) for n in pool) / len(pool)
 
 
 def topology_to_text(topo: Topology) -> str:

@@ -26,6 +26,17 @@ def matrix_from_csv(text: str) -> list[list[float]]:
     return rows
 
 
+class CountingAdjacency(dict):
+    """An adjacency mapping that counts the neighbour lists read from it,
+    so a test can bound how much of the graph a search expands."""
+
+    reads = 0
+
+    def __getitem__(self, node):
+        self.reads += 1
+        return super().__getitem__(node)
+
+
 def bfs_levels(adjacency: dict, start) -> dict:
     """Hop distance from start to every reachable node."""
     levels = {start: 0}

@@ -20,9 +20,9 @@ from extrout.metrics import (REFERENCE_TOLERANCE, REFERENCES, reconcile,
 from extrout.protocols import (ProtocolVariant, ScenarioPlan,
                                ScenarioSettings, build_scenario)
 from extrout.rng import substream
-from extrout.routing import ExtendedRoute, Route, disjoint_paths, extrapolate, shortest_path
+from extrout.routing import Route, disjoint_paths, extrapolate, shortest_path
 from extrout.simengine import TrafficTrace, run
-from extrout.topology import (Position, Topology, TopologyParams,
+from extrout.topology import (Position, TopologyParams,
                               average_degree, build_qudg, generate,
                               link_probability, topology_to_text)
 
@@ -33,10 +33,6 @@ from oracles import bfs_levels, max_node_disjoint_paths
 def _verdict(num: int, ok: bool, detail: str) -> None:
     print(f"criterion {num}: {'PASS' if ok else 'FAIL'} {detail}")
     assert ok, f"criterion {num}: {detail}"
-
-
-def _adjacency(topo: Topology) -> dict[int, tuple[int, ...]]:
-    return {n: topo.neighbors(n) for n in topo.nodes}
 
 
 def _data_rows(path: Path) -> list[list[str]]:
@@ -129,9 +125,9 @@ def test_criterion_04_fake_extended_path_mismatch_is_flagged():
     topo = line_topology(40)
     real = shortest_path(topo, 5, 13)
     main = extrapolate(topo, real, 3, 4, random.Random(0))
-    fake = ExtendedRoute(Route(tuple(range(20, 38))), 2, 15)  # 17 hops, disjoint
-    assert fake.route.hops == 17
-    assert not set(fake.route.nodes) & set(main.route.nodes)
+    fake = Route(tuple(range(20, 38)))  # 17 hops, disjoint
+    assert fake.hops == 17
+    assert not set(fake.nodes) & set(main.route.nodes)
     plan = ScenarioPlan(topology=topo,
                         variant=ProtocolVariant("extrout_fake", 1), real_route=real,
                         main=main, fake_paths=(fake,),
@@ -248,7 +244,7 @@ def test_criterion_08_routing_matches_independent_oracles():
     rng = random.Random(17)
     for seed in range(100):
         topo = random_topology(24, 0.12, seed)
-        adjacency = _adjacency(topo)
+        adjacency = topo.adjacency
         picks = 0
         while picks < 50:
             start = rng.choice(topo.nodes)
@@ -264,7 +260,7 @@ def test_criterion_08_routing_matches_independent_oracles():
     for seed in range(50):
         topo = random_topology(20, 0.2, seed)
         a, b = rng.sample(topo.nodes, 2)
-        expected = max_node_disjoint_paths(_adjacency(topo), a, b)
+        expected = max_node_disjoint_paths(topo.adjacency, a, b)
         found = disjoint_paths(topo, a, b, 20, Route((a, b)))
         assert len(found) == expected
         positive += 1 if expected else 0

@@ -16,13 +16,13 @@ from extrout.expcli import (SCHEMA, ConfigError, _format_value, _sample_pair,
 from extrout.metrics import ReconciliationRecord
 from extrout.protocols import ProtocolVariant, ScenarioSettings, build_scenario
 from extrout.rng import substream
-from extrout.routing import hop_distances
+from extrout.routing import UnreachableError, hop_distances
 from extrout.simengine import run
-from extrout.topology import (TopologyParams, generate, load_topology,
-                              topology_to_text)
+from extrout.topology import (Topology, TopologyParams, generate,
+                              load_topology, topology_to_text)
 
 from ladders import line_topology
-from oracles import bfs_levels, matrix_from_csv
+from oracles import CountingAdjacency, bfs_levels, matrix_from_csv
 from test_golden import GRID, _digest
 
 HERE = Path(__file__).resolve().parent
@@ -37,6 +37,14 @@ def _dense_flags(rows: int, cols: int) -> list[str]:
 def _line_file(tmp_path, n: int = 20) -> str:
     path = tmp_path / "line.txt"
     path.write_text(topology_to_text(line_topology(n)), encoding="utf-8")
+    return str(path)
+
+
+def _free_id_file(tmp_path) -> str:
+    """A three-node chain numbered 5, 6, 7: not the cells 1..3 of its grid."""
+    path = tmp_path / "free_ids.txt"
+    path.write_text("3 150.0 0.95 0.0 100.0 0\n5 0.0 0.0\n6 100.0 0.0\n"
+                    "7 200.0 0.0\n5 6\n6 7\n", encoding="utf-8")
     return str(path)
 
 
@@ -144,10 +152,13 @@ def test_main_exit_1_on_config_error(tmp_path, capsys):
      "bad value for --frontier-hops: must be >= 1, got -1"),
     (["--source-rate", "2"], "unrecognized arguments: --source-rate 2"),
     (["--budget", "0"], "packet_budget must be at least 1"),
+    # links need d < R, so no two nodes of the grid are linked
+    (["--tx-range", "50", "--source", "1", "--dest", "2"],
+     "no path from 1 to 2"),
 ], ids=["ext-interval", "qudg-factor", "count", "threshold", "cover",
         "negative-endpoints", "negative-extensions", "pairs-per-target",
         "attack-trials", "hop-targets", "target-hops", "frontier-hops",
-        "source-rate", "budget"])
+        "source-rate", "budget", "unreachable-endpoints"])
 def test_main_exit_1_on_invalid_input(tmp_path, capsys, flags, message):
     # flags come last, so they override the defaults set before them
     args = ["attack", *_dense_flags(5, 5), "--target-hops", "3",
@@ -159,7 +170,12 @@ def test_main_exit_1_on_invalid_input(tmp_path, capsys, flags, message):
 @pytest.mark.parametrize("text, message", [
     ("[attack]\ncover = auto\n", "unknown key [attack] cover"),
     ("[attack]\nthreshold = 0\n", "unknown key [attack] threshold"),
-], ids=["cover", "threshold"])
+    # configparser would apply [DEFAULT] keys silently, or copy them into
+    # every other section and blame that one
+    ("[DEFAULT]\nseed = 3\n", "unknown key [DEFAULT] seed"),
+    ("[DEFAULT]\nseed = 3\n[topology]\nrows = 5\n",
+     "unknown key [DEFAULT] seed"),
+], ids=["cover", "threshold", "default", "default-beside-topology"])
 def test_main_exit_1_on_removed_ini_key(tmp_path, capsys, text, message):
     ini = tmp_path / "exp.ini"
     ini.write_text(text, encoding="utf-8")
@@ -240,6 +256,26 @@ def test_unknown_reference_fails_before_any_scenario(tmp_path, monkeypatch,
     assert not out.exists()
 
 
+def test_run_on_ids_off_the_grid_fails_before_any_plan(tmp_path, monkeypatch,
+                                                        capsys):
+    import extrout.expcli as expcli
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return build_scenario(*args)
+
+    monkeypatch.setattr(expcli, "build_scenario", counting)
+    out = tmp_path / "out"
+    assert main(["run", "--topology-file", _free_id_file(tmp_path),
+                 "--source", "5", "--dest", "7", "--reps", "3",
+                 "--budget", "5", "--out", str(out)]) == 1
+    assert "config error: matrix view unavailable" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["attack", "topology"])
 @pytest.mark.parametrize("flags, message", [
     (["--variant", "bogus"], "unknown variant 'bogus'"),
@@ -309,11 +345,19 @@ def test_program_errors_are_not_config_errors(tmp_path, monkeypatch):
         raise ValueError("simulated program bug")
 
     monkeypatch.setattr(expcli, "run", broken_run)
+    args = ["run", "--topology-file", _line_file(tmp_path),
+            "--source", "5", "--dest", "13", "--reps", "1", "--budget", "10",
+            "--out", str(tmp_path / "out")]
     with pytest.raises(ValueError, match="simulated program bug"):
-        main(["run", "--topology-file", _line_file(tmp_path),
-              "--source", "5", "--dest", "13",
-              "--reps", "1", "--budget", "10",
-              "--out", str(tmp_path / "out")])
+        main(args)
+
+    # the endpoints were checked, so a lost path is a bug too
+    def broken_build(*args):
+        raise UnreachableError("simulated lost path")
+
+    monkeypatch.setattr(expcli, "build_scenario", broken_build)
+    with pytest.raises(UnreachableError, match="simulated lost path"):
+        main(args)
 
 
 def test_main_exit_2_on_reconciliation_failure(tmp_path, monkeypatch):
@@ -336,15 +380,8 @@ def test_main_exit_2_on_reconciliation_failure(tmp_path, monkeypatch):
 def test_pair_sampling_draws_the_bfs_pair_without_whole_topology_searches():
     topo = generate(TopologyParams(30, 30, perturbation=0.0, tx_range=150.0,
                                    qudg_factor=0.95, seed=1))
-    calls = 0
-    neighbors = topo.neighbors
-
-    def counting(node):
-        nonlocal calls
-        calls += 1
-        return neighbors(node)
-
-    topo.neighbors = counting
+    adjacency = topo.adjacency
+    topo.adjacency = counted = CountingAdjacency(adjacency)
     draws = 0
     for seed in range(1, 9):
         rng = substream(seed, "pairs")
@@ -355,14 +392,14 @@ def test_pair_sampling_draws_the_bfs_pair_without_whole_topology_searches():
             source = topo.nodes[rng.randrange(topo.node_count)]
             dest = topo.nodes[rng.randrange(topo.node_count)]
             draws += 1
-            if (source != dest and bfs_levels(topo.adjacency, source).get(dest)
+            if (source != dest and bfs_levels(adjacency, source).get(dest)
                     == 20):
                 break
         assert got == (source, dest)
     # four landmark BFS, then a few expansions a draw, where a BFS from
     # each drawn source would expand every node
     assert draws > 100
-    assert calls - 4 * topo.node_count < draws * topo.node_count / 20
+    assert counted.reads - 4 * topo.node_count < draws * topo.node_count / 20
     assert hop_distances not in topo.memo
 
 
@@ -386,6 +423,14 @@ def test_topology_command_writes_loadable_file(tmp_path, capsys):
     first = path.read_bytes()
     assert main(args) == 0
     assert path.read_bytes() == first
+
+
+def test_topology_command_reads_a_file_with_any_ids(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["topology", "--topology-file", _free_id_file(tmp_path),
+                 "--out", str(out)]) == 0
+    assert "nodes=3 links=2 average_degree=1.333" in capsys.readouterr().out
+    assert load_topology(out / "topology.txt").nodes == (5, 6, 7)
 
 
 def test_run_command_outputs_and_reconciliation(tmp_path, capsys):
@@ -706,6 +751,76 @@ def test_attack_builds_one_plan_per_trial(tmp_path, monkeypatch):
                  "--source", "5", "--dest", "13", "--trials", "100",
                  "--budget", "10", "--out", str(tmp_path / "out")]) == 0
     assert len(calls) == 100
+
+
+def _renumbered_grid_files(tmp_path) -> tuple[str, str, dict[int, int]]:
+    """The dense 8x8 grid as a file, the same grid with node n renamed
+    7n + 100 (a map that keeps the ids' order) as another, and the map."""
+    grid = generate(TopologyParams(8, 8, perturbation=0.0, tx_range=150.0,
+                                   qudg_factor=0.95, seed=3))
+    rename = {n: 7 * n + 100 for n in grid.nodes}
+    renamed = Topology(grid.params,
+                       {rename[n]: pos for n, pos in grid.positions.items()},
+                       frozenset((rename[i], rename[j]) for i, j in grid.links))
+    paths = []
+    for name, topo in (("plain.txt", grid), ("renamed.txt", renamed)):
+        path = tmp_path / name
+        path.write_text(topology_to_text(topo), encoding="utf-8")
+        paths.append(str(path))
+    return paths[0], paths[1], rename
+
+
+def _body(path: Path) -> list[str]:
+    """An output's lines below its provenance block."""
+    return [ln for ln in path.read_text(encoding="utf-8").splitlines()
+            if not ln.startswith("#")]
+
+
+@pytest.mark.parametrize("endpoints", ["explicit", "sampled"])
+@pytest.mark.parametrize("kind, count", [
+    ("extrout_duplicates", 2), ("extrout_fake", 1), ("nfake_pairs", 2),
+    ("extrout_baseline", 1)])
+def test_attack_on_renumbered_ids_renames_only_the_guesses(tmp_path, kind,
+                                                           count, endpoints):
+    plain, renamed, rename = _renumbered_grid_files(tmp_path)
+    outs = []
+    for path, source, dest in ((plain, 19, 46),
+                               (renamed, rename[19], rename[46])):
+        picks = (["--source", str(source), "--dest", str(dest)]
+                 if endpoints == "explicit" else ["--target-hops", "4"])
+        out = tmp_path / Path(path).stem
+        assert main(["attack", "--topology-file", path, *picks,
+                     "--variant", kind, "--count", str(count),
+                     "--trials", "100", "--budget", "5",
+                     "--out", str(out)]) == 0
+        outs.append(out)
+    header, *rows = _body(outs[0] / "attack.csv")
+    expected = [header]
+    for row in rows:
+        trial, source, dest, *correct = row.split(",")
+        expected.append(",".join([trial, str(rename[int(source)]),
+                                  str(rename[int(dest)]), *correct]))
+    assert _body(outs[1] / "attack.csv") == expected
+    assert _body(outs[1] / "attack.txt") == _body(outs[0] / "attack.txt")
+
+
+def test_sweep_on_renumbered_ids_writes_the_same_curves(tmp_path):
+    plain, renamed, _ = _renumbered_grid_files(tmp_path)
+    outs = []
+    for path in (plain, renamed):
+        out = tmp_path / Path(path).stem
+        assert main(["sweep", "--topology-file", path,
+                     "--variant", "extrout_fake", "--ext-low", "1",
+                     "--ext-high", "2", "--hop-targets", "2,4",
+                     "--pairs-per-target", "3", "--frontier-hops", "4",
+                     "--duplicate-counts", "1,2", "--fake-counts", "1",
+                     "--nfake-counts", "1,2", "--reps", "2",
+                     "--budget", "5", "--out", str(out)]) == 0
+        outs.append(out)
+    curves = _body(outs[0] / "anonymity_vs_L.csv")
+    assert curves[-1].startswith("4,1,")  # a row with a plan in it
+    for name in ("anonymity_vs_L.csv", "anonymity_vs_tof.csv"):
+        assert _body(outs[1] / name) == _body(outs[0] / name)
 
 
 def test_report_command_reconciles_references(tmp_path, capsys):

@@ -25,6 +25,7 @@ from extrout.simengine import run
 from extrout.topology import Position, Topology, TopologyParams, generate
 
 from ladders import LINK_PROFILES, line_topology, parallel_paths
+from oracles import CountingAdjacency
 
 
 def _pinned(src_ext: int, dst_ext: int, **kw) -> ScenarioSettings:
@@ -119,7 +120,7 @@ def test_duplicates_plan_at_an_isolated_node_has_none():
     # anchors are node 1: no duplicate exists, as no fake needs one.
     topo = generate(TopologyParams(3, 3, perturbation=0.0, tx_range=150.0,
                                    qudg_factor=0.375, seed=0))
-    assert topo.degree(1) == 0
+    assert topo.adjacency[1] == ()
     plan = build_scenario(topo, 1, 1, ProtocolVariant("extrout_duplicates", 2))
     assert plan.main.route.nodes == (1,)
     assert plan.duplicates == ()
@@ -136,17 +137,30 @@ def test_duplicates_shortfall_is_recorded_not_fatal():
     assert plan.duplicate_shortfall == 2
 
 
-def test_fake_extended_paths_avoid_the_main_route():
+def test_fake_extended_paths_avoid_the_main_route(monkeypatch):
+    import extrout.protocols as protocols
+
+    pairs = []
+
+    def recording(*args, **kwargs):
+        pairs.append(place_fake_pair(*args, **kwargs))
+        return pairs[-1]
+
+    monkeypatch.setattr(protocols, "place_fake_pair", recording)
     topo, hub_a, hub_b, rows = parallel_paths([14, 14, 14])
     src, dst = rows[0][2], rows[0][10]
     plan = build_scenario(topo, src, dst, ProtocolVariant("extrout_fake", 1),
                           _pinned(3, 4), random.Random(2))
-    assert len(plan.fake_paths) == 1
+    assert len(plan.fake_paths) == len(pairs) == 1
     fake = plan.fake_paths[0]
-    core_hops = fake.dest_index - fake.source_index
-    assert abs(core_hops - plan.real_route.hops) <= 1
-    assert set(fake.route.nodes).isdisjoint(plan.main.route.nodes)
-    assert plan.all_chains() == (plan.main.route, fake.route)
+    # the placed pair's shortest path is the extended fake's core
+    core = shortest_path(topo, *pairs[0]).nodes
+    start = fake.nodes.index(core[0])
+    assert fake.nodes[start:start + len(core)] == core
+    assert fake.hops > len(core) - 1
+    assert abs(len(core) - 1 - plan.real_route.hops) <= 1
+    assert set(fake.nodes).isdisjoint(plan.main.route.nodes)
+    assert plan.all_chains() == (plan.main.route, fake)
 
 
 def test_fake_core_avoids_the_main_extension():
@@ -246,7 +260,7 @@ def _tier_cases():
         for k, profile in enumerate(LINK_PROFILES):
             topo = generate(TopologyParams(side, side, seed=10 * side + k, **profile))
             rng = random.Random(side * 31 + k)
-            a = rng.choice([n for n in topo.nodes if topo.degree(n)])
+            a = rng.choice([n for n in topo.nodes if topo.adjacency[n]])
             dist = hop_distances(topo, a)
             far = max(dist.values())
             ends = (a, min(n for n, d in dist.items() if d == 1),
@@ -325,21 +339,13 @@ def test_plans_do_not_depend_on_cache_state():
 
 def test_later_fake_plans_reuse_the_hop_tables():
     topo = _mesh()
-    calls = 0
-    neighbors = topo.neighbors
-
-    def counting(node):
-        nonlocal calls
-        calls += 1
-        return neighbors(node)
-
-    topo.neighbors = counting
+    topo.adjacency = counted = CountingAdjacency(topo.adjacency)
     per_plan, memos = [], []
     for seed in range(20):
-        calls = 0
+        counted.reads = 0
         build_scenario(topo, 14, 131, ProtocolVariant("extrout_fake", 1),
                        rng=random.Random(seed))
-        per_plan.append(calls)
+        per_plan.append(counted.reads)
         memos.append(topo.memo[_pair_tiers])
     # the first plan ranks every decoy pair; a later plan never ranks again
     # and runs at most the odd BFS for a route endpoint asked for the first

@@ -15,7 +15,6 @@ from extrout.routing import (
     at_hop_distance,
     disjoint_paths,
     extrapolate,
-    hop_distance,
     hop_distances,
     shortest_path,
 )
@@ -24,10 +23,6 @@ from extrout.topology import Position, Topology, TopologyParams, generate
 from ladders import LINK_PROFILES, line_topology, parallel_paths, random_topology
 from oracles import (bfs_levels, max_node_disjoint_paths, min_disjoint_hops,
                      route_is_valid)
-
-
-def _adjacency(topo: Topology) -> dict[int, tuple[int, ...]]:
-    return {n: topo.neighbors(n) for n in topo.nodes}
 
 
 # ------------------------------------------------------------------- routes
@@ -60,7 +55,7 @@ def test_extended_route_accessors():
 def test_hop_distances_match_independent_bfs():
     for seed in range(100):
         topo = random_topology(24, 0.12, seed)
-        adjacency = _adjacency(topo)
+        adjacency = topo.adjacency
         for start in (1, 12, 24):
             assert hop_distances(topo, start) == bfs_levels(adjacency, start)
 
@@ -73,7 +68,7 @@ def test_hop_tables_are_kept_from_the_first_request_and_read_only():
     assert hop_distances(topo, 1) is table
     with pytest.raises(TypeError):
         table[6] = 0
-    assert hop_distance(topo, 1, 6) == 5
+    assert table[6] == 5
 
 
 def test_at_hop_distance_matches_bfs():
@@ -81,7 +76,7 @@ def test_at_hop_distance_matches_bfs():
     # so pairs elsewhere are searched without a bound
     for p, seed in ((0.06, 1), (0.06, 2), (0.12, 3), (0.3, 4)):
         topo = random_topology(24, p, seed)
-        adjacency = _adjacency(topo)
+        adjacency = topo.adjacency
         for u in topo.nodes:
             levels = bfs_levels(adjacency, u)
             for v in topo.nodes:
@@ -91,13 +86,12 @@ def test_at_hop_distance_matches_bfs():
 
 def test_hop_distance_values_and_errors():
     topo = line_topology(6)
-    assert hop_distance(topo, 1, 6) == 5
-    assert hop_distance(topo, 3, 3) == 0
+    assert hop_distances(topo, 1)[6] == 5
+    assert hop_distances(topo, 3)[3] == 0
     with pytest.raises(ValueError):
         hop_distances(topo, 99)
     split = Topology(topo.params, topo.positions, ((1, 2), (3, 4), (4, 5), (5, 6)))
-    with pytest.raises(UnreachableError):
-        hop_distance(split, 1, 6)
+    assert 6 not in hop_distances(split, 1)
 
 
 # ------------------------------------------------------------ shortest path
@@ -106,7 +100,7 @@ def test_shortest_path_length_matches_bfs():
     rng = random.Random(7)
     for seed in range(60):
         topo = random_topology(24, 0.15, seed)
-        levels = bfs_levels(_adjacency(topo), 1)
+        levels = bfs_levels(topo.adjacency, 1)
         reachable = [n for n in levels if n != 1]
         if not reachable:
             continue
@@ -119,7 +113,7 @@ def test_shortest_path_length_matches_bfs():
 
 
 def _all_shortest_paths(topo: Topology, source: int, dest: int) -> list[tuple]:
-    dist = bfs_levels(_adjacency(topo), dest)
+    dist = bfs_levels(topo.adjacency, dest)
     paths = []
 
     def walk(prefix: list[int]) -> None:
@@ -127,7 +121,7 @@ def _all_shortest_paths(topo: Topology, source: int, dest: int) -> list[tuple]:
         if tail == dest:
             paths.append(tuple(prefix))
             return
-        for m in topo.neighbors(tail):
+        for m in topo.adjacency[tail]:
             if dist.get(m) == dist[tail] - 1:
                 walk(prefix + [m])
 
@@ -139,7 +133,7 @@ def test_shortest_path_is_lexicographically_smallest():
     rng = random.Random(31)
     for seed in range(40):
         topo = random_topology(10, 0.3, seed)
-        levels = bfs_levels(_adjacency(topo), 1)
+        levels = bfs_levels(topo.adjacency, 1)
         reachable = [n for n in levels if n != 1]
         if not reachable:
             continue
@@ -274,7 +268,7 @@ def test_disjoint_paths_count_matches_flow_oracle():
     for seed in range(80):
         topo = random_topology(20, 0.2, seed)
         a, b = rng.sample(topo.nodes, 2)
-        expected = max_node_disjoint_paths(_adjacency(topo), a, b)
+        expected = max_node_disjoint_paths(topo.adjacency, a, b)
         paths = disjoint_paths(topo, a, b, 20, Route((a, b)))
         assert len(paths) == expected
         for p in paths:
@@ -299,7 +293,7 @@ def test_disjoint_paths_flow_oracle_with_banned_interior():
         except UnreachableError:
             continue
         banned = set(real.nodes[1:-1])
-        expected = max_node_disjoint_paths(_adjacency(topo), a, b, banned)
+        expected = max_node_disjoint_paths(topo.adjacency, a, b, banned)
         paths = disjoint_paths(topo, a, b, 18, real)
         assert len(paths) == expected
         for p in paths:
@@ -331,7 +325,7 @@ def _brute_force_cases():
 def test_disjoint_paths_min_total_hops_matches_brute_force():
     checked = 0
     for topo, a, b, excluded in _brute_force_cases():
-        totals = min_disjoint_hops(_adjacency(topo), a, b, excluded.nodes[1:-1])
+        totals = min_disjoint_hops(topo.adjacency, a, b, excluded.nodes[1:-1])
         for count in (1, 2, 3, 5):
             paths = disjoint_paths(topo, a, b, count, excluded)
             assert len(paths) == min(count, len(totals) - 1)

@@ -235,8 +235,8 @@ def test_adjacency_is_sorted_and_symmetric():
     params = TopologyParams(grid_rows=1, grid_cols=4, seed=0)
     positions = {i: Position(i * 10.0, 0.0) for i in range(1, 5)}
     topo = Topology(params, positions, ((3, 1), (2, 3), (4, 3)))
-    assert topo.neighbors(3) == (1, 2, 4)
-    assert topo.degree(3) == 3
+    assert topo.adjacency[3] == (1, 2, 4)
+    assert topo.adjacency[1] == (3,)
     assert (1, 3) in topo.links and (1, 2) not in topo.links
 
 
@@ -260,6 +260,18 @@ def test_average_degree_uses_interior_nodes_when_present():
                             qudg_factor=0.95, seed=4)
     topo = generate(params)
     assert average_degree(topo) == 8.0  # corners and edges excluded
+
+
+@pytest.mark.parametrize("shift", [-1, 4, 100])
+def test_average_degree_over_all_nodes_when_ids_are_not_the_cells(shift):
+    # the dense 3x3 grid renumbered n + shift, as a file may number it:
+    # corners have 3 links, edges 5 and the centre 8
+    dense = generate(TopologyParams(grid_rows=3, grid_cols=3, perturbation=0.0,
+                                    tx_range=150.0, qudg_factor=0.95, seed=4))
+    text = topology_to_text(Topology(
+        dense.params, {n + shift: pos for n, pos in dense.positions.items()},
+        frozenset((i + shift, j + shift) for i, j in dense.links)))
+    assert average_degree(topology_from_text(text)) == 40 / 9
 
 
 # ----------------------------------------------------------------- text form
