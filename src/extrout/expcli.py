@@ -158,8 +158,10 @@ def resolve_config(config_path: str | None,
     if config_path:
         # No section can be named "", so [DEFAULT] reads as an ordinary
         # section whose keys are rejected below, not copied into every other.
+        # Values are read literally: "%" has no special meaning.
         parser = configparser.ConfigParser(inline_comment_prefixes=(";",),
-                                           default_section="")
+                                           default_section="",
+                                           interpolation=None)
         try:
             read = parser.read(config_path)
         except configparser.Error as exc:
@@ -402,13 +404,10 @@ def _sweep_hop_row(topo, target: int, cfg: dict, variant, settings) -> list[str]
             skipped += 1
             continue
         main = plan.main
-        if main is not None and (
-                main.source_extension != plan.requested_source_ext
-                or main.dest_extension != plan.requested_dest_ext):
-            skipped += 1  # truncated extension would smear the averages
-            continue
-        if plan.duplicate_shortfall:
-            skipped += 1
+        if (plan.duplicate_shortfall
+                or main.source_ext != plan.requested_source_ext
+                or main.dest_ext != plan.requested_dest_ext):
+            skipped += 1  # a truncated plan would smear the averages
             continue
         reports.append(report_from_run(plan, run(plan)))
     note = f"skipped={skipped}" if skipped else ""

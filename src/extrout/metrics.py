@@ -207,7 +207,6 @@ def report_from_run(plan: ScenarioPlan, trace: TrafficTrace | None = None,
     computed elsewhere; this module only does the accounting.
     """
     real_hops = plan.real_route.hops
-    main = plan.main
 
     # run scales one interval by the budget, so the first division is exact
     tof_measured = (trace.total_transmissions / plan.packet_budget / real_hops
@@ -216,8 +215,8 @@ def report_from_run(plan: ScenarioPlan, trace: TrafficTrace | None = None,
     return PrivacyReport(
         variant=plan.variant.kind,
         real_hops=real_hops,
-        source_ext=main.source_extension if main is not None else 0,
-        dest_ext=main.dest_extension if main is not None else 0,
+        source_ext=plan.main.source_ext,
+        dest_ext=plan.main.dest_ext,
         duplicate_hops=tuple(r.hops for r in plan.duplicates),
         fake_hops=tuple(r.hops for r in plan.fake_paths),
         residual_rate=plan.variant.residual_cover_rate,

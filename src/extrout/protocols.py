@@ -82,14 +82,19 @@ class ScenarioSettings:
             raise ValueError("packet_budget must be at least 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioPlan:
-    """Everything the simulator needs for one scenario instance."""
+    """Everything the simulator needs for one scenario instance.
+
+    main carries the real packet in every variant: real_route extended by
+    its achieved extensions, (0, 0) for a variant without cover. The
+    requested extensions are the lengths main was asked for.
+    """
 
     topology: Topology
     variant: ProtocolVariant
     real_route: Route
-    main: ExtendedRoute | None = None
+    main: ExtendedRoute
     duplicates: tuple[Route, ...] = ()
     fake_paths: tuple[Route, ...] = ()
     requested_source_ext: int = 0
@@ -107,8 +112,7 @@ class ScenarioPlan:
 
     def all_chains(self) -> tuple[Route, ...]:
         """The real packet's carrier, then the chains that carry dummies only."""
-        carrier = self.main.route if self.main is not None else self.real_route
-        return (carrier,) + self.duplicates + self.fake_paths
+        return (self.main.route,) + self.duplicates + self.fake_paths
 
 
 def build_scenario(topo: Topology, source: int, dest: int,
@@ -123,34 +127,28 @@ def build_scenario(topo: Topology, source: int, dest: int,
     settings = settings or ScenarioSettings()
     rng = rng or random.Random(0)
     real = shortest_path(topo, source, dest)
-    plan = ScenarioPlan(topology=topo, variant=variant, real_route=real,
-                        packet_budget=settings.packet_budget)
+    if variant.uses_cover:
+        requested = _extension_lengths(settings, rng)
+        main = extrapolate(topo, real, *requested, rng, strict=settings.strict)
+    else:
+        requested, main = (0, 0), ExtendedRoute(real, 0, 0)
 
-    if variant.kind == "no_privacy":
-        return plan
-
-    if variant.kind == "nfake_pairs":
-        plan.fake_paths = _fake_paths(topo, real, variant.count, None,
-                                      settings, rng)
-        return plan
-
-    # extrout family: extrapolate the real route first
-    src_ext, dst_ext = _extension_lengths(settings, rng)
-    plan.requested_source_ext = src_ext
-    plan.requested_dest_ext = dst_ext
-    plan.main = extrapolate(topo, real, src_ext, dst_ext, rng, strict=settings.strict)
-
+    duplicates, fakes, shortfall = (), (), 0
     if variant.kind == "extrout_duplicates":
-        a, b = plan.main.anchor_source, plan.main.anchor_dest
+        a, b = main.route.source, main.route.dest
         # a zero-hop route that cannot be extended has one anchor: no duplicate
-        dups = disjoint_paths(topo, a, b, variant.count,
-                              excluded=plan.main.route) if a != b else []
-        plan.duplicates = tuple(dups)
-        plan.duplicate_shortfall = variant.count - len(dups)
-    elif variant.kind == "extrout_fake":
-        plan.fake_paths = _fake_paths(topo, real, variant.count,
-                                      plan.main, settings, rng)
-    return plan
+        if a != b:
+            duplicates = tuple(disjoint_paths(topo, a, b, variant.count,
+                                              excluded=main.route))
+        shortfall = variant.count - len(duplicates)
+    elif variant.kind in ("extrout_fake", "nfake_pairs"):
+        fakes = _fake_paths(topo, real, main, variant, settings, rng)
+    return ScenarioPlan(
+        topology=topo, variant=variant, real_route=real, main=main,
+        duplicates=duplicates, fake_paths=fakes,
+        requested_source_ext=requested[0], requested_dest_ext=requested[1],
+        duplicate_shortfall=shortfall,
+        packet_budget=settings.packet_budget)
 
 
 def _extension_lengths(settings: ScenarioSettings,
@@ -163,17 +161,16 @@ def _extension_lengths(settings: ScenarioSettings,
     return src_ext, dst_ext
 
 
-def _fake_paths(topo, real, n, main, settings, rng) -> tuple[Route, ...]:
-    """n fake paths, each placed off the earlier ones. Without a main
-    extended route they are plain shortest paths (N fake pairs); with one
-    each is extrapolated too, and the extended route is kept; no fake
-    touches the main extended route or an earlier fake."""
-    taken = set(main.route.nodes) if main is not None else set()
+def _fake_paths(topo, real, main, variant, settings, rng) -> tuple[Route, ...]:
+    """variant.count fake paths, each placed off the carrier and the earlier
+    fakes. Without cover they are plain shortest paths (N fake pairs);
+    with it each is extrapolated too, and the extended route is kept."""
+    taken = set(main.route.nodes)
     fakes = []
-    for _ in range(n):
+    for _ in range(variant.count):
         fs, fd = place_fake_pair(topo, real, rng, avoid=taken)
         route = shortest_path(topo, fs, fd)
-        if main is not None:
+        if variant.uses_cover:
             f_src, f_dst = _extension_lengths(settings, rng)
             route = extrapolate(topo, route, f_src, f_dst, rng,
                                 strict=settings.strict, avoid=taken).route

@@ -59,37 +59,21 @@ class Route:
 class ExtendedRoute:
     """A source-destination path embedded in a longer anchor-to-anchor path.
 
-    route.nodes[source_index] is the real source, route.nodes[dest_index] the
-    real destination; everything before/after is extrapolated cover.
+    source_ext and dest_ext are the hops of extrapolated cover before the
+    real source and after the real destination; the route between them is
+    the real one. A variant without cover extends nothing: (real, 0, 0).
     """
 
     route: Route
-    source_index: int
-    dest_index: int
+    source_ext: int
+    dest_ext: int
 
     def __post_init__(self):
-        if not 0 <= self.source_index <= self.dest_index <= self.route.hops:
+        if not (0 <= self.source_ext and 0 <= self.dest_ext
+                and self.source_ext + self.dest_ext <= self.route.hops):
             raise ValueError(
-                f"indices ({self.source_index}, {self.dest_index}) outside a "
+                f"extensions ({self.source_ext}, {self.dest_ext}) exceed a "
                 f"{self.route.hops}-hop route")
-
-    @property
-    def anchor_source(self) -> int:
-        return self.route.nodes[0]
-
-    @property
-    def anchor_dest(self) -> int:
-        return self.route.nodes[-1]
-
-    @property
-    def source_extension(self) -> int:
-        """Achieved hops prepended on the source side."""
-        return self.source_index
-
-    @property
-    def dest_extension(self) -> int:
-        """Achieved hops appended on the destination side."""
-        return self.route.hops - self.dest_index
 
 
 def hop_distances(topo: Topology, src: int) -> Mapping[int, int]:
@@ -246,8 +230,8 @@ def extrapolate(topo: Topology, route: Route, source_ext: int, dest_ext: int,
     if dest_ext > 0 and not suffix:
         logger.info("no destination-side extension possible from node %d", dst)
     full = Route(tuple(reversed(prefix)) + route.nodes + tuple(suffix))
-    return ExtendedRoute(route=full, source_index=len(prefix),
-                         dest_index=len(prefix) + hops)
+    return ExtendedRoute(route=full, source_ext=len(prefix),
+                         dest_ext=len(suffix))
 
 
 def disjoint_paths(topo: Topology, anchor_source: int, anchor_dest: int,

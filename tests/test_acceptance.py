@@ -20,7 +20,8 @@ from extrout.metrics import (REFERENCE_TOLERANCE, REFERENCES, reconcile,
 from extrout.protocols import (ProtocolVariant, ScenarioPlan,
                                ScenarioSettings, build_scenario)
 from extrout.rng import substream
-from extrout.routing import Route, disjoint_paths, extrapolate, shortest_path
+from extrout.routing import (ExtendedRoute, Route, disjoint_paths, extrapolate,
+                             shortest_path)
 from extrout.simengine import TrafficTrace, run
 from extrout.topology import (Position, TopologyParams,
                               average_degree, build_qudg, generate,
@@ -155,7 +156,7 @@ def test_criterion_05_single_fake_pair():
     fake = Route(tuple(range(16, 30)))  # 13 hops, clear of the real pair
     plan = ScenarioPlan(topology=topo,
                         variant=ProtocolVariant("nfake_pairs", 1), real_route=real,
-                        fake_paths=(fake,))
+                        main=ExtendedRoute(real, 0, 0), fake_paths=(fake,))
     report = report_from_run(plan, run(plan))
     assert report.anonymity_single == 0.5
     assert report.tof_measured == 25 / 12 == report.tof_analytical

@@ -175,13 +175,23 @@ def test_main_exit_1_on_invalid_input(tmp_path, capsys, flags, message):
     ("[DEFAULT]\nseed = 3\n", "unknown key [DEFAULT] seed"),
     ("[DEFAULT]\nseed = 3\n[topology]\nrows = 5\n",
      "unknown key [DEFAULT] seed"),
-], ids=["cover", "threshold", "default", "default-beside-topology"])
+    # "%" is read literally, not as configparser interpolation
+    ("[run]\nseed = 3%\n", "bad value for seed"),
+], ids=["cover", "threshold", "default", "default-beside-topology", "percent"])
 def test_main_exit_1_on_removed_ini_key(tmp_path, capsys, text, message):
     ini = tmp_path / "exp.ini"
     ini.write_text(text, encoding="utf-8")
     assert main(["attack", "--config", str(ini),
                  "--out", str(tmp_path / "out")]) == 1
     assert f"config error: {ini}: {message}" in capsys.readouterr().err
+
+
+def test_ini_values_are_read_literally(tmp_path):
+    out = tmp_path / "res%1"
+    ini = tmp_path / "exp.ini"
+    ini.write_text(f"[run]\nout = {out}\n", encoding="utf-8")
+    assert main(["topology", "--config", str(ini), "--rows", "3", "--cols", "3"]) == 0
+    assert (out / "topology.txt").is_file()
 
 
 # One bad value per key whose parser bounds it; SCHEMA order.

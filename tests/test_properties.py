@@ -112,6 +112,14 @@ def test_measured_tof_is_the_summed_chain_hops(params, plan_seed, start,
                                   random.Random(plan_seed))
         except PlacementError:
             continue
+        # every variant's carrier is the real route between its extensions
+        main = plan.main
+        assert (main.route.nodes[main.source_ext:len(main.route.nodes) - main.dest_ext]
+                == plan.real_route.nodes), kind
+        if not variant.uses_cover:
+            assert (main.source_ext, main.dest_ext) == (0, 0), kind
+        assert main.source_ext <= plan.requested_source_ext, kind
+        assert main.dest_ext <= plan.requested_dest_ext, kind
         report = report_from_run(plan, run(plan))
         assert reconcile(report).passed, kind
         assert report.tof_measured == (sum(c.hops for c in plan.all_chains())
@@ -137,7 +145,7 @@ def test_chains_share_no_node_but_the_duplicate_anchors(params, plan_seed, ends,
                                   random.Random(plan_seed))
         except PlacementError:
             continue
-        shared = ({plan.main.anchor_source, plan.main.anchor_dest}
+        shared = ({plan.main.route.source, plan.main.route.dest}
                   if kind == "extrout_duplicates" else set())
         chains = [set(chain.nodes) for chain in plan.all_chains()]
         for i, chain in enumerate(chains):

@@ -20,7 +20,7 @@ from extrout.protocols import (
     dummy_schedule,
     place_fake_pair,
 )
-from extrout.routing import Route, hop_distances, shortest_path
+from extrout.routing import ExtendedRoute, Route, hop_distances, shortest_path
 from extrout.simengine import run
 from extrout.topology import Position, Topology, TopologyParams, generate
 
@@ -73,7 +73,7 @@ def test_no_privacy_plan_is_just_the_real_route():
     topo = line_topology(12)
     plan = build_scenario(topo, 2, 10, ProtocolVariant("no_privacy"))
     assert plan.real_route == shortest_path(topo, 2, 10)
-    assert plan.main is None
+    assert plan.main == ExtendedRoute(plan.real_route, 0, 0)
     assert plan.duplicates == () and plan.fake_paths == ()
     assert plan.all_chains() == (plan.real_route,)
 
@@ -95,11 +95,11 @@ def test_baseline_unpinned_extensions_stay_in_interval():
         plan = build_scenario(topo, 15, 23, ProtocolVariant("extrout_baseline"),
                               ScenarioSettings(ext_low=2, ext_high=5),
                               random.Random(seed))
-        lengths.add((plan.main.source_extension, plan.main.dest_extension))
+        lengths.add((plan.main.source_ext, plan.main.dest_ext))
         assert 2 <= plan.requested_source_ext <= 5
         assert 2 <= plan.requested_dest_ext <= 5
-        assert plan.main.source_extension == plan.requested_source_ext
-        assert plan.main.dest_extension == plan.requested_dest_ext
+        assert plan.main.source_ext == plan.requested_source_ext
+        assert plan.main.dest_ext == plan.requested_dest_ext
     assert len(lengths) > 4  # the draw really varies
 
 
@@ -109,7 +109,7 @@ def test_duplicates_plan_uses_the_disjoint_row():
     plan = build_scenario(topo, src, dst, ProtocolVariant("extrout_duplicates", 1),
                           _pinned(3, 4), random.Random(0))
     assert plan.main.route.hops == 15
-    assert plan.main.anchor_source == hub_a and plan.main.anchor_dest == hub_b
+    assert plan.main.route.source == hub_a and plan.main.route.dest == hub_b
     assert plan.duplicates == (Route((hub_a, *rows[1], hub_b)),)
     assert plan.duplicate_shortfall == 0
     assert plan.all_chains() == (plan.main.route,) + plan.duplicates
@@ -181,7 +181,7 @@ def test_nfake_plan_places_disjoint_plain_routes():
     src, dst = rows[0][2], rows[0][10]
     plan = build_scenario(topo, src, dst, ProtocolVariant("nfake_pairs", 2),
                           rng=random.Random(7))
-    assert plan.main is None
+    assert plan.main == ExtendedRoute(plan.real_route, 0, 0)
     assert len(plan.fake_paths) == 2
     seen = set(plan.real_route.nodes)
     for fake in plan.fake_paths:
@@ -390,7 +390,8 @@ def test_schedule_baseline_marks_the_real_segment():
     relays = dummy_schedule(plan)
     assert relays == Counter({(n, n + 1): 1 for n in range(2, 17)})
     main = plan.main
-    assert main.route.nodes[main.source_index:main.dest_index + 1] == plan.real_route.nodes
+    core = main.route.nodes[main.source_ext:len(main.route.nodes) - main.dest_ext]
+    assert core == plan.real_route.nodes
     real_links = plan.real_route.links()
     assert real_links == tuple((n, n + 1) for n in range(5, 13))
     assert relays.total() - sum(relays[link] for link in real_links) == 7

@@ -40,14 +40,16 @@ def test_route_basics_and_validation():
 
 def test_extended_route_accessors():
     full = Route(tuple(range(2, 18)))  # nodes 2..17, 15 hops
-    ext = ExtendedRoute(route=full, source_index=3, dest_index=11)
-    assert ext.anchor_source == 2 and ext.anchor_dest == 17
-    assert ext.source_extension == 3 and ext.dest_extension == 4
-    assert ext.route.nodes[ext.source_index:ext.dest_index + 1] == tuple(range(5, 14))
+    ext = ExtendedRoute(route=full, source_ext=3, dest_ext=4)
+    assert ext.route.source == 2 and ext.route.dest == 17
+    assert ext.route.nodes[ext.source_ext:len(full.nodes) - ext.dest_ext] == tuple(range(5, 14))
+    assert ExtendedRoute(route=full, source_ext=0, dest_ext=15).dest_ext == 15
     with pytest.raises(ValueError):
-        ExtendedRoute(route=full, source_index=5, dest_index=3)
+        ExtendedRoute(route=full, source_ext=-1, dest_ext=3)
     with pytest.raises(ValueError):
-        ExtendedRoute(route=full, source_index=0, dest_index=16)
+        ExtendedRoute(route=full, source_ext=3, dest_ext=-1)
+    with pytest.raises(ValueError):
+        ExtendedRoute(route=full, source_ext=8, dest_ext=8)
 
 
 # ------------------------------------------------------------ hop distances
@@ -160,9 +162,8 @@ def test_extrapolate_exact_shape_on_a_line():
     route = shortest_path(topo, 5, 13)
     ext = extrapolate(topo, route, 3, 4, random.Random(0))
     assert ext.route.nodes == tuple(range(2, 18))
-    assert ext.source_index == 3 and ext.dest_index == 11
-    assert ext.source_extension == 3 and ext.dest_extension == 4
-    assert ext.route.nodes[ext.source_index:ext.dest_index + 1] == route.nodes
+    assert ext.source_ext == 3 and ext.dest_ext == 4
+    assert ext.route.nodes[ext.source_ext:len(ext.route.nodes) - ext.dest_ext] == route.nodes
     assert route_is_valid(topo, ext.route)
 
 
@@ -171,8 +172,8 @@ def test_extrapolate_truncates_at_topology_edge(caplog):
     route = shortest_path(topo, 2, 8)
     with caplog.at_level(logging.INFO, logger="extrout.routing"):
         ext = extrapolate(topo, route, 3, 3, random.Random(0))
-    assert ext.source_extension == 1  # only node 1 exists to the left
-    assert ext.dest_extension == 2  # only 9, 10 to the right
+    assert ext.source_ext == 1  # only node 1 exists to the left
+    assert ext.dest_ext == 2  # only 9, 10 to the right
     assert ext.route.nodes == tuple(range(1, 11))
 
 
@@ -184,18 +185,18 @@ def test_extrapolate_strict_requires_distance_growth():
     topo = Topology(params, positions, ((1, 2), (1, 3), (2, 3)))
     route = shortest_path(topo, 1, 2)
     strict = extrapolate(topo, route, 1, 0, random.Random(0))
-    assert strict.source_extension == 0
+    assert strict.source_ext == 0
     lenient = extrapolate(topo, route, 1, 0, random.Random(0), strict=False)
-    assert lenient.source_extension == 1
-    assert lenient.anchor_source == 3
+    assert lenient.source_ext == 1
+    assert lenient.route.source == 3
 
 
 def test_extrapolate_respects_avoid_set():
     topo = line_topology(20)
     route = shortest_path(topo, 5, 13)
     ext = extrapolate(topo, route, 3, 4, random.Random(0), avoid=(4,))
-    assert ext.source_extension == 0
-    assert ext.dest_extension == 4
+    assert ext.source_ext == 0
+    assert ext.dest_ext == 4
 
 
 def test_extrapolate_tie_break_is_seed_deterministic():
@@ -204,7 +205,7 @@ def test_extrapolate_tie_break_is_seed_deterministic():
     # lenient mode: hub_b has one unused neighbor per remaining row and the
     # uniform tie-break should reach both of them across seeds
     picks = {extrapolate(topo, route, 0, 1, random.Random(s),
-                         strict=False).anchor_dest for s in range(40)}
+                         strict=False).route.dest for s in range(40)}
     assert picks == {rows[1][-1], rows[2][-1]}
     first = extrapolate(topo, route, 0, 1, random.Random(3), strict=False)
     again = extrapolate(topo, route, 0, 1, random.Random(3), strict=False)
@@ -382,7 +383,7 @@ def _disjoint_cases():
                 real = shortest_path(topo, a, rng.choice(reachable))
                 main = extrapolate(topo, real, rng.randint(0, 3), rng.randint(0, 3),
                                    rng, strict=rng.random() < 0.5)
-                a, b = main.anchor_source, main.anchor_dest
+                a, b = main.route.source, main.route.dest
                 for excluded in (main.route, Route((a, b))):
                     for count in range(1, 6):
                         yield topo, a, b, count, excluded
@@ -405,7 +406,7 @@ def _grid20_cases():
             ext = rng.randint(0, 4), rng.randint(0, 4)
             for strict in (True, False):
                 main = extrapolate(topo, real, *ext, rng, strict=strict)
-                a, b = main.anchor_source, main.anchor_dest
+                a, b = main.route.source, main.route.dest
                 for excluded in (main.route, Route((a, b))):
                     for count in range(1, 4):
                         yield topo, a, b, count, excluded
