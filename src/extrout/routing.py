@@ -243,11 +243,15 @@ def disjoint_paths(topo: Topology, anchor_source: int, anchor_dest: int,
     Runs successive shortest-path augmentation (Suurballe & Tarjan) on a
     node-split unit-capacity flow network, so the returned set has maximum
     cardinality (up to count) and, for that cardinality, minimum total hop
-    count. Returns fewer than `count` paths when the topology cannot supply
-    them. No network is built: each residual arc is read off the flow so
-    far and topo.neighbor_indices, in the order an arc list built from the
-    sorted links would hold it, and that order picks among equally short
-    path sets.
+    count. No network is built. Before any flow exists every residual arc
+    costs 0 or 1, so the first path comes from a node BFS that takes
+    neighbours ascending and stops once it discovers the goal: the
+    lexicographically smallest shortest path that avoids the banned
+    interior. Later paths come from an SPFA over in- and out-side ids,
+    which reads each residual arc off the flow so far and
+    topo.neighbor_indices, in the order an arc list built from the sorted
+    links would hold it; that order picks among equally short path sets.
+    Returns fewer than `count` paths when the topology cannot supply them.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -274,18 +278,32 @@ def disjoint_paths(topo: Topology, anchor_source: int, anchor_dest: int,
     through[source] = through[goal] = None
     blocked[source] = blocked[goal] = False
 
-    def relax(to: int, dt: int, u: int) -> None:
-        if dt < dist[to]:
-            dist[to] = dt
-            prev[to] = u
-            if not queued[to]:
-                queued[to] = True
-                queue.append(to)
-
+    # First path. With no flow the SPFA's FIFO queue holds the level-d
+    # in-sides, then their out-sides, then the level-(d + 1) in-sides, and
+    # no distance falls once set: its path is this BFS tree's.
+    parent = [-1] * n
+    parent[source] = source
+    order = [source]
+    for k in order:
+        for w in nbrs[k]:
+            if parent[w] < 0 and not blocked[w]:
+                parent[w] = k
+                order.append(w)
+        if parent[goal] >= 0:
+            break
     found = 0
-    while found < count:
-        # SPFA, since the residual arcs of used links cost -1.
-        dist = [float("inf")] * size
+    if parent[goal] >= 0:
+        k = parent[goal]
+        succ[k].add(goal)
+        while k != source:
+            through[k] = True
+            succ[parent[k]].add(k)
+            k = parent[k]
+        found = 1
+    while 0 < found < count:
+        # SPFA, since the residual arcs of used links cost -1. size stands
+        # for no path: every path costs less.
+        dist = [size] * size
         prev = [-1] * size
         queued = [False] * size
         dist[start] = 0
@@ -293,12 +311,16 @@ def disjoint_paths(topo: Topology, anchor_source: int, anchor_dest: int,
         while queue:
             u = queue.popleft()
             queued[u] = False
+            du = dist[u]
             if u >= n:
                 k = u - n
-                if through[k]:
-                    relax(k, dist[u], u)
-                # relax inlined: nearly every arc tried is one of these
-                dt, used = dist[u] + 1, succ[k]
+                if through[k] and du < dist[k]:
+                    dist[k] = du
+                    prev[k] = u
+                    if not queued[k]:
+                        queued[k] = True
+                        queue.append(k)
+                dt, used = du + 1, succ[k]
                 for to in nbrs[k]:
                     if dt < dist[to] and not blocked[to] and to not in used:
                         dist[to] = dt
@@ -307,11 +329,23 @@ def disjoint_paths(topo: Topology, anchor_source: int, anchor_dest: int,
                             queued[to] = True
                             queue.append(to)
             elif through[u] is False:  # so no flow enters node either
-                relax(n + u, dist[u], u)
+                to = n + u
+                if du < dist[to]:
+                    dist[to] = du
+                    prev[to] = u
+                    if not queued[to]:
+                        queued[to] = True
+                        queue.append(to)
             else:
+                dt = du - 1
                 for w in nbrs[u]:
-                    if u in succ[w]:
-                        relax(n + w, dist[u] - 1, u)
+                    to = n + w
+                    if dt < dist[to] and u in succ[w]:
+                        dist[to] = dt
+                        prev[to] = u
+                        if not queued[to]:
+                            queued[to] = True
+                            queue.append(to)
         if prev[goal] < 0:
             break
         to = goal

@@ -1,11 +1,12 @@
 """Independent reference implementations used only to check the library.
 
 These deliberately avoid sharing code or approach with the package: hop
-counts come from a frontier-list BFS, disjoint path counts from an
-Edmonds-Karp max flow on a dictionary-based residual graph, least
-disjoint-path hop totals from enumerating every simple path, Q-UDG
-links from a scan of every node pair and decoy-pair tiers from a BFS per
-node.  Route and output checks that only tests need live here too.
+counts come from a frontier-list BFS, smallest shortest paths from a
+walk down its levels, disjoint path counts from an Edmonds-Karp max flow
+on a dictionary-based residual graph, least disjoint-path hop totals
+from enumerating every simple path, Q-UDG links from a scan of every
+node pair and decoy-pair tiers from a BFS per node.  Route and output
+checks that only tests need live here too.
 """
 
 import math
@@ -37,6 +38,17 @@ class CountingAdjacency(dict):
         return super().__getitem__(node)
 
 
+class CountingNeighbours(tuple):
+    """Neighbour lists by node index that count how many are read, the
+    same idea as CountingAdjacency for the searches that run on ints."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
 def bfs_levels(adjacency: dict, start) -> dict:
     """Hop distance from start to every reachable node."""
     levels = {start: 0}
@@ -52,6 +64,28 @@ def bfs_levels(adjacency: dict, start) -> dict:
                     upcoming.append(neighbor)
         frontier = upcoming
     return levels
+
+
+def smallest_shortest_path(adjacency: dict, source, sink, banned=()):
+    """The lexicographically smallest of the shortest source-sink paths
+    that avoid the `banned` nodes (the endpoints are never banned), or
+    None when there is none.
+
+    Hop levels from the sink on the adjacency without the banned nodes,
+    then a walk from the source that always takes the smallest neighbour
+    one level closer.
+    """
+    banned = set(banned) - {source, sink}
+    kept = {node: [m for m in neighbors if m not in banned]
+            for node, neighbors in adjacency.items() if node not in banned}
+    levels = bfs_levels(kept, sink)
+    if source not in levels:
+        return None
+    path = [source]
+    while path[-1] != sink:
+        closer = levels[path[-1]] - 1
+        path.append(min(m for m in kept[path[-1]] if levels.get(m) == closer))
+    return tuple(path)
 
 
 def max_node_disjoint_paths(adjacency: dict, source, sink,

@@ -18,11 +18,12 @@ from extrout.protocols import (
     build_scenario,
 )
 from extrout.rng import substream
-from extrout.routing import hop_distances, shortest_path
+from extrout.routing import (Route, disjoint_paths, extrapolate, hop_distances,
+                             shortest_path)
 from extrout.simengine import run
 from extrout.topology import TopologyParams, build_qudg, generate, place_nodes
 
-from oracles import decoy_pair_tiers, qudg_links
+from oracles import decoy_pair_tiers, qudg_links, smallest_shortest_path
 
 # Random small Q-UDG deployments: perturbed grids up to 7x7, from sparse to
 # nearly unit-disk link models.
@@ -151,3 +152,28 @@ def test_chains_share_no_node_but_the_duplicate_anchors(params, plan_seed, ends,
         for i, chain in enumerate(chains):
             for other in chains[i + 1:]:
                 assert chain & other <= shared, kind
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=topology_params, plan_seed=st.integers(0, 2**16),
+       ends=st.tuples(st.integers(1, 49), st.integers(1, 49)),
+       ext=st.tuples(st.integers(0, 3), st.integers(0, 3)), strict=st.booleans())
+def test_one_disjoint_path_is_the_smallest_shortest_path(params, plan_seed, ends,
+                                                         ext, strict):
+    # Anchors as a plan draws them; excluding the extended route bans its
+    # interior, excluding only the anchor pair bans nothing.
+    topo = generate(params)
+    source = topo.nodes[(ends[0] - 1) % topo.node_count]
+    reached = sorted(hop_distances(topo, source))
+    dest = reached[(ends[1] - 1) % len(reached)]
+    assume(source != dest)
+    main = extrapolate(topo, shortest_path(topo, source, dest), *ext,
+                       random.Random(plan_seed), strict=strict)
+    a, b = main.route.source, main.route.dest
+    for excluded in (main.route, Route((a, b))):
+        expected = smallest_shortest_path(topo.adjacency, a, b,
+                                          excluded.nodes[1:-1])
+        paths = disjoint_paths(topo, a, b, 1, excluded)
+        assert [p.nodes for p in paths] == ([expected] if expected else [])
+    # The last call banned nothing: its path is the plain shortest path.
+    assert paths == [shortest_path(topo, a, b)]

@@ -21,8 +21,8 @@ from extrout.routing import (
 from extrout.topology import Position, Topology, TopologyParams, generate
 
 from ladders import LINK_PROFILES, line_topology, parallel_paths, random_topology
-from oracles import (bfs_levels, max_node_disjoint_paths, min_disjoint_hops,
-                     route_is_valid)
+from oracles import (CountingNeighbours, bfs_levels, max_node_disjoint_paths,
+                     min_disjoint_hops, route_is_valid)
 
 
 # ------------------------------------------------------------------- routes
@@ -354,6 +354,20 @@ def test_disjoint_paths_ignores_how_nodes_are_numbered():
         assert moved_paths == [Route(tuple(relabel[n] for n in p.nodes)) for p in paths]
         found += len(paths)
     assert found >= 30
+
+
+def test_first_disjoint_path_search_stops_at_the_goal():
+    # One path needs no flow, so its search reads the neighbours of no
+    # node that lies as far from the source as the goal or farther.
+    topo = generate(TopologyParams(10, 10, seed=0, **LINK_PROFILES[0]))
+    levels = bfs_levels(topo.adjacency, 1)
+    for goal, closer in ((2, 1), (34, 9), (100, 81)):
+        assert sum(d < levels[goal] for d in levels.values()) == closer
+        counted = CountingNeighbours(topo.neighbor_indices)
+        topo.__dict__["neighbor_indices"] = counted
+        paths = disjoint_paths(topo, 1, goal, 1, Route((1, goal)))
+        assert paths == [shortest_path(topo, 1, goal)]
+        assert counted.reads <= closer
 
 
 def test_disjoint_paths_validation():
