@@ -16,7 +16,7 @@ from itertools import groupby
 from operator import itemgetter
 
 from .routing import (ExtendedRoute, Route, disjoint_paths, extrapolate,
-                      shortest_path)
+                      lexicographic_walk, shortest_path)
 from .topology import Topology
 
 VARIANT_KINDS = ("no_privacy", "extrout_baseline", "extrout_duplicates",
@@ -199,7 +199,8 @@ def place_fake_pair(topo: Topology, real: Route, rng: random.Random,
             tier = [(u, v) for u, v in tier if u not in avoid and v not in avoid]
             rng.shuffle(tier)
             for u, v in tier:
-                if forbidden.isdisjoint(shortest_path(topo, u, v).nodes):
+                # u is free; the walk stops at the first forbidden node
+                if forbidden.isdisjoint(lexicographic_walk(topo, u, v)):
                     return u, v
     raise PlacementError(
         f"no fake pair within 2 hops of separation {real.hops} avoids the real route")

@@ -13,7 +13,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .topology import Topology
 
@@ -168,11 +168,17 @@ def at_hop_distance(topo: Topology, u: int, v: int, hops: int) -> bool:
 
 
 def shortest_path(topo: Topology, source: int, dest: int) -> Route:
-    """Minimum-hop path from source to dest.
+    """Minimum-hop path from source to dest (see lexicographic_walk)."""
+    return Route((source, *lexicographic_walk(topo, source, dest)))
+
+
+def lexicographic_walk(topo: Topology, source: int, dest: int) -> Iterator[int]:
+    """The nodes after source on its minimum-hop path to dest, lazily.
 
     Among equal-length paths the lexicographically smallest node sequence
-    wins: walk from the source, always taking the smallest neighbor that
-    still lies on some shortest path.
+    wins: each step takes the first neighbour (adjacency ascends) one hop
+    closer to dest. This call checks the endpoints and builds dest's hop
+    table, so a bad pair raises here, not on the first step.
     """
     if source not in topo.positions or dest not in topo.positions:
         raise ValueError(f"endpoints ({source}, {dest}) not in topology")
@@ -180,13 +186,15 @@ def shortest_path(topo: Topology, source: int, dest: int) -> Route:
     if source not in dist:
         raise UnreachableError(f"no path from {source} to {dest}")
     adjacency = topo.adjacency
-    nodes = [source]
-    current = source
-    while current != dest:
-        step = dist[current] - 1
-        current = min(m for m in adjacency[current] if dist.get(m, -1) == step)
-        nodes.append(current)
-    return Route(tuple(nodes))
+
+    def walk(current: int) -> Iterator[int]:
+        while current != dest:
+            closer = dist[current] - 1
+            for current in adjacency[current]:
+                if dist.get(current) == closer:
+                    break
+            yield current
+    return walk(source)
 
 
 def extrapolate(topo: Topology, route: Route, source_ext: int, dest_ext: int,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -18,8 +19,8 @@ from extrout.protocols import (
     build_scenario,
 )
 from extrout.rng import substream
-from extrout.routing import (Route, disjoint_paths, extrapolate, hop_distances,
-                             shortest_path)
+from extrout.routing import (Route, UnreachableError, disjoint_paths, extrapolate,
+                             hop_distances, lexicographic_walk, shortest_path)
 from extrout.simengine import run
 from extrout.topology import TopologyParams, build_qudg, generate, place_nodes
 
@@ -45,6 +46,24 @@ def test_cell_grid_links_match_the_all_pairs_scan(params):
     built = build_qudg(positions, params, substream(params.seed, "links"))
     assert built.links == qudg_links(positions, params,
                                      substream(params.seed, "links"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=topology_params, ends=st.tuples(st.integers(1, 49), st.integers(1, 49)))
+def test_shortest_path_is_the_smallest_shortest_path(params, ends):
+    # Any two nodes, one node to itself, and pairs in different components,
+    # which raise when the walk is asked for, before it takes a step.
+    topo = generate(params)
+    source, other = (topo.nodes[(end - 1) % topo.node_count] for end in ends)
+    for dest in (source, other):
+        expected = smallest_shortest_path(topo.adjacency, source, dest)
+        if expected is None:
+            with pytest.raises(UnreachableError):
+                lexicographic_walk(topo, source, dest)
+            with pytest.raises(UnreachableError):
+                shortest_path(topo, source, dest)
+        else:
+            assert shortest_path(topo, source, dest).nodes == expected
 
 
 def _far_pair(topo, start: int) -> tuple[int, int]:

@@ -20,7 +20,8 @@ from extrout.protocols import (
     dummy_schedule,
     place_fake_pair,
 )
-from extrout.routing import ExtendedRoute, Route, hop_distances, shortest_path
+from extrout.routing import (ExtendedRoute, Route, extrapolate, hop_distances,
+                             shortest_path)
 from extrout.simengine import run
 from extrout.topology import Position, Topology, TopologyParams, generate
 
@@ -234,6 +235,27 @@ def test_place_fake_pair_fails_when_no_room():
         place_fake_pair(topo, shortest_path(topo, 1, 9), random.Random(0))
 
 
+def test_a_rejected_candidate_is_walked_only_to_its_first_forbidden_node():
+    # A horizontal 1-...-7 crosses the 8-hop vertical real route 8-...-15
+    # at node 4. Free pairs along 1-7 lie at most 6 hops apart, so only
+    # (1, 7) qualifies, at slack 2 alone; its path meets the route at 4.
+    positions = {n: Position(100.0 * n, 0.0) for n in range(1, 8)}
+    column = (8, 9, 10, 11, 4, 12, 13, 14, 15)
+    positions.update({n: Position(400.0, 100.0 * (k - 4))
+                      for k, n in enumerate(column) if n != 4})
+    links = [(n, n + 1) for n in range(1, 7)] + list(zip(column, column[1:]))
+    topo = Topology(TopologyParams(1, 15, perturbation=0.0), positions, links)
+    real = shortest_path(topo, 8, 15)
+    assert real.nodes == column
+    assert shortest_path(topo, 1, 7).nodes.index(4) == 3
+    with pytest.raises(PlacementError):  # ranks the pairs, warms 7's hop table
+        place_fake_pair(topo, real, random.Random(0))
+    topo.adjacency = counted = CountingAdjacency(topo.adjacency)
+    with pytest.raises(PlacementError):
+        place_fake_pair(topo, real, random.Random(0))
+    assert counted.reads == 3
+
+
 def test_place_fake_pair_logs_the_slack_fallback(caplog):
     # 1-2-3-4 carries the 3-hop real route; the only free pair, 5-6, is one
     # hop apart, which only slack 2 admits.
@@ -284,6 +306,51 @@ def test_pair_ranking_tie_order_is_pinned():
         calls += 1
     assert (calls, digest.hexdigest()) == (
         240, "9371e08537fd51210f21811f19efb23572043a40cf97edc3d0b8a7891763bb66")
+
+
+def _placements_digest() -> tuple[int, str]:
+    """Seeded place_fake_pair calls on 20x20 grids in the README dense and
+    the default sparse profile, each real route with up to 9 decoys. The
+    avoid set grows as _fake_paths grows it: the carrier, then each earlier
+    fake path, extended when the plan has cover. Hashes each returned pair,
+    or the placement error, with the RNG state after the call."""
+    digest = hashlib.sha256()
+    calls = 0
+    for k, profile in enumerate(LINK_PROFILES[:2]):
+        topo = generate(TopologyParams(20, 20, seed=5 + k, **profile))
+        rng = random.Random(k)
+        for _ in range(24):
+            a = rng.choice(topo.nodes)
+            reachable = sorted(hop_distances(topo, a).keys() - {a})
+            if not reachable:
+                continue
+            real = shortest_path(topo, a, rng.choice(reachable))
+            cover = rng.random() < 0.5
+            main = (extrapolate(topo, real, rng.randint(2, 5), rng.randint(2, 5), rng)
+                    if cover else ExtendedRoute(real, 0, 0))
+            taken = set(main.route.nodes)
+            for _ in range(9):
+                calls += 1
+                try:
+                    pair = place_fake_pair(topo, real, rng, avoid=taken)
+                except PlacementError as exc:
+                    digest.update(repr((str(exc), rng.getstate())).encode() + b"\n")
+                    break
+                digest.update(repr((pair, rng.getstate())).encode() + b"\n")
+                route = shortest_path(topo, *pair)
+                if cover:
+                    route = extrapolate(topo, route, rng.randint(2, 5),
+                                        rng.randint(2, 5), rng, avoid=taken).route
+                taken.update(route.nodes)
+    return calls, digest.hexdigest()
+
+
+def test_placements_are_pinned():
+    # Which decoy a seed draws, and the RNG state it leaves, are outputs:
+    # every later draw of the plan follows them. Recorded from the
+    # placement that built each candidate's whole shortest path.
+    assert _placements_digest() == (
+        403, "956f2ad87e4561d5f481ddc74f5edc49ddc51efd8d22d3ac0d9021fcc3cdfdf3")
 
 
 def test_pair_ranking_ignores_how_nodes_are_numbered():

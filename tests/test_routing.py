@@ -16,6 +16,7 @@ from extrout.routing import (
     disjoint_paths,
     extrapolate,
     hop_distances,
+    lexicographic_walk,
     shortest_path,
 )
 from extrout.topology import Position, Topology, TopologyParams, generate
@@ -149,6 +150,8 @@ def test_shortest_path_trivial_and_errors():
     assert shortest_path(topo, 3, 3) == Route((3,))
     with pytest.raises(ValueError):
         shortest_path(topo, 1, 9)
+    with pytest.raises(ValueError):
+        lexicographic_walk(topo, 9, 1)  # at the call, not the first step
     split = Topology(topo.params, topo.positions, ((1, 2), (4, 5)))
     with pytest.raises(UnreachableError):
         shortest_path(split, 1, 5)
