@@ -1,10 +1,11 @@
 """Global passive adversary: rate-monitoring inference over observable traffic.
 
 The attacker sees every transmission count in the network, never packet
-contents, kinds or route metadata. The topology is public, but rate
-monitoring never needs it. Link counts stand for relayed-flow evidence (a
-designated next hop); undirected residual broadcasts raise node counts
-only. So every nonzero count is evidence, and there is no rate threshold.
+contents, kinds or route metadata; a node missing from a trace's node_tx
+sent nothing. The topology is public, but rate monitoring never needs it.
+Link counts stand for relayed-flow evidence (a designated next hop);
+undirected residual broadcasts raise node counts only. So every nonzero
+count is evidence, and there is no rate threshold.
 
 Scheme knowledge is public: the attacker knows whether the deployed variant
 runs synchronized cover traffic, and each attack reads it from the variant.

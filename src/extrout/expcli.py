@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import operator
 import sys
 from dataclasses import replace
 from functools import partial
@@ -324,17 +323,18 @@ def cmd_run(cfg: dict) -> int:
     topo, scenario = _scenario(cfg)
     # The grid of indices into topo.nodes, built first so that ids that are
     # not the grid's cells fail before any plan.
-    cells = _from_input(transmission_matrix, topo.node_index, topo.params)
+    at = topo.node_index
+    cells = _from_input(transmission_matrix, at, topo.params)
     seed = cfg["seed"]
     reps = cfg["reps"]
-    # run keys node_tx in topo.nodes order, so totals[k] is topo.nodes[k]'s sum.
     totals = [0] * topo.node_count
     reports = []
     failures = []
     for rep in range(reps):
         plan = scenario(substream(seed, f"rep-{rep}"))
         trace = run(plan)
-        totals = list(map(operator.add, totals, trace.node_tx.values()))
+        for n, c in trace.node_tx.items():
+            totals[at[n]] += c
         unlink = unlinkability_score(observe(trace))
         report = report_from_run(plan, trace, unlinkability=unlink)
         record = reconcile(report)

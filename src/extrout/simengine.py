@@ -20,7 +20,12 @@ HEAT_GLYPHS = " .:-=+*#%@"  # 10 intensity levels for the ASCII matrix view
 @dataclass
 class TrafficTrace:
     """What the network did, and all the global attacker sees: transmit
-    counts per node and per link."""
+    counts per node and per link.
+
+    node_tx holds each node that transmits; a node missing from it sent
+    nothing. With residual cover every node transmits, so every node is
+    present.
+    """
 
     node_tx: dict[int, int]
     link_tx: dict[tuple[int, int], int]
@@ -40,18 +45,24 @@ def run(plan: ScenarioPlan) -> TrafficTrace:
     budget = plan.packet_budget
     if budget < 1:  # a hand-built ScenarioPlan is not validated
         raise ValueError(f"packet_budget must be at least 1, got {budget}")
-    node_tx = dict.fromkeys(plan.topology.nodes,
-                            plan.variant.residual_cover_rate * budget)
+    base = plan.variant.residual_cover_rate * budget
+    node_tx = dict.fromkeys(plan.topology.nodes, base) if base else {}
     link_tx: Counter[tuple[int, int]] = Counter()
     for (sender, next_hop), relays in dummy_schedule(plan).items():
-        node_tx[sender] += relays * budget
+        node_tx[sender] = node_tx.get(sender, 0) + relays * budget
         link_tx[min(sender, next_hop), max(sender, next_hop)] += relays * budget
     return TrafficTrace(node_tx=node_tx, link_tx=dict(sorted(link_tx.items())))
 
 
 def transmission_matrix(node_tx: Mapping[int, int],
                         params: TopologyParams) -> list[list[int]]:
-    """Per-grid-cell transmit counts, row-major, for grid-placed topologies."""
+    """Per-grid-cell values, row-major, for grid-placed topologies.
+
+    Reshapes any mapping keyed by every grid id. A trace's node_tx leaves
+    out the nodes that sent nothing, so their 0 must be filled in first;
+    cmd_run passes topo.node_index and gets the grid of indices into
+    topo.nodes.
+    """
     if set(node_tx) != set(range(1, params.node_count + 1)):
         raise ValueError("matrix view unavailable: node counts do not cover "
                          "the full grid")

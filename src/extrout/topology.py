@@ -230,8 +230,10 @@ def topology_to_text(topo: Topology) -> str:
     for n in topo.nodes:
         pos = topo.positions[n]
         lines.append(f"{n} {pos.x!r} {pos.y!r}")
-    for i, j in sorted(topo.links):
-        lines.append(f"{i} {j}")
+    # Links are stored as (min, max) and adjacency ascends, so this is
+    # sorted(topo.links) without the sort.
+    for i in topo.nodes:
+        lines.extend(f"{i} {j}" for j in topo.adjacency[i] if j > i)
     return "\n".join(lines) + "\n"
 
 

@@ -480,28 +480,39 @@ def test_run_command_outputs_and_reconciliation(tmp_path, capsys):
     assert lines[0] == " " + "@" * 15 + "    "
 
 
-def test_run_matrix_is_the_mean_of_the_repetitions(tmp_path):
+def _assert_run_matrix_is_the_mean(tmp_path, residual):
     rows, cols, seed, budget = 6, 6, 4, 7
     out = tmp_path / "out"
     assert main(["run", *_dense_flags(rows, cols), "--seed", str(seed),
                  "--variant", "extrout_duplicates", "--count", "1",
-                 "--residual-rate", "1", "--source", "8", "--dest", "29",
+                 "--residual-rate", str(residual), "--source", "8", "--dest", "29",
                  "--reps", "3", "--budget", str(budget),
                  "--out", str(out)]) == 0
 
     topo = generate(TopologyParams(rows, cols, perturbation=0.0,
                                    tx_range=150.0, qudg_factor=0.95,
                                    seed=seed))
-    variant = ProtocolVariant("extrout_duplicates", 1, residual_cover_rate=1)
+    variant = ProtocolVariant("extrout_duplicates", 1,
+                              residual_cover_rate=residual)
     settings = ScenarioSettings(packet_budget=budget)
     counts = [run(build_scenario(topo, 8, 29, variant, settings,
                                  substream(seed, f"rep-{rep}"))).node_tx
               for rep in range(3)]
-    expected = [[sum(c[r * cols + col + 1] for c in counts) / 3
+    expected = [[sum(c.get(r * cols + col + 1, 0) for c in counts) / 3
                  for col in range(cols)] for r in range(rows)]
-    assert len({tuple(c.values()) for c in counts}) > 1  # the reps differ
+    assert any(c != counts[0] for c in counts)  # the reps differ
     matrix = matrix_from_csv((out / "matrix.csv").read_text(encoding="utf-8"))
     assert matrix == expected
+
+
+def test_run_matrix_is_the_mean_of_the_repetitions(tmp_path):
+    # At residual rate 1 every trace holds every node.
+    _assert_run_matrix_is_the_mean(tmp_path, 1)
+
+
+def test_run_matrix_is_the_mean_of_traces_holding_only_transmitters(tmp_path):
+    # At residual rate 0 a node that sent nothing is missing from its trace.
+    _assert_run_matrix_is_the_mean(tmp_path, 0)
 
 
 @pytest.mark.parametrize("reps", [1, 4])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from extrout.adversary import observe, unlinkability_score
 from extrout.metrics import reconcile, report_from_run
 from extrout.protocols import (
     PARAMETERISED_KINDS,
@@ -21,8 +22,9 @@ from extrout.protocols import (
 from extrout.rng import substream
 from extrout.routing import (Route, UnreachableError, disjoint_paths, extrapolate,
                              hop_distances, lexicographic_walk, shortest_path)
-from extrout.simengine import run
-from extrout.topology import TopologyParams, build_qudg, generate, place_nodes
+from extrout.simengine import TrafficTrace, run
+from extrout.topology import (Topology, TopologyParams, build_qudg, generate,
+                              place_nodes, topology_to_text)
 
 from oracles import decoy_pair_tiers, qudg_links, smallest_shortest_path
 
@@ -46,6 +48,18 @@ def test_cell_grid_links_match_the_all_pairs_scan(params):
     built = build_qudg(positions, params, substream(params.seed, "links"))
     assert built.links == qudg_links(positions, params,
                                      substream(params.seed, "links"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=topology_params, shift=st.sampled_from((-1, 4, 100)))
+def test_topology_text_lists_the_links_sorted(params, shift):
+    # ids renumbered n + shift, as a file may number them, so id 0 occurs;
+    # each link is given high end first, which the topology must normalize
+    grid = generate(params)
+    topo = Topology(params, {n + shift: pos for n, pos in grid.positions.items()},
+                    frozenset((j + shift, i + shift) for i, j in grid.links))
+    lines = topology_to_text(topo).splitlines()
+    assert lines[1 + topo.node_count:] == [f"{i} {j}" for i, j in sorted(topo.links)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -144,6 +158,37 @@ def test_measured_tof_is_the_summed_chain_hops(params, plan_seed, start,
         assert reconcile(report).passed, kind
         assert report.tof_measured == (sum(c.hops for c in plan.all_chains())
                                        / plan.real_route.hops)
+
+
+@settings(max_examples=30, deadline=None)
+@given(params=topology_params, plan_seed=st.integers(0, 2**16),
+       start=st.integers(1, 49), count=st.integers(1, 3),
+       budget=st.integers(1, 50))
+def test_scores_match_the_trace_keyed_by_every_node(params, plan_seed, start,
+                                                    count, budget):
+    # A trace keys only its transmitters unless residual cover reaches every
+    # node. fmean and pstdev are exact, so the order and the silent nodes'
+    # zeros must not move a single bit of the score.
+    topo = generate(params)
+    pair = _far_pair(topo, 1 + (start - 1) % topo.node_count)
+    assume(pair[0] != pair[1])
+    for kind in VARIANT_KINDS:
+        for rate in (0, 2):
+            variant = ProtocolVariant(kind, count if kind in PARAMETERISED_KINDS else 0,
+                                      residual_cover_rate=rate)
+            try:
+                plan = build_scenario(topo, *pair, variant,
+                                      ScenarioSettings(packet_budget=budget),
+                                      random.Random(plan_seed))
+            except PlacementError:
+                continue
+            trace = run(plan)
+            full = TrafficTrace(
+                node_tx={n: trace.node_tx.get(n, 0) for n in topo.nodes},
+                link_tx=dict(trace.link_tx))
+            assert trace.total_transmissions == full.total_transmissions, kind
+            assert (unlinkability_score(observe(trace)).hex()
+                    == unlinkability_score(observe(full)).hex()), kind
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,7 +8,13 @@ from dataclasses import replace
 
 import pytest
 
-from extrout.protocols import ProtocolVariant, ScenarioSettings, build_scenario
+from extrout.protocols import (
+    PARAMETERISED_KINDS,
+    VARIANT_KINDS,
+    ProtocolVariant,
+    ScenarioSettings,
+    build_scenario,
+)
 from extrout.simengine import (
     HEAT_GLYPHS,
     ascii_heatmap,
@@ -36,11 +42,29 @@ def test_run_counts_scale_with_budget():
     plan = _baseline_plan(100)
     trace = run(plan)
     assert trace.total_transmissions == 1500
-    # chain interiors transmit once per interval, the sink anchor never
+    # chain interiors transmit once per interval, the sink anchor never,
+    # and a node that sends nothing is left out
     for node in range(2, 17):
         assert trace.node_tx[node] == 100
-    assert trace.node_tx[17] == 0
-    assert trace.node_tx[20] == 0
+    assert set(trace.node_tx) == set(range(2, 17))
+
+
+@pytest.mark.parametrize("kind", VARIANT_KINDS)
+def test_run_keys_the_transmitters_and_every_node_under_residual_cover(kind):
+    topo = generate(TopologyParams(grid_rows=8, grid_cols=8, tx_range=150.0,
+                                   qudg_factor=0.95, seed=3))
+    count = 2 if kind in PARAMETERISED_KINDS else 0
+    plans = [build_scenario(topo, 19, 46,
+                            ProtocolVariant(kind, count, residual_cover_rate=rate),
+                            ScenarioSettings(packet_budget=3), random.Random(0))
+             for rate in (0, 2)]
+    bare, covered = (run(plan).node_tx for plan in plans)
+    # every chain node but the last transmits; nothing else does at rate 0
+    assert set(bare) == set().union(*(chain.nodes[:-1]
+                                        for chain in plans[0].all_chains()))
+    assert all(c > 0 for c in bare.values())
+    # residual cover adds 2 per interval at every node, so every node is keyed
+    assert covered == {n: bare.get(n, 0) + 2 * 3 for n in topo.nodes}
 
 
 def test_run_link_counts_cover_the_chain():
@@ -114,12 +138,13 @@ def test_transmission_matrix_is_row_major():
     plan = build_scenario(topo, 1, 9, ProtocolVariant("no_privacy"),
                           ScenarioSettings(packet_budget=5))
     trace = run(plan)
-    matrix = transmission_matrix(trace.node_tx, params)
+    matrix = transmission_matrix({n: trace.node_tx.get(n, 0) for n in topo.nodes},
+                                 params)
     assert len(matrix) == 3 and all(len(r) == 3 for r in matrix)
     total = sum(cell for row in matrix for cell in row)
     assert total == trace.total_transmissions
     assert matrix[0][0] == trace.node_tx[1]
-    assert matrix[2][2] == trace.node_tx[9] == 0  # dest only receives
+    assert matrix[2][2] == 0 and 9 not in trace.node_tx  # dest only receives
 
 
 def test_transmission_matrix_needs_full_grid_coverage():
