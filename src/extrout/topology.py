@@ -43,12 +43,12 @@ class TopologyParams:
     def __post_init__(self):
         if self.grid_rows < 1 or self.grid_cols < 1:
             raise ValueError("grid needs at least one row and one column")
-        if self.spacing <= 0:
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
+        if not (math.isfinite(self.spacing) and self.spacing > 0):
+            raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
         if not 0.0 <= self.perturbation <= 1.0:
             raise ValueError(f"perturbation must be in [0, 1], got {self.perturbation}")
-        if self.tx_range <= 0:
-            raise ValueError(f"tx_range must be positive, got {self.tx_range}")
+        if not (math.isfinite(self.tx_range) and self.tx_range > 0):
+            raise ValueError(f"tx_range must be positive and finite, got {self.tx_range}")
         if not 0.0 <= self.qudg_factor <= 1.0:
             raise ValueError(f"qudg_factor must be in [0, 1], got {self.qudg_factor}")
 
@@ -70,6 +70,11 @@ class TopologyParams:
 class Topology:
     """A placed node set plus its sampled link set; immutable after build.
 
+    links may be any iterable of node pairs, each in either order and
+    possibly repeated; it is stored as the frozenset of distinct (low,
+    high) pairs. A self-link or an end missing from positions raises
+    ValueError.
+
     nodes (the ids ascending) and adjacency (each node's neighbours
     ascending) are derived once; routing reads its searches off them in
     that order. node_index and neighbor_indices are the same graph by
@@ -88,18 +93,16 @@ class Topology:
     memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pairs = set()
-        for i, j in self.links:
-            if i == j:
-                raise ValueError(f"self-link on node {i}")
-            if i not in self.positions or j not in self.positions:
-                raise ValueError(f"link ({i}, {j}) references an unplaced node")
-            pairs.add((min(i, j), max(i, j)))
-        self.links = frozenset(pairs)
+        self.links = frozenset((i, j) if i < j else (j, i) for i, j in self.links)
         nbrs: dict[int, list[int]] = {n: [] for n in self.positions}
-        for i, j in self.links:
-            nbrs[i].append(j)
-            nbrs[j].append(i)
+        try:
+            for i, j in self.links:
+                if i == j:
+                    raise ValueError(f"self-link on node {i}")
+                nbrs[i].append(j)
+                nbrs[j].append(i)
+        except KeyError:
+            raise ValueError(f"link ({i}, {j}) references an unplaced node") from None
         self.adjacency = {n: tuple(sorted(v)) for n, v in nbrs.items()}
         self.nodes = tuple(sorted(self.positions))
         self.memo = {}
@@ -129,8 +132,8 @@ def link_probability(d: float, tx_range: float, qudg_factor: float) -> float:
     """
     if d < 0:
         raise ValueError(f"distance must be non-negative, got {d}")
-    if tx_range <= 0:
-        raise ValueError(f"tx_range must be positive, got {tx_range}")
+    if not (math.isfinite(tx_range) and tx_range > 0):
+        raise ValueError(f"tx_range must be positive and finite, got {tx_range}")
     if not 0.0 <= qudg_factor <= 1.0:
         raise ValueError(f"qudg_factor must be in [0, 1], got {qudg_factor}")
     certain = qudg_factor * tx_range
@@ -163,34 +166,48 @@ def build_qudg(positions: dict[int, Position], params: TopologyParams,
 
     Links are found by testing neighbouring cells: nodes are bucketed into
     square cells a hair wider than tx_range, so a linked pair (d < tx_range)
-    always sits in the same or adjacent cells, and each node is tested only
-    against the higher ids of its 3x3 cell block. Those candidates are
-    sorted, so band variates are still drawn in ascending (i, j) order, and
-    only for pairs inside the probabilistic band: a fixed seed reproduces
-    the identical link set.
+    always sits in the same or adjacent cells. Each cell is tested against
+    itself and its four forward neighbours (dx, dy) in (1, -1), (1, 0),
+    (1, 1), (0, 1), which tests every such pair once. Pairs closer than the
+    certainty radius link at once; pairs inside the probabilistic band are
+    collected, sorted, and given their variates in ascending (i, j) order,
+    so a fixed seed reproduces the identical link set.
     """
     certain = params.qudg_factor * params.tx_range
     # The margin keeps rounding in x / side from ever putting a linked pair
     # two cells apart.
     side = params.tx_range * (1 + 1e-9)
-    cell_of = {i: (math.floor(x / side), math.floor(y / side))
-               for i, (x, y) in sorted(positions.items())}
     cells: dict[tuple[int, int], list[int]] = {}
-    for i, cell in cell_of.items():
-        cells.setdefault(cell, []).append(i)
-    links = set()
-    for i, (cx, cy) in cell_of.items():
-        pi = positions[i]
-        candidates = sorted(j for dx in (-1, 0, 1) for dy in (-1, 0, 1)
-                            for j in cells.get((cx + dx, cy + dy), ()) if j > i)
-        for j in candidates:
-            d = math.dist(pi, positions[j])
-            if d < certain:
-                links.add((i, j))
-            elif d < params.tx_range:
-                if rng.random() < link_probability(d, params.tx_range, params.qudg_factor):
-                    links.add((i, j))
-    return Topology(params=params, positions=dict(positions), links=frozenset(links))
+    for i, (x, y) in sorted(positions.items()):
+        cells.setdefault((math.floor(x / side), math.floor(y / side)), []).append(i)
+    dist = math.dist
+    links = []
+    band = []
+    for (cx, cy), members in cells.items():
+        near = [j for dx, dy in ((1, -1), (1, 0), (1, 1), (0, 1))
+                for j in cells.get((cx + dx, cy + dy), ())]
+        for a, i in enumerate(members):
+            pi = positions[i]
+            for j in members[a + 1:]:
+                d = dist(pi, positions[j])
+                if d < certain:
+                    links.append((i, j))
+                elif d < params.tx_range:
+                    band.append((i, j, d))
+            for j in near:
+                # The lower id's position goes first, as in a test of every
+                # pair in ascending order, so d is the float that test gets.
+                pj = positions[j]
+                d = dist(pi, pj) if i < j else dist(pj, pi)
+                if d < certain:
+                    links.append((i, j))
+                elif d < params.tx_range:
+                    band.append((i, j, d) if i < j else (j, i, d))
+    band.sort()
+    for i, j, d in band:
+        if rng.random() < link_probability(d, params.tx_range, params.qudg_factor):
+            links.append((i, j))
+    return Topology(params=params, positions=dict(positions), links=links)
 
 
 def generate(params: TopologyParams) -> Topology:
@@ -238,9 +255,10 @@ def topology_to_text(topo: Topology) -> str:
 
 
 def topology_from_text(text: str) -> Topology:
-    """Parse the text exchange format; leading `#` comment lines are skipped.
+    """Parse the text exchange format.
 
-    The header carries no grid shape, so rows/cols are inferred: sqrt(N) for
+    Blank lines and `#` comment lines are skipped wherever they stand. A
+    link may be given with either end first and may repeat. The header carries no grid shape, so rows/cols are inferred: sqrt(N) for
     square N, else a single row (matrix views then report unavailable).
     """
     rows = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
@@ -258,7 +276,7 @@ def topology_from_text(text: str) -> Topology:
                             perturbation=perturbation, tx_range=tx_range,
                             qudg_factor=qudg_factor, seed=seed)
     positions: dict[int, Position] = {}
-    links = set()
+    links = []
     for ln in rows[1:]:
         parts = ln.split()
         if len(parts) == 3:
@@ -267,13 +285,12 @@ def topology_from_text(text: str) -> Topology:
                 raise ValueError(f"node {node} listed twice")
             positions[node] = Position(float(parts[1]), float(parts[2]))
         elif len(parts) == 2:
-            i, j = int(parts[0]), int(parts[1])
-            links.add((min(i, j), max(i, j)))
+            links.append((int(parts[0]), int(parts[1])))
         else:
             raise ValueError(f"malformed line: {ln!r}")
     if len(positions) != n:
         raise ValueError(f"header says {n} nodes, file has {len(positions)}")
-    return Topology(params=params, positions=positions, links=frozenset(links))
+    return Topology(params=params, positions=positions, links=links)
 
 
 def load_topology(path) -> Topology:

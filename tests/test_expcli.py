@@ -155,10 +155,15 @@ def test_main_exit_1_on_config_error(tmp_path, capsys):
     # links need d < R, so no two nodes of the grid are linked
     (["--tx-range", "50", "--source", "1", "--dest", "2"],
      "no path from 1 to 2"),
+    (["--tx-range", "nan"], "tx_range must be positive and finite, got nan"),
+    (["--spacing", "nan"], "spacing must be positive and finite, got nan"),
+    # an infinite range would link every pair of nodes
+    (["--tx-range", "inf"], "tx_range must be positive and finite, got inf"),
 ], ids=["ext-interval", "qudg-factor", "count", "threshold", "cover",
         "negative-endpoints", "negative-extensions", "pairs-per-target",
         "attack-trials", "hop-targets", "target-hops", "frontier-hops",
-        "source-rate", "budget", "unreachable-endpoints"])
+        "source-rate", "budget", "unreachable-endpoints", "nan-range",
+        "nan-spacing", "inf-range"])
 def test_main_exit_1_on_invalid_input(tmp_path, capsys, flags, message):
     # flags come last, so they override the defaults set before them
     args = ["attack", *_dense_flags(5, 5), "--target-hops", "3",
@@ -336,7 +341,9 @@ def test_sweep_rejects_bad_counts_before_writing(tmp_path, capsys, flags,
     # four node lines for three nodes: the first position of node 1 is lost
     ("3 150.0 0.95 0.0 100.0 0\n1 0.0 0.0\n1 50.0 0.0\n2 100.0 0.0\n"
      "3 200.0 0.0\n1 2\n2 3\n", "node 1 listed twice"),
-], ids=["header", "ids", "repeated-id"])
+    ("2 nan 0.95 0.0 100.0 0\n1 0.0 0.0\n2 100.0 0.0\n1 2\n",
+     "tx_range must be positive and finite, got nan"),
+], ids=["header", "ids", "repeated-id", "nan-range"])
 def test_main_exit_1_on_malformed_topology_file(tmp_path, capsys, text,
                                                 message):
     path = tmp_path / "broken.txt"

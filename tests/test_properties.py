@@ -24,7 +24,7 @@ from extrout.routing import (Route, UnreachableError, disjoint_paths, extrapolat
                              hop_distances, lexicographic_walk, shortest_path)
 from extrout.simengine import TrafficTrace, run
 from extrout.topology import (Topology, TopologyParams, build_qudg, generate,
-                              place_nodes, topology_to_text)
+                              place_nodes, topology_from_text, topology_to_text)
 
 from oracles import decoy_pair_tiers, qudg_links, smallest_shortest_path
 
@@ -36,18 +36,32 @@ topology_params = st.builds(
     qudg_factor=st.floats(0.3, 1.0), seed=st.integers(0, 2**16))
 
 
-@settings(max_examples=150, deadline=None)
-@given(params=st.builds(
+# Layouts for the cell grid: tx_range from a fifth of the 100 m spacing to
+# 4.5 spacings leaves cells empty or crowded; perturbation 1 puts nodes
+# below zero.
+cell_grid_layouts = st.builds(
     TopologyParams, grid_rows=st.integers(1, 9), grid_cols=st.integers(1, 9),
     perturbation=st.floats(0.0, 1.0), tx_range=st.floats(20.0, 450.0),
-    qudg_factor=st.floats(0.0, 1.0), seed=st.integers(0, 2**16)))
+    qudg_factor=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
+
+
+@settings(max_examples=150, deadline=None)
+@given(params=cell_grid_layouts)
 def test_cell_grid_links_match_the_all_pairs_scan(params):
-    # tx_range from a fifth of the 100 m spacing to 4.5 spacings leaves
-    # cells empty or crowded; perturbation 1 puts nodes below zero.
     positions = place_nodes(params, substream(params.seed, "placement"))
     built = build_qudg(positions, params, substream(params.seed, "links"))
     assert built.links == qudg_links(positions, params,
                                      substream(params.seed, "links"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(params=cell_grid_layouts)
+def test_cell_grid_draws_as_many_variates_as_the_all_pairs_scan(params):
+    positions = place_nodes(params, substream(params.seed, "placement"))
+    built, scanned = substream(params.seed, "links"), substream(params.seed, "links")
+    build_qudg(positions, params, built)
+    qudg_links(positions, params, scanned)
+    assert built.getstate() == scanned.getstate()
 
 
 @settings(max_examples=60, deadline=None)
@@ -60,6 +74,34 @@ def test_topology_text_lists_the_links_sorted(params, shift):
                     frozenset((j + shift, i + shift) for i, j in grid.links))
     lines = topology_to_text(topo).splitlines()
     assert lines[1 + topo.node_count:] == [f"{i} {j}" for i, j in sorted(topo.links)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=st.integers(2, 7).flatmap(lambda side: st.builds(
+           TopologyParams, grid_rows=st.just(side), grid_cols=st.just(side),
+           perturbation=st.floats(0.0, 0.5), tx_range=st.just(150.0),
+           qudg_factor=st.floats(0.3, 1.0), seed=st.integers(0, 2**16))),
+       rnd=st.randoms(use_true_random=False))
+def test_loader_reads_links_either_way_round_repeated_among_comments(params, rnd):
+    # Square grids, so the shape the loader infers is the shape written.
+    topo = generate(params)
+    head, *body = topology_to_text(topo).splitlines()
+    lines = [head]
+    for line in body:
+        if rnd.random() < 0.3:
+            lines.append(rnd.choice(("", "   ", "# note", "  # indented")))
+        parts = line.split()
+        if len(parts) == 3:
+            lines.append(line)
+            continue
+        either_way = (line, f"{parts[1]} {parts[0]}")
+        lines.append(rnd.choice(either_way))
+        if rnd.random() < 0.3:
+            lines.append(rnd.choice(either_way))
+    lines.append("# trailing")
+    loaded = topology_from_text("\n".join(lines) + "\n")
+    assert loaded == topo
+    assert (loaded.adjacency, loaded.nodes) == (topo.adjacency, topo.nodes)
 
 
 @settings(max_examples=100, deadline=None)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -71,6 +73,10 @@ def test_link_probability_rejects_bad_arguments():
         link_probability(-1.0, 145.0, 0.25)
     with pytest.raises(ValueError):
         link_probability(10.0, 0.0, 0.25)
+    with pytest.raises(ValueError):
+        link_probability(10.0, math.nan, 0.25)
+    with pytest.raises(ValueError):
+        link_probability(10.0, math.inf, 0.25)
     with pytest.raises(ValueError):
         link_probability(10.0, 145.0, 1.5)
     with pytest.raises(ValueError):
@@ -225,9 +231,9 @@ def test_band_link_frequency_matches_probability(distance):
 def test_topology_rejects_self_links_and_unplaced_endpoints():
     params = TopologyParams(grid_rows=1, grid_cols=2, seed=0)
     positions = {1: Position(0.0, 0.0), 2: Position(10.0, 0.0)}
-    with pytest.raises(ValueError):
-        Topology(params, positions, ((1, 1),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^self-link on node 1$"):
+        Topology(params, positions, ((1, 2), (1, 1)))
+    with pytest.raises(ValueError, match=r"^link \(1, 3\) references an unplaced node$"):
         Topology(params, positions, ((1, 3),))
 
 
@@ -308,6 +314,41 @@ def test_loader_skips_comment_lines(tmp_path):
                     encoding="utf-8")
     back = load_topology(path)
     assert back.positions == topo.positions
+
+
+# The README dense and the default profile at 20x20 and 80x80, a
+# non-square grid, and a 9x9 grid whose cells are crowded, whose
+# coordinates go negative and whose every linked pair is a band pair.
+_PINNED_PROFILES = [
+    TopologyParams(20, 20, perturbation=0.0, tx_range=150.0, qudg_factor=0.95, seed=3),
+    TopologyParams(20, 20, seed=3),
+    TopologyParams(10, 30, perturbation=0.5, qudg_factor=0.5, seed=7),
+    TopologyParams(80, 80, perturbation=0.0, tx_range=150.0, qudg_factor=0.95, seed=1),
+    TopologyParams(80, 80, seed=1),
+    TopologyParams(9, 9, perturbation=1.0, tx_range=450.0, qudg_factor=0.0, seed=5),
+]
+
+
+def test_generated_topologies_are_pinned():
+    # Each profile's saved text and its link stream's state after the
+    # build, hashed together: the same links from the same band variates,
+    # and no variate more or less. The saved text loads back to the same
+    # graph.
+    digest = hashlib.sha256()
+    for params in _PINNED_PROFILES:
+        rng = substream(params.seed, "links")
+        topo = build_qudg(place_nodes(params, substream(params.seed, "placement")),
+                          params, rng)
+        text = topology_to_text(topo)
+        digest.update(text.encode())
+        digest.update(repr(rng.getstate()).encode())
+        loaded = topology_from_text(text)
+        # the file carries no grid shape, so a non-square one reads as a row
+        shape = replace(params, grid_rows=loaded.params.grid_rows,
+                        grid_cols=loaded.params.grid_cols)
+        assert loaded == replace(topo, params=shape)
+        assert (loaded.adjacency, loaded.nodes) == (topo.adjacency, topo.nodes)
+    assert digest.hexdigest() == "497794c11c9b62e64d606eead119406c4c9015d14726022f69f92145f40e5a91"
 
 
 def test_golden_2x2_placement_frozen():
