@@ -556,9 +556,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="extrout",
-                     description="location-privacy simulation harness")
-    sub = parser.add_subparsers(dest="command", required=True)
+    """One parser for every command: the command is a positional choice and
+    every command takes the same flags."""
     helps = {
         "topology": "generate a network and report degree statistics",
         "run": "simulate one scenario and write matrix/report files",
@@ -566,13 +565,18 @@ def build_parser() -> argparse.ArgumentParser:
         "attack": "run empirical adversary trials",
         "report": "reconcile the reference result table",
     }
-    for name, text in helps.items():
-        command = sub.add_parser(name, help=text)
-        command.add_argument("--config", default=None,
-                             help="INI configuration file")
-        for _, key, _, _ in SCHEMA:
-            command.add_argument(f"--{key.replace('_', '-')}", dest=key,
-                                 default=None, metavar="VALUE")
+    parser = _Parser(prog="extrout",
+                     usage="%(prog)s COMMAND [--config CONFIG] [--FLAG VALUE ...]",
+                     description="location-privacy simulation harness",
+                     epilog="commands:\n" + "\n".join(
+                         f"  {name:<10}{text}" for name, text in helps.items()),
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", choices=helps, metavar="COMMAND",
+                        help="one of the commands listed below")
+    parser.add_argument("--config", default=None, help="INI configuration file")
+    for _, key, _, _ in SCHEMA:
+        parser.add_argument(f"--{key.replace('_', '-')}", dest=key,
+                            default=None, metavar="VALUE")
     return parser
 
 

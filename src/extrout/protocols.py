@@ -12,8 +12,6 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter
 
 from .routing import (ExtendedRoute, Route, disjoint_paths, extrapolate,
                       lexicographic_walk, shortest_path)
@@ -219,6 +217,10 @@ def _pair_tiers(topo: Topology, real: Route, slack: int
     along topo.neighbor_indices), so no hop table is computed; v is
     admissible for u when it lies in u's ball of radius hops + slack but
     not in the one of radius hops - slack - 1.
+
+    Pairs are grouped by distance as they are read, and only the distinct
+    distances are sorted. topo.nodes is ascending and each row's bits are
+    read from low to high, so every tier lists its pairs in (u, v) order.
     """
     memo = topo.memo.get(_pair_tiers)
     if memo is None or memo[0] != real.nodes:
@@ -240,24 +242,30 @@ def _pair_tiers(topo: Topology, real: Route, slack: int
                     ball |= balls[j]
                 grown.append(ball)
             balls = grown
-        gaps, scored = {}, []
+        # tier of each midpoint (grid layouts share many) and of each gap
+        tier_at, by_gap = {}, {}
+        points = [topo.positions[n] for n in nodes]
         for i, u in enumerate(nodes):
             if u in on_route:
                 continue
-            ux, uy = topo.positions[u]
-            # admissible partners after u, as bits above position i
-            row = (balls[i] & ~inner[i] & free) >> (i + 1)
-            while row:
-                v = nodes[i + (row & -row).bit_length()]
-                row &= row - 1
-                vx, vy = topo.positions[v]
+            ux, uy = points[i]
+            # u's row read from its low bit: character k is "1" when
+            # nodes[i + 1 + k] is an admissible partner after u
+            bits = bin((balls[i] & ~inner[i] & free) >> (i + 1))[:1:-1]
+            k = bits.find("1")
+            while k >= 0:
+                j = i + 1 + k
+                v = nodes[j]
+                vx, vy = points[j]
                 mid = ((ux + vx) / 2, (uy + vy) / 2)
-                if mid not in gaps:  # grid layouts share many midpoints
-                    gaps[mid] = min(math.dist(mid, p) for p in real_pts)
-                scored.append((-gaps[mid], u, v))
-        scored.sort()
-        by_slack[slack] = tuple(tuple((u, v) for _gap, u, v in tier)
-                                for _key, tier in groupby(scored, key=itemgetter(0)))
+                tier = tier_at.get(mid)
+                if tier is None:
+                    gap = min(math.dist(mid, p) for p in real_pts)
+                    tier = tier_at[mid] = by_gap.setdefault(gap, [])
+                tier.append((u, v))
+                k = bits.find("1", k + 1)
+        by_slack[slack] = tuple(tuple(by_gap[gap])
+                                for gap in sorted(by_gap, reverse=True))
     return by_slack[slack]
 
 

@@ -268,6 +268,8 @@ def topology_from_text(text: str) -> Topology:
     if len(head) != 6:
         raise ValueError(f"malformed header: {rows[0]!r}")
     n = int(head[0])
+    if n < 1:
+        raise ValueError(f"header node count must be at least 1, got {n}")
     tx_range, qudg_factor, perturbation, spacing = map(float, head[1:5])
     seed = int(head[5])
     side = math.isqrt(n)

@@ -343,7 +343,10 @@ def test_sweep_rejects_bad_counts_before_writing(tmp_path, capsys, flags,
      "3 200.0 0.0\n1 2\n2 3\n", "node 1 listed twice"),
     ("2 nan 0.95 0.0 100.0 0\n1 0.0 0.0\n2 100.0 0.0\n1 2\n",
      "tx_range must be positive and finite, got nan"),
-], ids=["header", "ids", "repeated-id", "nan-range"])
+    ("-1 150.0 0.95 0.0 100.0 0\n", "header node count must be at least 1, got -1"),
+    ("0 150.0 0.95 0.0 100.0 0\n", "header node count must be at least 1, got 0"),
+], ids=["header", "ids", "repeated-id", "nan-range", "negative-count",
+        "zero-count"])
 def test_main_exit_1_on_malformed_topology_file(tmp_path, capsys, text,
                                                 message):
     path = tmp_path / "broken.txt"

@@ -171,6 +171,25 @@ def test_pair_ranking_matches_a_bfs_per_node(params, ends, slack):
     assert [list(tier) for tier in _pair_tiers(topo, route, slack)] == expected
 
 
+@settings(max_examples=60, deadline=None)
+@given(params=topology_params, data=st.data())
+def test_pair_ranking_follows_ids_not_layout_order(params, data):
+    # A file may number its nodes in any order, so a tier's pair order must
+    # come from the ids: relabel every node by a random permutation, the
+    # order-reversing one among them.
+    grid = generate(params)
+    ids = data.draw(st.one_of(st.just(grid.nodes[::-1]), st.permutations(grid.nodes)))
+    relabel = dict(zip(grid.nodes, ids))
+    topo = Topology(params, {relabel[n]: pos for n, pos in grid.positions.items()},
+                    frozenset((relabel[i], relabel[j]) for i, j in grid.links))
+    start = data.draw(st.sampled_from(topo.nodes))
+    route = shortest_path(topo, start, data.draw(
+        st.sampled_from(sorted(hop_distances(topo, start)))))
+    for slack in (1, 2):
+        expected = decoy_pair_tiers(topo.adjacency, topo.positions, route.nodes, slack)
+        assert [list(tier) for tier in _pair_tiers(topo, route, slack)] == expected
+
+
 @settings(max_examples=30, deadline=None)
 @given(params=topology_params, plan_seed=st.integers(0, 2**16),
        start=st.integers(1, 49), count=st.integers(1, 3),
