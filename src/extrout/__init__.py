@@ -16,6 +16,7 @@ from .topology import (
     link_probability,
     load_topology,
     place_nodes,
+    topology_from_text,
 )
 from .routing import (
     ExtendedRoute,

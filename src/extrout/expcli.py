@@ -162,7 +162,7 @@ def resolve_config(config_path: str | None,
                                            default_section="",
                                            interpolation=None)
         try:
-            read = parser.read(config_path)
+            read = parser.read(config_path, encoding="utf-8")
         except configparser.Error as exc:
             raise ConfigError(f"{config_path}: {exc}") from exc
         if not read:

@@ -7,6 +7,7 @@ with probability (R - d) / (R - a*R) in between.
 
 from __future__ import annotations
 
+import io
 import math
 import random
 from dataclasses import dataclass, field
@@ -60,7 +61,7 @@ class TopologyParams:
         """(row, col) of a node id; ids are 1-based and assigned row-major."""
         if not 1 <= node <= self.node_count:
             raise ValueError(f"node {node} outside grid of {self.node_count}")
-        return (node - 1) // self.grid_cols, (node - 1) % self.grid_cols
+        return divmod(node - 1, self.grid_cols)
 
     def node_at(self, row: int, col: int) -> int:
         return row * self.grid_cols + col + 1
@@ -93,7 +94,10 @@ class Topology:
     memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.links = frozenset((i, j) if i < j else (j, i) for i, j in self.links)
+        # A (low, high) tuple, as the loader passes, is kept as it is.
+        self.links = frozenset(
+            pair if type(pair) is tuple and pair[0] < pair[1] else _low_high(pair)
+            for pair in self.links)
         nbrs: dict[int, list[int]] = {n: [] for n in self.positions}
         try:
             for i, j in self.links:
@@ -121,6 +125,11 @@ class Topology:
     @property
     def node_count(self) -> int:
         return len(self.positions)
+
+
+def _low_high(pair) -> tuple[int, int]:
+    i, j = pair
+    return (i, j) if i < j else (j, i)
 
 
 def link_probability(d: float, tx_range: float, qudg_factor: float) -> float:
@@ -198,11 +207,14 @@ def build_qudg(positions: dict[int, Position], params: TopologyParams,
                 # The lower id's position goes first, as in a test of every
                 # pair in ascending order, so d is the float that test gets.
                 pj = positions[j]
-                d = dist(pi, pj) if i < j else dist(pj, pi)
+                if i < j:
+                    pair, d = (i, j), dist(pi, pj)
+                else:
+                    pair, d = (j, i), dist(pj, pi)
                 if d < certain:
-                    links.append((i, j))
+                    links.append(pair)
                 elif d < params.tx_range:
-                    band.append((i, j, d) if i < j else (j, i, d))
+                    band.append((*pair, d))
     band.sort()
     for i, j, d in band:
         if rng.random() < link_probability(d, params.tx_range, params.qudg_factor):
@@ -227,10 +239,10 @@ def average_degree(topo: Topology) -> float:
     p = topo.params
     pool = topo.nodes
     if pool == tuple(range(1, p.node_count + 1)):
+        cells = map(p.grid_cell, pool)
         pool = [
-            n for n in pool
-            if 0 < p.grid_cell(n)[0] < p.grid_rows - 1
-            and 0 < p.grid_cell(n)[1] < p.grid_cols - 1
+            n for n, (row, col) in zip(pool, cells)
+            if 0 < row < p.grid_rows - 1 and 0 < col < p.grid_cols - 1
         ] or pool
     return sum(len(topo.adjacency[n]) for n in pool) / len(pool)
 
@@ -258,43 +270,95 @@ def topology_from_text(text: str) -> Topology:
     """Parse the text exchange format.
 
     Blank lines and `#` comment lines are skipped wherever they stand. A
-    link may be given with either end first and may repeat. The header carries no grid shape, so rows/cols are inferred: sqrt(N) for
-    square N, else a single row (matrix views then report unavailable).
+    link may be given with either end first and may repeat. The header
+    carries no grid shape, so rows/cols are inferred: sqrt(N) for square
+    N, else a single row (matrix views then report unavailable). Lines end
+    at `\n`, `\r\n` or `\r`, as in a file that load_topology reads.
     """
-    rows = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    if not rows:
+    return _read_topology(io.StringIO(text, newline=None))
+
+
+def load_topology(path) -> Topology:
+    """Read a topology file, UTF-8 in the text exchange format, line by
+    line."""
+    with open(path, encoding="utf-8") as fh:
+        return _read_topology(fh)
+
+
+_HEADER_FIELDS = (("node count", int), ("tx_range", float),
+                  ("qudg_factor", float), ("perturbation", float),
+                  ("spacing", float), ("seed", int))
+_NODE_FIELDS = (("node id", int), ("x", float), ("y", float))
+_LINK_FIELDS = (("link end", int), ("link end", int))
+
+
+def _read_topology(lines) -> Topology:
+    """Parse the lines of the text exchange format as they are read.
+
+    A link end written as its node line writes the id reuses that node's
+    int, so a large file makes one int per node, not one per link end.
+    Each link goes to Topology as its (low, high) tuple.
+    """
+    numbered = enumerate(lines, 1)
+    for lineno, line in numbered:
+        head = line.split()
+        if head and head[0][0] != "#":
+            break
+    else:
         raise ValueError("empty topology file")
-    head = rows[0].split()
     if len(head) != 6:
-        raise ValueError(f"malformed header: {rows[0]!r}")
-    n = int(head[0])
+        raise ValueError("malformed header: " + repr(line.rstrip("\n")))
+    n, tx_range, qudg_factor, perturbation, spacing, seed = _convert(
+        head, _HEADER_FIELDS, lineno)
     if n < 1:
         raise ValueError(f"header node count must be at least 1, got {n}")
-    tx_range, qudg_factor, perturbation, spacing = map(float, head[1:5])
-    seed = int(head[5])
     side = math.isqrt(n)
     grid_rows, grid_cols = (side, side) if side * side == n else (1, n)
     params = TopologyParams(grid_rows=grid_rows, grid_cols=grid_cols, spacing=spacing,
                             perturbation=perturbation, tx_range=tx_range,
                             qudg_factor=qudg_factor, seed=seed)
     positions: dict[int, Position] = {}
+    ids: dict[str, int] = {}
     links = []
-    for ln in rows[1:]:
-        parts = ln.split()
-        if len(parts) == 3:
-            node = int(parts[0])
+    for lineno, line in numbered:
+        parts = line.split()
+        if not parts or parts[0][0] == "#":
+            continue
+        if len(parts) == 2:
+            a, b = parts
+            try:
+                i = ids[a] if a in ids else int(a)
+                j = ids[b] if b in ids else int(b)
+            except ValueError:
+                _convert(parts, _LINK_FIELDS, lineno)  # names the field
+                raise
+            links.append((i, j) if i < j else (j, i))
+        elif len(parts) == 3:
+            try:
+                node, x, y = int(parts[0]), float(parts[1]), float(parts[2])
+            except ValueError:
+                _convert(parts, _NODE_FIELDS, lineno)  # names the field
+                raise
             if node in positions:
                 raise ValueError(f"node {node} listed twice")
-            positions[node] = Position(float(parts[1]), float(parts[2]))
-        elif len(parts) == 2:
-            links.append((int(parts[0]), int(parts[1])))
+            positions[node] = Position(x, y)
+            ids[parts[0]] = node
         else:
-            raise ValueError(f"malformed line: {ln!r}")
+            raise ValueError("malformed line: " + repr(line.rstrip("\n")))
     if len(positions) != n:
         raise ValueError(f"header says {n} nodes, file has {len(positions)}")
     return Topology(params=params, positions=positions, links=links)
 
 
-def load_topology(path) -> Topology:
-    with open(path) as fh:
-        return topology_from_text(fh.read())
+def _convert(parts: list[str], fields, lineno: int) -> list:
+    """Each of parts converted by its field's type; a part the type
+    rejects raises ValueError naming the line and the field."""
+    values = []
+    for raw, (name, kind) in zip(parts, fields):
+        try:
+            values.append(kind(raw))
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise ValueError(
+                f"line {lineno}: {name} must be {what}, got {raw!r}") from None
+    return values

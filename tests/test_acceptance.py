@@ -38,7 +38,7 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 
 def _data_rows(path: Path) -> list[list[str]]:
     """CSV rows minus provenance comments; row 0 is the header."""
-    lines = [line for line in path.read_text().splitlines()
+    lines = [line for line in path.read_text(encoding="utf-8").splitlines()
              if line and not line.startswith("#")]
     return [line.split(",") for line in lines]
 
@@ -75,7 +75,7 @@ def test_criterion_01_baseline_run_via_cli(tmp_path):
                "--seed", "1", "--out", str(out)])
     elapsed = time.perf_counter() - started
     assert rc == 0
-    text = (out / "report.txt").read_text()
+    text = (out / "report.txt").read_text(encoding="utf-8")
     assert "anonymity single   0.933333" in text
     assert "tof measured       1.875000" in text
     assert "tof measured mean  1.875000" in text

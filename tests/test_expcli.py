@@ -345,8 +345,15 @@ def test_sweep_rejects_bad_counts_before_writing(tmp_path, capsys, flags,
      "tx_range must be positive and finite, got nan"),
     ("-1 150.0 0.95 0.0 100.0 0\n", "header node count must be at least 1, got -1"),
     ("0 150.0 0.95 0.0 100.0 0\n", "header node count must be at least 1, got 0"),
+    ("2.5 150.0 0.95 0.0 100.0 0\n",
+     "line 1: node count must be an integer, got '2.5'"),
+    # comment and blank lines count towards the line number
+    ("2 150.0 0.95 0.0 100.0 0\n# nodes\n\n1 0.0 x\n",
+     "line 4: y must be a number, got 'x'"),
+    ("2 150.0 0.95 0.0 100.0 0\n1 0.0 0.0\n2 100.0 0.0\n1 2.0\n",
+     "line 4: link end must be an integer, got '2.0'"),
 ], ids=["header", "ids", "repeated-id", "nan-range", "negative-count",
-        "zero-count"])
+        "zero-count", "fractional-count", "bad-coordinate", "bad-link-end"])
 def test_main_exit_1_on_malformed_topology_file(tmp_path, capsys, text,
                                                 message):
     path = tmp_path / "broken.txt"
@@ -595,7 +602,7 @@ def test_duplicate_shortfalls_print_no_line_per_plan(tmp_path):
          "--topology-file", _line_file(tmp_path), "--source", "5",
          "--dest", "13", "--variant", "extrout_duplicates", "--count", "2",
          "--reps", "4", "--budget", "10", "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, encoding="utf-8")
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""
 
@@ -869,6 +876,6 @@ def test_module_entry_point(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "extrout", "topology", *_dense_flags(3, 3),
          "--out", str(tmp_path / "out")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, encoding="utf-8")
     assert result.returncode == 0
     assert "nodes=9" in result.stdout

@@ -316,6 +316,28 @@ def test_loader_skips_comment_lines(tmp_path):
     assert back.positions == topo.positions
 
 
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_loader_reads_any_line_ending(tmp_path, newline):
+    saved = topology_to_text(generate(TopologyParams(3, 3, seed=4)))
+    text = "# saved\n\n" + saved
+    expected = topology_from_text(text)
+    other = text.replace("\n", newline)
+    assert topology_from_text(other) == expected
+    path = tmp_path / "topo.txt"
+    path.write_bytes(other.encode("utf-8"))
+    assert load_topology(path) == expected
+    # Only these three end a line: split at NEL, the file is one long line.
+    with pytest.raises(ValueError, match="malformed header"):
+        topology_from_text(saved.replace("\n", "\x85"))
+
+
+def test_topology_accepts_links_as_any_pairs():
+    positions = {n: Position(100.0 * n, 0.0) for n in (1, 2, 3)}
+    topo = Topology(TopologyParams(1, 3), positions, [[2, 1], [1, 3], (3, 1)])
+    assert topo.links == frozenset({(1, 2), (1, 3)})
+    assert topo.adjacency == {1: (2, 3), 2: (1,), 3: (1,)}
+
+
 # The README dense and the default profile at 20x20 and 80x80, a
 # non-square grid, and a 9x9 grid whose cells are crowded, whose
 # coordinates go negative and whose every linked pair is a band pair.
