@@ -16,7 +16,6 @@ from .topology import (
     link_probability,
     load_topology,
     place_nodes,
-    topology_from_text,
 )
 from .routing import (
     ExtendedRoute,

@@ -165,6 +165,9 @@ def resolve_config(config_path: str | None,
             read = parser.read(config_path, encoding="utf-8")
         except configparser.Error as exc:
             raise ConfigError(f"{config_path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            # Its position is within the chunk decoded, not the file: left out.
+            raise ConfigError(f"{config_path}: not UTF-8 ({exc.reason})") from exc
         if not read:
             raise ConfigError(f"config file not found: {config_path}")
         for section in parser.sections():
@@ -313,7 +316,8 @@ def cmd_topology(cfg: dict) -> int:
     path = out / "topology.txt"
     _write(path, _provenance(cfg, "topology"), topology_to_text(topo))
     degree = average_degree(topo)
-    print(f"nodes={topo.node_count} links={len(topo.links)} "
+    links = sum(map(len, topo.adjacency.values())) // 2
+    print(f"nodes={topo.node_count} links={links} "
           f"average_degree={degree:.3f}")
     print(f"wrote {path}")
     return 0

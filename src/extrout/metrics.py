@@ -227,12 +227,16 @@ def report_from_run(plan: ScenarioPlan, trace: TrafficTrace | None = None,
 
 @dataclass(frozen=True)
 class ReconciliationRecord:
-    """Outcome of cross-checking a report's analytical/measured values."""
+    """Outcome of cross-checking a report's analytical/measured values;
+    it passed when it lists no failure."""
 
-    passed: bool
     failures: tuple[str, ...]
     flags: tuple[str, ...]
     notes: tuple[str, ...] = ()
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
 
 def reconcile(report: PrivacyReport,
@@ -273,7 +277,6 @@ def reconcile(report: PrivacyReport,
                 f"tof reference {ref_tof} differs from computed "
                 f"{report.tof_analytical:.6f}")
     return ReconciliationRecord(
-        passed=not failures,
         failures=tuple(failures),
         flags=tuple(flags),
         notes=tuple(notes),

@@ -7,10 +7,10 @@ with probability (R - d) / (R - a*R) in between.
 
 from __future__ import annotations
 
-import io
 import math
 import random
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -69,45 +69,42 @@ class TopologyParams:
 
 @dataclass
 class Topology:
-    """A placed node set plus its sampled link set; immutable after build.
+    """A placed node set and the links among it; immutable after build.
 
     links may be any iterable of node pairs, each in either order and
-    possibly repeated; it is stored as the frozenset of distinct (low,
-    high) pairs. A self-link or an end missing from positions raises
-    ValueError.
+    possibly repeated. A self-link or an end missing from positions raises
+    ValueError. The graph is stored once, as adjacency: each node's
+    distinct neighbours, ascending. Equality compares params, positions
+    and adjacency.
 
-    nodes (the ids ascending) and adjacency (each node's neighbours
-    ascending) are derived once; routing reads its searches off them in
-    that order. node_index and neighbor_indices are the same graph by
-    index into nodes, built on first use by the searches that run on int
-    lists. memo keeps RNG-independent results that other modules derive
-    from the graph, each under a key that the function filling it owns and
-    documents. None of these take part in equality, so a warmed topology
-    equals a fresh one.
+    nodes (the ids ascending) is derived once; routing reads its searches
+    off nodes and adjacency in that order. node_index and neighbor_indices
+    are the same graph by index into nodes, built on first use by the
+    searches that run on int lists. memo keeps RNG-independent results
+    that other modules derive from the graph, each under a key that the
+    function filling it owns and documents. None of these take part in
+    equality, so a warmed topology equals a fresh one.
     """
 
     params: TopologyParams
     positions: dict[int, Position]
-    links: frozenset[tuple[int, int]]
-    adjacency: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    links: InitVar[Iterable[tuple[int, int]]]
+    adjacency: dict[int, tuple[int, ...]] = field(init=False)
     nodes: tuple[int, ...] = field(init=False, repr=False, compare=False)
     memo: dict = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        # A (low, high) tuple, as the loader passes, is kept as it is.
-        self.links = frozenset(
-            pair if type(pair) is tuple and pair[0] < pair[1] else _low_high(pair)
-            for pair in self.links)
+    def __post_init__(self, links):
         nbrs: dict[int, list[int]] = {n: [] for n in self.positions}
         try:
-            for i, j in self.links:
+            for i, j in links:
                 if i == j:
                     raise ValueError(f"self-link on node {i}")
                 nbrs[i].append(j)
                 nbrs[j].append(i)
         except KeyError:
-            raise ValueError(f"link ({i}, {j}) references an unplaced node") from None
-        self.adjacency = {n: tuple(sorted(v)) for n, v in nbrs.items()}
+            raise ValueError(f"link ({min(i, j)}, {max(i, j)}) references "
+                             "an unplaced node") from None
+        self.adjacency = {n: tuple(sorted(set(v))) for n, v in nbrs.items()}
         self.nodes = tuple(sorted(self.positions))
         self.memo = {}
 
@@ -125,11 +122,6 @@ class Topology:
     @property
     def node_count(self) -> int:
         return len(self.positions)
-
-
-def _low_high(pair) -> tuple[int, int]:
-    i, j = pair
-    return (i, j) if i < j else (j, i)
 
 
 def link_probability(d: float, tx_range: float, qudg_factor: float) -> float:
@@ -259,30 +251,29 @@ def topology_to_text(topo: Topology) -> str:
     for n in topo.nodes:
         pos = topo.positions[n]
         lines.append(f"{n} {pos.x!r} {pos.y!r}")
-    # Links are stored as (min, max) and adjacency ascends, so this is
-    # sorted(topo.links) without the sort.
+    # Nodes and each adjacency ascend, so the links come out sorted.
     for i in topo.nodes:
         lines.extend(f"{i} {j}" for j in topo.adjacency[i] if j > i)
     return "\n".join(lines) + "\n"
 
 
-def topology_from_text(text: str) -> Topology:
-    """Parse the text exchange format.
+def load_topology(path) -> Topology:
+    """Read a topology file, UTF-8 in the text exchange format, line by
+    line.
 
     Blank lines and `#` comment lines are skipped wherever they stand. A
     link may be given with either end first and may repeat. The header
     carries no grid shape, so rows/cols are inferred: sqrt(N) for square
     N, else a single row (matrix views then report unavailable). Lines end
-    at `\n`, `\r\n` or `\r`, as in a file that load_topology reads.
+    at LF, CRLF or CR. Bytes that are not UTF-8 raise ValueError
+    naming the file.
     """
-    return _read_topology(io.StringIO(text, newline=None))
-
-
-def load_topology(path) -> Topology:
-    """Read a topology file, UTF-8 in the text exchange format, line by
-    line."""
     with open(path, encoding="utf-8") as fh:
-        return _read_topology(fh)
+        try:
+            return _read_topology(fh)
+        except UnicodeDecodeError as exc:
+            # Its position is within the chunk decoded, not the file: left out.
+            raise ValueError(f"{path}: not UTF-8 ({exc.reason})") from None
 
 
 _HEADER_FIELDS = (("node count", int), ("tx_range", float),
@@ -297,7 +288,7 @@ def _read_topology(lines) -> Topology:
 
     A link end written as its node line writes the id reuses that node's
     int, so a large file makes one int per node, not one per link end.
-    Each link goes to Topology as its (low, high) tuple.
+    Each link goes to Topology as the pair the file writes.
     """
     numbered = enumerate(lines, 1)
     for lineno, line in numbered:
@@ -332,7 +323,7 @@ def _read_topology(lines) -> Topology:
             except ValueError:
                 _convert(parts, _LINK_FIELDS, lineno)  # names the field
                 raise
-            links.append((i, j) if i < j else (j, i))
+            links.append((i, j))
         elif len(parts) == 3:
             try:
                 node, x, y = int(parts[0]), float(parts[1]), float(parts[2])

@@ -12,9 +12,16 @@ checks that only tests need live here too.
 import math
 
 
+def link_pairs(topo) -> frozenset[tuple[int, int]]:
+    """A topology's links as (low, high) pairs, read off its adjacency."""
+    return frozenset((i, j) for i, near in topo.adjacency.items()
+                     for j in near if i < j)
+
+
 def route_is_valid(topo, route) -> bool:
     """True when every consecutive pair of the route is a topology link."""
-    return all((min(u, v), max(u, v)) in topo.links for u, v in route.links())
+    linked = link_pairs(topo)
+    return all((min(u, v), max(u, v)) in linked for u, v in route.links())
 
 
 def matrix_from_csv(text: str) -> list[list[float]]:

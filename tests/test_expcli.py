@@ -22,7 +22,7 @@ from extrout.topology import (Topology, TopologyParams, generate,
                               load_topology, topology_to_text)
 
 from ladders import line_topology
-from oracles import CountingAdjacency, bfs_levels, matrix_from_csv
+from oracles import CountingAdjacency, bfs_levels, link_pairs, matrix_from_csv
 from test_golden import GRID, _digest
 
 HERE = Path(__file__).resolve().parent
@@ -182,10 +182,16 @@ def test_main_exit_1_on_invalid_input(tmp_path, capsys, flags, message):
      "unknown key [DEFAULT] seed"),
     # "%" is read literally, not as configparser interpolation
     ("[run]\nseed = 3%\n", "bad value for seed"),
-], ids=["cover", "threshold", "default", "default-beside-topology", "percent"])
+    # a UTF-16 byte order mark, written as bytes
+    (b"\xff\xfe[run]\nseed = 3\n", "not UTF-8 (invalid start byte)"),
+], ids=["cover", "threshold", "default", "default-beside-topology", "percent",
+        "not-utf-8"])
 def test_main_exit_1_on_removed_ini_key(tmp_path, capsys, text, message):
     ini = tmp_path / "exp.ini"
-    ini.write_text(text, encoding="utf-8")
+    if isinstance(text, bytes):
+        ini.write_bytes(text)
+    else:
+        ini.write_text(text, encoding="utf-8")
     assert main(["attack", "--config", str(ini),
                  "--out", str(tmp_path / "out")]) == 1
     assert f"config error: {ini}: {message}" in capsys.readouterr().err
@@ -352,16 +358,22 @@ def test_sweep_rejects_bad_counts_before_writing(tmp_path, capsys, flags,
      "line 4: y must be a number, got 'x'"),
     ("2 150.0 0.95 0.0 100.0 0\n1 0.0 0.0\n2 100.0 0.0\n1 2.0\n",
      "line 4: link end must be an integer, got '2.0'"),
+    # a UTF-16 byte order mark, written as bytes: the message names the file
+    (b"\xff\xfe2 150.0 0.95 0.0 100.0 0\n", "{path}: not UTF-8 (invalid start byte)"),
 ], ids=["header", "ids", "repeated-id", "nan-range", "negative-count",
-        "zero-count", "fractional-count", "bad-coordinate", "bad-link-end"])
+        "zero-count", "fractional-count", "bad-coordinate", "bad-link-end",
+        "not-utf-8"])
 def test_main_exit_1_on_malformed_topology_file(tmp_path, capsys, text,
                                                 message):
     path = tmp_path / "broken.txt"
-    path.write_text(text, encoding="utf-8")
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
     assert main(["run", "--topology-file", str(path), "--target-hops", "1",
                  "--reps", "1", "--budget", "5",
                  "--out", str(tmp_path / "out")]) == 1
-    assert f"config error: {message}" in capsys.readouterr().err
+    assert "config error: " + message.format(path=path) in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -391,7 +403,7 @@ def test_main_exit_2_on_reconciliation_failure(tmp_path, monkeypatch):
     import extrout.expcli as expcli
 
     def forced_failure(report, reference=None, notes=()):
-        return ReconciliationRecord(False, ("forced",), (), ())
+        return ReconciliationRecord(("forced",), (), ())
 
     monkeypatch.setattr(expcli, "reconcile", forced_failure)
     rc = main(["run", "--topology-file", _line_file(tmp_path),
@@ -458,6 +470,18 @@ def test_topology_command_reads_a_file_with_any_ids(tmp_path, capsys):
                  "--out", str(out)]) == 0
     assert "nodes=3 links=2 average_degree=1.333" in capsys.readouterr().out
     assert load_topology(out / "topology.txt").nodes == (5, 6, 7)
+
+
+def test_topology_command_counts_each_link_once(tmp_path, capsys):
+    # the chain 5-6-7 again, with 5-6 listed three times and 6-7 as 7 6
+    path = tmp_path / "listed.txt"
+    path.write_text("3 150.0 0.95 0.0 100.0 0\n5 0.0 0.0\n6 100.0 0.0\n"
+                    "7 200.0 0.0\n5 6\n7 6\n6 5\n5 6\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["topology", "--topology-file", str(path), "--out", str(out)]) == 0
+    assert "nodes=3 links=2 average_degree=1.333" in capsys.readouterr().out
+    text = (out / "topology.txt").read_text(encoding="utf-8")
+    assert text.endswith("\n7 200.0 0.0\n5 6\n6 7\n")
 
 
 def test_run_command_outputs_and_reconciliation(tmp_path, capsys):
@@ -799,7 +823,7 @@ def _renumbered_grid_files(tmp_path) -> tuple[str, str, dict[int, int]]:
     rename = {n: 7 * n + 100 for n in grid.nodes}
     renamed = Topology(grid.params,
                        {rename[n]: pos for n, pos in grid.positions.items()},
-                       frozenset((rename[i], rename[j]) for i, j in grid.links))
+                       frozenset((rename[i], rename[j]) for i, j in link_pairs(grid)))
     paths = []
     for name, topo in (("plain.txt", grid), ("renamed.txt", renamed)):
         path = tmp_path / name

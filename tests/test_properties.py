@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -24,9 +26,9 @@ from extrout.routing import (Route, UnreachableError, disjoint_paths, extrapolat
                              hop_distances, lexicographic_walk, shortest_path)
 from extrout.simengine import TrafficTrace, run
 from extrout.topology import (Topology, TopologyParams, build_qudg, generate,
-                              place_nodes, topology_from_text, topology_to_text)
+                              load_topology, place_nodes, topology_to_text)
 
-from oracles import decoy_pair_tiers, qudg_links, smallest_shortest_path
+from oracles import decoy_pair_tiers, link_pairs, qudg_links, smallest_shortest_path
 
 # Random small Q-UDG deployments: perturbed grids up to 7x7, from sparse to
 # nearly unit-disk link models.
@@ -50,8 +52,8 @@ cell_grid_layouts = st.builds(
 def test_cell_grid_links_match_the_all_pairs_scan(params):
     positions = place_nodes(params, substream(params.seed, "placement"))
     built = build_qudg(positions, params, substream(params.seed, "links"))
-    assert built.links == qudg_links(positions, params,
-                                     substream(params.seed, "links"))
+    assert link_pairs(built) == qudg_links(positions, params,
+                                           substream(params.seed, "links"))
 
 
 @settings(max_examples=150, deadline=None)
@@ -70,10 +72,30 @@ def test_topology_text_lists_the_links_sorted(params, shift):
     # ids renumbered n + shift, as a file may number them, so id 0 occurs;
     # each link is given high end first, which the topology must normalize
     grid = generate(params)
+    shifted = sorted((i + shift, j + shift) for i, j in link_pairs(grid))
     topo = Topology(params, {n + shift: pos for n, pos in grid.positions.items()},
-                    frozenset((j + shift, i + shift) for i, j in grid.links))
+                    [(j, i) for i, j in shifted])
     lines = topology_to_text(topo).splitlines()
-    assert lines[1 + topo.node_count:] == [f"{i} {j}" for i, j in sorted(topo.links)]
+    assert lines[1 + topo.node_count:] == [f"{i} {j}" for i, j in shifted]
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=topology_params, rnd=st.randoms(use_true_random=False))
+def test_topology_is_the_same_from_any_listing_of_its_links(params, rnd):
+    # The links shuffled, some given high end first and some repeated, make
+    # the topology that the sorted distinct pairs make; one link fewer does not.
+    grid = generate(params)
+    pairs = sorted(link_pairs(grid))
+    assume(pairs)
+    listed = [(j, i) if rnd.random() < 0.5 else (i, j) for i, j in pairs]
+    listed += rnd.choices(listed, k=len(listed) // 3)
+    rnd.shuffle(listed)
+    topo = Topology(params, grid.positions, listed)
+    plain = Topology(params, grid.positions, pairs)
+    assert topo == plain and topo.adjacency == plain.adjacency
+    dropped = rnd.choice(pairs)
+    assert Topology(params, grid.positions,
+                    [pair for pair in pairs if pair != dropped]) != topo
 
 
 @settings(max_examples=60, deadline=None)
@@ -99,7 +121,10 @@ def test_loader_reads_links_either_way_round_repeated_among_comments(params, rnd
         if rnd.random() < 0.3:
             lines.append(rnd.choice(either_way))
     lines.append("# trailing")
-    loaded = topology_from_text("\n".join(lines) + "\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "topo.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        loaded = load_topology(path)
     assert loaded == topo
     assert (loaded.adjacency, loaded.nodes) == (topo.adjacency, topo.nodes)
 
@@ -181,7 +206,7 @@ def test_pair_ranking_follows_ids_not_layout_order(params, data):
     ids = data.draw(st.one_of(st.just(grid.nodes[::-1]), st.permutations(grid.nodes)))
     relabel = dict(zip(grid.nodes, ids))
     topo = Topology(params, {relabel[n]: pos for n, pos in grid.positions.items()},
-                    frozenset((relabel[i], relabel[j]) for i, j in grid.links))
+                    frozenset((relabel[i], relabel[j]) for i, j in link_pairs(grid)))
     start = data.draw(st.sampled_from(topo.nodes))
     route = shortest_path(topo, start, data.draw(
         st.sampled_from(sorted(hop_distances(topo, start)))))

@@ -26,7 +26,7 @@ from extrout.simengine import run
 from extrout.topology import Position, Topology, TopologyParams, generate
 
 from ladders import LINK_PROFILES, line_topology, parallel_paths
-from oracles import CountingAdjacency
+from oracles import CountingAdjacency, link_pairs
 
 
 def _pinned(src_ext: int, dst_ext: int, **kw) -> ScenarioSettings:
@@ -361,7 +361,7 @@ def test_pair_ranking_ignores_how_nodes_are_numbered():
                                    qudg_factor=0.5, seed=4))
     relabel = {n: 7 * n - 100 for n in topo.nodes}
     moved = Topology(topo.params, {relabel[n]: pos for n, pos in topo.positions.items()},
-                     frozenset((relabel[i], relabel[j]) for i, j in topo.links))
+                     frozenset((relabel[i], relabel[j]) for i, j in link_pairs(topo)))
     rng = random.Random(8)
     ranked = 0
     for _ in range(10):

@@ -22,8 +22,8 @@ from extrout.routing import (
 from extrout.topology import Position, Topology, TopologyParams, generate
 
 from ladders import LINK_PROFILES, line_topology, parallel_paths, random_topology
-from oracles import (CountingNeighbours, bfs_levels, max_node_disjoint_paths,
-                     min_disjoint_hops, route_is_valid)
+from oracles import (CountingNeighbours, bfs_levels, link_pairs,
+                     max_node_disjoint_paths, min_disjoint_hops, route_is_valid)
 
 
 # ------------------------------------------------------------------- routes
@@ -345,7 +345,7 @@ def test_disjoint_paths_ignores_how_nodes_are_numbered():
                                    qudg_factor=0.5, seed=4))
     relabel = {n: 7 * n - 100 for n in topo.nodes}
     moved = Topology(topo.params, {relabel[n]: pos for n, pos in topo.positions.items()},
-                     frozenset((relabel[i], relabel[j]) for i, j in topo.links))
+                     frozenset((relabel[i], relabel[j]) for i, j in link_pairs(topo)))
     rng = random.Random(8)
     found = 0
     for _ in range(20):

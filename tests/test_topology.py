@@ -22,11 +22,19 @@ from extrout.topology import (
     link_probability,
     load_topology,
     place_nodes,
-    topology_from_text,
     topology_to_text,
 )
 
+from oracles import link_pairs
+
 DATA = Path(__file__).parent / "data"
+
+
+def _loaded(tmp_path, text: str) -> Topology:
+    """load_topology on a file holding text as UTF-8."""
+    path = tmp_path / "topo.txt"
+    path.write_bytes(text.encode("utf-8"))
+    return load_topology(path)
 
 
 # ---------------------------------------------------------------- link model
@@ -155,15 +163,15 @@ def test_build_qudg_certain_and_forbidden_links_exhaustive():
             if i < j and math.dist(topo.positions[i],
                                    topo.positions[j]) < 0.95 * 150.0:
                 expected.add((i, j))
-    assert set(topo.links) == expected
-    assert len(topo.links) == 12 + 8  # laterals + diagonals on a 3x3 grid
+    assert link_pairs(topo) == expected
+    assert len(expected) == 12 + 8  # laterals + diagonals on a 3x3 grid
 
 
 def test_build_qudg_respects_hard_bounds_with_jitter():
     params = TopologyParams(grid_rows=10, grid_cols=10, seed=5)
     topo = generate(params)
     certain = params.qudg_factor * params.tx_range
-    linked = set(topo.links)
+    linked = link_pairs(topo)
     for i in topo.nodes:
         for j in topo.nodes:
             if i >= j:
@@ -177,7 +185,7 @@ def test_build_qudg_respects_hard_bounds_with_jitter():
 
 def test_build_qudg_deterministic_per_seed():
     params = TopologyParams(grid_rows=8, grid_cols=8, seed=77)
-    assert generate(params).links == generate(params).links
+    assert link_pairs(generate(params)) == link_pairs(generate(params))
 
 
 class _CountingMath:
@@ -202,7 +210,7 @@ def test_build_qudg_evaluates_linearly_many_distances(monkeypatch):
     counting = _CountingMath()
     monkeypatch.setattr(topology, "math", counting)
     topo = build_qudg(positions, params, substream(params.seed, "links"))
-    assert topo.links
+    assert link_pairs(topo)
     assert counting.dist_calls < 20 * params.node_count
 
 
@@ -221,7 +229,7 @@ def test_band_link_frequency_matches_probability(distance):
     for trial in range(trials):
         params = _two_node_params(trial)
         topo = build_qudg(positions, params, substream(trial, "links"))
-        hits += 1 if topo.links else 0
+        hits += 1 if link_pairs(topo) else 0
     expected = link_probability(distance, 145.0, 0.25)
     assert abs(hits / trials - expected) < 0.02
 
@@ -243,7 +251,7 @@ def test_adjacency_is_sorted_and_symmetric():
     topo = Topology(params, positions, ((3, 1), (2, 3), (4, 3)))
     assert topo.adjacency[3] == (1, 2, 4)
     assert topo.adjacency[1] == (3,)
-    assert (1, 3) in topo.links and (1, 2) not in topo.links
+    assert (1, 3) in link_pairs(topo) and (1, 2) not in link_pairs(topo)
 
 
 def test_average_degree_complete_triangle():
@@ -269,25 +277,25 @@ def test_average_degree_uses_interior_nodes_when_present():
 
 
 @pytest.mark.parametrize("shift", [-1, 4, 100])
-def test_average_degree_over_all_nodes_when_ids_are_not_the_cells(shift):
+def test_average_degree_over_all_nodes_when_ids_are_not_the_cells(tmp_path, shift):
     # the dense 3x3 grid renumbered n + shift, as a file may number it:
     # corners have 3 links, edges 5 and the centre 8
     dense = generate(TopologyParams(grid_rows=3, grid_cols=3, perturbation=0.0,
                                     tx_range=150.0, qudg_factor=0.95, seed=4))
     text = topology_to_text(Topology(
         dense.params, {n + shift: pos for n, pos in dense.positions.items()},
-        frozenset((i + shift, j + shift) for i, j in dense.links)))
-    assert average_degree(topology_from_text(text)) == 40 / 9
+        frozenset((i + shift, j + shift) for i, j in link_pairs(dense))))
+    assert average_degree(_loaded(tmp_path, text)) == 40 / 9
 
 
 # ----------------------------------------------------------------- text form
 
-def test_topology_text_round_trip_is_lossless():
+def test_topology_text_round_trip_is_lossless(tmp_path):
     params = TopologyParams(grid_rows=4, grid_cols=4, seed=21)
     topo = generate(params)
-    back = topology_from_text(topology_to_text(topo))
+    back = _loaded(tmp_path, topology_to_text(topo))
     assert back.positions == topo.positions
-    assert set(back.links) == set(topo.links)
+    assert link_pairs(back) == link_pairs(topo)
     assert back.params.tx_range == params.tx_range
     assert back.params.qudg_factor == params.qudg_factor
     assert back.params.perturbation == params.perturbation
@@ -303,7 +311,7 @@ def test_save_and_load_topology(tmp_path):
     path.write_text(topology_to_text(topo), encoding="utf-8")
     back = load_topology(path)
     assert back.positions == topo.positions
-    assert set(back.links) == set(topo.links)
+    assert link_pairs(back) == link_pairs(topo)
 
 
 def test_loader_skips_comment_lines(tmp_path):
@@ -318,23 +326,20 @@ def test_loader_skips_comment_lines(tmp_path):
 
 @pytest.mark.parametrize("newline", ["\r\n", "\r"])
 def test_loader_reads_any_line_ending(tmp_path, newline):
-    saved = topology_to_text(generate(TopologyParams(3, 3, seed=4)))
+    topo = generate(TopologyParams(3, 3, seed=4))
+    saved = topology_to_text(topo)
     text = "# saved\n\n" + saved
-    expected = topology_from_text(text)
-    other = text.replace("\n", newline)
-    assert topology_from_text(other) == expected
-    path = tmp_path / "topo.txt"
-    path.write_bytes(other.encode("utf-8"))
-    assert load_topology(path) == expected
+    assert _loaded(tmp_path, text) == topo
+    assert _loaded(tmp_path, text.replace("\n", newline)) == topo
     # Only these three end a line: split at NEL, the file is one long line.
     with pytest.raises(ValueError, match="malformed header"):
-        topology_from_text(saved.replace("\n", "\x85"))
+        _loaded(tmp_path, saved.replace("\n", "\x85"))
 
 
 def test_topology_accepts_links_as_any_pairs():
     positions = {n: Position(100.0 * n, 0.0) for n in (1, 2, 3)}
     topo = Topology(TopologyParams(1, 3), positions, [[2, 1], [1, 3], (3, 1)])
-    assert topo.links == frozenset({(1, 2), (1, 3)})
+    assert link_pairs(topo) == frozenset({(1, 2), (1, 3)})
     assert topo.adjacency == {1: (2, 3), 2: (1,), 3: (1,)}
 
 
@@ -351,7 +356,7 @@ _PINNED_PROFILES = [
 ]
 
 
-def test_generated_topologies_are_pinned():
+def test_generated_topologies_are_pinned(tmp_path):
     # Each profile's saved text and its link stream's state after the
     # build, hashed together: the same links from the same band variates,
     # and no variate more or less. The saved text loads back to the same
@@ -364,12 +369,12 @@ def test_generated_topologies_are_pinned():
         text = topology_to_text(topo)
         digest.update(text.encode())
         digest.update(repr(rng.getstate()).encode())
-        loaded = topology_from_text(text)
+        loaded = _loaded(tmp_path, text)
         # the file carries no grid shape, so a non-square one reads as a row
-        shape = replace(params, grid_rows=loaded.params.grid_rows,
-                        grid_cols=loaded.params.grid_cols)
-        assert loaded == replace(topo, params=shape)
-        assert (loaded.adjacency, loaded.nodes) == (topo.adjacency, topo.nodes)
+        assert loaded.params == replace(params, grid_rows=loaded.params.grid_rows,
+                                        grid_cols=loaded.params.grid_cols)
+        assert ((loaded.positions, loaded.adjacency, loaded.nodes)
+                == (topo.positions, topo.adjacency, topo.nodes))
     assert digest.hexdigest() == "497794c11c9b62e64d606eead119406c4c9015d14726022f69f92145f40e5a91"
 
 
