@@ -259,6 +259,10 @@ def disjoint_paths(topo: Topology, anchor_source: int, anchor_dest: int,
     which reads each residual arc off the flow so far and
     topo.neighbor_indices, in the order an arc list built from the sorted
     links would hold it; that order picks among equally short path sets.
+    Augmenting path costs never decrease, so each later SPFA stops once
+    the goal's distance equals the cost of the path before it: no side on
+    the goal's predecessor chain can then improve, so the path is the one
+    the full search would return.
     Returns fewer than `count` paths when the topology cannot supply them.
     """
     if count < 1:
@@ -270,17 +274,24 @@ def disjoint_paths(topo: Topology, anchor_source: int, anchor_dest: int,
     at, nbrs = topo.node_index, topo.neighbor_indices
     # Side k is the in-node and side n + k the out-node of nodes[k], so a
     # neighbour's index is its in-side id. Flow on the link arc
-    # k_out -> w_in (cost 1) puts w in succ[k]; flow on an interior node's
+    # k_out -> w_in (cost 1) puts w in succ[k], which stays the shared
+    # empty no_flow until k first sends flow; flow on an interior node's
     # unit split arc k_in -> k_out (cost 0) sets through[k]. Anchors have no
     # split arc (through is None) and blocked nodes no arcs at all.
     n = len(nbrs)
     size = 2 * n
-    succ: list[set[int]] = [set() for _ in nbrs]
+    no_flow: frozenset[int] = frozenset()
+    succ: list[set[int] | frozenset[int]] = [no_flow] * n
     through: list[bool | None] = [False] * n
     blocked = [False] * n
+    # parent[k] >= 0 once the first pass has seen k; a blocked node starts
+    # seen, so that search never enters it.
+    parent = [-1] * n
     for node in excluded.nodes[1:-1]:
         if node in at:
-            blocked[at[node]] = True
+            k = at[node]
+            blocked[k] = True
+            parent[k] = k
     source, goal = at[anchor_source], at[anchor_dest]
     start = n + source
     through[source] = through[goal] = None
@@ -289,12 +300,11 @@ def disjoint_paths(topo: Topology, anchor_source: int, anchor_dest: int,
     # First path. With no flow the SPFA's FIFO queue holds the level-d
     # in-sides, then their out-sides, then the level-(d + 1) in-sides, and
     # no distance falls once set: its path is this BFS tree's.
-    parent = [-1] * n
-    parent[source] = source
+    parent[source], parent[goal] = source, -1
     order = [source]
     for k in order:
         for w in nbrs[k]:
-            if parent[w] < 0 and not blocked[w]:
+            if parent[w] < 0:
                 parent[w] = k
                 order.append(w)
         if parent[goal] >= 0:
@@ -302,15 +312,21 @@ def disjoint_paths(topo: Topology, anchor_source: int, anchor_dest: int,
     found = 0
     if parent[goal] >= 0:
         k = parent[goal]
-        succ[k].add(goal)
+        succ[k] = {goal}
+        bound = 1  # the path's hop count
         while k != source:
             through[k] = True
-            succ[parent[k]].add(k)
+            succ[parent[k]] = {k}
             k = parent[k]
+            bound += 1
         found = 1
     while 0 < found < count:
         # SPFA, since the residual arcs of used links cost -1. size stands
-        # for no path: every path costs less.
+        # for no path: every path costs less. Augmenting path costs never
+        # fall, so dist[goal] cannot end below bound, the cost of the last
+        # path found; once it reaches bound, every side on goal's prev chain
+        # holds its final distance and that chain is the path the search
+        # would return if run to the end. Only a link arc reaches goal.
         dist = [size] * size
         prev = [-1] * size
         queued = [False] * size
@@ -336,6 +352,8 @@ def disjoint_paths(topo: Topology, anchor_source: int, anchor_dest: int,
                         if not queued[to]:
                             queued[to] = True
                             queue.append(to)
+                if dist[goal] == bound:
+                    break
             elif through[u] is False:  # so no flow enters node either
                 to = n + u
                 if du < dist[to]:
@@ -362,10 +380,14 @@ def disjoint_paths(topo: Topology, anchor_source: int, anchor_dest: int,
             if abs(u - to) == n:  # the split arc, forward or back
                 through[min(u, to)] = u < to
             elif u >= n:
-                succ[u - n].add(to)
+                if succ[u - n]:
+                    succ[u - n].add(to)
+                else:
+                    succ[u - n] = {to}
             else:
                 succ[to - n].remove(u)
             to = u
+        bound = dist[goal]
         found += 1
     if found < count:
         logger.info("only %d of %d requested disjoint paths exist", found, count)

@@ -7,7 +7,6 @@ the interval count (order within an interval never affects totals).
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -47,10 +46,12 @@ def run(plan: ScenarioPlan) -> TrafficTrace:
         raise ValueError(f"packet_budget must be at least 1, got {budget}")
     base = plan.variant.residual_cover_rate * budget
     node_tx = dict.fromkeys(plan.topology.nodes, base) if base else {}
-    link_tx: Counter[tuple[int, int]] = Counter()
+    link_tx: dict[tuple[int, int], int] = {}
     for (sender, next_hop), relays in dummy_schedule(plan).items():
-        node_tx[sender] = node_tx.get(sender, 0) + relays * budget
-        link_tx[min(sender, next_hop), max(sender, next_hop)] += relays * budget
+        sent = relays * budget
+        node_tx[sender] = node_tx.get(sender, 0) + sent
+        link = (sender, next_hop) if sender < next_hop else (next_hop, sender)
+        link_tx[link] = link_tx.get(link, 0) + sent
     return TrafficTrace(node_tx=node_tx, link_tx=dict(sorted(link_tx.items())))
 
 

@@ -406,7 +406,7 @@ def _disjoint_cases():
                         yield topo, a, b, count, excluded
 
 
-def _grid20_cases():
+def _grid20_cases(counts=range(1, 4)):
     """Seeded disjoint_paths calls on 20x20 grids, the size the attack
     workloads plan on, in the README dense and the default sparse profile:
     anchors come from strict and lenient extrapolation of one drawn route,
@@ -425,7 +425,7 @@ def _grid20_cases():
                 main = extrapolate(topo, real, *ext, rng, strict=strict)
                 a, b = main.route.source, main.route.dest
                 for excluded in (main.route, Route((a, b))):
-                    for count in range(1, 4):
+                    for count in counts:
                         yield topo, a, b, count, excluded
 
 
@@ -451,3 +451,43 @@ def test_disjoint_paths_tie_order_is_pinned_on_20x20_grids():
     # Recorded from the node-id search that the side-id search replaced.
     assert _paths_digest(_grid20_cases()) == (
         372, "4fe05267973a892cb5564ca190d4f7db59ef2d2f91edc3cd6a50013bf490c6a2")
+
+
+def test_disjoint_paths_later_passes_are_pinned_on_20x20_grids():
+    # Counts 4-6 run three or more SPFA passes, each stopping at the
+    # distance the pass before it reached. Recorded from the search that
+    # ran every pass until its queue emptied.
+    assert _paths_digest(_grid20_cases(range(4, 7))) == (
+        372, "ff46b41d05ea2c41710284fdd157c6c2a5a30225b4b26d74cb62f71bc66f9f66")
+
+
+def _counted(topo) -> CountingNeighbours:
+    counted = CountingNeighbours(topo.neighbor_indices)
+    topo.__dict__["neighbor_indices"] = counted
+    return counted
+
+
+def test_later_disjoint_path_passes_stop_at_their_lower_bound():
+    # A later pass's goal distance cannot fall below the cost of the path
+    # the pass before it found, so the search ends once it reaches that.
+    # Between the attack pair with nothing excluded both paths cost 8.
+    topo = generate(TopologyParams(20, 20, seed=3, **LINK_PROFILES[0]))
+    counted = _counted(topo)
+    paths = disjoint_paths(topo, 315, 160, 2, Route((315, 160)))
+    assert [p.hops for p in paths] == [8, 8]
+    assert counted.reads <= 400  # 563 when every pass ran until its queue emptied
+
+
+def test_a_later_pass_that_cannot_reach_its_bound_runs_to_the_end():
+    # Around the excluded 8-hop route the cheapest augmenting paths cost 8
+    # and then 9, so the second pass never reaches the bound of 8 and
+    # reads as much as a search without the stop (537 neighbour lists).
+    topo = generate(TopologyParams(20, 20, seed=3, **LINK_PROFILES[0]))
+    real = shortest_path(topo, 315, 160)
+    assert real.hops == 8
+    counted = _counted(topo)
+    paths = disjoint_paths(topo, 315, 160, 2, real)
+    assert [p.nodes for p in paths] == [
+        (315, 295, 275, 254, 235, 216, 197, 178, 159, 160),
+        (315, 296, 276, 256, 237, 218, 199, 180, 160)]
+    assert counted.reads == 537

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from collections import Counter
 from dataclasses import replace
@@ -25,7 +26,7 @@ from extrout.simengine import (
 )
 from extrout.topology import TopologyParams, generate
 
-from ladders import line_topology, parallel_paths
+from ladders import LINK_PROFILES, line_topology, parallel_paths
 from oracles import matrix_from_csv
 
 
@@ -126,6 +127,31 @@ def test_run_totals_match_an_interval_replay():
     trace = run(plan)
     assert trace.node_tx == node_totals
     assert trace.link_tx == link_totals
+
+
+def test_trace_order_is_pinned():
+    # Dict order is observable to every caller that iterates a trace:
+    # node_tx in insertion order, link_tx sorted by (low, high). Recorded
+    # from the Counter-based run.
+    topo = generate(TopologyParams(12, 12, seed=5, **LINK_PROFILES[0]))
+    rng = random.Random(12)
+    digest = hashlib.sha256()
+    plans = 0
+    for _ in range(6):
+        source, dest = rng.sample(topo.nodes, 2)
+        for kind in VARIANT_KINDS:
+            count = rng.randint(1, 3) if kind in PARAMETERISED_KINDS else 0
+            for rate in (0, 2):
+                plan = build_scenario(topo, source, dest,
+                                      ProtocolVariant(kind, count, rate),
+                                      ScenarioSettings(packet_budget=3),
+                                      random.Random(plans))
+                trace = run(plan)
+                digest.update(repr(list(trace.node_tx.items())).encode() + b"\n")
+                digest.update(repr(list(trace.link_tx.items())).encode() + b"\n")
+                plans += 1
+    assert (plans, digest.hexdigest()) == (
+        60, "c7ce9c730f9dfb7049dddca1e3a360423c1f5c420f17a2c7134cbc099ef22f28")
 
 
 # ----------------------------------------------------------------- matrices
