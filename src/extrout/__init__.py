@@ -39,7 +39,6 @@ from .simengine import TrafficTrace, run, transmission_matrix
 from .adversary import (
     AttackSummary,
     AttackVerdict,
-    active_subgraph,
     attack_trials,
     endpoint_candidates,
     observe,

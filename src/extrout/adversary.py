@@ -39,25 +39,10 @@ def observe(trace: TrafficTrace) -> TrafficTrace:
                         link_tx=dict(trace.link_tx))
 
 
-def active_subgraph(obs: TrafficTrace
-                    ) -> tuple[frozenset[int], frozenset[tuple[int, int]]]:
-    """Nodes and links carrying traffic.
-
-    A node is active when it transmits at all or terminates an active link,
-    so silent terminal sinks are included through their inbound traffic.
-    """
-    links = frozenset(lk for lk, c in obs.link_tx.items() if c > 0)
-    nodes = {n for n, c in obs.node_tx.items() if c > 0}
-    for i, j in links:
-        nodes.add(i)
-        nodes.add(j)
-    return frozenset(nodes), links
-
-
 @dataclass(frozen=True)
 class Branch:
-    """A maximal chain of the active subgraph, oriented head -> tail by
-    transmit counts (the silent end is the sink side)."""
+    """A maximal chain of active links, oriented head -> tail by transmit
+    counts (the silent end is the sink side)."""
 
     nodes: tuple[int, ...]
 
@@ -79,18 +64,21 @@ class Branch:
 
 
 def traffic_branches(obs: TrafficTrace) -> tuple[Branch, ...]:
-    """Decompose the active subgraph into maximal simple chains.
+    """Decompose the active links (count above 0) into maximal simple chains.
 
     Chains are cut at structural junctions (active-degree != 2) and at
     rate-anomalous nodes whose count matches neither active neighbor: two
     parallel paths sharing their end nodes form a degree-2 cycle, but the
     shared ends still stand out by transmitting double rate (or nothing).
+    Only link ends are stops, so a silent sink ends its chain through its
+    inbound link. Adjacency order never matters: stops and their first
+    steps go in sorted order, and any other node has exactly two neighbors.
     """
-    nodes, links = active_subgraph(obs)
     adj: dict[int, list[int]] = defaultdict(list)
-    for i, j in sorted(links):
-        adj[i].append(j)
-        adj[j].append(i)
+    for (i, j), count in obs.link_tx.items():
+        if count > 0:
+            adj[i].append(j)
+            adj[j].append(i)
 
     def is_stop(n: int) -> bool:
         if len(adj[n]) != 2:
@@ -98,8 +86,8 @@ def traffic_branches(obs: TrafficTrace) -> tuple[Branch, ...]:
         own = obs.node_tx.get(n, 0)
         return all(obs.node_tx.get(m, 0) != own for m in adj[n])
 
-    stops = {n for n in nodes if is_stop(n)}
-    if not stops and links:
+    stops = {n for n in adj if is_stop(n)}
+    if not stops and adj:
         stops = {min(adj)}  # uniform cycle: cut it somewhere deterministic
     seen: set[tuple[int, int]] = set()
     branches = []
@@ -137,14 +125,9 @@ def endpoint_candidates(obs: TrafficTrace, cover_traffic: bool = True
     source and every receiving node the destination; without it, time
     correlation exposes the chain heads and tails themselves.
     """
-    return _candidates(traffic_branches(obs), cover_traffic)
-
-
-def _candidates(branches, cover_traffic: bool
-                ) -> tuple[frozenset[int], frozenset[int]]:
     sources: set[int] = set()
     dests: set[int] = set()
-    for b in branches:
+    for b in traffic_branches(obs):
         if cover_traffic:
             sources.update(b.transmitters)
             dests.update(b.receivers)
@@ -155,18 +138,16 @@ def _candidates(branches, cover_traffic: bool
 
 
 def guess_endpoints(obs: TrafficTrace, rng: random.Random,
-                    cover_traffic: bool = True
-                    ) -> tuple[int, int, Branch, int, int]:
+                    cover_traffic: bool = True) -> tuple[int, int, Branch]:
     """One attack: pick a chain uniformly, then endpoints within it.
 
-    Returns (source_guess, dest_guess, picked_branch, |Gs|, |Gd|). The
-    source-guess law is uniform over the picked chain's candidates, which
-    realizes the guess-one-of-N arithmetic the candidate sets announce.
+    Returns (source_guess, dest_guess, picked_branch). The source-guess
+    law is uniform over the picked chain's candidates, which realizes the
+    guess-one-of-N arithmetic the candidate sets announce.
     """
     branches = traffic_branches(obs)
     if not branches:
         raise NoTrafficError("no active traffic to attack")
-    gs, gd = _candidates(branches, cover_traffic)
     pick = branches[rng.randrange(len(branches))]
     if cover_traffic:
         src_pool, dst_pool = pick.transmitters, pick.receivers
@@ -174,15 +155,13 @@ def guess_endpoints(obs: TrafficTrace, rng: random.Random,
         src_pool, dst_pool = (pick.head,), (pick.tail,)
     source = src_pool[rng.randrange(len(src_pool))]
     dest = dst_pool[rng.randrange(len(dst_pool))]
-    return source, dest, pick, len(gs), len(gd)
+    return source, dest, pick
 
 
 @dataclass(frozen=True)
 class AttackVerdict:
     source_guess: int
     dest_guess: int
-    source_candidates: int
-    dest_candidates: int
     correct_source: bool
     correct_dest: bool
     on_real_path: bool  # the picked chain holds the real route
@@ -274,12 +253,11 @@ def attack_trials(plan_factory, trials: int, seed: int = 0) -> AttackSummary:
         plan = plan_factory(substream(seed, f"scenario-{t}"))
         if t == 0:
             first_plan = plan
-        src, dst, branch, gs, gd = guess_endpoints(
+        src, dst, branch = guess_endpoints(
             observe(run(plan)), substream(seed, f"attack-{t}"),
             plan.variant.uses_cover)
         verdicts.append(AttackVerdict(
             source_guess=src, dest_guess=dst,
-            source_candidates=gs, dest_candidates=gd,
             correct_source=src == plan.source,
             correct_dest=dst == plan.dest,
             on_real_path=plan.source in branch.nodes))

@@ -545,12 +545,13 @@ def cmd_report(cfg: dict) -> int:
     return 2 if failed else 0
 
 
+# name: (function, help line)
 COMMANDS = {
-    "topology": cmd_topology,
-    "run": cmd_run,
-    "sweep": cmd_sweep,
-    "attack": cmd_attack,
-    "report": cmd_report,
+    "topology": (cmd_topology, "generate a network and report degree statistics"),
+    "run": (cmd_run, "simulate one scenario and write matrix/report files"),
+    "sweep": (cmd_sweep, "produce anonymity and overhead curve CSVs"),
+    "attack": (cmd_attack, "run empirical adversary trials"),
+    "report": (cmd_report, "reconcile the reference result table"),
 }
 
 
@@ -562,20 +563,13 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     """One parser for every command: the command is a positional choice and
     every command takes the same flags."""
-    helps = {
-        "topology": "generate a network and report degree statistics",
-        "run": "simulate one scenario and write matrix/report files",
-        "sweep": "produce anonymity and overhead curve CSVs",
-        "attack": "run empirical adversary trials",
-        "report": "reconcile the reference result table",
-    }
     parser = _Parser(prog="extrout",
                      usage="%(prog)s COMMAND [--config CONFIG] [--FLAG VALUE ...]",
                      description="location-privacy simulation harness",
                      epilog="commands:\n" + "\n".join(
-                         f"  {name:<10}{text}" for name, text in helps.items()),
+                         f"  {name:<10}{text}" for name, (_, text) in COMMANDS.items()),
                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("command", choices=helps, metavar="COMMAND",
+    parser.add_argument("command", choices=COMMANDS, metavar="COMMAND",
                         help="one of the commands listed below")
     parser.add_argument("--config", default=None, help="INI configuration file")
     for _, key, _, _ in SCHEMA:
@@ -589,7 +583,8 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         overrides = {key: getattr(args, key) for _, key, _, _ in SCHEMA}
         cfg = resolve_config(args.config, overrides)
-        return COMMANDS[args.command](cfg)
+        command, _ = COMMANDS[args.command]
+        return command(cfg)
     except (ConfigError, PlacementError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

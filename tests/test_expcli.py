@@ -896,6 +896,25 @@ def test_report_command_reconciles_references(tmp_path, capsys):
     assert "flag:" in text
 
 
+def test_help_lists_every_command_once_with_its_help_line(capsys,
+                                                          monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exited:
+        main(["--help"])
+    assert exited.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(
+        "usage: extrout COMMAND [--config CONFIG] [--FLAG VALUE ...]\n")
+    assert out.count("\ncommands:\n") == 1
+    assert out.split("\ncommands:\n")[1].splitlines() == [
+        "  topology  generate a network and report degree statistics",
+        "  run       simulate one scenario and write matrix/report files",
+        "  sweep     produce anonymity and overhead curve CSVs",
+        "  attack    run empirical adversary trials",
+        "  report    reconcile the reference result table",
+    ]
+
+
 def test_module_entry_point(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "extrout", "topology", *_dense_flags(3, 3),

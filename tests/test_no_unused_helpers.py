@@ -1,9 +1,13 @@
-"""Every function and class the package defines is used by the package.
+"""Every function, class and class field the package defines is used by
+the package.
 
 A name counts as used when package code loads it as a name or an
 attribute, or when `extrout/__init__.py` re-exports it. A helper that
 only tests call, or that nothing calls, fails here: the test that needs
-it should exercise the code that uses it instead.
+it should exercise the code that uses it instead. A field of a dataclass
+or NamedTuple counts as used only when package code reads it as an
+attribute: a field that is stored on every instance and never read is
+work for nothing.
 """
 
 from __future__ import annotations
@@ -57,3 +61,30 @@ def test_every_definition_is_referenced_in_the_package():
               if name not in used and qualified not in EXEMPT
               and not (name.startswith("__") and name.endswith("__"))]
     assert unused == []
+
+
+def _fields(tree: ast.Module, module: str):
+    """(module:Class.field, field) of every annotated class field but
+    InitVar and ClassVar ones."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for stmt in node.body:
+            if (isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)
+                    and not {"InitVar", "ClassVar"} & _references(
+                        stmt.annotation, reexports=False)):
+                yield f"{module}:{node.name}.{stmt.target.id}", stmt.target.id
+
+
+def test_every_class_field_is_read_in_the_package():
+    fields = []
+    read: set[str] = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        fields += _fields(tree, path.stem)
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.ctx, ast.Load)}
+    assert fields
+    assert [where for where, name in fields if name not in read] == []
