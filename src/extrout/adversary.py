@@ -73,38 +73,49 @@ def traffic_branches(obs: TrafficTrace) -> tuple[Branch, ...]:
     Only link ends are stops, so a silent sink ends its chain through its
     inbound link. Adjacency order never matters: stops and their first
     steps go in sorted order, and any other node has exactly two neighbors.
+
+    A walk starts only at a stop and passes through none, so the one link
+    a later walk could repeat is the one this walk arrives by at its far
+    stop; only that link is marked, from the far stop's side. A self-link,
+    or one link active in both orientations, raises ValueError.
     """
+    node_tx = obs.node_tx
     adj: dict[int, list[int]] = defaultdict(list)
     for (i, j), count in obs.link_tx.items():
         if count > 0:
+            if i == j:
+                raise ValueError(f"trace holds the self-link ({i}, {j})")
+            if j in adj[i]:
+                raise ValueError(f"trace holds the link ({i}, {j}) "
+                                 "in both orientations")
             adj[i].append(j)
             adj[j].append(i)
 
-    def is_stop(n: int) -> bool:
-        if len(adj[n]) != 2:
-            return True
-        own = obs.node_tx.get(n, 0)
-        return all(obs.node_tx.get(m, 0) != own for m in adj[n])
-
-    stops = {n for n in adj if is_stop(n)}
+    stops = set()
+    for n, near in adj.items():
+        if len(near) != 2:
+            stops.add(n)
+        else:
+            own = node_tx.get(n, 0)
+            a, b = near
+            if node_tx.get(a, 0) != own and node_tx.get(b, 0) != own:
+                stops.add(n)
     if not stops and adj:
         stops = {min(adj)}  # uniform cycle: cut it somewhere deterministic
-    seen: set[tuple[int, int]] = set()
+    arrived: set[tuple[int, int]] = set()
     branches = []
     for start in sorted(stops):
         for nxt in sorted(adj[start]):
-            if (start, nxt) in seen:
+            if (start, nxt) in arrived:
                 continue
             chain = [start]
             prev, cur = start, nxt
-            seen.add((prev, cur))
-            seen.add((cur, prev))
-            while cur not in stops and cur != start:
+            while cur not in stops:
                 chain.append(cur)
-                prev, cur = cur, next(m for m in adj[cur] if m != prev)
-                seen.add((prev, cur))
-                seen.add((cur, prev))
+                a, b = adj[cur]
+                prev, cur = cur, b if a == prev else a
             chain.append(cur)
+            arrived.add((cur, prev))
             branches.append(_orient(chain, obs))
     return tuple(branches)
 

@@ -278,5 +278,7 @@ def dummy_schedule(plan: ScenarioPlan) -> Counter[tuple[int, int]]:
     counted alike. Residual cover has no next hop and is added per node by
     the simulator.
     """
-    return Counter(link for chain in plan.all_chains()
-                   for link in chain.links())
+    counts: Counter[tuple[int, int]] = Counter()
+    for chain in plan.all_chains():
+        counts.update(chain.links())
+    return counts

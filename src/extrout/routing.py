@@ -168,8 +168,21 @@ def at_hop_distance(topo: Topology, u: int, v: int, hops: int) -> bool:
 
 
 def shortest_path(topo: Topology, source: int, dest: int) -> Route:
-    """Minimum-hop path from source to dest (see lexicographic_walk)."""
-    return Route((source, *lexicographic_walk(topo, source, dest)))
+    """Minimum-hop path from source to dest (see lexicographic_walk).
+
+    Every route is kept in topo.memo[shortest_path], a dict by (source,
+    dest), so a pair's path is walked once per topology; (dest, source)
+    is a pair of its own. A bad pair raises on every call and keeps
+    nothing.
+    """
+    routes = topo.memo.get(shortest_path)
+    if routes is None:
+        routes = topo.memo[shortest_path] = {}
+    route = routes.get((source, dest))
+    if route is None:
+        route = routes[source, dest] = Route(
+            (source, *lexicographic_walk(topo, source, dest)))
+    return route
 
 
 def lexicographic_walk(topo: Topology, source: int, dest: int) -> Iterator[int]:
@@ -259,10 +272,12 @@ def disjoint_paths(topo: Topology, anchor_source: int, anchor_dest: int,
     which reads each residual arc off the flow so far and
     topo.neighbor_indices, in the order an arc list built from the sorted
     links would hold it; that order picks among equally short path sets.
-    Augmenting path costs never decrease, so each later SPFA stops once
-    the goal's distance equals the cost of the path before it: no side on
-    the goal's predecessor chain can then improve, so the path is the one
-    the full search would return.
+    Its FIFO is a list the loop appends to and reads in order, as the
+    first pass's BFS does: sides pop as from a double-ended queue, but
+    none is removed. Augmenting path costs never decrease, so each later
+    SPFA stops once the goal's distance equals the cost of the path
+    before it: no side on the goal's predecessor chain can then improve,
+    so the path is the one the full search would return.
     Returns fewer than `count` paths when the topology cannot supply them.
     """
     if count < 1:
@@ -331,9 +346,8 @@ def disjoint_paths(topo: Topology, anchor_source: int, anchor_dest: int,
         prev = [-1] * size
         queued = [False] * size
         dist[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
+        queue = [start]
+        for u in queue:
             queued[u] = False
             du = dist[u]
             if u >= n:

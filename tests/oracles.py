@@ -5,11 +5,16 @@ counts come from a frontier-list BFS, smallest shortest paths from a
 walk down its levels, disjoint path counts from an Edmonds-Karp max flow
 on a dictionary-based residual graph, least disjoint-path hop totals
 from enumerating every simple path, Q-UDG links from a scan of every
-node pair and decoy-pair tiers from a BFS per node.  Route and output
-checks that only tests need live here too.
+node pair and decoy-pair tiers from a BFS per node.  The attacker's
+chains are the exception: they share the package's stop rule but come
+from its earlier walk, which marks both directions of every link it
+crosses.  Route and output checks that only tests need live here too.
 """
 
 import math
+from collections import defaultdict
+
+from extrout.adversary import Branch
 
 
 def link_pairs(topo) -> frozenset[tuple[int, int]]:
@@ -46,13 +51,21 @@ class CountingAdjacency(dict):
 
 
 class CountingNeighbours(tuple):
-    """Neighbour lists by node index that count how many are read, the
-    same idea as CountingAdjacency for the searches that run on ints."""
+    """Neighbour lists by node index that record which are read, in order,
+    the same idea as CountingAdjacency for the searches that run on ints;
+    reads is how many."""
 
-    reads = 0
+    def __new__(cls, rows):
+        self = super().__new__(cls, rows)
+        self.read = []
+        return self
+
+    @property
+    def reads(self) -> int:
+        return len(self.read)
 
     def __getitem__(self, index):
-        self.reads += 1
+        self.read.append(index)
         return super().__getitem__(index)
 
 
@@ -245,3 +258,44 @@ def decoy_pair_tiers(adjacency: dict, positions: dict, route_nodes,
                 gap = min(math.dist(mid, p) for p in points)
                 tiers.setdefault(gap, []).append((u, v))
     return [sorted(tiers[gap]) for gap in sorted(tiers, reverse=True)]
+
+
+def reference_branches(obs) -> tuple:
+    """The chains of a well-formed trace's active links, as the walk that
+    marks both directions of every link it crosses finds them: cut at
+    nodes of active degree other than 2 and at nodes whose count matches
+    neither neighbour's, a uniform cycle cut at its lowest node, each
+    chain oriented from its higher-count end."""
+    adj = defaultdict(list)
+    for (i, j), count in obs.link_tx.items():
+        if count > 0:
+            adj[i].append(j)
+            adj[j].append(i)
+
+    def is_stop(n) -> bool:
+        if len(adj[n]) != 2:
+            return True
+        own = obs.node_tx.get(n, 0)
+        return all(obs.node_tx.get(m, 0) != own for m in adj[n])
+
+    stops = {n for n in adj if is_stop(n)}
+    if not stops and adj:
+        stops = {min(adj)}
+    seen = set()
+    branches = []
+    for start in sorted(stops):
+        for nxt in sorted(adj[start]):
+            if (start, nxt) in seen:
+                continue
+            chain = [start]
+            prev, cur = start, nxt
+            seen.update(((prev, cur), (cur, prev)))
+            while cur not in stops and cur != start:
+                chain.append(cur)
+                prev, cur = cur, next(m for m in adj[cur] if m != prev)
+                seen.update(((prev, cur), (cur, prev)))
+            chain.append(cur)
+            if obs.node_tx.get(chain[0], 0) < obs.node_tx.get(chain[-1], 0):
+                chain.reverse()
+            branches.append(Branch(nodes=tuple(chain)))
+    return tuple(branches)

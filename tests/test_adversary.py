@@ -32,6 +32,7 @@ from extrout.simengine import TrafficTrace, run
 from extrout.topology import TopologyParams, generate
 
 from ladders import LINK_PROFILES, line_topology, parallel_paths
+from oracles import reference_branches
 
 
 def _baseline_obs(budget: int = 4):
@@ -143,6 +144,71 @@ def test_orientation_from_rates():
     assert b.head == 1
     flipped = _manual_obs({1: 0, 2: 10, 3: 10}, {(1, 2): 5, (2, 3): 10})
     assert traffic_branches(flipped)[0].head == 3
+
+
+def test_branches_match_the_walk_that_marks_every_link():
+    # Seeded plans of every variant on small Q-UDG grids, at counts 1-3,
+    # residual rates 0 and 2, strict and lenient extension.
+    rng = random.Random(28)
+    compared = 0
+    for seed in range(12):
+        side = rng.randint(5, 8)
+        topo = generate(TopologyParams(side, side, perturbation=rng.random(),
+                                       qudg_factor=rng.uniform(0.4, 1.0),
+                                       seed=seed))
+        source, dest = rng.sample(topo.nodes, 2)
+        if hop_distances(topo, source).get(dest, 0) < 2:
+            continue
+        for kind in VARIANT_KINDS:
+            for count in (1, 2, 3) if kind in PARAMETERISED_KINDS else (0,):
+                for rate in (0, 2):
+                    for strict in (True, False):
+                        try:
+                            plan = build_scenario(
+                                topo, source, dest,
+                                ProtocolVariant(kind, count, rate),
+                                ScenarioSettings(strict=strict, packet_budget=3),
+                                random.Random(compared))
+                        except PlacementError:
+                            continue
+                        obs = observe(run(plan))
+                        assert traffic_branches(obs) == reference_branches(obs)
+                        compared += 1
+    assert compared > 300
+
+
+@pytest.mark.parametrize("node_tx, link_tx", [
+    # a uniform cycle
+    ({1: 7, 2: 7, 3: 7, 4: 7}, {(1, 2): 7, (2, 3): 7, (3, 4): 7, (1, 4): 7}),
+    # two chains between the same two stops, then one of them a single link
+    ({1: 14, 2: 7, 3: 7, 4: 0}, {(1, 2): 7, (2, 4): 7, (1, 3): 7, (3, 4): 7}),
+    ({1: 14, 2: 7, 4: 0}, {(1, 2): 7, (2, 4): 7, (1, 4): 7}),
+    # a silent sink, absent from node_tx
+    ({1: 7, 2: 7}, {(1, 2): 7, (2, 3): 7}),
+    # a transmitter that ends no active link
+    ({1: 7, 2: 7, 9: 3}, {(1, 2): 7, (2, 3): 7}),
+    # a degree-1 stub off a chain
+    ({1: 7, 2: 14, 3: 7, 5: 0}, {(1, 2): 7, (2, 3): 7, (3, 4): 7, (2, 5): 7}),
+])
+def test_hand_built_branches_match_the_walk_that_marks_every_link(node_tx, link_tx):
+    obs = _manual_obs(node_tx, link_tx)
+    assert traffic_branches(obs) == reference_branches(obs)
+
+
+@pytest.mark.parametrize("node_tx, link_tx, link", [
+    ({1: 7, 2: 7}, {(1, 2): 7, (2, 1): 7}, r"\(2, 1\) in both"),
+    ({1: 7, 2: 14, 3: 0}, {(1, 2): 7, (2, 1): 7, (2, 3): 7}, r"\(2, 1\) in both"),
+    ({1: 7}, {(1, 1): 7}, r"self-link \(1, 1\)"),
+    ({1: 7, 2: 7}, {(1, 2): 7, (2, 2): 3}, r"self-link \(2, 2\)"),
+])
+def test_malformed_traces_are_rejected(node_tx, link_tx, link):
+    with pytest.raises(ValueError, match=link):
+        traffic_branches(_manual_obs(node_tx, link_tx))
+
+
+def test_an_idle_reverse_link_is_no_second_orientation():
+    obs = _manual_obs({1: 7, 2: 0}, {(1, 2): 7, (2, 1): 0})
+    assert [b.nodes for b in traffic_branches(obs)] == [(1, 2)]
 
 
 # ---------------------------------------------------------------- candidates

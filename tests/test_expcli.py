@@ -24,6 +24,7 @@ from extrout.topology import (Topology, TopologyParams, generate,
 from ladders import line_topology
 from oracles import CountingAdjacency, bfs_levels, link_pairs, matrix_from_csv
 from test_golden import GRID, _digest
+from test_routing import _counting_walks
 
 HERE = Path(__file__).resolve().parent
 
@@ -813,6 +814,14 @@ def test_attack_builds_one_plan_per_trial(tmp_path, monkeypatch):
                  "--source", "5", "--dest", "13", "--trials", "100",
                  "--budget", "10", "--out", str(tmp_path / "out")]) == 0
     assert len(calls) == 100
+
+
+def test_attack_walks_its_real_route_once(tmp_path, monkeypatch):
+    walks = _counting_walks(monkeypatch)
+    assert main(["attack", "--topology-file", _line_file(tmp_path),
+                 "--source", "5", "--dest", "13", "--trials", "100",
+                 "--budget", "10", "--out", str(tmp_path / "out")]) == 0
+    assert walks.count((5, 13)) == 1
 
 
 def _renumbered_grid_files(tmp_path) -> tuple[str, str, dict[int, int]]:

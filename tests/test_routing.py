@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from extrout import routing
 from extrout.routing import (
     ExtendedRoute,
     Route,
@@ -155,6 +156,44 @@ def test_shortest_path_trivial_and_errors():
     split = Topology(topo.params, topo.positions, ((1, 2), (4, 5)))
     with pytest.raises(UnreachableError):
         shortest_path(split, 1, 5)
+
+
+def _counting_walks(monkeypatch) -> list:
+    walks = []
+
+    def counting(topo, source, dest):
+        walks.append((source, dest))
+        return lexicographic_walk(topo, source, dest)
+
+    monkeypatch.setattr(routing, "lexicographic_walk", counting)
+    return walks
+
+
+def test_routes_are_kept_by_ordered_pair(monkeypatch):
+    topo = line_topology(6)
+    walks = _counting_walks(monkeypatch)
+    route = shortest_path(topo, 1, 5)
+    assert shortest_path(topo, 1, 5) is route
+    assert walks == [(1, 5)]
+    back = shortest_path(topo, 5, 1)
+    assert back.nodes == route.nodes[::-1]
+    assert walks == [(1, 5), (5, 1)]
+    assert topo.memo[shortest_path] == {(1, 5): route, (5, 1): back}
+    assert topo == line_topology(6)
+
+
+def test_a_bad_pair_raises_every_time_and_keeps_nothing(monkeypatch):
+    topo = line_topology(5)
+    split = Topology(topo.params, topo.positions, ((1, 2), (4, 5)))
+    walks = _counting_walks(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            shortest_path(topo, 1, 9)
+        with pytest.raises(UnreachableError):
+            shortest_path(split, 1, 5)
+    assert walks == [(1, 9), (1, 5)] * 2
+    assert topo.memo.get(shortest_path) == {}
+    assert split.memo.get(shortest_path) == {}
 
 
 # ------------------------------------------------------------- extrapolate
@@ -465,6 +504,21 @@ def _counted(topo) -> CountingNeighbours:
     counted = CountingNeighbours(topo.neighbor_indices)
     topo.__dict__["neighbor_indices"] = counted
     return counted
+
+
+def test_disjoint_paths_read_order_is_pinned_on_20x20_grids():
+    # The order in which the searches read neighbour lists is the order
+    # their queues pop, so a FIFO that pops in another order fails here
+    # even where the paths it returns happen to agree.
+    digest = hashlib.sha256()
+    calls = 0
+    for topo, a, b, count, excluded in _grid20_cases(range(1, 7)):
+        counted = _counted(topo)
+        disjoint_paths(topo, a, b, count, excluded)
+        digest.update(repr(counted.read).encode() + b"\n")
+        calls += 1
+    assert (calls, digest.hexdigest()) == (
+        744, "269850315d02033aa0776ff590aed90d0e18fab367f73d5f7b8d40ba568fa9c8")
 
 
 def test_later_disjoint_path_passes_stop_at_their_lower_bound():
