@@ -47,8 +47,6 @@ from .adversary import (
 from .metrics import (
     PrivacyReport,
     ReconciliationRecord,
-    anonymity_pair,
-    anonymity_single,
     reconcile,
     report_from_run,
 )

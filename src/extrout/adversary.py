@@ -42,7 +42,8 @@ def observe(trace: TrafficTrace) -> TrafficTrace:
 @dataclass(frozen=True)
 class Branch:
     """A maximal chain of active links, oriented head -> tail by transmit
-    counts (the silent end is the sink side)."""
+    counts (the silent end is the sink side). `candidates` holds the
+    attacker's source and destination pool rule."""
 
     nodes: tuple[int, ...]
 
@@ -62,6 +63,16 @@ class Branch:
     def receivers(self) -> tuple[int, ...]:
         return self.nodes[1:]
 
+    def candidates(self, cover: bool
+                   ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Source and destination pools: with cover traffic every
+        transmitter could be the source and every receiver the
+        destination; without it, time correlation exposes the head and
+        the tail themselves."""
+        if cover:
+            return self.transmitters, self.receivers
+        return (self.head,), (self.tail,)
+
 
 def traffic_branches(obs: TrafficTrace) -> tuple[Branch, ...]:
     """Decompose the active links (count above 0) into maximal simple chains.
@@ -76,8 +87,10 @@ def traffic_branches(obs: TrafficTrace) -> tuple[Branch, ...]:
 
     A walk starts only at a stop and passes through none, so the one link
     a later walk could repeat is the one this walk arrives by at its far
-    stop; only that link is marked, from the far stop's side. A self-link,
-    or one link active in both orientations, raises ValueError.
+    stop; only that link is marked, from the far stop's side. A component
+    without a stop is a cycle; it is cut at its lowest node and comes
+    after the chains that end at stops. A self-link, or one link active in
+    both orientations, raises ValueError.
     """
     node_tx = obs.node_tx
     adj: dict[int, list[int]] = defaultdict(list)
@@ -100,24 +113,30 @@ def traffic_branches(obs: TrafficTrace) -> tuple[Branch, ...]:
             a, b = near
             if node_tx.get(a, 0) != own and node_tx.get(b, 0) != own:
                 stops.add(n)
-    if not stops and adj:
-        stops = {min(adj)}  # uniform cycle: cut it somewhere deterministic
     arrived: set[tuple[int, int]] = set()
     branches = []
-    for start in sorted(stops):
-        for nxt in sorted(adj[start]):
-            if (start, nxt) in arrived:
-                continue
-            chain = [start]
-            prev, cur = start, nxt
-            while cur not in stops:
+    starts = sorted(stops)
+    while True:
+        for start in starts:
+            for nxt in sorted(adj[start]):
+                if (start, nxt) in arrived:
+                    continue
+                chain = [start]
+                prev, cur = start, nxt
+                while cur not in stops:
+                    chain.append(cur)
+                    a, b = adj[cur]
+                    prev, cur = cur, b if a == prev else a
                 chain.append(cur)
-                a, b = adj[cur]
-                prev, cur = cur, b if a == prev else a
-            chain.append(cur)
-            arrived.add((cur, prev))
-            branches.append(_orient(chain, obs))
-    return tuple(branches)
+                arrived.add((cur, prev))
+                branches.append(_orient(chain, obs))
+        # A node that is no stop lies inside one chain, unless its component
+        # has no stop: such a component is a cycle, cut at its lowest node.
+        if sum(len(b.nodes) - 2 for b in branches) == len(adj) - len(stops):
+            return tuple(branches)
+        cut = min(adj.keys() - {n for b in branches for n in b.nodes})
+        stops.add(cut)
+        starts = (cut,)
 
 
 def _orient(chain: list[int], obs: TrafficTrace) -> Branch:
@@ -130,21 +149,14 @@ def _orient(chain: list[int], obs: TrafficTrace) -> Branch:
 
 def endpoint_candidates(obs: TrafficTrace, cover_traffic: bool = True
                         ) -> tuple[frozenset[int], frozenset[int]]:
-    """Candidate source and destination sets under rate monitoring.
-
-    With cover traffic every transmitting node of each chain could be the
-    source and every receiving node the destination; without it, time
-    correlation exposes the chain heads and tails themselves.
-    """
+    """Candidate source and destination sets under rate monitoring: the
+    union of every chain's pools (Branch.candidates)."""
     sources: set[int] = set()
     dests: set[int] = set()
     for b in traffic_branches(obs):
-        if cover_traffic:
-            sources.update(b.transmitters)
-            dests.update(b.receivers)
-        else:
-            sources.add(b.head)
-            dests.add(b.tail)
+        src_pool, dst_pool = b.candidates(cover_traffic)
+        sources.update(src_pool)
+        dests.update(dst_pool)
     return frozenset(sources), frozenset(dests)
 
 
@@ -152,18 +164,15 @@ def guess_endpoints(obs: TrafficTrace, rng: random.Random,
                     cover_traffic: bool = True) -> tuple[int, int, Branch]:
     """One attack: pick a chain uniformly, then endpoints within it.
 
-    Returns (source_guess, dest_guess, picked_branch). The source-guess
-    law is uniform over the picked chain's candidates, which realizes the
-    guess-one-of-N arithmetic the candidate sets announce.
+    Returns (source_guess, dest_guess, picked_branch). Each guess is
+    uniform over the picked chain's pool (Branch.candidates), which
+    realizes the guess-one-of-N arithmetic the candidate sets announce.
     """
     branches = traffic_branches(obs)
     if not branches:
         raise NoTrafficError("no active traffic to attack")
     pick = branches[rng.randrange(len(branches))]
-    if cover_traffic:
-        src_pool, dst_pool = pick.transmitters, pick.receivers
-    else:
-        src_pool, dst_pool = (pick.head,), (pick.tail,)
+    src_pool, dst_pool = pick.candidates(cover_traffic)
     source = src_pool[rng.randrange(len(src_pool))]
     dest = dst_pool[rng.randrange(len(dst_pool))]
     return source, dest, pick

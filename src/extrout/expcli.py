@@ -443,8 +443,7 @@ def _frontier_points(cfg: dict) -> list[tuple[str, int]]:
 def _frontier_row(topo, source: int, dest: int, kind: str, count: int,
                   cfg: dict, settings) -> list[str]:
     seed = cfg["seed"]
-    variant = _from_input(ProtocolVariant, kind=kind, count=count,
-                          residual_cover_rate=cfg["residual_rate"])
+    variant = _make_variant({**cfg, "variant": kind, "count": count})
     reports = []
     shortfall = 0
     failed = 0

@@ -9,10 +9,11 @@ so an endpoint hides among the summed chain hops; without cover each
 chain's ends are exposed and the endpoint hides only among the chains.
 Anonymity is reported in two forms that are both in circulation: the
 single-endpoint form 1 - 1/G (G = size of that anonymity group) and the
-pair form 1 - (1/Gs)(1/Gd) that multiplies the exposure of source and
-destination.  The transmission overhead factor (TOF) is the summed chain
-hops (the per-interval transmissions) divided by the real path length,
-so 1.0 means no privacy overhead at all.
+pair form 1 - (1/G)(1/G) that multiplies the exposure of source and
+destination, each hiding among the same G.  The transmission overhead
+factor (TOF) is the summed chain hops (the per-interval transmissions)
+divided by the real path length, so 1.0 means no privacy overhead at
+all.
 
 Reconciliation cross-checks three things: measured TOF against the
 analytical formula (exact when no residual cover traffic runs), an
@@ -36,8 +37,6 @@ __all__ = [
     "ReconciliationRecord",
     "REFERENCES",
     "Reference",
-    "anonymity_pair",
-    "anonymity_single",
     "reconcile",
     "reference_reconciliations",
     "report_csv_header",
@@ -98,21 +97,6 @@ REFERENCES: dict[str, Reference] = {
 REFERENCE_TOLERANCE = 0.005
 
 
-def anonymity_single(group_size: int) -> float:
-    """1 - 1/G for an endpoint hiding among group_size candidates."""
-    if group_size < 1:
-        raise ValueError(f"group size must be >= 1, got {group_size}")
-    return 1.0 - 1.0 / group_size
-
-
-def anonymity_pair(source_group: int, dest_group: int) -> float:
-    """1 - (1/Gs)(1/Gd): both endpoints must be unmasked at once."""
-    if source_group < 1 or dest_group < 1:
-        raise ValueError("group sizes must be >= 1, got "
-                         f"({source_group}, {dest_group})")
-    return 1.0 - (1.0 / source_group) * (1.0 / dest_group)
-
-
 @dataclass(frozen=True)
 class PrivacyReport:
     """One scenario's chain hops, its derived privacy figures and what a
@@ -168,11 +152,14 @@ class PrivacyReport:
 
     @property
     def anonymity_single(self) -> float:
-        return anonymity_single(self._group)
+        """1 - 1/G for an endpoint hiding among G candidates."""
+        return 1.0 - 1.0 / self._group
 
     @property
     def anonymity_pair(self) -> float:
-        return anonymity_pair(self._group, self._group)
+        """1 - (1/G)(1/G): both endpoints must be unmasked at once."""
+        g = self._group
+        return 1.0 - (1.0 / g) * (1.0 / g)
 
     @property
     def tof_analytical(self) -> float:

@@ -97,7 +97,6 @@ class ScenarioPlan:
     fake_paths: tuple[Route, ...] = ()
     requested_source_ext: int = 0
     requested_dest_ext: int = 0
-    duplicate_shortfall: int = 0
     packet_budget: int = 7000
 
     @property
@@ -107,6 +106,13 @@ class ScenarioPlan:
     @property
     def dest(self) -> int:
         return self.real_route.dest
+
+    @property
+    def duplicate_shortfall(self) -> int:
+        """Duplicates asked for but not found disjoint."""
+        if self.variant.kind != "extrout_duplicates":
+            return 0
+        return self.variant.count - len(self.duplicates)
 
     def all_chains(self) -> tuple[Route, ...]:
         """The real packet's carrier, then the chains that carry dummies only."""
@@ -131,21 +137,19 @@ def build_scenario(topo: Topology, source: int, dest: int,
     else:
         requested, main = (0, 0), ExtendedRoute(real, 0, 0)
 
-    duplicates, fakes, shortfall = (), (), 0
+    duplicates, fakes = (), ()
     if variant.kind == "extrout_duplicates":
         a, b = main.route.source, main.route.dest
         # a zero-hop route that cannot be extended has one anchor: no duplicate
         if a != b:
             duplicates = tuple(disjoint_paths(topo, a, b, variant.count,
                                               excluded=main.route))
-        shortfall = variant.count - len(duplicates)
     elif variant.kind in ("extrout_fake", "nfake_pairs"):
         fakes = _fake_paths(topo, real, main, variant, settings, rng)
     return ScenarioPlan(
         topology=topo, variant=variant, real_route=real, main=main,
         duplicates=duplicates, fake_paths=fakes,
         requested_source_ext=requested[0], requested_dest_ext=requested[1],
-        duplicate_shortfall=shortfall,
         packet_budget=settings.packet_budget)
 
 

@@ -330,6 +330,11 @@ def _read_topology(lines) -> Topology:
             except ValueError:
                 _convert(parts, _NODE_FIELDS, lineno)  # names the field
                 raise
+            if not (math.isfinite(x) and math.isfinite(y)):
+                name, raw = (("y", parts[2]) if math.isfinite(x)
+                             else ("x", parts[1]))
+                raise ValueError(f"line {lineno}: {name} must be a finite "
+                                 f"number, got {raw!r}")
             if node in positions:
                 raise ValueError(f"node {node} listed twice")
             positions[node] = Position(x, y)

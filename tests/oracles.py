@@ -264,8 +264,9 @@ def reference_branches(obs) -> tuple:
     """The chains of a well-formed trace's active links, as the walk that
     marks both directions of every link it crosses finds them: cut at
     nodes of active degree other than 2 and at nodes whose count matches
-    neither neighbour's, a uniform cycle cut at its lowest node, each
-    chain oriented from its higher-count end."""
+    neither neighbour's, each cycle without a stop cut at its lowest node
+    after the chains that end at stops, each chain oriented from its
+    higher-count end."""
     adj = defaultdict(list)
     for (i, j), count in obs.link_tx.items():
         if count > 0:
@@ -279,11 +280,10 @@ def reference_branches(obs) -> tuple:
         return all(obs.node_tx.get(m, 0) != own for m in adj[n])
 
     stops = {n for n in adj if is_stop(n)}
-    if not stops and adj:
-        stops = {min(adj)}
     seen = set()
     branches = []
-    for start in sorted(stops):
+
+    def walk_from(start) -> None:
         for nxt in sorted(adj[start]):
             if (start, nxt) in seen:
                 continue
@@ -298,4 +298,10 @@ def reference_branches(obs) -> tuple:
             if obs.node_tx.get(chain[0], 0) < obs.node_tx.get(chain[-1], 0):
                 chain.reverse()
             branches.append(Branch(nodes=tuple(chain)))
+
+    for start in sorted(stops):
+        walk_from(start)
+    for n in sorted(adj):
+        if not any(n in b.nodes for b in branches):
+            walk_from(n)  # a cycle without a stop, cut at its lowest node
     return tuple(branches)

@@ -10,6 +10,7 @@ import pytest
 
 from extrout import adversary
 from extrout.adversary import (
+    Branch,
     attack_trials,
     endpoint_candidates,
     guess_endpoints,
@@ -134,6 +135,11 @@ def test_uniform_cycle_falls_back_to_a_deterministic_cut():
         assert b.head == b.tail == 1
         assert b.nodes == (1, 2, 3, 4, 1)
         assert set(b.transmitters) == {1, 2, 3, 4}
+    # a cycle without a stop is cut even when another component has stops
+    obs = _manual_obs({1: 7, 2: 7, 4: 7, 5: 7, 6: 7},
+                      {(1, 2): 7, (2, 3): 7, (4, 5): 7, (5, 6): 7, (4, 6): 7})
+    assert traffic_branches(obs) == (Branch((1, 2, 3)), Branch((4, 5, 6, 4)))
+    assert endpoint_candidates(obs) == ({1, 2, 4, 5, 6}, {2, 3, 4, 5, 6})
 
 
 def test_orientation_from_rates():
@@ -189,6 +195,10 @@ def test_branches_match_the_walk_that_marks_every_link():
     ({1: 7, 2: 7, 9: 3}, {(1, 2): 7, (2, 3): 7}),
     # a degree-1 stub off a chain
     ({1: 7, 2: 14, 3: 7, 5: 0}, {(1, 2): 7, (2, 3): 7, (3, 4): 7, (2, 5): 7}),
+    # a chain with stops beside a uniform cycle and a cycle of two rates
+    ({1: 7, 2: 7, 4: 7, 5: 7, 6: 7, 8: 3, 9: 3, 10: 5, 11: 5},
+     {(1, 2): 7, (2, 3): 7, (4, 5): 7, (5, 6): 7, (4, 6): 7,
+      (10, 11): 5, (9, 10): 3, (8, 9): 3, (8, 11): 5}),
 ])
 def test_hand_built_branches_match_the_walk_that_marks_every_link(node_tx, link_tx):
     obs = _manual_obs(node_tx, link_tx)

@@ -361,9 +361,13 @@ def test_sweep_rejects_bad_counts_before_writing(tmp_path, capsys, flags,
      "line 4: link end must be an integer, got '2.0'"),
     # a UTF-16 byte order mark, written as bytes: the message names the file
     (b"\xff\xfe2 150.0 0.95 0.0 100.0 0\n", "{path}: not UTF-8 (invalid start byte)"),
+    *[(f"2 150.0 0.95 0.0 100.0 0\n1 0.0 0.0\n2 {x} {y}\n1 2\n",
+       f"line 3: {field} must be a finite number, got '{raw}'")
+      for raw in ("nan", "inf", "-inf")
+      for field, x, y in (("x", raw, "0.0"), ("y", "100.0", raw))],
 ], ids=["header", "ids", "repeated-id", "nan-range", "negative-count",
         "zero-count", "fractional-count", "bad-coordinate", "bad-link-end",
-        "not-utf-8"])
+        "not-utf-8", "nan-x", "nan-y", "inf-x", "inf-y", "-inf-x", "-inf-y"])
 def test_main_exit_1_on_malformed_topology_file(tmp_path, capsys, text,
                                                 message):
     path = tmp_path / "broken.txt"

@@ -11,8 +11,6 @@ from extrout.metrics import (
     REFERENCE_TOLERANCE,
     REFERENCES,
     PrivacyReport,
-    anonymity_pair,
-    anonymity_single,
     reconcile,
     reference_reconciliations,
     report_csv_header,
@@ -33,21 +31,26 @@ from ladders import line_topology, parallel_paths
 
 # ----------------------------------------------------------------- formulas
 
+def _with_group(group: int) -> PrivacyReport:
+    """A report whose anonymity group is `group`: one chain of that many
+    hops under cover."""
+    return PrivacyReport("extrout_baseline", group)
+
+
 def test_anonymity_single_values():
-    assert anonymity_single(15) == 1.0 - 1.0 / 15
-    assert anonymity_single(1) == 0.0
-    assert anonymity_single(80) == 0.9875
-    with pytest.raises(ValueError):
-        anonymity_single(0)
+    assert _with_group(15).anonymity_single == 1.0 - 1.0 / 15
+    assert _with_group(1).anonymity_single == 0.0
+    assert _with_group(80).anonymity_single == 0.9875
+    # without cover the group is the chain count, under the same formula
+    assert PrivacyReport("nfake_pairs", 12, fake_hops=(12,) * 14
+                         ).anonymity_single == 1.0 - 1.0 / 15
 
 
 def test_anonymity_pair_values():
-    assert anonymity_pair(15, 15) == 1.0 - 1.0 / 225
-    assert anonymity_pair(15, 15) == pytest.approx(0.99556, abs=5e-6)
-    assert anonymity_pair(1, 1) == 0.0
-    assert anonymity_pair(2, 2) == 0.75
-    with pytest.raises(ValueError):
-        anonymity_pair(0, 5)
+    assert _with_group(15).anonymity_pair == 1.0 - 1.0 / 225
+    assert _with_group(15).anonymity_pair == pytest.approx(0.99556, abs=5e-6)
+    assert _with_group(1).anonymity_pair == 0.0
+    assert _with_group(2).anonymity_pair == 0.75
 
 
 def _single(*args, **kw) -> float:
@@ -60,7 +63,7 @@ def _tof(*args, **kw) -> float:
 
 def test_anonymity_extrout_values():
     # under cover the group is every transmitter of every chain
-    assert _single("extrout_baseline", 8, 3, 4) == anonymity_single(15)
+    assert _single("extrout_baseline", 8, 3, 4) == _with_group(15).anonymity_single
     assert _single("extrout_baseline", 8, 3, 4) == pytest.approx(
         0.9333, abs=5e-5)
     assert _single("extrout_duplicates", 8, 3, 4,
@@ -130,7 +133,8 @@ def test_formula_monotonicity():
     rng = random.Random(17)
     for _ in range(200):
         g = rng.randint(1, 500)
-        assert anonymity_single(g + 1) > anonymity_single(g)
+        assert (_with_group(g + 1).anonymity_single
+                > _with_group(g).anonymity_single)
         ks, l, kd = rng.randint(0, 9), rng.randint(1, 30), rng.randint(0, 9)
         extra = rng.randint(1, 40)
         assert (_single("extrout_duplicates", l, ks, kd,
@@ -169,17 +173,17 @@ def test_analytical_report_no_privacy():
 
 def test_analytical_report_extended_family():
     report = PrivacyReport("extrout_baseline", 8, 3, 4)
-    assert report.anonymity_single == anonymity_single(15)
-    assert report.anonymity_pair == anonymity_pair(15, 15)
+    assert report.anonymity_single == _with_group(15).anonymity_single
+    assert report.anonymity_pair == _with_group(15).anonymity_pair
     assert report.tof_analytical == 1.875
 
     dup = PrivacyReport("extrout_duplicates", 8, 3, 4,
                             duplicate_hops=(15,))
-    assert dup.anonymity_single == anonymity_single(30)
+    assert dup.anonymity_single == _with_group(30).anonymity_single
     assert dup.tof_analytical == 3.75
 
     fake = PrivacyReport("extrout_fake", 8, 3, 4, fake_hops=(17,))
-    assert fake.anonymity_single == anonymity_single(32) == 0.96875
+    assert fake.anonymity_single == _with_group(32).anonymity_single == 0.96875
     assert fake.tof_analytical == 4.0
     assert fake.n_fakes == 0  # fake chains under cover are not fake pairs
 
@@ -201,7 +205,7 @@ def test_report_from_baseline_run():
     report = report_from_run(plan, run(plan))
     assert report.variant == "extrout_baseline"
     assert (report.real_hops, report.source_ext, report.dest_ext) == (8, 3, 4)
-    assert report.anonymity_single == anonymity_single(15)
+    assert report.anonymity_single == _with_group(15).anonymity_single
     assert report.tof_measured == report.tof_analytical == 1.875
 
 
@@ -226,7 +230,7 @@ def test_report_from_nfake_run():
     report = report_from_run(plan, run(plan))
     assert report.n_fakes == 2
     assert report.fake_hops == tuple(r.hops for r in plan.fake_paths)
-    assert report.anonymity_single == anonymity_single(3)
+    assert report.anonymity_single == _with_group(3).anonymity_single
     assert report.tof_measured == report.tof_analytical
 
 
@@ -246,8 +250,8 @@ def test_report_from_run_follows_chain_hops_and_cover(variant):
         assert report.tof_analytical == total / plan.real_route.hops
         assert report.tof_measured == report.tof_analytical
         group = total if variant.kind in COVER_KINDS else len(chains)
-        assert report.anonymity_single == anonymity_single(group)
-        assert report.anonymity_pair == anonymity_pair(group, group)
+        assert report.anonymity_single == _with_group(group).anonymity_single
+        assert report.anonymity_pair == _with_group(group).anonymity_pair
 
 
 def test_report_from_run_with_residual_cover():

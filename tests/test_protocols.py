@@ -6,11 +6,12 @@ import hashlib
 import logging
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from extrout.adversary import endpoint_candidates
-from extrout.metrics import anonymity_single, report_from_run
+from extrout.metrics import report_from_run
 from extrout.protocols import (
     PlacementError,
     ProtocolVariant,
@@ -138,6 +139,16 @@ def test_duplicates_shortfall_is_recorded_not_fatal():
     assert plan.duplicate_shortfall == 2
 
 
+def test_duplicates_shortfall_follows_the_duplicates():
+    topo, hub_a, hub_b, rows = parallel_paths([14, 14, 14])
+    plan = build_scenario(topo, rows[0][2], rows[0][10],
+                          ProtocolVariant("extrout_duplicates", 2),
+                          _pinned(3, 4), random.Random(0))
+    assert len(plan.duplicates) == 2
+    assert plan.duplicate_shortfall == 0
+    assert replace(plan, duplicates=plan.duplicates[:1]).duplicate_shortfall == 1
+
+
 def test_fake_extended_paths_avoid_the_main_route(monkeypatch):
     import extrout.protocols as protocols
 
@@ -174,7 +185,7 @@ def test_fake_core_avoids_the_main_extension():
     main, fake = plan.all_chains()
     assert set(fake.nodes).isdisjoint(main.nodes)
     sources, _dests = endpoint_candidates(run(plan))
-    assert report_from_run(plan).anonymity_single == anonymity_single(len(sources))
+    assert report_from_run(plan).anonymity_single == 1.0 - 1.0 / len(sources)
 
 
 def test_nfake_plan_places_disjoint_plain_routes():

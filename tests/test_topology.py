@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 import random
 from dataclasses import replace
 from pathlib import Path
@@ -334,6 +335,16 @@ def test_loader_reads_any_line_ending(tmp_path, newline):
     # Only these three end a line: split at NEL, the file is one long line.
     with pytest.raises(ValueError, match="malformed header"):
         _loaded(tmp_path, saved.replace("\n", "\x85"))
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["x", "y"])
+def test_loader_rejects_non_finite_coordinates(tmp_path, field, raw):
+    node = f"2 {raw} 0.0" if field == "x" else f"2 100.0 {raw}"
+    text = f"2 150.0 0.95 0.0 100.0 0\n# nodes\n1 0.0 0.0\n{node}\n1 2\n"
+    with pytest.raises(ValueError, match=re.escape(
+            f"line 4: {field} must be a finite number, got '{raw}'")):
+        _loaded(tmp_path, text)
 
 
 def test_topology_accepts_links_as_any_pairs():
