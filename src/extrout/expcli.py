@@ -204,16 +204,16 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _provenance(cfg: dict, command: str) -> str:
+def _write(cfg: dict, command: str, name: str, body: str) -> None:
+    """Write body to the output directory under name, after the provenance
+    block of command and cfg, and report the path on stdout."""
     lines = [f"# command={command}"]
     for section, key, _, _ in SCHEMA:
         lines.append(f"# {section}.{key}={_format_value(cfg[key])}")
-    return "\n".join(lines) + "\n"
-
-
-def _write(path: Path, provenance: str, body: str) -> None:
+    path = Path(cfg["out"]) / name
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(provenance + body, encoding="utf-8")
+    path.write_text("\n".join(lines) + "\n" + body, encoding="utf-8")
+    print(f"wrote {path}")
 
 
 def _mean_exact(values) -> float:
@@ -312,14 +312,11 @@ def _scenario(cfg: dict):
 
 def cmd_topology(cfg: dict) -> int:
     topo = _topology(cfg)
-    out = Path(cfg["out"])
-    path = out / "topology.txt"
-    _write(path, _provenance(cfg, "topology"), topology_to_text(topo))
     degree = average_degree(topo)
     links = sum(map(len, topo.adjacency.values())) // 2
     print(f"nodes={topo.node_count} links={links} "
           f"average_degree={degree:.3f}")
-    print(f"wrote {path}")
+    _write(cfg, "topology", "topology.txt", topology_to_text(topo))
     return 0
 
 
@@ -355,18 +352,12 @@ def cmd_run(cfg: dict) -> int:
                            anonymity_empirical=summary.empirical_anonymity,
                            empirical_ci=summary.empirical_anonymity_ci())
 
-    reference, notes = None, ()
-    if cfg["reference"]:
-        ref = REFERENCES[cfg["reference"]]
-        reference, notes = ref.quoted, ref.notes
-    record = reconcile(headline, reference=reference, notes=notes)
+    record = reconcile(headline, REFERENCES.get(cfg["reference"]))
     if not record.passed:
         failures.append("; ".join(record.failures))
 
-    out = Path(cfg["out"])
-    provenance = _provenance(cfg, "run")
-    _write(out / "matrix.csv", provenance, matrix_to_csv(averaged))
-    _write(out / "heatmap.txt", provenance, ascii_heatmap(averaged) + "\n")
+    _write(cfg, "run", "matrix.csv", matrix_to_csv(averaged))
+    _write(cfg, "run", "heatmap.txt", ascii_heatmap(averaged) + "\n")
 
     text = report_to_text(headline, record)
     text += f"repetitions        {reps}\n"
@@ -374,14 +365,12 @@ def cmd_run(cfg: dict) -> int:
     text += f"tof measured mean  {tof_mean:.6f}\n"
     unlink_mean = _mean_exact(r.unlinkability for r in reports)
     text += f"unlinkability mean {unlink_mean:.6f}\n"
-    _write(out / "report.txt", provenance, text)
+    _write(cfg, "run", "report.txt", text)
 
     rows = [report_csv_header()]
     rows += [report_to_csv_row(report) for report in reports]
-    _write(out / "report.csv", provenance, "\n".join(rows) + "\n")
+    _write(cfg, "run", "report.csv", "\n".join(rows) + "\n")
 
-    for name in ("matrix.csv", "heatmap.txt", "report.txt", "report.csv"):
-        print(f"wrote {out / name}")
     if failures:
         for failure in failures:
             print(f"reconciliation failure: {failure}", file=sys.stderr)
@@ -469,8 +458,6 @@ def cmd_sweep(cfg: dict) -> int:
     seed = cfg["seed"]
     variant = _make_variant(cfg)
     settings = _make_settings(cfg)
-    out = Path(cfg["out"])
-    provenance = _provenance(cfg, "sweep")
 
     # Picked first so that a frontier pair that cannot be found fails
     # before any output is written; it draws from its own substream.
@@ -482,7 +469,7 @@ def cmd_sweep(cfg: dict) -> int:
               "tof_analytical,tof_measured,note")
     rows = [",".join(_sweep_hop_row(topo, target, cfg, variant, settings))
             for target in cfg["hop_targets"]]
-    _write(out / "anonymity_vs_L.csv", provenance,
+    _write(cfg, "sweep", "anonymity_vs_L.csv",
            header + "\n" + "\n".join(rows) + "\n")
 
     header = ("technique,parameter,anonymity_single,anonymity_pair,"
@@ -490,11 +477,8 @@ def cmd_sweep(cfg: dict) -> int:
     rows = [",".join(_frontier_row(topo, frontier_source, frontier_dest,
                                    kind, count, cfg, settings))
             for kind, count in _frontier_points(cfg)]
-    _write(out / "anonymity_vs_tof.csv", provenance,
+    _write(cfg, "sweep", "anonymity_vs_tof.csv",
            header + "\n" + "\n".join(rows) + "\n")
-
-    print(f"wrote {out / 'anonymity_vs_L.csv'}")
-    print(f"wrote {out / 'anonymity_vs_tof.csv'}")
     return 0
 
 
@@ -505,9 +489,7 @@ def cmd_attack(cfg: dict) -> int:
     expected = report_from_run(summary.first_plan).guess_success
     on_path = fmean(1.0 if v.on_real_path else 0.0 for v in summary.verdicts)
 
-    out = Path(cfg["out"])
-    provenance = _provenance(cfg, "attack")
-    _write(out / "attack.csv", provenance, verdicts_to_csv(summary))
+    _write(cfg, "attack", "attack.csv", verdicts_to_csv(summary))
     lines = [
         f"trials             {summary.trials}",
         f"source success     {summary.source_rate:.6f} "
@@ -520,16 +502,13 @@ def cmd_attack(cfg: dict) -> int:
         f"analytical source  {expected:.6f}",
         f"empirical anonymity {summary.empirical_anonymity:.6f}",
     ]
-    _write(out / "attack.txt", provenance, "\n".join(lines) + "\n")
-    print(f"wrote {out / 'attack.csv'}")
-    print(f"wrote {out / 'attack.txt'}")
+    _write(cfg, "attack", "attack.txt", "\n".join(lines) + "\n")
     print(f"source success {summary.source_rate:.6f}, "
           f"analytical {expected:.6f}")
     return 0
 
 
 def cmd_report(cfg: dict) -> int:
-    out = Path(cfg["out"])
     blocks = []
     failed = False
     for name, (report, record) in reference_reconciliations().items():
@@ -538,9 +517,7 @@ def cmd_report(cfg: dict) -> int:
         suffix = f" ({len(record.flags)} flag(s))" if record.flags else ""
         print(f"{name}: {verdict}{suffix}")
         failed = failed or not record.passed
-    _write(out / "reference_report.txt", _provenance(cfg, "report"),
-           "\n".join(blocks))
-    print(f"wrote {out / 'reference_report.txt'}")
+    _write(cfg, "report", "reference_report.txt", "\n".join(blocks))
     return 2 if failed else 0
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .protocols import COVER_KINDS, VARIANT_KINDS, ScenarioPlan
 from .simengine import TrafficTrace
@@ -196,8 +196,8 @@ def report_from_run(plan: ScenarioPlan, trace: TrafficTrace | None = None,
     real_hops = plan.real_route.hops
 
     # run scales one interval by the budget, so the first division is exact
-    tof_measured = (trace.total_transmissions / plan.packet_budget / real_hops
-                    if trace is not None else None)
+    tof_measured = (trace.total_transmissions / plan.settings.packet_budget
+                    / real_hops if trace is not None else None)
 
     return PrivacyReport(
         variant=plan.variant.kind,
@@ -227,16 +227,15 @@ class ReconciliationRecord:
 
 
 def reconcile(report: PrivacyReport,
-              reference: tuple[float | None, float] | None = None,
-              notes: Sequence[str] = ()) -> ReconciliationRecord:
+              reference: Reference | None = None) -> ReconciliationRecord:
     """Cross-check a report; hard failures versus advisory flags.
 
     Measured TOF must equal the analytical value exactly while residual
     cover is off (the accounting is deterministic).  Analytical anonymity
     must fall inside the empirical confidence interval when an attack was
-    run.  A reference (anonymity, tof) pair only raises a flag on
-    mismatch: the computation is trusted over the quoted number.  Notes
-    carry interpretation remarks into the record unchanged.
+    run.  A reference entry's quoted (anonymity, tof) pair only raises a
+    flag on mismatch: the computation is trusted over the quoted number.
+    Its notes carry interpretation remarks into the record unchanged.
     """
     failures = []
     flags = []
@@ -252,7 +251,7 @@ def reconcile(report: PrivacyReport,
                 f"anonymity_single: analytical {report.anonymity_single:.6f} "
                 f"outside empirical interval [{low:.6f}, {high:.6f}]")
     if reference is not None:
-        ref_anonymity, ref_tof = reference
+        ref_anonymity, ref_tof = reference.quoted
         if (ref_anonymity is not None
                 and abs(report.anonymity_single - ref_anonymity)
                 > REFERENCE_TOLERANCE):
@@ -266,7 +265,7 @@ def reconcile(report: PrivacyReport,
     return ReconciliationRecord(
         failures=tuple(failures),
         flags=tuple(flags),
-        notes=tuple(notes),
+        notes=reference.notes if reference is not None else (),
     )
 
 
@@ -280,8 +279,7 @@ def reference_reconciliations() -> dict[str, tuple[PrivacyReport,
     out = {}
     for name, ref in REFERENCES.items():
         report = PrivacyReport(**ref.scenario)
-        out[name] = (report, reconcile(report, reference=ref.quoted,
-                                       notes=ref.notes))
+        out[name] = (report, reconcile(report, ref))
     return out
 
 

@@ -86,7 +86,9 @@ class ScenarioPlan:
 
     main carries the real packet in every variant: real_route extended by
     its achieved extensions, (0, 0) for a variant without cover. The
-    requested extensions are the lengths main was asked for.
+    requested extensions are the lengths main was asked for. settings are
+    the ones the plan was built with; the simulator runs it for their
+    packet_budget intervals.
     """
 
     topology: Topology
@@ -97,7 +99,7 @@ class ScenarioPlan:
     fake_paths: tuple[Route, ...] = ()
     requested_source_ext: int = 0
     requested_dest_ext: int = 0
-    packet_budget: int = 7000
+    settings: ScenarioSettings = ScenarioSettings()
 
     @property
     def source(self) -> int:
@@ -123,10 +125,14 @@ def build_scenario(topo: Topology, source: int, dest: int,
                    variant: ProtocolVariant,
                    settings: ScenarioSettings | None = None,
                    rng: random.Random | None = None) -> ScenarioPlan:
-    """Assemble a scenario plan for the given variant.
+    """Assemble a scenario plan for the given variant, which keeps the
+    settings it was built with.
 
     Extension lengths, extension tie-breaks and fake placements draw from
-    rng; a fixed seed reproduces the identical plan.
+    rng; a fixed seed reproduces the identical plan. Duplicates run
+    between the carrier's anchors and share no node with it but those; a
+    one-hop carrier has no interior to ban, so it is asked for one more
+    path and dropped from them.
     """
     settings = settings or ScenarioSettings()
     rng = rng or random.Random(0)
@@ -142,15 +148,19 @@ def build_scenario(topo: Topology, source: int, dest: int,
         a, b = main.route.source, main.route.dest
         # a zero-hop route that cannot be extended has one anchor: no duplicate
         if a != b:
-            duplicates = tuple(disjoint_paths(topo, a, b, variant.count,
-                                              excluded=main.route))
+            # A one-hop carrier is the unique cheapest path and shares no
+            # interior with any other, so every minimum-cost set holds it.
+            found = disjoint_paths(topo, a, b,
+                                   variant.count + (main.route.hops == 1),
+                                   excluded=main.route)
+            duplicates = tuple(path for path in found if path != main.route)
     elif variant.kind in ("extrout_fake", "nfake_pairs"):
         fakes = _fake_paths(topo, real, main, variant, settings, rng)
     return ScenarioPlan(
         topology=topo, variant=variant, real_route=real, main=main,
         duplicates=duplicates, fake_paths=fakes,
         requested_source_ext=requested[0], requested_dest_ext=requested[1],
-        packet_budget=settings.packet_budget)
+        settings=settings)
 
 
 def _extension_lengths(settings: ScenarioSettings,

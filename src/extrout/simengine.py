@@ -35,15 +35,13 @@ class TrafficTrace:
 
 
 def run(plan: ScenarioPlan) -> TrafficTrace:
-    """Execute the plan for its packet_budget intervals.
+    """Execute the plan for the packet_budget intervals of its settings.
 
     Lossless and deterministic: every interval relays the same counts and
     adds residual_cover_rate transmissions at every node, so totals are
     exact multiples of one interval.
     """
-    budget = plan.packet_budget
-    if budget < 1:  # a hand-built ScenarioPlan is not validated
-        raise ValueError(f"packet_budget must be at least 1, got {budget}")
+    budget = plan.settings.packet_budget
     base = plan.variant.residual_cover_rate * budget
     node_tx = dict.fromkeys(plan.topology.nodes, base) if base else {}
     link_tx: dict[tuple[int, int], int] = {}

@@ -189,13 +189,7 @@ def build_qudg(positions: dict[int, Position], params: TopologyParams,
                 for j in cells.get((cx + dx, cy + dy), ())]
         for a, i in enumerate(members):
             pi = positions[i]
-            for j in members[a + 1:]:
-                d = dist(pi, positions[j])
-                if d < certain:
-                    links.append((i, j))
-                elif d < params.tx_range:
-                    band.append((i, j, d))
-            for j in near:
+            for j in members[a + 1:] + near:
                 # The lower id's position goes first, as in a test of every
                 # pair in ascending order, so d is the float that test gets.
                 pj = positions[j]

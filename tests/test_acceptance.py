@@ -116,7 +116,7 @@ def test_criterion_03_five_paths_totalling_80_hops():
     assert report.tof_measured == 10.0 == report.tof_analytical
     assert report.anonymity_single == 1 - 1 / 80 == 0.9875
     five = REFERENCES["five_path_total_80"]
-    record = reconcile(report, reference=five.quoted, notes=five.notes)
+    record = reconcile(report, five)
     assert record.passed and not record.flags
     assert any("total chain set" in note for note in record.notes)
     _verdict(3, True, "0.9875/10.0 exact, 80 chain hops, interpretation noted")
@@ -138,10 +138,11 @@ def test_criterion_04_fake_extended_path_mismatch_is_flagged():
     assert round(report.anonymity_single, 3) == 0.969
     assert report.tof_measured == 4.0 == report.tof_analytical
 
-    quoted_anonymity, quoted_tof = REFERENCES["fake_extended_17"].quoted
+    fake_17 = REFERENCES["fake_extended_17"]
+    quoted_anonymity, quoted_tof = fake_17.quoted
     assert abs(report.anonymity_single - quoted_anonymity) > REFERENCE_TOLERANCE
     assert abs(report.tof_analytical - quoted_tof) > REFERENCE_TOLERANCE
-    record = reconcile(report, reference=(quoted_anonymity, quoted_tof))
+    record = reconcile(report, fake_17)
     assert record.passed  # quoted numbers may only flag, never fail
     assert len(record.flags) == 2
     assert any("0.983" in flag for flag in record.flags)
@@ -161,8 +162,7 @@ def test_criterion_05_single_fake_pair():
     assert report.anonymity_single == 0.5
     assert report.tof_measured == 25 / 12 == report.tof_analytical
     assert abs(report.tof_measured - 2.08) <= 0.01
-    record = reconcile(report,
-                       reference=REFERENCES["one_fake_pair_12_13"].quoted)
+    record = reconcile(report, REFERENCES["one_fake_pair_12_13"])
     assert record.passed and not record.flags
     _verdict(5, True, "anonymity 0.5 exact, tof 25/12 within 0.01 of 2.08")
 

@@ -13,7 +13,7 @@ import pytest
 
 from extrout.expcli import (SCHEMA, ConfigError, _format_value, _sample_pair,
                             main, resolve_config)
-from extrout.metrics import ReconciliationRecord
+from extrout.metrics import REFERENCES, ReconciliationRecord
 from extrout.protocols import ProtocolVariant, ScenarioSettings, build_scenario
 from extrout.rng import substream
 from extrout.routing import UnreachableError, hop_distances
@@ -407,7 +407,7 @@ def test_program_errors_are_not_config_errors(tmp_path, monkeypatch):
 def test_main_exit_2_on_reconciliation_failure(tmp_path, monkeypatch):
     import extrout.expcli as expcli
 
-    def forced_failure(report, reference=None, notes=()):
+    def forced_failure(report, reference=None):
         return ReconciliationRecord(("forced",), (), ())
 
     monkeypatch.setattr(expcli, "reconcile", forced_failure)
@@ -524,6 +524,24 @@ def test_run_command_outputs_and_reconciliation(tmp_path, capsys):
     heat = (out / "heatmap.txt").read_text(encoding="utf-8")
     lines = [ln for ln in heat.splitlines() if ln and not ln.startswith("#")]
     assert lines[0] == " " + "@" * 15 + "    "
+
+
+def test_run_keeps_a_reference_entrys_notes_and_flags(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", "--topology-file", _line_file(tmp_path),
+                 "--source", "5", "--dest", "13",
+                 "--source-ext", "3", "--dest-ext", "4",
+                 "--reps", "1", "--budget", "10",
+                 "--reference", "five_path_total_80",
+                 "--out", str(out)]) == 0
+    report = (out / "report.txt").read_text(encoding="utf-8").splitlines()
+    (note,) = REFERENCES["five_path_total_80"].notes
+    assert "reconciliation     pass" in report
+    assert f"  note: {note}" in report
+    assert [line for line in report if line.startswith("  flag: ")] == [
+        "  flag: anonymity reference 0.987 differs from computed 0.933333",
+        "  flag: tof reference 10.0 differs from computed 1.875000",
+    ]
 
 
 def _assert_run_matrix_is_the_mean(tmp_path, residual):

@@ -11,6 +11,7 @@ from extrout.metrics import (
     REFERENCE_TOLERANCE,
     REFERENCES,
     PrivacyReport,
+    Reference,
     reconcile,
     reference_reconciliations,
     report_csv_header,
@@ -306,7 +307,7 @@ def test_reconcile_checks_empirical_interval():
 
 def test_reference_mismatch_flags_but_does_not_fail():
     report = PrivacyReport("extrout_fake", 8, 3, 4, fake_hops=(17,))
-    record = reconcile(report, reference=REFERENCES["fake_extended_17"].quoted)
+    record = reconcile(report, REFERENCES["fake_extended_17"])
     assert record.passed
     assert len(record.flags) == 2
     assert any("0.983" in f for f in record.flags)
@@ -316,13 +317,14 @@ def test_reference_mismatch_flags_but_does_not_fail():
 def test_reference_within_rounding_raises_no_flag():
     report = PrivacyReport("extrout_duplicates", 8, 3, 4,
                                duplicate_hops=(15,))
-    record = reconcile(report, reference=(0.967, 3.75))
+    record = reconcile(report, Reference({}, (0.967, 3.75)))
     assert record.passed and not record.flags
     assert abs(report.anonymity_single - 0.967) < REFERENCE_TOLERANCE
 
 
 def test_reconcile_keeps_notes():
-    record = reconcile(_baseline_report(), notes=("read as totals",))
+    record = reconcile(_baseline_report(),
+                       Reference({}, (None, 1.875), ("read as totals",)))
     assert record.notes == ("read as totals",)
 
 

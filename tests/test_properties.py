@@ -280,28 +280,32 @@ def test_scores_match_the_trace_keyed_by_every_node(params, plan_seed, start,
 @settings(max_examples=60, deadline=None)
 @given(params=topology_params, plan_seed=st.integers(0, 2**16),
        ends=st.tuples(st.integers(1, 49), st.integers(1, 49)),
-       count=st.integers(1, 3), strict=st.booleans())
+       count=st.integers(1, 3), strict=st.booleans(), pinned=st.booleans())
 def test_chains_share_no_node_but_the_duplicate_anchors(params, plan_seed, ends,
-                                                        count, strict):
+                                                        count, strict, pinned):
+    # Pinned zero extensions keep a one-hop pair's carrier one hop long.
     topo = generate(params)
     source = topo.nodes[(ends[0] - 1) % topo.node_count]
     reached = sorted(hop_distances(topo, source))
     dest = reached[(ends[1] - 1) % len(reached)]
     assume(source != dest)
+    settings = (ScenarioSettings(source_ext=0, dest_ext=0, strict=strict)
+                if pinned else ScenarioSettings(strict=strict))
     for kind in VARIANT_KINDS:
         variant = ProtocolVariant(kind, count if kind in PARAMETERISED_KINDS else 0)
         try:
-            plan = build_scenario(topo, source, dest, variant,
-                                  ScenarioSettings(strict=strict),
+            plan = build_scenario(topo, source, dest, variant, settings,
                                   random.Random(plan_seed))
         except PlacementError:
             continue
         shared = ({plan.main.route.source, plan.main.route.dest}
                   if kind == "extrout_duplicates" else set())
-        chains = [set(chain.nodes) for chain in plan.all_chains()]
-        for i, chain in enumerate(chains):
-            for other in chains[i + 1:]:
-                assert chain & other <= shared, kind
+        chains = [(set(chain.nodes), set(map(frozenset, chain.links())))
+                  for chain in plan.all_chains()]
+        for i, (nodes, links) in enumerate(chains):
+            for other_nodes, other_links in chains[i + 1:]:
+                assert nodes & other_nodes <= shared, kind
+                assert not links & other_links, kind
 
 
 @settings(max_examples=100, deadline=None)

@@ -130,6 +130,22 @@ def test_duplicates_plan_at_an_isolated_node_has_none():
     assert plan.all_chains() == (Route((1,)),)
 
 
+@pytest.mark.parametrize("count, expected", [
+    (1, ((8, 2, 9),)),
+    (2, ((8, 2, 9), (8, 3, 9))),
+    (3, ((8, 2, 9), (8, 3, 9), (8, 14, 9))),
+])
+def test_duplicates_of_a_one_hop_carrier_leave_the_carrier_out(count, expected):
+    # A one-hop carrier has no interior to ban, so disjoint_paths alone
+    # would hand the carrier (8, 9) back as a duplicate of itself.
+    topo = generate(TopologyParams(6, 6, **LINK_PROFILES[0], seed=3))
+    plan = build_scenario(topo, 8, 9, ProtocolVariant("extrout_duplicates", count),
+                          _pinned(0, 0), random.Random(1))
+    assert plan.main.route == Route((8, 9))
+    assert plan.duplicates == tuple(Route(nodes) for nodes in expected)
+    assert plan.duplicate_shortfall == 0
+
+
 def test_duplicates_shortfall_is_recorded_not_fatal():
     topo, hub_a, hub_b, rows = parallel_paths([14, 14])
     plan = build_scenario(topo, rows[0][2], rows[0][10],

@@ -76,12 +76,14 @@ def test_run_link_counts_cover_the_chain():
 
 def test_run_uses_plan_budget_by_default():
     plan = _baseline_plan()
-    assert run(plan).node_tx[5] == plan.packet_budget == 7000
+    assert run(plan).node_tx[5] == plan.settings.packet_budget == 7000
 
 
 def test_run_rejects_bad_budget():
-    with pytest.raises(ValueError):
-        run(replace(_baseline_plan(), packet_budget=0))
+    # The plan's budget lives in its settings, which reject it first.
+    plan = _baseline_plan()
+    with pytest.raises(ValueError, match="packet_budget must be at least 1"):
+        run(replace(plan, settings=replace(plan.settings, packet_budget=0)))
 
 
 def test_run_counts_every_chain_and_residual():
