@@ -184,13 +184,14 @@ class AttackVerdict:
     dest_guess: int
     correct_source: bool
     correct_dest: bool
-    on_real_path: bool  # the picked chain holds the real route
+    on_real_path: bool  # the picked chain holds the true source
 
 
 @dataclass(frozen=True)
 class AttackSummary:
     """Monte Carlo attack outcome: the verdict of every trial and the plan
-    of the first. Rates and Wilson 95% intervals derive from the verdicts."""
+    of the first. An attack rate is its hit count over the trials, with
+    the Wilson 95% interval of that count."""
 
     verdicts: tuple[AttackVerdict, ...]
     first_plan: ScenarioPlan
@@ -200,44 +201,20 @@ class AttackSummary:
         return len(self.verdicts)
 
     @property
-    def _hits(self) -> tuple[int, int, int]:
+    def hits(self) -> tuple[int, int, int]:
         """Trials that named the source, the destination, and both."""
         return (sum(v.correct_source for v in self.verdicts),
                 sum(v.correct_dest for v in self.verdicts),
                 sum(v.correct_source and v.correct_dest for v in self.verdicts))
 
     @property
-    def source_rate(self) -> float:
-        return self._hits[0] / self.trials
-
-    @property
-    def dest_rate(self) -> float:
-        return self._hits[1] / self.trials
-
-    @property
-    def pair_rate(self) -> float:
-        return self._hits[2] / self.trials
-
-    @property
-    def source_ci(self) -> tuple[float, float]:
-        return wilson_interval(self._hits[0], self.trials)
-
-    @property
-    def dest_ci(self) -> tuple[float, float]:
-        return wilson_interval(self._hits[1], self.trials)
-
-    @property
-    def pair_ci(self) -> tuple[float, float]:
-        return wilson_interval(self._hits[2], self.trials)
-
-    @property
     def empirical_anonymity(self) -> float:
         """1 - source success rate, the measured counterpart of the
         analytical single-candidate anonymity."""
-        return 1.0 - self.source_rate
+        return 1.0 - self.hits[0] / self.trials
 
     def empirical_anonymity_ci(self) -> tuple[float, float]:
-        lo, hi = self.source_ci
+        lo, hi = wilson_interval(self.hits[0], self.trials)
         return 1.0 - hi, 1.0 - lo
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 from pathlib import Path
 from statistics import fmean
@@ -28,15 +28,15 @@ from .adversary import (
     observe,
     unlinkability_score,
     verdicts_to_csv,
+    wilson_interval,
 )
 from .metrics import (
     REFERENCES,
     reconcile,
     reference_reconciliations,
-    report_csv_header,
     report_from_run,
-    report_to_csv_row,
     report_to_text,
+    reports_to_csv,
 )
 from .protocols import (
     PARAMETERISED_KINDS,
@@ -104,18 +104,22 @@ def _parse_reference(text: str) -> str:
     return name
 
 
+_TOPOLOGY = {field.name: field.default for field in fields(TopologyParams)}
+_SETTINGS = {field.name: field.default for field in fields(ScenarioSettings)}
+
 # section, key, parser, default.  Keys are globally unique so every one
-# can double as a command-line flag.  A rule on one key lives in its
-# parser, a rule joining keys in the object they build (TopologyParams,
-# ProtocolVariant, ScenarioSettings); only the source/dest pairing is
-# checked in resolve_config.
+# can double as a command-line flag.  The keys that read _TOPOLOGY or
+# _SETTINGS take the field defaults of TopologyParams or ScenarioSettings.
+# A rule on one key lives in its parser, a rule joining keys in the object
+# they build (TopologyParams, ProtocolVariant, ScenarioSettings); only the
+# source/dest pairing is checked in resolve_config.
 SCHEMA = (
     ("topology", "rows", int, 20),
     ("topology", "cols", int, 20),
-    ("topology", "spacing", float, 100.0),
-    ("topology", "perturbation", float, 0.25),
-    ("topology", "tx_range", float, 145.0),
-    ("topology", "qudg_factor", float, 0.25),
+    ("topology", "spacing", float, _TOPOLOGY["spacing"]),
+    ("topology", "perturbation", float, _TOPOLOGY["perturbation"]),
+    ("topology", "tx_range", float, _TOPOLOGY["tx_range"]),
+    ("topology", "qudg_factor", float, _TOPOLOGY["qudg_factor"]),
     ("topology", "topology_file", str.strip, ""),
     ("scenario", "variant", str.strip, "extrout_baseline"),
     ("scenario", "count", int, 1),
@@ -125,12 +129,12 @@ SCHEMA = (
     ("scenario", "target_hops", _int_at_least(1), 8),
     ("scenario", "source_ext", _int_at_least(-1), -1),
     ("scenario", "dest_ext", _int_at_least(-1), -1),
-    ("scenario", "ext_low", int, 2),
-    ("scenario", "ext_high", int, 5),
-    ("scenario", "strict", _parse_bool, True),
+    ("scenario", "ext_low", int, _SETTINGS["ext_low"]),
+    ("scenario", "ext_high", int, _SETTINGS["ext_high"]),
+    ("scenario", "strict", _parse_bool, _SETTINGS["strict"]),
     ("run", "seed", int, 1),
     ("run", "reps", _int_at_least(1), 20),
-    ("run", "budget", int, 7000),
+    ("run", "budget", int, _SETTINGS["packet_budget"]),
     ("run", "out", str.strip, "out"),
     ("run", "attack_trials", _int_at_least(0), 0),
     ("run", "reference", _parse_reference, ""),
@@ -197,8 +201,6 @@ def _parse(key: str, raw: str, where: str):
 def _format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
     if isinstance(value, tuple):
         return ",".join(str(item) for item in value)
     return str(value)
@@ -288,7 +290,7 @@ def _sample_pair(topo, target_hops: int, rng) -> tuple[int, int]:
         "check connectivity or pick endpoints explicitly")
 
 
-def _pick_endpoints(topo, cfg: dict, rng) -> tuple[int, int]:
+def _pick_endpoints(topo, cfg: dict, target_hops: int, rng) -> tuple[int, int]:
     if cfg["source"] > 0:
         source, dest = cfg["source"], cfg["dest"]
         for node in (source, dest):
@@ -299,15 +301,32 @@ def _pick_endpoints(topo, cfg: dict, rng) -> tuple[int, int]:
         if dest not in hop_distances(topo, source):
             raise ConfigError(f"no path from {source} to {dest}")
         return source, dest
-    return _sample_pair(topo, cfg["target_hops"], rng)
+    return _sample_pair(topo, target_hops, rng)
 
 
 def _scenario(cfg: dict):
     """The topology and a builder of the configured scenario's plan per rng."""
     topo = _topology(cfg)
-    source, dest = _pick_endpoints(topo, cfg, substream(cfg["seed"], "pairs"))
+    source, dest = _pick_endpoints(topo, cfg, cfg["target_hops"],
+                                   substream(cfg["seed"], "pairs"))
     return topo, partial(build_scenario, topo, source, dest,
                          _make_variant(cfg), _make_settings(cfg))
+
+
+def _reconciled(report, where: str, failures: list[str]):
+    """The report, after its reconciliation failures, if any, are added to
+    failures as one line led by where."""
+    record = reconcile(report)
+    if not record.passed:
+        failures.append(f"{where}: " + "; ".join(record.failures))
+    return report
+
+
+def _exit_code(failures: list[str]) -> int:
+    """2 after printing each reconciliation failure to stderr; 0 if none."""
+    for failure in failures:
+        print(f"reconciliation failure: {failure}", file=sys.stderr)
+    return 2 if failures else 0
 
 
 def cmd_topology(cfg: dict) -> int:
@@ -337,11 +356,9 @@ def cmd_run(cfg: dict) -> int:
         for n, c in trace.node_tx.items():
             totals[at[n]] += c
         unlink = unlinkability_score(observe(trace))
-        report = report_from_run(plan, trace, unlinkability=unlink)
-        record = reconcile(report)
-        if not record.passed:
-            failures.append(f"rep {rep}: " + "; ".join(record.failures))
-        reports.append(report)
+        reports.append(_reconciled(
+            report_from_run(plan, trace, unlinkability=unlink),
+            f"rep {rep}", failures))
     averaged = mean_matrix([[totals[k] for k in row] for row in cells], reps)
 
     headline = reports[0]
@@ -367,19 +384,16 @@ def cmd_run(cfg: dict) -> int:
     text += f"unlinkability mean {unlink_mean:.6f}\n"
     _write(cfg, "run", "report.txt", text)
 
-    rows = [report_csv_header()]
-    rows += [report_to_csv_row(report) for report in reports]
-    _write(cfg, "run", "report.csv", "\n".join(rows) + "\n")
+    _write(cfg, "run", "report.csv", reports_to_csv(reports))
 
-    if failures:
-        for failure in failures:
-            print(f"reconciliation failure: {failure}", file=sys.stderr)
+    if _exit_code(failures):
         return 2
     print("reconciliation pass")
     return 0
 
 
-def _sweep_hop_row(topo, target: int, cfg: dict, variant, settings) -> list[str]:
+def _sweep_hop_row(topo, target: int, cfg: dict, variant, settings,
+                   failures: list[str]) -> list[str]:
     seed = cfg["seed"]
     rng = substream(seed, f"hops-{target}")
     reports = []
@@ -402,7 +416,8 @@ def _sweep_hop_row(topo, target: int, cfg: dict, variant, settings) -> list[str]
                 or main.dest_ext != plan.requested_dest_ext):
             skipped += 1  # a truncated plan would smear the averages
             continue
-        reports.append(report_from_run(plan, run(plan)))
+        reports.append(_reconciled(report_from_run(plan, run(plan)),
+                                   f"hops {target} pair {index}", failures))
     note = f"skipped={skipped}" if skipped else ""
     return [str(target), str(len(reports)), *_mean_cells(reports, note)]
 
@@ -430,9 +445,9 @@ def _frontier_points(cfg: dict) -> list[tuple[str, int]]:
 
 
 def _frontier_row(topo, source: int, dest: int, kind: str, count: int,
-                  cfg: dict, settings) -> list[str]:
+                  cfg: dict, settings, failures: list[str]) -> list[str]:
     seed = cfg["seed"]
-    variant = _make_variant({**cfg, "variant": kind, "count": count})
+    variant = _from_input(ProtocolVariant, kind, count, cfg["residual_rate"])
     reports = []
     shortfall = 0
     failed = 0
@@ -444,7 +459,8 @@ def _frontier_row(topo, source: int, dest: int, kind: str, count: int,
             failed += 1
             continue
         shortfall = max(shortfall, plan.duplicate_shortfall)
-        reports.append(report_from_run(plan, run(plan)))
+        reports.append(_reconciled(report_from_run(plan, run(plan)),
+                                   f"{kind} {count} rep {rep}", failures))
     notes = []
     if failed:
         notes.append(f"placement_failed={failed}")
@@ -462,12 +478,13 @@ def cmd_sweep(cfg: dict) -> int:
     # Picked first so that a frontier pair that cannot be found fails
     # before any output is written; it draws from its own substream.
     frontier_source, frontier_dest = _pick_endpoints(
-        topo, {**cfg, "target_hops": cfg["frontier_hops"]},
-        substream(seed, "frontier"))
+        topo, cfg, cfg["frontier_hops"], substream(seed, "frontier"))
 
+    failures = []
     header = ("hops,pairs_used,anonymity_single,anonymity_pair,"
               "tof_analytical,tof_measured,note")
-    rows = [",".join(_sweep_hop_row(topo, target, cfg, variant, settings))
+    rows = [",".join(_sweep_hop_row(topo, target, cfg, variant, settings,
+                                    failures))
             for target in cfg["hop_targets"]]
     _write(cfg, "sweep", "anonymity_vs_L.csv",
            header + "\n" + "\n".join(rows) + "\n")
@@ -475,11 +492,11 @@ def cmd_sweep(cfg: dict) -> int:
     header = ("technique,parameter,anonymity_single,anonymity_pair,"
               "tof_analytical,tof_measured,note")
     rows = [",".join(_frontier_row(topo, frontier_source, frontier_dest,
-                                   kind, count, cfg, settings))
+                                   kind, count, cfg, settings, failures))
             for kind, count in _frontier_points(cfg)]
     _write(cfg, "sweep", "anonymity_vs_tof.csv",
            header + "\n" + "\n".join(rows) + "\n")
-    return 0
+    return _exit_code(failures)
 
 
 def cmd_attack(cfg: dict) -> int:
@@ -490,20 +507,18 @@ def cmd_attack(cfg: dict) -> int:
     on_path = fmean(1.0 if v.on_real_path else 0.0 for v in summary.verdicts)
 
     _write(cfg, "attack", "attack.csv", verdicts_to_csv(summary))
-    lines = [
-        f"trials             {summary.trials}",
-        f"source success     {summary.source_rate:.6f} "
-        f"(95% CI [{summary.source_ci[0]:.6f}, {summary.source_ci[1]:.6f}])",
-        f"dest success       {summary.dest_rate:.6f} "
-        f"(95% CI [{summary.dest_ci[0]:.6f}, {summary.dest_ci[1]:.6f}])",
-        f"pair success       {summary.pair_rate:.6f} "
-        f"(95% CI [{summary.pair_ci[0]:.6f}, {summary.pair_ci[1]:.6f}])",
+    lines = [f"trials             {summary.trials}"]
+    for name, hits in zip(("source", "dest", "pair"), summary.hits):
+        low, high = wilson_interval(hits, summary.trials)
+        lines.append(f"{name + ' success':<19}{hits / summary.trials:.6f} "
+                     f"(95% CI [{low:.6f}, {high:.6f}])")
+    lines += [
         f"guessed on path    {on_path:.6f}",
         f"analytical source  {expected:.6f}",
         f"empirical anonymity {summary.empirical_anonymity:.6f}",
     ]
     _write(cfg, "attack", "attack.txt", "\n".join(lines) + "\n")
-    print(f"source success {summary.source_rate:.6f}, "
+    print(f"source success {summary.hits[0] / summary.trials:.6f}, "
           f"analytical {expected:.6f}")
     return 0
 

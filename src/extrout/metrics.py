@@ -39,10 +39,9 @@ __all__ = [
     "Reference",
     "reconcile",
     "reference_reconciliations",
-    "report_csv_header",
     "report_from_run",
-    "report_to_csv_row",
     "report_to_text",
+    "reports_to_csv",
 ]
 
 
@@ -291,28 +290,23 @@ CSV_FIELDS = (
 )
 
 
-def report_csv_header() -> str:
-    return ",".join(CSV_FIELDS)
-
-
-def report_to_csv_row(report: PrivacyReport) -> str:
-    """One flat CSV row per scenario report."""
-    ci_low, ci_high = report.empirical_ci or (None, None)
-    own_cells = {
-        "duplicate_hops": "+".join(str(h) for h in report.duplicate_hops),
-        "fake_hops": "+".join(str(h) for h in report.fake_hops),
-        "ci_low": ci_low,
-        "ci_high": ci_high,
-    }
-    def fmt(name):
-        value = (own_cells[name] if name in own_cells
-                 else getattr(report, name))
-        if value is None:
-            return ""
-        if isinstance(value, float):
-            return repr(value)
-        return str(value)
-    return ",".join(fmt(name) for name in CSV_FIELDS)
+def reports_to_csv(reports) -> str:
+    """The CSV_FIELDS header and one flat row per scenario report; a field
+    that is None is an empty cell."""
+    lines = [",".join(CSV_FIELDS)]
+    for report in reports:
+        ci_low, ci_high = report.empirical_ci or (None, None)
+        own_cells = {
+            "duplicate_hops": "+".join(str(h) for h in report.duplicate_hops),
+            "fake_hops": "+".join(str(h) for h in report.fake_hops),
+            "ci_low": ci_low,
+            "ci_high": ci_high,
+        }
+        values = (own_cells[name] if name in own_cells
+                  else getattr(report, name) for name in CSV_FIELDS)
+        lines.append(",".join("" if value is None else str(value)
+                              for value in values))
+    return "\n".join(lines) + "\n"
 
 
 def report_to_text(report: PrivacyReport,

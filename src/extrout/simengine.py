@@ -77,9 +77,7 @@ def mean_matrix(totals: list[list[int]], runs: int) -> list[list[float]]:
 
 
 def matrix_to_csv(matrix) -> str:
-    return "\n".join(",".join(repr(cell) if isinstance(cell, float) else str(cell)
-                              for cell in row)
-                     for row in matrix) + "\n"
+    return "\n".join(",".join(map(str, row)) for row in matrix) + "\n"
 
 
 def ascii_heatmap(matrix) -> str:

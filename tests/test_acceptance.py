@@ -179,7 +179,8 @@ def test_criterion_06_attack_success_rates():
     summary = attack_trials(baseline_factory, trials, seed=11)
     expected = 1 / 15  # one chain of Ks + L + Kd = 15 transmitters
     bound = 3 * math.sqrt(expected * (1 - expected) / trials)
-    assert abs(summary.source_rate - expected) <= bound
+    rate = summary.hits[0] / trials
+    assert abs(rate - expected) <= bound
 
     def duplicate_factory(rng):
         topo, _, _, rows = parallel_paths([14, 14])
@@ -192,11 +193,12 @@ def test_criterion_06_attack_success_rates():
     # transmitters: (1/(n+1)) * 1/(Ks + L + Kd)
     dup_expected = (1 / 2) * (1 / 15)
     dup_bound = 3 * math.sqrt(dup_expected * (1 - dup_expected) / trials)
-    assert abs(dup.source_rate - dup_expected) <= dup_bound
+    dup_rate = dup.hits[0] / trials
+    assert abs(dup_rate - dup_expected) <= dup_bound
     elapsed = time.perf_counter() - started
     _verdict(6, elapsed < 60.0,
-             f"baseline {summary.source_rate:.4f}~1/15, duplicate "
-             f"{dup.source_rate:.4f}~1/30 (pair rate {dup.pair_rate:.4f}), "
+             f"baseline {rate:.4f}~1/15, duplicate "
+             f"{dup_rate:.4f}~1/30 (pair rate {dup.hits[2] / trials:.4f}), "
              f"{trials} trials each, {elapsed:.1f}s")
 
 

@@ -351,10 +351,11 @@ def test_attack_trials_summary_and_determinism():
 
     summary = attack_trials(factory, trials=400, seed=5)
     assert summary.trials == 400 and len(summary.verdicts) == 400
-    lo, hi = summary.source_ci
+    source_hits = summary.hits[0]
+    lo, hi = wilson_interval(source_hits, 400)
     assert lo <= 1 / 6 <= hi
-    assert summary.source_ci[0] <= summary.source_rate <= summary.source_ci[1]
-    assert summary.empirical_anonymity == 1.0 - summary.source_rate
+    assert lo <= source_hits / 400 <= hi
+    assert summary.empirical_anonymity == 1.0 - source_hits / 400
     alo, ahi = summary.empirical_anonymity_ci()
     assert alo == 1.0 - hi and ahi == 1.0 - lo
     again = attack_trials(factory, trials=400, seed=5)
@@ -368,7 +369,7 @@ def test_attack_trials_no_privacy_always_wins():
     plan = build_scenario(topo, 2, 10, ProtocolVariant("no_privacy"),
                           ScenarioSettings(packet_budget=4))
     summary = attack_trials(lambda rng: plan, trials=50)
-    assert summary.source_rate == summary.dest_rate == summary.pair_rate == 1.0
+    assert summary.hits == (50, 50, 50)
     assert all(v.on_real_path for v in summary.verdicts)
 
 

@@ -11,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from extrout.expcli import (SCHEMA, ConfigError, _format_value, _sample_pair,
-                            main, resolve_config)
+from extrout.expcli import (SCHEMA, ConfigError, _format_value, _make_settings,
+                            _sample_pair, main, resolve_config)
 from extrout.metrics import REFERENCES, ReconciliationRecord
 from extrout.protocols import ProtocolVariant, ScenarioSettings, build_scenario
 from extrout.rng import substream
@@ -119,6 +119,63 @@ def test_provenance_values_parse_back_to_the_defaults(key, parse, default):
     # provenance prints each value with _format_value; reading it back
     # must give the same value, or a run cannot be reproduced from it
     assert parse(_format_value(default)) == default
+
+
+def test_cli_defaults_are_the_library_defaults():
+    cfg = resolve_config(None, {})
+    assert _make_settings(cfg) == ScenarioSettings()
+    params = TopologyParams(cfg["rows"], cfg["cols"])
+    for key in ("spacing", "perturbation", "tx_range", "qudg_factor"):
+        assert cfg[key] == getattr(params, key), key
+
+
+# The provenance block of `report` at the defaults, the output directory
+# masked.  Outputs are compared without it elsewhere, so this pins how each
+# value is written.
+DEFAULT_PROVENANCE = """\
+# command=report
+# topology.rows=20
+# topology.cols=20
+# topology.spacing=100.0
+# topology.perturbation=0.25
+# topology.tx_range=145.0
+# topology.qudg_factor=0.25
+# topology.topology_file=
+# scenario.variant=extrout_baseline
+# scenario.count=1
+# scenario.residual_rate=0
+# scenario.source=0
+# scenario.dest=0
+# scenario.target_hops=8
+# scenario.source_ext=-1
+# scenario.dest_ext=-1
+# scenario.ext_low=2
+# scenario.ext_high=5
+# scenario.strict=true
+# run.seed=1
+# run.reps=20
+# run.budget=7000
+# run.out=OUT
+# run.attack_trials=0
+# run.reference=
+# sweep.hop_targets=3,4,5,6,7,8,9,10,11,12,13,14,15,16
+# sweep.pairs_per_target=20
+# sweep.frontier_hops=12
+# sweep.duplicate_counts=1,2,3,4,5
+# sweep.fake_counts=1
+# sweep.nfake_counts=1,3,5,7,9
+# attack.trials=1000
+"""
+
+
+def test_provenance_block_is_pinned(tmp_path):
+    out = tmp_path / "out"
+    assert main(["report", "--out", str(out)]) == 0
+    text = (out / "reference_report.txt").read_text(encoding="utf-8")
+    masked = text.replace(f"# run.out={out}\n", "# run.out=OUT\n", 1)
+    block, body = masked[:len(DEFAULT_PROVENANCE)], masked[len(DEFAULT_PROVENANCE):]
+    assert block == DEFAULT_PROVENANCE
+    assert body.startswith("[baseline_3_8_4]\n")
 
 
 # ------------------------------------------------------------- exit codes
@@ -417,6 +474,39 @@ def test_main_exit_2_on_reconciliation_failure(tmp_path, monkeypatch):
                "--reps", "1", "--budget", "10",
                "--out", str(tmp_path / "out")])
     assert rc == 2
+
+
+def test_sweep_exits_2_naming_each_report_that_fails_reconciliation(
+        tmp_path, monkeypatch, capsys):
+    import extrout.expcli as expcli
+
+    def one_transmission_more(plan):
+        trace = run(plan)
+        sender = next(iter(trace.node_tx))
+        trace.node_tx[sender] += 1
+        return trace
+
+    monkeypatch.setattr(expcli, "run", one_transmission_more)
+    out = tmp_path / "out"
+    rc = main(["sweep", *_dense_flags(8, 8), "--hop-targets", "3",
+               "--pairs-per-target", "1", "--frontier-hops", "3",
+               "--source-ext", "1", "--dest-ext", "1",
+               "--duplicate-counts", "1", "--fake-counts", "1",
+               "--nfake-counts", "1", "--reps", "1", "--budget", "10",
+               "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        f"wrote {out / 'anonymity_vs_L.csv'}",
+        f"wrote {out / 'anonymity_vs_tof.csv'}"]
+    rows = [line.split(": tof_measured: got ", 1)[0]
+            for line in captured.err.splitlines()]
+    assert rows == ["reconciliation failure: hops 3 pair 0",
+                    "reconciliation failure: no_privacy 0 rep 0",
+                    "reconciliation failure: extrout_baseline 0 rep 0",
+                    "reconciliation failure: extrout_duplicates 1 rep 0",
+                    "reconciliation failure: extrout_fake 1 rep 0",
+                    "reconciliation failure: nfake_pairs 1 rep 0"]
 
 
 # ------------------------------------------------------------- subcommands

@@ -14,10 +14,9 @@ from extrout.metrics import (
     Reference,
     reconcile,
     reference_reconciliations,
-    report_csv_header,
     report_from_run,
-    report_to_csv_row,
     report_to_text,
+    reports_to_csv,
 )
 from extrout.protocols import (
     COVER_KINDS,
@@ -347,13 +346,12 @@ def test_reference_table_reconciles_cleanly():
 # ---------------------------------------------------------- serialization
 
 def test_csv_header_and_row():
-    header = report_csv_header()
-    assert header.startswith("variant,real_hops,")
-    assert header.endswith(",residual_rate")
     report = PrivacyReport("extrout_duplicates", 8, 3, 4,
                                duplicate_hops=(15, 15),
                                tof_measured=5.625)
-    row = report_to_csv_row(report)
+    header, row = reports_to_csv([report]).splitlines()
+    assert header.startswith("variant,real_hops,")
+    assert header.endswith(",residual_rate")
     cells = row.split(",")
     assert len(cells) == len(header.split(","))
     assert cells[0] == "extrout_duplicates"

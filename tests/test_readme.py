@@ -1,4 +1,5 @@
-"""The README's Quick start commands run as written."""
+"""The README's Quick start commands and Library use block run as
+written."""
 
 from __future__ import annotations
 
@@ -44,11 +45,15 @@ QUICK_START_STDOUT = {
 }
 
 
+def _section(title: str) -> str:
+    text = README.read_text(encoding="utf-8")
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def quick_start_commands() -> list[list[str]]:
     """Each `extrout ...` command of the Quick start section, its `\\`
     continuations joined, split into arguments without the program name."""
-    text = README.read_text(encoding="utf-8")
-    section = text.split("\n## Quick start\n", 1)[1].split("\n## ", 1)[0]
+    section = _section("Quick start")
     commands = []
     for block in re.findall(r"^```\n(.*?)^```", section, re.M | re.S):
         for command in block.replace("\\\n", " ").splitlines():
@@ -66,3 +71,11 @@ def test_quick_start_commands_run(tmp_path, monkeypatch, capsys):
         assert main(words) == 0, words
         out = capsys.readouterr().out
         assert out.splitlines() == QUICK_START_STDOUT[words[0]], words
+
+
+def test_library_use_block_runs(capsys):
+    block = re.search(r"^```python\n(.*?)^```", _section("Library use"),
+                      re.M | re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == (
+        "ReconciliationRecord(failures=(), flags=(), notes=())\n")
