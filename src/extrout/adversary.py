@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import random
-import statistics
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -272,6 +271,10 @@ def unlinkability_score(obs: TrafficTrace) -> float:
     counts = [c for c in obs.node_tx.values() if c > 0]
     if not counts:
         raise ValueError("no active transmitters to score")
+    if min(counts) == max(counts):
+        return 1.0  # pstdev is exactly 0
+    import statistics  # here, so a command that never needs it skips loading it
+
     mean = statistics.fmean(counts)
     cv = statistics.pstdev(counts) / mean
     return 1.0 - min(1.0, cv)

@@ -16,12 +16,11 @@ codes: 0 success, 1 configuration error, 2 reconciliation failure.
 from __future__ import annotations
 
 import argparse
-import configparser
+import math
 import sys
 from dataclasses import fields, replace
 from functools import partial
 from pathlib import Path
-from statistics import fmean
 
 from .adversary import (
     attack_trials,
@@ -159,6 +158,8 @@ def resolve_config(config_path: str | None,
     work."""
     cfg = {key: default for _, key, _, default in SCHEMA}
     if config_path:
+        import configparser  # here, so a command without --config skips loading it
+
         # No section can be named "", so [DEFAULT] reads as an ordinary
         # section whose keys are rejected below, not copied into every other.
         # Values are read literally: "%" has no special meaning.
@@ -225,7 +226,7 @@ def _mean_exact(values) -> float:
         raise ValueError("no values to average")
     if all(value == values[0] for value in values):
         return values[0]
-    return fmean(values)
+    return math.fsum(values) / len(values)
 
 
 def _from_input(build, *args, **kwargs):
@@ -504,7 +505,7 @@ def cmd_attack(cfg: dict) -> int:
     summary = attack_trials(scenario, cfg["trials"],
                             seed=child_seed(cfg["seed"], "attack"))
     expected = report_from_run(summary.first_plan).guess_success
-    on_path = fmean(1.0 if v.on_real_path else 0.0 for v in summary.verdicts)
+    on_path = sum(v.on_real_path for v in summary.verdicts) / summary.trials
 
     _write(cfg, "attack", "attack.csv", verdicts_to_csv(summary))
     lines = [f"trials             {summary.trials}"]

@@ -7,22 +7,19 @@ steady-state interval of synchronized cover traffic.
 
 from __future__ import annotations
 
-import logging
 import math
 import random
 from collections import Counter
 from dataclasses import dataclass
 
 from .routing import (ExtendedRoute, Route, disjoint_paths, extrapolate,
-                      lexicographic_walk, shortest_path)
+                      lexicographic_walk, log_info, shortest_path)
 from .topology import Topology
 
 VARIANT_KINDS = ("no_privacy", "extrout_baseline", "extrout_duplicates",
                  "extrout_fake", "nfake_pairs")
 PARAMETERISED_KINDS = ("extrout_duplicates", "extrout_fake", "nfake_pairs")
 COVER_KINDS = ("extrout_baseline", "extrout_duplicates", "extrout_fake")
-
-logger = logging.getLogger(__name__)
 
 
 class PlacementError(Exception):
@@ -204,7 +201,7 @@ def place_fake_pair(topo: Topology, real: Route, rng: random.Random,
     forbidden = set(real.nodes) | avoid
     for slack in (1, 2):
         if slack == 2:
-            logger.info("no fake pair within 1 hop of separation %d, trying 2", real.hops)
+            log_info(__name__, "no fake pair within 1 hop of separation %d, trying 2", real.hops)
         for tier in _pair_tiers(topo, real, slack):
             # Tiers hold equal gaps, so filtering each one yields the tiers
             # of the filtered ranking; an emptied tier draws nothing.

@@ -8,8 +8,8 @@ here is deterministic for a fixed topology and seed.
 from __future__ import annotations
 
 import heapq
-import logging
 import random
+import sys
 from collections import deque
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -20,7 +20,15 @@ from .topology import Topology
 # Landmark nodes whose hop tables bound pair distances in at_hop_distance.
 LANDMARKS = 4
 
-logger = logging.getLogger(__name__)
+
+def log_info(name: str, msg: str, *args) -> None:
+    """Log msg % args at INFO on the logger `name`, once the application
+    has imported `logging`. Before that no handler or level can be set, so
+    the record would be dropped, and importing `logging` would only cost
+    every command start-up time."""
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(name).info(msg, *args, stacklevel=2)
 
 
 class UnreachableError(Exception):
@@ -247,9 +255,9 @@ def extrapolate(topo: Topology, route: Route, source_ext: int, dest_ext: int,
     prefix = grow(src, dist_to_dst, source_ext)
     suffix = grow(dst, dist_to_src, dest_ext)
     if source_ext > 0 and not prefix:
-        logger.info("no source-side extension possible from node %d", src)
+        log_info(__name__, "no source-side extension possible from node %d", src)
     if dest_ext > 0 and not suffix:
-        logger.info("no destination-side extension possible from node %d", dst)
+        log_info(__name__, "no destination-side extension possible from node %d", dst)
     full = Route(tuple(reversed(prefix)) + route.nodes + tuple(suffix))
     return ExtendedRoute(route=full, source_ext=len(prefix),
                          dest_ext=len(suffix))
@@ -404,7 +412,7 @@ def disjoint_paths(topo: Topology, anchor_source: int, anchor_dest: int,
         bound = dist[goal]
         found += 1
     if found < count:
-        logger.info("only %d of %d requested disjoint paths exist", found, count)
+        log_info(__name__, "only %d of %d requested disjoint paths exist", found, count)
 
     # Decompose the flow: from the source anchor, take each node's smallest
     # used link out (indices ascend with node ids) and consume it.

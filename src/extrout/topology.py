@@ -30,7 +30,9 @@ class TopologyParams:
 
     qudg_factor is the certainty fraction a: links are certain below
     a * tx_range. perturbation is the jitter amplitude as a fraction of
-    spacing, per axis.
+    spacing, per axis. seed defaults to 0, while the command line's
+    run.seed defaults to 1, so TopologyParams(20, 20) is not the network
+    `extrout topology` generates at its defaults.
     """
 
     grid_rows: int
