@@ -11,16 +11,16 @@ Anonymity is reported in two forms that are both in circulation: the
 single-endpoint form 1 - 1/G (G = size of that anonymity group) and the
 pair form 1 - (1/G)(1/G) that multiplies the exposure of source and
 destination, each hiding among the same G.  The transmission overhead
-factor (TOF) is the summed chain hops (the per-interval transmissions)
-divided by the real path length, so 1.0 means no privacy overhead at
-all.
+factor (TOF) is the per-interval transmissions, the summed chain hops
+plus residual_rate dummies at each of the network's nodes, divided by
+the real path length, so 1.0 means no privacy overhead at all.
 
 Reconciliation cross-checks three things: measured TOF against the
-analytical formula (exact when no residual cover traffic runs), an
-empirically attacked anonymity level against the analytical one (within
-the attack's confidence interval), and optionally a set of externally
-reported reference numbers (discrepancies there are flagged, not failed,
-since a reference can simply be wrong).
+analytical formula (exactly), an empirically attacked anonymity level
+against the analytical one (within the attack's confidence interval),
+and optionally a set of externally reported reference numbers
+(discrepancies there are flagged, not failed, since a reference can
+simply be wrong).
 """
 
 from __future__ import annotations
@@ -104,9 +104,11 @@ class PrivacyReport:
     The chains are the carrier (source_ext + real_hops + dest_ext hops)
     plus one chain per duplicate and fake hop count.  The anonymity group
     is their summed hops when the variant runs cover traffic and their
-    number when it does not; TOF is the summed hops over real_hops.  Only
-    the inputs and the measurements are stored; every analytical figure is
-    a property, so valid inputs always give valid figures.
+    number when it does not; TOF is the summed hops plus residual_rate *
+    node_count over real_hops.  node_count, the network's size, may stay 0
+    only without residual cover.  Only the inputs and the measurements are
+    stored; every analytical figure is a property, so valid inputs always
+    give valid figures.
     """
 
     variant: str
@@ -116,6 +118,7 @@ class PrivacyReport:
     duplicate_hops: tuple[int, ...] = ()
     fake_hops: tuple[int, ...] = ()
     residual_rate: int = 0
+    node_count: int = 0
     tof_measured: float | None = None
     anonymity_empirical: float | None = None
     empirical_ci: tuple[float, float] | None = None
@@ -131,6 +134,9 @@ class PrivacyReport:
             raise ValueError("extension hop counts must be >= 0")
         if any(hops < 1 for hops in self.duplicate_hops + self.fake_hops):
             raise ValueError("duplicate and fake path lengths must be >= 1")
+        if self.residual_rate and self.node_count < 1:
+            raise ValueError("residual cover needs the network's node count, "
+                             f"got {self.node_count}")
 
     @property
     def _cover(self) -> bool:
@@ -162,7 +168,10 @@ class PrivacyReport:
 
     @property
     def tof_analytical(self) -> float:
-        return self._total_hops / self.real_hops
+        """Per-interval transmissions over real_hops: every chain hop plus
+        residual_rate dummies at every node."""
+        return ((self._total_hops + self.residual_rate * self.node_count)
+                / self.real_hops)
 
     @property
     def n_fakes(self) -> int:
@@ -206,6 +215,7 @@ def report_from_run(plan: ScenarioPlan, trace: TrafficTrace | None = None,
         duplicate_hops=tuple(r.hops for r in plan.duplicates),
         fake_hops=tuple(r.hops for r in plan.fake_paths),
         residual_rate=plan.variant.residual_cover_rate,
+        node_count=plan.topology.node_count,
         tof_measured=tof_measured,
         unlinkability=unlinkability,
     )
@@ -229,20 +239,20 @@ def reconcile(report: PrivacyReport,
               reference: Reference | None = None) -> ReconciliationRecord:
     """Cross-check a report; hard failures versus advisory flags.
 
-    Measured TOF must equal the analytical value exactly while residual
-    cover is off (the accounting is deterministic).  Analytical anonymity
-    must fall inside the empirical confidence interval when an attack was
-    run.  A reference entry's quoted (anonymity, tof) pair only raises a
-    flag on mismatch: the computation is trusted over the quoted number.
-    Its notes carry interpretation remarks into the record unchanged.
+    Measured TOF must equal the analytical value exactly (the accounting
+    is deterministic).  Analytical anonymity must fall inside the empirical
+    confidence interval when an attack was run.  A reference entry's quoted
+    (anonymity, tof) pair only raises a flag on mismatch: the computation
+    is trusted over the quoted number.  Its notes carry interpretation
+    remarks into the record unchanged.
     """
     failures = []
     flags = []
-    if report.tof_measured is not None and report.residual_rate == 0:
-        if report.tof_measured != report.tof_analytical:
-            failures.append(
-                "tof_measured: got "
-                f"{report.tof_measured!r}, expected {report.tof_analytical!r}")
+    if (report.tof_measured is not None
+            and report.tof_measured != report.tof_analytical):
+        failures.append(
+            "tof_measured: got "
+            f"{report.tof_measured!r}, expected {report.tof_analytical!r}")
     if report.empirical_ci is not None:
         low, high = report.empirical_ci
         if not low <= report.anonymity_single <= high:

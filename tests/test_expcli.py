@@ -476,37 +476,60 @@ def test_main_exit_2_on_reconciliation_failure(tmp_path, monkeypatch):
     assert rc == 2
 
 
+def _one_transmission_more(plan):
+    """run, plus one transmission that no plan makes, so every report of
+    the trace fails its TOF check."""
+    trace = run(plan)
+    sender = next(iter(trace.node_tx))
+    trace.node_tx[sender] += 1
+    return trace
+
+
+def _failing_rows(err: str) -> list[str]:
+    return [line.split(": tof_measured: got ", 1)[0]
+            for line in err.splitlines()]
+
+
+@pytest.mark.parametrize("rate", ["0", "1"])
 def test_sweep_exits_2_naming_each_report_that_fails_reconciliation(
-        tmp_path, monkeypatch, capsys):
+        tmp_path, monkeypatch, capsys, rate):
     import extrout.expcli as expcli
 
-    def one_transmission_more(plan):
-        trace = run(plan)
-        sender = next(iter(trace.node_tx))
-        trace.node_tx[sender] += 1
-        return trace
-
-    monkeypatch.setattr(expcli, "run", one_transmission_more)
+    monkeypatch.setattr(expcli, "run", _one_transmission_more)
     out = tmp_path / "out"
     rc = main(["sweep", *_dense_flags(8, 8), "--hop-targets", "3",
                "--pairs-per-target", "1", "--frontier-hops", "3",
                "--source-ext", "1", "--dest-ext", "1",
                "--duplicate-counts", "1", "--fake-counts", "1",
                "--nfake-counts", "1", "--reps", "1", "--budget", "10",
-               "--out", str(out)])
+               "--residual-rate", rate, "--out", str(out)])
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.out.splitlines() == [
         f"wrote {out / 'anonymity_vs_L.csv'}",
         f"wrote {out / 'anonymity_vs_tof.csv'}"]
-    rows = [line.split(": tof_measured: got ", 1)[0]
-            for line in captured.err.splitlines()]
-    assert rows == ["reconciliation failure: hops 3 pair 0",
-                    "reconciliation failure: no_privacy 0 rep 0",
-                    "reconciliation failure: extrout_baseline 0 rep 0",
-                    "reconciliation failure: extrout_duplicates 1 rep 0",
-                    "reconciliation failure: extrout_fake 1 rep 0",
-                    "reconciliation failure: nfake_pairs 1 rep 0"]
+    assert _failing_rows(captured.err) == [
+        "reconciliation failure: hops 3 pair 0",
+        "reconciliation failure: no_privacy 0 rep 0",
+        "reconciliation failure: extrout_baseline 0 rep 0",
+        "reconciliation failure: extrout_duplicates 1 rep 0",
+        "reconciliation failure: extrout_fake 1 rep 0",
+        "reconciliation failure: nfake_pairs 1 rep 0"]
+
+
+def test_run_names_each_failing_rep_once(tmp_path, monkeypatch, capsys):
+    # rep 0's report is also the headline, reconciled against the attack
+    # and the reference; its failure is still listed once, as rep 0's
+    import extrout.expcli as expcli
+
+    monkeypatch.setattr(expcli, "run", _one_transmission_more)
+    rc = main(["run", *_dense_flags(8, 8), "--seed", "3", "--target-hops", "3",
+               "--reps", "2", "--budget", "10", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "reconciliation pass" not in captured.out
+    assert _failing_rows(captured.err) == ["reconciliation failure: rep 0",
+                                           "reconciliation failure: rep 1"]
 
 
 # ------------------------------------------------------------- subcommands

@@ -43,9 +43,9 @@ GOLDEN = {
         "heatmap.txt":
             "5af7990eda60aebc7b6a47a108e23e39f9ce7b33fad73d36567a82da4110f7e6",
         "report.txt":
-            "b06e5ec31ded6d88bfe7d020225c2127f8a9fc09b4903e95cee61fda8e98c1db",
+            "08c9fdf6b12b99c58ae39a873e1d27fd142ebb3e80376455b22ab3352e67e844",
         "report.csv":
-            "330926b4f141cfa2484ddd41b42f6b62d81de5a6835e32ee81e30c6e9b399af7",
+            "ca9e3c650159caf29138eefd55dd11c55e254590af9f99efa9b6347f6b3793b5",
     }),
     "attack_duplicates": (["attack", "--variant", "extrout_duplicates",
                            "--count", "2", "--target-hops", "4",

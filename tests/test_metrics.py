@@ -158,6 +158,9 @@ def test_report_validation():
         PrivacyReport("extrout_baseline", 8, 0, -1)
     with pytest.raises(ValueError, match="path lengths"):
         PrivacyReport("extrout_duplicates", 8, 3, 4, duplicate_hops=(15, 0))
+    # residual cover counts toward TOF, so it cannot go without the network
+    with pytest.raises(ValueError, match="node count"):
+        PrivacyReport("extrout_baseline", 8, 3, 4, residual_rate=1)
     # the figures are derived, so no field can contradict them
     names = {f.name for f in fields(PrivacyReport)}
     assert names.isdisjoint({"anonymity_single", "anonymity_pair",
@@ -263,9 +266,9 @@ def test_report_from_run_with_residual_cover():
                           random.Random(0))
     report = report_from_run(plan, run(plan))
     assert report.residual_rate == 1
-    assert report.tof_measured == (15 + 20) / 8
-    assert report.tof_analytical == 1.875
-    # residual cover inflates measured TOF by design, never a failure
+    assert report.node_count == 20
+    # 15 chain hops plus one residual dummy at each of the 20 nodes
+    assert report.tof_analytical == report.tof_measured == (15 + 20) / 8
     assert reconcile(report).passed
 
 

@@ -249,6 +249,36 @@ def test_measured_tof_is_the_summed_chain_hops(params, plan_seed, start,
 @settings(max_examples=30, deadline=None)
 @given(params=topology_params, plan_seed=st.integers(0, 2**16),
        start=st.integers(1, 49), count=st.integers(1, 3),
+       budget=st.integers(1, 50), rate=st.integers(0, 3), strict=st.booleans())
+def test_every_plan_reconciles_at_every_residual_rate(params, plan_seed, start,
+                                                      count, budget, rate,
+                                                      strict):
+    # The closed-form TOF counts residual cover at every node, so the
+    # measured TOF matches it bit for bit and reconcile exempts no plan.
+    topo = generate(params)
+    pair = _far_pair(topo, 1 + (start - 1) % topo.node_count)
+    assume(pair[0] != pair[1])
+    for kind in VARIANT_KINDS:
+        variant = ProtocolVariant(kind, count if kind in PARAMETERISED_KINDS else 0,
+                                  residual_cover_rate=rate)
+        try:
+            plan = build_scenario(topo, *pair, variant,
+                                  ScenarioSettings(packet_budget=budget,
+                                                   strict=strict),
+                                  random.Random(plan_seed))
+        except PlacementError:
+            continue
+        report = report_from_run(plan, run(plan))
+        assert report.tof_measured == report.tof_analytical, kind
+        assert reconcile(report).passed, kind
+        assert report.tof_analytical == (
+            (sum(c.hops for c in plan.all_chains()) + rate * topo.node_count)
+            / plan.real_route.hops), kind
+
+
+@settings(max_examples=30, deadline=None)
+@given(params=topology_params, plan_seed=st.integers(0, 2**16),
+       start=st.integers(1, 49), count=st.integers(1, 3),
        budget=st.integers(1, 50))
 def test_scores_match_the_trace_keyed_by_every_node(params, plan_seed, start,
                                                     count, budget):
