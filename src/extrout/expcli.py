@@ -295,7 +295,7 @@ def _pick_endpoints(topo, cfg: dict, target_hops: int, rng) -> tuple[int, int]:
     if cfg["source"] > 0:
         source, dest = cfg["source"], cfg["dest"]
         for node in (source, dest):
-            if node not in topo.adjacency:
+            if node not in topo.node_index:
                 raise ConfigError(f"node {node} not in topology")
         if source == dest:
             raise ConfigError("source and dest must differ")
@@ -333,7 +333,7 @@ def _exit_code(failures: list[str]) -> int:
 def cmd_topology(cfg: dict) -> int:
     topo = _topology(cfg)
     degree = average_degree(topo)
-    links = sum(map(len, topo.adjacency.values())) // 2
+    links = sum(map(len, topo.neighbor_indices)) // 2
     print(f"nodes={topo.node_count} links={links} "
           f"average_degree={degree:.3f}")
     _write(cfg, "topology", "topology.txt", topology_to_text(topo))

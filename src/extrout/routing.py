@@ -10,10 +10,8 @@ from __future__ import annotations
 import heapq
 import random
 import sys
-from collections import deque
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .topology import Topology
 
@@ -84,50 +82,70 @@ class ExtendedRoute:
                 f"{self.route.hops}-hop route")
 
 
-def hop_distances(topo: Topology, src: int) -> Mapping[int, int]:
-    """BFS hop counts from src to every reachable node.
+def hop_distances(topo: Topology, src: int) -> dict[int, int]:
+    """BFS hop counts from src to every node it reaches, by id.
 
-    Every table is kept in topo.memo[hop_distances], a dict by source; the
-    view is read-only because later callers share it. The landmarks call
-    _bfs and keep nothing here; the decoy-pair ranking uses hop balls and
-    no table at all.
+    A new dict read off src's hop table (see _hop_table), so a second
+    request runs no search and the caller may change what it gets.
     """
-    tables = topo.memo.get(hop_distances)
+    nodes = topo.nodes
+    return {nodes[k]: d for k, d in enumerate(_hop_table(topo, _index(topo, src)))
+            if d >= 0}
+
+
+def _index(topo: Topology, node: int) -> int:
+    """node's index into topo.nodes; a node outside the topology raises
+    ValueError."""
+    k = topo.node_index.get(node)
+    if k is None:
+        raise ValueError(f"node {node} not in topology")
+    return k
+
+
+def _hop_table(topo: Topology, src: int) -> tuple[int, ...]:
+    """Hop counts from index src to every index into topo.nodes, -1 where
+    unreachable, from one BFS along topo.neighbor_indices.
+
+    Every table is kept in topo.memo[_hop_table], a dict by source index,
+    and read by every search here: the landmarks, the walks and
+    extrapolation. It is a tuple, so no caller can change what the others
+    read. The decoy-pair ranking uses hop balls and no table at all.
+    """
+    tables = topo.memo.get(_hop_table)
     if tables is None:
-        tables = topo.memo[hop_distances] = {}
+        tables = topo.memo[_hop_table] = {}
     table = tables.get(src)
     if table is None:
-        if src not in topo.positions:
-            raise ValueError(f"node {src} not in topology")
-        table = tables[src] = _bfs(topo, src)
+        nbrs = topo.neighbor_indices
+        dist = [-1] * len(nbrs)
+        dist[src] = 0
+        frontier, hops = [src], 0
+        while frontier:
+            hops += 1
+            reached = []
+            for u in frontier:
+                for v in nbrs[u]:
+                    if dist[v] < 0:
+                        dist[v] = hops
+                        reached.append(v)
+            frontier = reached
+        table = tables[src] = tuple(dist)
     return table
 
 
-def _bfs(topo: Topology, src: int) -> Mapping[int, int]:
-    adjacency = topo.adjacency
-    dist = {src: 0}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for v in adjacency[u]:
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return MappingProxyType(dist)
-
-
-def _landmarks(topo: Topology) -> tuple[Mapping[int, int], ...]:
-    """Hop tables of LANDMARKS nodes picked farthest-first from the lowest
-    node id (on a grid, its corners), kept in topo.memo[_landmarks]."""
+def _landmarks(topo: Topology) -> tuple[tuple[int, ...], ...]:
+    """Hop tables of LANDMARKS nodes picked farthest-first from index 0,
+    the lowest id (on a grid, its corners), taking the lowest index among
+    equally far nodes. The tuple of them is kept in topo.memo[_landmarks];
+    each table is _hop_table's."""
     tables = topo.memo.get(_landmarks)
     if tables is None:
-        tables = [_bfs(topo, topo.nodes[0])]
-        nearest = dict(tables[0])
+        tables = [_hop_table(topo, 0)]
+        nearest = tables[0]
         while len(tables) < LANDMARKS:
-            tables.append(_bfs(topo, max(nearest, key=nearest.__getitem__)))
-            for n, d in tables[-1].items():
-                if d < nearest[n]:
-                    nearest[n] = d
+            tables.append(_hop_table(topo, nearest.index(max(nearest))))
+            # -1 in every table off index 0's component, so it stays -1
+            nearest = tuple(map(min, nearest, tables[-1]))
         tables = topo.memo[_landmarks] = tuple(tables)
     return tables
 
@@ -139,33 +157,40 @@ def at_hop_distance(topo: Topology, u: int, v: int, hops: int) -> bool:
     over the whole topology: an A* search from u, guided by the landmark
     tables' lower bound on the distance to v (triangle inequality), finds
     the distance exactly but expands only nodes that could still lie on a
-    path of at most `hops` hops.
+    path of at most `hops` hops. An end outside the topology raises
+    ValueError.
     """
-    if u == v:
+    a, b = _index(topo, u), _index(topo, v)
+    if a == b:
         return hops == 0
     bounds = []
     for table in _landmarks(topo):
-        if (u in table) != (v in table):
+        if (table[a] < 0) != (table[b] < 0):
             return False  # different components
-        if v in table:
-            bounds.append((table, table[v]))
+        if table[b] >= 0:
+            bounds.append((table, table[b]))
 
     def lower(n: int) -> int:
-        return max([abs(t[n] - tv) for t, tv in bounds]) if bounds else 0
+        bound = 0
+        for table, tv in bounds:
+            gap = abs(table[n] - tv)
+            if gap > bound:
+                bound = gap
+        return bound
 
-    if lower(u) > hops:
+    if lower(a) > hops:
         return False
-    adjacency = topo.adjacency
-    depth = {u: 0}
-    heap = [(lower(u), 0, u)]
+    nbrs = topo.neighbor_indices
+    depth = {a: 0}
+    heap = [(lower(a), 0, a)]
     while heap:
         _f, neg_depth, n = heapq.heappop(heap)
-        if n == v:
+        if n == b:
             return -neg_depth == hops
         if -neg_depth > depth[n]:
             continue  # reached by a shorter path since it was pushed
         step = 1 - neg_depth
-        for m in adjacency[n]:
+        for m in nbrs[n]:
             if step < depth.get(m, hops + 1):
                 f = step + lower(m)
                 if f <= hops:
@@ -197,25 +222,23 @@ def lexicographic_walk(topo: Topology, source: int, dest: int) -> Iterator[int]:
     """The nodes after source on its minimum-hop path to dest, lazily.
 
     Among equal-length paths the lexicographically smallest node sequence
-    wins: each step takes the first neighbour (adjacency ascends) one hop
-    closer to dest. This call checks the endpoints and builds dest's hop
-    table, so a bad pair raises here, not on the first step.
+    wins: each step takes the first neighbour (indices ascend with ids)
+    one hop closer to dest. This call checks the endpoints and builds
+    dest's hop table, so a bad pair raises here, not on the first step.
     """
-    if source not in topo.positions or dest not in topo.positions:
-        raise ValueError(f"endpoints ({source}, {dest}) not in topology")
-    dist = hop_distances(topo, dest)
-    if source not in dist:
+    k = _index(topo, source)
+    dist = _hop_table(topo, _index(topo, dest))
+    if dist[k] < 0:
         raise UnreachableError(f"no path from {source} to {dest}")
-    adjacency = topo.adjacency
+    nodes, nbrs = topo.nodes, topo.neighbor_indices
 
-    def walk(current: int) -> Iterator[int]:
-        while current != dest:
-            closer = dist[current] - 1
-            for current in adjacency[current]:
-                if dist.get(current) == closer:
+    def walk(k: int) -> Iterator[int]:
+        for closer in range(dist[k] - 1, -1, -1):
+            for k in nbrs[k]:
+                if dist[k] == closer:
                     break
-            yield current
-    return walk(source)
+            yield nodes[k]
+    return walk(k)
 
 
 def extrapolate(topo: Topology, route: Route, source_ext: int, dest_ext: int,
@@ -225,35 +248,38 @@ def extrapolate(topo: Topology, route: Route, source_ext: int, dest_ext: int,
     Strict mode admits a step-k candidate only if its hop distance to the
     far real endpoint is exactly route.hops + k, so the whole extended path
     stays a shortest path between its anchors. Lenient mode admits any
-    neighbor that keeps the path simple. Ties break uniformly via rng.
-    Extension truncates (never fails) when a step has no candidate; nodes in
-    `avoid` are never used.
+    neighbor that keeps the path simple. Ties break uniformly via rng among
+    the candidates in ascending order. Extension truncates (never fails)
+    when a step has no candidate; nodes in `avoid` are never used, and
+    those outside the topology are ignored.
     """
     if source_ext < 0 or dest_ext < 0:
         raise ValueError("extension hop counts must be non-negative")
     hops = route.hops
     src, dst = route.source, route.dest
-    dist_to_dst = hop_distances(topo, dst)
-    if dist_to_dst.get(src) != hops:
+    a, b = _index(topo, src), _index(topo, dst)
+    dist_to_dst = _hop_table(topo, b)
+    if dist_to_dst[a] != hops:
         raise ValueError("route is not a shortest path between its endpoints")
-    dist_to_src = hop_distances(topo, src)
-    used = set(route.nodes) | set(avoid)
-    adjacency = topo.adjacency
+    dist_to_src = _hop_table(topo, a)
+    at = topo.node_index
+    used = {at[n] for n in (*route.nodes, *avoid) if n in at}
+    nodes, nbrs = topo.nodes, topo.neighbor_indices
 
-    def grow(tail: int, dist_map: Mapping[int, int], want: int) -> list[int]:
+    def grow(tail: int, dist: tuple[int, ...], want: int) -> list[int]:
         chain: list[int] = []
         for k in range(1, want + 1):
-            cands = [m for m in adjacency[tail]
-                     if m not in used and (not strict or dist_map.get(m) == hops + k)]
+            cands = [m for m in nbrs[tail]
+                     if m not in used and (not strict or dist[m] == hops + k)]
             if not cands:
                 break
             tail = rng.choice(cands)
-            chain.append(tail)
+            chain.append(nodes[tail])
             used.add(tail)
         return chain
 
-    prefix = grow(src, dist_to_dst, source_ext)
-    suffix = grow(dst, dist_to_src, dest_ext)
+    prefix = grow(a, dist_to_dst, source_ext)
+    suffix = grow(b, dist_to_src, dest_ext)
     if source_ext > 0 and not prefix:
         log_info(__name__, "no source-side extension possible from node %d", src)
     if dest_ext > 0 and not suffix:

@@ -11,7 +11,6 @@ import math
 import random
 from collections.abc import Iterable
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 from .rng import substream
@@ -75,51 +74,43 @@ class Topology:
 
     links may be any iterable of node pairs, each in either order and
     possibly repeated. A self-link or an end missing from positions raises
-    ValueError. The graph is stored once, as adjacency: each node's
-    distinct neighbours, ascending. Equality compares params, positions
-    and adjacency.
+    ValueError. The graph is stored once, by index: nodes holds the ids
+    ascending, node_index each id's index in nodes, and neighbor_indices,
+    for each index, its neighbours' distinct indices, ascending. Index
+    order is id order, so a search that reads its neighbours ascending by
+    index reads them ascending by id. Equality compares params, positions
+    and neighbor_indices.
 
-    nodes (the ids ascending) is derived once; routing reads its searches
-    off nodes and adjacency in that order. node_index and neighbor_indices
-    are the same graph by index into nodes, built on first use by the
-    searches that run on int lists. memo keeps RNG-independent results
-    that other modules derive from the graph, each under a key that the
-    function filling it owns and documents. None of these take part in
-    equality, so a warmed topology equals a fresh one.
+    memo keeps RNG-independent results that other modules derive from the
+    graph, each under a key that the function filling it owns and
+    documents. It takes no part in equality, so a warmed topology equals a
+    fresh one.
     """
 
     params: TopologyParams
     positions: dict[int, Position]
     links: InitVar[Iterable[tuple[int, int]]]
-    adjacency: dict[int, tuple[int, ...]] = field(init=False)
     nodes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    node_index: dict[int, int] = field(init=False, repr=False, compare=False)
+    neighbor_indices: tuple[tuple[int, ...], ...] = field(init=False)
     memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, links):
-        nbrs: dict[int, list[int]] = {n: [] for n in self.positions}
+        nodes = self.nodes = tuple(sorted(self.positions))
+        at = self.node_index = {n: k for k, n in enumerate(nodes)}
+        nbrs: list[list[int]] = [[] for _ in nodes]
         try:
             for i, j in links:
                 if i == j:
                     raise ValueError(f"self-link on node {i}")
-                nbrs[i].append(j)
-                nbrs[j].append(i)
+                a, b = at[i], at[j]
+                nbrs[a].append(b)
+                nbrs[b].append(a)
         except KeyError:
             raise ValueError(f"link ({min(i, j)}, {max(i, j)}) references "
                              "an unplaced node") from None
-        self.adjacency = {n: tuple(sorted(set(v))) for n, v in nbrs.items()}
-        self.nodes = tuple(sorted(self.positions))
+        self.neighbor_indices = tuple(tuple(sorted(set(v))) for v in nbrs)
         self.memo = {}
-
-    @cached_property
-    def node_index(self) -> dict[int, int]:
-        """Each id's index in nodes."""
-        return {n: k for k, n in enumerate(self.nodes)}
-
-    @cached_property
-    def neighbor_indices(self) -> tuple[tuple[int, ...], ...]:
-        """For each index into nodes, its neighbours' indices, ascending."""
-        at = self.node_index
-        return tuple(tuple(at[m] for m in self.adjacency[n]) for n in self.nodes)
 
     @property
     def node_count(self) -> int:
@@ -225,14 +216,14 @@ def average_degree(topo: Topology) -> float:
     its cells 1..N (a loaded file may number nodes freely), all nodes count.
     """
     p = topo.params
-    pool = topo.nodes
-    if pool == tuple(range(1, p.node_count + 1)):
-        cells = map(p.grid_cell, pool)
-        pool = [
-            n for n, (row, col) in zip(pool, cells)
+    degrees = list(map(len, topo.neighbor_indices))
+    if topo.nodes == tuple(range(1, p.node_count + 1)):
+        cells = map(p.grid_cell, topo.nodes)
+        degrees = [
+            degree for degree, (row, col) in zip(degrees, cells)
             if 0 < row < p.grid_rows - 1 and 0 < col < p.grid_cols - 1
-        ] or pool
-    return sum(len(topo.adjacency[n]) for n in pool) / len(pool)
+        ] or degrees
+    return sum(degrees) / len(degrees)
 
 
 def topology_to_text(topo: Topology) -> str:
@@ -247,9 +238,10 @@ def topology_to_text(topo: Topology) -> str:
     for n in topo.nodes:
         pos = topo.positions[n]
         lines.append(f"{n} {pos.x!r} {pos.y!r}")
-    # Nodes and each adjacency ascend, so the links come out sorted.
-    for i in topo.nodes:
-        lines.extend(f"{i} {j}" for j in topo.adjacency[i] if j > i)
+    # Nodes and each node's neighbours ascend, so the links come out sorted.
+    nodes = topo.nodes
+    for k, near in enumerate(topo.neighbor_indices):
+        lines.extend(f"{nodes[k]} {nodes[j]}" for j in near if j > k)
     return "\n".join(lines) + "\n"
 
 

@@ -17,9 +17,17 @@ from collections import defaultdict
 from extrout.adversary import Branch
 
 
+def adjacency(topo) -> dict:
+    """A topology's graph by id: each node's neighbours, ascending, read off
+    its neighbour lists by index."""
+    nodes = topo.nodes
+    return {n: tuple(nodes[j] for j in near)
+            for n, near in zip(nodes, topo.neighbor_indices)}
+
+
 def link_pairs(topo) -> frozenset[tuple[int, int]]:
     """A topology's links as (low, high) pairs, read off its adjacency."""
-    return frozenset((i, j) for i, near in topo.adjacency.items()
+    return frozenset((i, j) for i, near in adjacency(topo).items()
                      for j in near if i < j)
 
 
@@ -39,21 +47,10 @@ def matrix_from_csv(text: str) -> list[list[float]]:
     return rows
 
 
-class CountingAdjacency(dict):
-    """An adjacency mapping that counts the neighbour lists read from it,
-    so a test can bound how much of the graph a search expands."""
-
-    reads = 0
-
-    def __getitem__(self, node):
-        self.reads += 1
-        return super().__getitem__(node)
-
-
 class CountingNeighbours(tuple):
-    """Neighbour lists by node index that record which are read, in order,
-    the same idea as CountingAdjacency for the searches that run on ints;
-    reads is how many."""
+    """Neighbour lists by node index that record which are read by index,
+    in order, so a test can bound how much of the graph a search expands
+    and pin the order it expands it in; reads is how many."""
 
     def __new__(cls, rows):
         self = super().__new__(cls, rows)

@@ -28,7 +28,7 @@ from extrout.topology import (Position, TopologyParams,
                               link_probability, topology_to_text)
 
 from ladders import line_topology, parallel_paths, random_topology
-from oracles import bfs_levels, link_pairs, max_node_disjoint_paths
+from oracles import adjacency, bfs_levels, link_pairs, max_node_disjoint_paths
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -248,11 +248,11 @@ def test_criterion_08_routing_matches_independent_oracles():
     rng = random.Random(17)
     for seed in range(100):
         topo = random_topology(24, 0.12, seed)
-        adjacency = topo.adjacency
+        graph = adjacency(topo)
         picks = 0
         while picks < 50:
             start = rng.choice(topo.nodes)
-            levels = bfs_levels(adjacency, start)
+            levels = bfs_levels(graph, start)
             reachable = [n for n in levels if n != start]
             if not reachable:
                 continue
@@ -264,7 +264,7 @@ def test_criterion_08_routing_matches_independent_oracles():
     for seed in range(50):
         topo = random_topology(20, 0.2, seed)
         a, b = rng.sample(topo.nodes, 2)
-        expected = max_node_disjoint_paths(topo.adjacency, a, b)
+        expected = max_node_disjoint_paths(adjacency(topo), a, b)
         found = disjoint_paths(topo, a, b, 20, Route((a, b)))
         assert len(found) == expected
         positive += 1 if expected else 0

@@ -16,13 +16,13 @@ from extrout.expcli import (SCHEMA, ConfigError, _format_value, _make_settings,
 from extrout.metrics import REFERENCES, ReconciliationRecord
 from extrout.protocols import ProtocolVariant, ScenarioSettings, build_scenario
 from extrout.rng import substream
-from extrout.routing import UnreachableError, hop_distances
+from extrout.routing import LANDMARKS, UnreachableError, _hop_table
 from extrout.simengine import run
 from extrout.topology import (Topology, TopologyParams, generate,
                               load_topology, topology_to_text)
 
 from ladders import line_topology
-from oracles import CountingAdjacency, bfs_levels, link_pairs, matrix_from_csv
+from oracles import CountingNeighbours, adjacency, bfs_levels, link_pairs, matrix_from_csv
 from test_golden import GRID, _digest
 from test_routing import _counting_walks
 
@@ -537,8 +537,8 @@ def test_run_names_each_failing_rep_once(tmp_path, monkeypatch, capsys):
 def test_pair_sampling_draws_the_bfs_pair_without_whole_topology_searches():
     topo = generate(TopologyParams(30, 30, perturbation=0.0, tx_range=150.0,
                                    qudg_factor=0.95, seed=1))
-    adjacency = topo.adjacency
-    topo.adjacency = counted = CountingAdjacency(adjacency)
+    graph = adjacency(topo)
+    topo.neighbor_indices = counted = CountingNeighbours(topo.neighbor_indices)
     draws = 0
     for seed in range(1, 9):
         rng = substream(seed, "pairs")
@@ -549,7 +549,7 @@ def test_pair_sampling_draws_the_bfs_pair_without_whole_topology_searches():
             source = topo.nodes[rng.randrange(topo.node_count)]
             dest = topo.nodes[rng.randrange(topo.node_count)]
             draws += 1
-            if (source != dest and bfs_levels(adjacency, source).get(dest)
+            if (source != dest and bfs_levels(graph, source).get(dest)
                     == 20):
                 break
         assert got == (source, dest)
@@ -557,7 +557,8 @@ def test_pair_sampling_draws_the_bfs_pair_without_whole_topology_searches():
     # each drawn source would expand every node
     assert draws > 100
     assert counted.reads - 4 * topo.node_count < draws * topo.node_count / 20
-    assert hop_distances not in topo.memo
+    # the landmarks' tables are the only ones kept
+    assert len(topo.memo[_hop_table]) == LANDMARKS
 
 
 def test_topology_command_writes_loadable_file(tmp_path, capsys):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,11 @@ from extrout.expcli import main
 
 GRID = ["--rows", "8", "--cols", "8", "--perturbation", "0",
         "--tx-range", "150", "--qudg-factor", "0.95", "--seed", "3"]
+
+# An 8x8 jittered Q-UDG grid whose ids are sparse, negative too, and do not
+# follow the grid's order, so a search that mixed up ids and indices into
+# the sorted ids would change these outputs. Its flags override GRID's.
+SPARSE = ["--topology-file", str(Path(__file__).parent / "data" / "sparse_ids_8x8.txt")]
 
 # Provenance lines embed the output directory, so the hashes skip them.
 _PROVENANCE = re.compile(rb"# (command|[a-z]+\.[a-z_]+)=")
@@ -87,6 +93,23 @@ GOLDEN = {
         "attack.txt":
             "ef4222f9d2e267d9913dc67f61c9f143e948dedcdcf1ea7befcec56d7037d1eb",
     }),
+    "attack_sparse_fake": (["attack", *SPARSE, "--variant", "extrout_fake",
+                            "--count", "1", "--target-hops", "4",
+                            "--trials", "100", "--budget", "25"], {
+        "attack.csv":
+            "1629da55ce6c5b6cd9f5ad401f490c670813e2b8ee40faef4b5f9e1bbb3e1428",
+        "attack.txt":
+            "2e71c8882874324d24b5024a43679b1abbe5fb3c90e009baecb743b14fbee3dc",
+    }),
+    "attack_sparse_duplicates": (["attack", *SPARSE, "--variant",
+                                  "extrout_duplicates", "--count", "2",
+                                  "--target-hops", "4", "--trials", "100",
+                                  "--budget", "25"], {
+        "attack.csv":
+            "9f74aae9d438e75cf40ac8c39c171282837e46e8082d73bf4853a35f1f1fd3d3",
+        "attack.txt":
+            "5d64b62a368fa01ca80ec73e6c94cd182187d9944f5f25ed234384fb391be09a",
+    }),
     "report": (["report"], {
         "reference_report.txt":
             "93d3ff1d8f65bd7ad3a2bb7efbd628f2d566f6798f7e8798653c95c6382ae9cf",
@@ -99,6 +122,16 @@ GOLDEN = {
             "0f53c0a41ba4be3284ab35782da75ed0a755244bbd3fc5378f8558902939375a",
         "anonymity_vs_tof.csv":
             "4aa73968cfd6be4c00c65aab050810a743355ea0cd740a7534324cb5a4958e3f",
+    }),
+    "sweep_sparse": (["sweep", *SPARSE, "--hop-targets", "3,4,5",
+                      "--pairs-per-target", "2", "--source-ext", "1",
+                      "--dest-ext", "1", "--frontier-hops", "4",
+                      "--duplicate-counts", "1,2", "--fake-counts", "1",
+                      "--nfake-counts", "1,3", "--reps", "2", "--budget", "20"], {
+        "anonymity_vs_L.csv":
+            "bc301aac8476c2bf19b2ceab1ea4c9ade2ccffcf4928d9b38e2fd47aecf980a8",
+        "anonymity_vs_tof.csv":
+            "fac6fae632bedf8d4ab89dace1be6ad2b1f1d0b0d2077a608406d010056cbb83",
     }),
 }
 

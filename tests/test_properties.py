@@ -22,13 +22,15 @@ from extrout.protocols import (
     build_scenario,
 )
 from extrout.rng import substream
-from extrout.routing import (Route, UnreachableError, disjoint_paths, extrapolate,
-                             hop_distances, lexicographic_walk, shortest_path)
+from extrout.routing import (Route, UnreachableError, at_hop_distance, disjoint_paths,
+                             extrapolate, hop_distances, lexicographic_walk,
+                             shortest_path)
 from extrout.simengine import TrafficTrace, run
 from extrout.topology import (Topology, TopologyParams, build_qudg, generate,
                               load_topology, place_nodes, topology_to_text)
 
-from oracles import decoy_pair_tiers, link_pairs, qudg_links, smallest_shortest_path
+from oracles import (adjacency, decoy_pair_tiers, link_pairs, qudg_links,
+                     smallest_shortest_path)
 
 # Random small Q-UDG deployments: perturbed grids up to 7x7, from sparse to
 # nearly unit-disk link models.
@@ -92,7 +94,7 @@ def test_topology_is_the_same_from_any_listing_of_its_links(params, rnd):
     rnd.shuffle(listed)
     topo = Topology(params, grid.positions, listed)
     plain = Topology(params, grid.positions, pairs)
-    assert topo == plain and topo.adjacency == plain.adjacency
+    assert topo == plain and topo.neighbor_indices == plain.neighbor_indices
     dropped = rnd.choice(pairs)
     assert Topology(params, grid.positions,
                     [pair for pair in pairs if pair != dropped]) != topo
@@ -126,7 +128,7 @@ def test_loader_reads_links_either_way_round_repeated_among_comments(params, rnd
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         loaded = load_topology(path)
     assert loaded == topo
-    assert (loaded.adjacency, loaded.nodes) == (topo.adjacency, topo.nodes)
+    assert (loaded.neighbor_indices, loaded.nodes) == (topo.neighbor_indices, topo.nodes)
 
 
 @settings(max_examples=100, deadline=None)
@@ -137,7 +139,7 @@ def test_shortest_path_is_the_smallest_shortest_path(params, ends):
     topo = generate(params)
     source, other = (topo.nodes[(end - 1) % topo.node_count] for end in ends)
     for dest in (source, other):
-        expected = smallest_shortest_path(topo.adjacency, source, dest)
+        expected = smallest_shortest_path(adjacency(topo), source, dest)
         if expected is None:
             with pytest.raises(UnreachableError):
                 lexicographic_walk(topo, source, dest)
@@ -145,6 +147,52 @@ def test_shortest_path_is_the_smallest_shortest_path(params, ends):
                 shortest_path(topo, source, dest)
         else:
             assert shortest_path(topo, source, dest).nodes == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=topology_params, ends=st.tuples(st.integers(1, 49), st.integers(1, 49)),
+       ext=st.tuples(st.integers(0, 4), st.integers(0, 4)), strict=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_every_search_maps_through_a_relabel_to_sparse_ids(params, ends, ext,
+                                                          strict, seed):
+    # The searches run on indices into the sorted ids. Every other topology
+    # here numbers its nodes 1..N, where an index is its id - 1, so only
+    # sparse ids show an id read as an index or the other way round. An
+    # increasing relabel keeps every ascending tie-break, so each result
+    # is the relabelled one.
+    topo = generate(params)
+    relabel = {n: 7 * n + 3 for n in topo.nodes}
+    sparse = Topology(params, {relabel[n]: pos for n, pos in topo.positions.items()},
+                      [(relabel[i], relabel[j]) for i, j in link_pairs(topo)])
+    source, dest = (topo.nodes[(end - 1) % topo.node_count] for end in ends)
+    dist = hop_distances(topo, source)
+    assert hop_distances(sparse, relabel[source]) == {
+        relabel[n]: d for n, d in dist.items()}
+    for hops in range(max(dist.values()) + 2):
+        assert (at_hop_distance(sparse, relabel[source], relabel[dest], hops)
+                == (dist.get(dest) == hops))
+    if dest not in dist:
+        with pytest.raises(UnreachableError):
+            shortest_path(sparse, relabel[source], relabel[dest])
+        return
+    route = shortest_path(topo, source, dest)
+    moved = shortest_path(sparse, relabel[source], relabel[dest])
+    assert moved.nodes == tuple(relabel[n] for n in route.nodes)
+    # 2 is no sparse id, so it bans nothing, but it is the index of
+    # relabel[2], which a search that took it for an index would ban
+    main = extrapolate(topo, route, *ext, random.Random(seed), strict=strict)
+    moved_main = extrapolate(sparse, moved, *ext, random.Random(seed),
+                             strict=strict, avoid=(2,))
+    assert moved_main.route.nodes == tuple(relabel[n] for n in main.route.nodes)
+    assert (moved_main.source_ext, moved_main.dest_ext) == (main.source_ext,
+                                                            main.dest_ext)
+    a, b = main.route.source, main.route.dest
+    if a != b:
+        paths = disjoint_paths(topo, a, b, 3, main.route)
+        moved_paths = disjoint_paths(sparse, relabel[a], relabel[b], 3,
+                                     moved_main.route)
+        assert moved_paths == [Route(tuple(relabel[n] for n in p.nodes))
+                               for p in paths]
 
 
 def _far_pair(topo, start: int) -> tuple[int, int]:
@@ -192,7 +240,7 @@ def test_pair_ranking_matches_a_bfs_per_node(params, ends, slack):
     start = topo.nodes[(ends[0] - 1) % topo.node_count]
     reached = sorted(hop_distances(topo, start))
     route = shortest_path(topo, start, reached[(ends[1] - 1) % len(reached)])
-    expected = decoy_pair_tiers(topo.adjacency, topo.positions, route.nodes, slack)
+    expected = decoy_pair_tiers(adjacency(topo), topo.positions, route.nodes, slack)
     assert [list(tier) for tier in _pair_tiers(topo, route, slack)] == expected
 
 
@@ -211,7 +259,7 @@ def test_pair_ranking_follows_ids_not_layout_order(params, data):
     route = shortest_path(topo, start, data.draw(
         st.sampled_from(sorted(hop_distances(topo, start)))))
     for slack in (1, 2):
-        expected = decoy_pair_tiers(topo.adjacency, topo.positions, route.nodes, slack)
+        expected = decoy_pair_tiers(adjacency(topo), topo.positions, route.nodes, slack)
         assert [list(tier) for tier in _pair_tiers(topo, route, slack)] == expected
 
 
@@ -355,7 +403,7 @@ def test_one_disjoint_path_is_the_smallest_shortest_path(params, plan_seed, ends
                        random.Random(plan_seed), strict=strict)
     a, b = main.route.source, main.route.dest
     for excluded in (main.route, Route((a, b))):
-        expected = smallest_shortest_path(topo.adjacency, a, b,
+        expected = smallest_shortest_path(adjacency(topo), a, b,
                                           excluded.nodes[1:-1])
         paths = disjoint_paths(topo, a, b, 1, excluded)
         assert [p.nodes for p in paths] == ([expected] if expected else [])

@@ -21,13 +21,13 @@ from extrout.protocols import (
     dummy_schedule,
     place_fake_pair,
 )
-from extrout.routing import (ExtendedRoute, Route, extrapolate, hop_distances,
-                             shortest_path)
+from extrout.routing import (ExtendedRoute, Route, _hop_table, extrapolate,
+                             hop_distances, shortest_path)
 from extrout.simengine import run
 from extrout.topology import Position, Topology, TopologyParams, generate
 
 from ladders import LINK_PROFILES, line_topology, parallel_paths
-from oracles import CountingAdjacency, link_pairs
+from oracles import CountingNeighbours, link_pairs
 
 
 def _pinned(src_ext: int, dst_ext: int, **kw) -> ScenarioSettings:
@@ -122,7 +122,7 @@ def test_duplicates_plan_at_an_isolated_node_has_none():
     # anchors are node 1: no duplicate exists, as no fake needs one.
     topo = generate(TopologyParams(3, 3, perturbation=0.0, tx_range=150.0,
                                    qudg_factor=0.375, seed=0))
-    assert topo.adjacency[1] == ()
+    assert topo.neighbor_indices[0] == ()
     plan = build_scenario(topo, 1, 1, ProtocolVariant("extrout_duplicates", 2))
     assert plan.main.route.nodes == (1,)
     assert plan.duplicates == ()
@@ -277,7 +277,7 @@ def test_a_rejected_candidate_is_walked_only_to_its_first_forbidden_node():
     assert shortest_path(topo, 1, 7).nodes.index(4) == 3
     with pytest.raises(PlacementError):  # ranks the pairs, warms 7's hop table
         place_fake_pair(topo, real, random.Random(0))
-    topo.adjacency = counted = CountingAdjacency(topo.adjacency)
+    topo.neighbor_indices = counted = CountingNeighbours(topo.neighbor_indices)
     with pytest.raises(PlacementError):
         place_fake_pair(topo, real, random.Random(0))
     assert counted.reads == 3
@@ -309,7 +309,8 @@ def _tier_cases():
         for k, profile in enumerate(LINK_PROFILES):
             topo = generate(TopologyParams(side, side, seed=10 * side + k, **profile))
             rng = random.Random(side * 31 + k)
-            a = rng.choice([n for n in topo.nodes if topo.adjacency[n]])
+            a = rng.choice([n for n, near in zip(topo.nodes, topo.neighbor_indices)
+                            if near])
             dist = hop_distances(topo, a)
             far = max(dist.values())
             ends = (a, min(n for n, d in dist.items() if d == 1),
@@ -433,10 +434,10 @@ def test_plans_do_not_depend_on_cache_state():
 
 def test_later_fake_plans_reuse_the_hop_tables():
     topo = _mesh()
-    topo.adjacency = counted = CountingAdjacency(topo.adjacency)
+    topo.neighbor_indices = counted = CountingNeighbours(topo.neighbor_indices)
     per_plan, memos = [], []
     for seed in range(20):
-        counted.reads = 0
+        counted.read.clear()
         build_scenario(topo, 14, 131, ProtocolVariant("extrout_fake", 1),
                        rng=random.Random(seed))
         per_plan.append(counted.reads)
@@ -447,7 +448,7 @@ def test_later_fake_plans_reuse_the_hop_tables():
     assert max(per_plan[1:]) < 3 * topo.node_count
     assert all(memo is memos[0] for memo in memos)
     # the ranking's hop balls keep no hop table
-    assert len(topo.memo[hop_distances]) < 10
+    assert len(topo.memo[_hop_table]) < 10
 
 
 def test_a_new_real_route_replaces_the_pair_ranking():

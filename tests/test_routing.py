@@ -23,7 +23,7 @@ from extrout.routing import (
 from extrout.topology import Position, Topology, TopologyParams, generate
 
 from ladders import LINK_PROFILES, line_topology, parallel_paths, random_topology
-from oracles import (CountingNeighbours, bfs_levels, link_pairs,
+from oracles import (CountingNeighbours, adjacency, bfs_levels, link_pairs,
                      max_node_disjoint_paths, min_disjoint_hops, route_is_valid)
 
 
@@ -59,20 +59,26 @@ def test_extended_route_accessors():
 def test_hop_distances_match_independent_bfs():
     for seed in range(100):
         topo = random_topology(24, 0.12, seed)
-        adjacency = topo.adjacency
+        graph = adjacency(topo)
         for start in (1, 12, 24):
-            assert hop_distances(topo, start) == bfs_levels(adjacency, start)
+            assert hop_distances(topo, start) == bfs_levels(graph, start)
 
 
 def test_hop_tables_are_kept_from_the_first_request_and_read_only():
+    # Tables are kept by source index; the dict hop_distances hands out is
+    # the caller's own, read off the kept table.
     topo = line_topology(6)
     assert topo.memo == {}
-    table = hop_distances(topo, 1)
-    assert topo.memo[hop_distances] == {1: table}
-    assert hop_distances(topo, 1) is table
+    distances = hop_distances(topo, 1)
+    table = topo.memo[routing._hop_table][0]
+    assert topo.memo[routing._hop_table] == {0: table}
+    assert table == (0, 1, 2, 3, 4, 5)
+    distances[6] = 0
+    assert hop_distances(topo, 1) == {1: 0, 2: 1, 3: 2, 4: 3, 5: 4, 6: 5}
+    assert topo.memo[routing._hop_table][0] is table
     with pytest.raises(TypeError):
-        table[6] = 0
-    assert table[6] == 5
+        table[5] = 0
+    assert table[5] == 5
 
 
 def test_at_hop_distance_matches_bfs():
@@ -80,12 +86,19 @@ def test_at_hop_distance_matches_bfs():
     # so pairs elsewhere are searched without a bound
     for p, seed in ((0.06, 1), (0.06, 2), (0.12, 3), (0.3, 4)):
         topo = random_topology(24, p, seed)
-        adjacency = topo.adjacency
+        graph = adjacency(topo)
         for u in topo.nodes:
-            levels = bfs_levels(adjacency, u)
+            levels = bfs_levels(graph, u)
             for v in topo.nodes:
                 for hops in range(8):
                     assert at_hop_distance(topo, u, v, hops) == (levels.get(v) == hops)
+
+
+def test_at_hop_distance_rejects_ends_outside_the_topology():
+    topo = line_topology(5)
+    for u, v, hops in ((1, 99, 3), (98, 99, 0), (99, 99, 0), (99, 1, 3)):
+        with pytest.raises(ValueError, match="not in topology"):
+            at_hop_distance(topo, u, v, hops)
 
 
 def test_hop_distance_values_and_errors():
@@ -104,7 +117,7 @@ def test_shortest_path_length_matches_bfs():
     rng = random.Random(7)
     for seed in range(60):
         topo = random_topology(24, 0.15, seed)
-        levels = bfs_levels(topo.adjacency, 1)
+        levels = bfs_levels(adjacency(topo), 1)
         reachable = [n for n in levels if n != 1]
         if not reachable:
             continue
@@ -117,7 +130,8 @@ def test_shortest_path_length_matches_bfs():
 
 
 def _all_shortest_paths(topo: Topology, source: int, dest: int) -> list[tuple]:
-    dist = bfs_levels(topo.adjacency, dest)
+    graph = adjacency(topo)
+    dist = bfs_levels(graph, dest)
     paths = []
 
     def walk(prefix: list[int]) -> None:
@@ -125,7 +139,7 @@ def _all_shortest_paths(topo: Topology, source: int, dest: int) -> list[tuple]:
         if tail == dest:
             paths.append(tuple(prefix))
             return
-        for m in topo.adjacency[tail]:
+        for m in graph[tail]:
             if dist.get(m) == dist[tail] - 1:
                 walk(prefix + [m])
 
@@ -137,7 +151,7 @@ def test_shortest_path_is_lexicographically_smallest():
     rng = random.Random(31)
     for seed in range(40):
         topo = random_topology(10, 0.3, seed)
-        levels = bfs_levels(topo.adjacency, 1)
+        levels = bfs_levels(adjacency(topo), 1)
         reachable = [n for n in levels if n != 1]
         if not reachable:
             continue
@@ -311,7 +325,7 @@ def test_disjoint_paths_count_matches_flow_oracle():
     for seed in range(80):
         topo = random_topology(20, 0.2, seed)
         a, b = rng.sample(topo.nodes, 2)
-        expected = max_node_disjoint_paths(topo.adjacency, a, b)
+        expected = max_node_disjoint_paths(adjacency(topo), a, b)
         paths = disjoint_paths(topo, a, b, 20, Route((a, b)))
         assert len(paths) == expected
         for p in paths:
@@ -336,7 +350,7 @@ def test_disjoint_paths_flow_oracle_with_banned_interior():
         except UnreachableError:
             continue
         banned = set(real.nodes[1:-1])
-        expected = max_node_disjoint_paths(topo.adjacency, a, b, banned)
+        expected = max_node_disjoint_paths(adjacency(topo), a, b, banned)
         paths = disjoint_paths(topo, a, b, 18, real)
         assert len(paths) == expected
         for p in paths:
@@ -368,7 +382,7 @@ def _brute_force_cases():
 def test_disjoint_paths_min_total_hops_matches_brute_force():
     checked = 0
     for topo, a, b, excluded in _brute_force_cases():
-        totals = min_disjoint_hops(topo.adjacency, a, b, excluded.nodes[1:-1])
+        totals = min_disjoint_hops(adjacency(topo), a, b, excluded.nodes[1:-1])
         for count in (1, 2, 3, 5):
             paths = disjoint_paths(topo, a, b, count, excluded)
             assert len(paths) == min(count, len(totals) - 1)
@@ -402,13 +416,14 @@ def test_first_disjoint_path_search_stops_at_the_goal():
     # One path needs no flow, so its search reads the neighbours of no
     # node that lies as far from the source as the goal or farther.
     topo = generate(TopologyParams(10, 10, seed=0, **LINK_PROFILES[0]))
-    levels = bfs_levels(topo.adjacency, 1)
+    levels = bfs_levels(adjacency(topo), 1)
     for goal, closer in ((2, 1), (34, 9), (100, 81)):
         assert sum(d < levels[goal] for d in levels.values()) == closer
-        counted = CountingNeighbours(topo.neighbor_indices)
-        topo.__dict__["neighbor_indices"] = counted
+        # walked before the count starts, as the walk reads the same lists
+        expected = shortest_path(topo, 1, goal)
+        counted = _counted(topo)
         paths = disjoint_paths(topo, 1, goal, 1, Route((1, goal)))
-        assert paths == [shortest_path(topo, 1, goal)]
+        assert paths == [expected]
         assert counted.reads <= closer
 
 
@@ -501,8 +516,7 @@ def test_disjoint_paths_later_passes_are_pinned_on_20x20_grids():
 
 
 def _counted(topo) -> CountingNeighbours:
-    counted = CountingNeighbours(topo.neighbor_indices)
-    topo.__dict__["neighbor_indices"] = counted
+    topo.neighbor_indices = counted = CountingNeighbours(topo.neighbor_indices)
     return counted
 
 

@@ -26,7 +26,7 @@ from extrout.topology import (
     topology_to_text,
 )
 
-from oracles import link_pairs
+from oracles import adjacency, link_pairs
 
 DATA = Path(__file__).parent / "data"
 
@@ -250,8 +250,8 @@ def test_adjacency_is_sorted_and_symmetric():
     params = TopologyParams(grid_rows=1, grid_cols=4, seed=0)
     positions = {i: Position(i * 10.0, 0.0) for i in range(1, 5)}
     topo = Topology(params, positions, ((3, 1), (2, 3), (4, 3)))
-    assert topo.adjacency[3] == (1, 2, 4)
-    assert topo.adjacency[1] == (3,)
+    assert topo.neighbor_indices == ((2,), (2,), (0, 1, 3), (2,))
+    assert adjacency(topo)[3] == (1, 2, 4)
     assert (1, 3) in link_pairs(topo) and (1, 2) not in link_pairs(topo)
 
 
@@ -351,7 +351,7 @@ def test_topology_accepts_links_as_any_pairs():
     positions = {n: Position(100.0 * n, 0.0) for n in (1, 2, 3)}
     topo = Topology(TopologyParams(1, 3), positions, [[2, 1], [1, 3], (3, 1)])
     assert link_pairs(topo) == frozenset({(1, 2), (1, 3)})
-    assert topo.adjacency == {1: (2, 3), 2: (1,), 3: (1,)}
+    assert adjacency(topo) == {1: (2, 3), 2: (1,), 3: (1,)}
 
 
 # The README dense and the default profile at 20x20 and 80x80, a
@@ -384,8 +384,8 @@ def test_generated_topologies_are_pinned(tmp_path):
         # the file carries no grid shape, so a non-square one reads as a row
         assert loaded.params == replace(params, grid_rows=loaded.params.grid_rows,
                                         grid_cols=loaded.params.grid_cols)
-        assert ((loaded.positions, loaded.adjacency, loaded.nodes)
-                == (topo.positions, topo.adjacency, topo.nodes))
+        assert ((loaded.positions, loaded.neighbor_indices, loaded.nodes)
+                == (topo.positions, topo.neighbor_indices, topo.nodes))
     assert digest.hexdigest() == "497794c11c9b62e64d606eead119406c4c9015d14726022f69f92145f40e5a91"
 
 
