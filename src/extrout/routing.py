@@ -107,9 +107,10 @@ def _hop_table(topo: Topology, src: int) -> tuple[int, ...]:
     unreachable, from one BFS along topo.neighbor_indices.
 
     Every table is kept in topo.memo[_hop_table], a dict by source index,
-    and read by every search here: the landmarks, the walks and
-    extrapolation. It is a tuple, so no caller can change what the others
-    read. The decoy-pair ranking uses hop balls and no table at all.
+    and read by every search here: the landmarks, the walks,
+    extrapolation and the first disjoint-path pass. It is a tuple, so no
+    caller can change what the others read. The decoy-pair ranking uses
+    hop balls and no table at all.
     """
     tables = topo.memo.get(_hop_table)
     if tables is None:
@@ -300,12 +301,26 @@ def disjoint_paths(topo: Topology, anchor_source: int, anchor_dest: int,
     cardinality (up to count) and, for that cardinality, minimum total hop
     count. No network is built. Before any flow exists every residual arc
     costs 0 or 1, so the first path comes from a node BFS that takes
-    neighbours ascending and stops once it discovers the goal: the
-    lexicographically smallest shortest path that avoids the banned
-    interior. Later paths come from an SPFA over in- and out-side ids,
-    which reads each residual arc off the flow so far and
-    topo.neighbor_indices, in the order an arc list built from the sorted
-    links would hold it; that order picks among equally short path sets.
+    neighbours ascending, makes a node's first discoverer its parent and
+    stops once it discovers the goal: the lexicographically smallest
+    shortest path that avoids the banned interior B. That BFS is bounded
+    by the goal's kept hop table to_goal, a lower bound on the hops left
+    (Hart, Nilsson & Raphael, 1968): it admits a node met at level l only
+    if l + to_goal[node] <= reach, and starts with reach = d, the goal's
+    distance in the whole topology. Any such round is a plain BFS of an
+    induced subgraph of G - B, so the goal's tree path is that subgraph's
+    smallest shortest path. Once reach is at least the distance D in
+    G - B, every shortest path of G - B lies inside the subgraph (each of
+    its nodes at level l has l + to_goal <= D), so the round returns the
+    path of the unbounded BFS. When D = d the first round is the last.
+    Otherwise it refuses some node and does not reach the goal, and one
+    unbounded round follows: at most one bounded round more than the
+    plain search, even when B cuts the goal off. Later paths come from
+    an SPFA over in- and out-side ids, which reads each residual arc off
+    the flow so far and topo.neighbor_indices, in the order an arc list
+    built from the sorted links would hold it; that order picks among
+    equally short path sets, and the SPFA takes no such bound: one limited
+    to the same corridor can pick another augmenting path of equal cost.
     Its FIFO is a list the loop appends to and reads in order, as the
     first pass's BFS does: sides pop as from a double-ended queue, but
     none is removed. Augmenting path costs never decrease, so each later
@@ -333,31 +348,50 @@ def disjoint_paths(topo: Topology, anchor_source: int, anchor_dest: int,
     succ: list[set[int] | frozenset[int]] = [no_flow] * n
     through: list[bool | None] = [False] * n
     blocked = [False] * n
-    # parent[k] >= 0 once the first pass has seen k; a blocked node starts
-    # seen, so that search never enters it.
-    parent = [-1] * n
+    # parent[k] >= 0 once a first-pass round has seen k. Each round starts
+    # from a copy of seen_at_start, where a blocked node starts seen, so no
+    # round enters it.
+    seen_at_start = [-1] * n
     for node in excluded.nodes[1:-1]:
         if node in at:
             k = at[node]
             blocked[k] = True
-            parent[k] = k
+            seen_at_start[k] = k
     source, goal = at[anchor_source], at[anchor_dest]
     start = n + source
     through[source] = through[goal] = None
     blocked[source] = blocked[goal] = False
+    seen_at_start[source], seen_at_start[goal] = source, -1
 
     # First path. With no flow the SPFA's FIFO queue holds the level-d
     # in-sides, then their out-sides, then the level-(d + 1) in-sides, and
-    # no distance falls once set: its path is this BFS tree's.
-    parent[source], parent[goal] = source, -1
-    order = [source]
-    for k in order:
-        for w in nbrs[k]:
-            if parent[w] < 0:
-                parent[w] = k
-                order.append(w)
-        if parent[goal] >= 0:
-            break
+    # no distance falls once set: its path is a BFS tree's, bounded by
+    # reach as the docstring says. A refused node could be met again only
+    # at a deeper level, so it is marked seen. The goal is never refused:
+    # the node that meets it lies one hop from it and was admitted.
+    to_goal = _hop_table(topo, goal)
+    reach = to_goal[source]  # -1: the goal lies in another component
+    parent = seen_at_start
+    while reach >= 0:
+        parent = seen_at_start.copy()
+        frontier, slack, refused = [source], reach, False
+        while frontier and parent[goal] < 0:
+            slack -= 1  # reach less the level of the nodes met next
+            reached = []
+            for k in frontier:
+                for w in nbrs[k]:
+                    if parent[w] < 0:
+                        if to_goal[w] <= slack:
+                            parent[w] = k
+                            reached.append(w)
+                        else:
+                            parent[w] = w
+                            refused = True
+                if parent[goal] >= 0:
+                    break
+            frontier = reached
+        # reach = size admits every node: the unbounded round
+        reach = size if refused and parent[goal] < 0 else -1
     found = 0
     if parent[goal] >= 0:
         k = parent[goal]

@@ -29,8 +29,8 @@ from extrout.simengine import TrafficTrace, run
 from extrout.topology import (Topology, TopologyParams, build_qudg, generate,
                               load_topology, place_nodes, topology_to_text)
 
-from oracles import (adjacency, decoy_pair_tiers, link_pairs, qudg_links,
-                     smallest_shortest_path)
+from oracles import (CountingNeighbours, adjacency, bfs_levels, decoy_pair_tiers,
+                     link_pairs, qudg_links, smallest_shortest_path)
 
 # Random small Q-UDG deployments: perturbed grids up to 7x7, from sparse to
 # nearly unit-disk link models.
@@ -39,6 +39,11 @@ topology_params = st.builds(
     perturbation=st.floats(0.0, 0.5), tx_range=st.just(150.0),
     qudg_factor=st.floats(0.3, 1.0), seed=st.integers(0, 2**16))
 
+# The same grids at TopologyParams' defaults, the sparse profile, which
+# often leaves a grid in pieces.
+sparse_topology_params = st.builds(
+    TopologyParams, grid_rows=st.integers(3, 7), grid_cols=st.integers(3, 7),
+    seed=st.integers(0, 2**16))
 
 # Layouts for the cell grid: tx_range from a fifth of the 100 m spacing to
 # 4.5 spacings leaves cells empty or crowded; perturbation 1 puts nodes
@@ -386,26 +391,58 @@ def test_chains_share_no_node_but_the_duplicate_anchors(params, plan_seed, ends,
                 assert not links & other_links, kind
 
 
-@settings(max_examples=100, deadline=None)
-@given(params=topology_params, plan_seed=st.integers(0, 2**16),
+@settings(max_examples=150, deadline=None)
+@given(params=st.one_of(topology_params, sparse_topology_params),
+       plan_seed=st.integers(0, 2**16),
        ends=st.tuples(st.integers(1, 49), st.integers(1, 49)),
        ext=st.tuples(st.integers(0, 3), st.integers(0, 3)), strict=st.booleans())
 def test_one_disjoint_path_is_the_smallest_shortest_path(params, plan_seed, ends,
                                                          ext, strict):
-    # Anchors as a plan draws them; excluding the extended route bans its
-    # interior, excluding only the anchor pair bans nothing.
+    # Anchors as a plan draws them, or a pair in different components;
+    # excluding the extended route bans its interior, excluding only the
+    # anchor pair bans nothing.
     topo = generate(params)
     source = topo.nodes[(ends[0] - 1) % topo.node_count]
-    reached = sorted(hop_distances(topo, source))
-    dest = reached[(ends[1] - 1) % len(reached)]
+    dest = topo.nodes[(ends[1] - 1) % topo.node_count]
     assume(source != dest)
-    main = extrapolate(topo, shortest_path(topo, source, dest), *ext,
-                       random.Random(plan_seed), strict=strict)
-    a, b = main.route.source, main.route.dest
-    for excluded in (main.route, Route((a, b))):
-        expected = smallest_shortest_path(adjacency(topo), a, b,
-                                          excluded.nodes[1:-1])
+    to_goal = hop_distances(topo, dest)  # the first pass's bound, built uncounted
+    if source in to_goal:
+        main = extrapolate(topo, shortest_path(topo, source, dest), *ext,
+                           random.Random(plan_seed), strict=strict)
+        a, b = main.route.source, main.route.dest
+        to_goal = hop_distances(topo, b)
+        exclusions = (main.route, Route((a, b)))
+    else:
+        a, b = source, dest
+        exclusions = (Route((a, b)),)
+    graph = adjacency(topo)
+    for excluded in exclusions:
+        expected = smallest_shortest_path(graph, a, b, excluded.nodes[1:-1])
+        plain = topo.neighbor_indices
+        topo.neighbor_indices = counted = CountingNeighbours(plain)
         paths = disjoint_paths(topo, a, b, 1, excluded)
+        topo.neighbor_indices = plain
         assert [p.nodes for p in paths] == ([expected] if expected else [])
+        # The first round reads only the corridor of the goal's distance d
+        # in the whole topology: nodes at hop level l from the source,
+        # outside the banned interior, with l + to_goal <= d. It is the only
+        # round when the path is d hops long. Otherwise a second round
+        # starts by reading the source again: a plain BFS, which reads only
+        # nodes closer to the source than the goal.
+        read = [topo.nodes[k] for k in counted.read]
+        if a not in to_goal:
+            assert read == []
+            continue
+        banned = set(excluded.nodes[1:-1]) - {a, b}
+        levels = bfs_levels({n: [m for m in ms if m not in banned]
+                             for n, ms in graph.items() if n not in banned}, a)
+        assert read[0] == a and read.count(a) <= 2
+        restart = read.index(a, 1) if read.count(a) == 2 else len(read)
+        assert all(levels[n] + to_goal[n] <= to_goal[a] for n in read[:restart])
+        if expected:
+            hops = len(expected) - 1
+            assert (restart < len(read)) == (hops > to_goal[a])
+            assert all(levels[n] < hops for n in read[restart:])
     # The last call banned nothing: its path is the plain shortest path.
-    assert paths == [shortest_path(topo, a, b)]
+    if a in to_goal:
+        assert paths == [shortest_path(topo, a, b)]

@@ -427,6 +427,58 @@ def test_first_disjoint_path_search_stops_at_the_goal():
         assert counted.reads <= closer
 
 
+def test_a_first_pass_that_must_detour_runs_one_unbounded_round():
+    # Row 0 is two hops long and excluded, so the goal lies four hops away
+    # through row 1 and the round bounded by the two-hop distance refuses
+    # row 1's first node. One plain BFS from the source follows.
+    topo, hub_a, hub_b, rows = parallel_paths([1, 3])
+    at = topo.node_index
+    hop_distances(topo, hub_b)
+    counted = _counted(topo)
+    paths = disjoint_paths(topo, hub_a, hub_b, 1, Route((hub_a, *rows[0], hub_b)))
+    assert paths == [Route((hub_a, *rows[1], hub_b))]
+    assert counted.read == [at[hub_a], at[hub_a], *(at[n] for n in rows[1])]
+
+
+def test_a_first_pass_whose_goal_is_cut_off_finds_nothing(caplog):
+    # Excluding 3 and 4 leaves the source 2 only node 1, which the bounded
+    # round refuses (one hop out, four from the goal) and the unbounded
+    # round reads; then nothing is left.
+    topo = line_topology(5)
+    hop_distances(topo, 5)
+    counted = _counted(topo)
+    with caplog.at_level(logging.INFO, logger="extrout.routing"):
+        paths = disjoint_paths(topo, 2, 5, 1, Route((2, 3, 4, 5)))
+    assert paths == []
+    assert "only 0 of 1" in caplog.text
+    assert counted.read == [1, 1, 0]  # indices of nodes 2, 2 and 1
+
+
+def test_anchors_in_different_components_read_nothing(caplog):
+    topo = line_topology(4)
+    split = Topology(topo.params, topo.positions, ((1, 2), (3, 4)))
+    hop_distances(split, 4)
+    counted = _counted(split)
+    with caplog.at_level(logging.INFO, logger="extrout.routing"):
+        assert disjoint_paths(split, 1, 4, 2, Route((1, 4))) == []
+    assert "only 0 of 2" in caplog.text
+    assert counted.reads == 0
+
+
+def test_later_passes_take_no_bound_from_the_goal_table():
+    # A lenient exclusion on a 14x17 grid. An SPFA limited to the corridor
+    # the first pass uses (admitting an in-side only if its cost plus its
+    # hops to the goal stays within a bound raised round by round) picks
+    # another cost-10 augmenting path here, so a pair of paths with the
+    # same 19 hops but other nodes.
+    topo = generate(TopologyParams(14, 17, seed=881144, **LINK_PROFILES[0]))
+    excluded = Route((56, 74, 57, 73, 89, 105, 121, 137, 154, 171, 188, 205,
+                      223, 222, 206, 190, 207))
+    assert [p.nodes for p in disjoint_paths(topo, 56, 207, 2, excluded)] == [
+        (56, 55, 71, 88, 104, 120, 138, 155, 172, 189, 207),
+        (56, 72, 90, 107, 123, 139, 156, 173, 191, 207)]
+
+
 def test_disjoint_paths_validation():
     topo = line_topology(4)
     with pytest.raises(ValueError):
@@ -520,19 +572,44 @@ def _counted(topo) -> CountingNeighbours:
     return counted
 
 
+def _pass_reads(topo, a, b, count, excluded):
+    """The paths of one disjoint_paths call, and the neighbour lists it
+    reads in its first pass and in its later passes. b's hop table is
+    built before counting, so only the searches are counted. The first
+    pass is what the same call reads at count 1; the later passes read
+    the rest."""
+    hop_distances(topo, b)
+    plain = topo.neighbor_indices
+    first = _counted(topo)
+    disjoint_paths(topo, a, b, 1, excluded)
+    topo.neighbor_indices = plain
+    counted = _counted(topo)
+    paths = disjoint_paths(topo, a, b, count, excluded)
+    topo.neighbor_indices = plain
+    assert counted.read[:first.reads] == first.read
+    return paths, first.read, counted.read[first.reads:]
+
+
 def test_disjoint_paths_read_order_is_pinned_on_20x20_grids():
     # The order in which the searches read neighbour lists is the order
     # their queues pop, so a FIFO that pops in another order fails here
     # even where the paths it returns happen to agree.
-    digest = hashlib.sha256()
-    calls = 0
-    for topo, a, b, count, excluded in _grid20_cases(range(1, 7)):
-        counted = _counted(topo)
-        disjoint_paths(topo, a, b, count, excluded)
-        digest.update(repr(counted.read).encode() + b"\n")
+    first_digest, later_digest = hashlib.sha256(), hashlib.sha256()
+    calls = first_reads = 0
+    for case in _grid20_cases(range(1, 7)):
+        _, first, later = _pass_reads(*case)
+        first_digest.update(repr(first).encode() + b"\n")
+        later_digest.update(repr(later).encode() + b"\n")
         calls += 1
-    assert (calls, digest.hexdigest()) == (
-        744, "269850315d02033aa0776ff590aed90d0e18fab367f73d5f7b8d40ba568fa9c8")
+        first_reads += len(first)
+    # Recorded from the first pass that ran an unbounded BFS.
+    assert (calls, later_digest.hexdigest()) == (
+        744, "0a29a843422ff72da806555f32d115086e4cd5995aeb2ab030920c71f07fddbb")
+    # Recorded from the first pass bounded by the goal's hop table; the
+    # unbounded BFS read 79,668 lists here.
+    assert (first_reads, first_digest.hexdigest()) == (
+        23142, "d5f063fb7d1fe9c43422d50cc60c0f6af0d7b8685ae069a4dcbfd6a44f2530b7")
+    assert first_reads <= 79668
 
 
 def test_later_disjoint_path_passes_stop_at_their_lower_bound():
@@ -540,22 +617,24 @@ def test_later_disjoint_path_passes_stop_at_their_lower_bound():
     # the pass before it found, so the search ends once it reaches that.
     # Between the attack pair with nothing excluded both paths cost 8.
     topo = generate(TopologyParams(20, 20, seed=3, **LINK_PROFILES[0]))
-    counted = _counted(topo)
-    paths = disjoint_paths(topo, 315, 160, 2, Route((315, 160)))
+    paths, first, later = _pass_reads(topo, 315, 160, 2, Route((315, 160)))
     assert [p.hops for p in paths] == [8, 8]
-    assert counted.reads <= 400  # 563 when every pass ran until its queue emptied
+    assert len(later) == 151  # recorded with the unbounded first pass
+    assert len(first) == 24  # 154 for the unbounded BFS
+    # 563 when every pass ran until its queue emptied
+    assert len(first) + len(later) <= 400
 
 
 def test_a_later_pass_that_cannot_reach_its_bound_runs_to_the_end():
     # Around the excluded 8-hop route the cheapest augmenting paths cost 8
     # and then 9, so the second pass never reaches the bound of 8 and
-    # reads as much as a search without the stop (537 neighbour lists).
+    # reads as much as a search without the stop (402 neighbour lists).
     topo = generate(TopologyParams(20, 20, seed=3, **LINK_PROFILES[0]))
     real = shortest_path(topo, 315, 160)
     assert real.hops == 8
-    counted = _counted(topo)
-    paths = disjoint_paths(topo, 315, 160, 2, real)
+    paths, first, later = _pass_reads(topo, 315, 160, 2, real)
     assert [p.nodes for p in paths] == [
         (315, 295, 275, 254, 235, 216, 197, 178, 159, 160),
         (315, 296, 276, 256, 237, 218, 199, 180, 160)]
-    assert counted.reads == 537
+    assert len(later) == 402  # recorded with the unbounded first pass
+    assert len(first) == 18  # 135 for the unbounded BFS
