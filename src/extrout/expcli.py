@@ -566,15 +566,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS, metavar="COMMAND",
                         help="one of the commands listed below")
     parser.add_argument("--config", default=None, help="INI configuration file")
+    parser.add_argument("--log-level", default=None, metavar="LEVEL",
+                        help="log records at LEVEL and above (DEBUG, INFO, ...) to stderr")
     for _, key, _, _ in SCHEMA:
         parser.add_argument(f"--{key.replace('_', '-')}", dest=key,
                             default=None, metavar="VALUE")
     return parser
 
 
+def _log_to_stderr(level: str) -> None:
+    """Show the package's log records at level and above on stderr. Only
+    here is `logging` imported, so a command without --log-level skips
+    loading it."""
+    import logging
+
+    try:
+        logging.basicConfig(level=level.strip().upper(), stream=sys.stderr)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for --log-level: {exc}") from exc
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.log_level is not None:
+            _log_to_stderr(args.log_level)
         overrides = {key: getattr(args, key) for _, key, _, _ in SCHEMA}
         cfg = resolve_config(args.config, overrides)
         command, _ = COMMANDS[args.command]

@@ -11,6 +11,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 
 from .routing import (ExtendedRoute, Route, disjoint_paths, extrapolate,
                       lexicographic_walk, log_info, shortest_path)
@@ -196,23 +197,46 @@ def place_fake_pair(topo: Topology, real: Route, rng: random.Random,
     the real route wins (ties break via rng); the fake shortest path must
     share no node with the real route or with `avoid`. The separation slack
     relaxes to 2 if nothing qualifies at 1, then placement fails.
+
+    Each slack's ranking is read in two parts: the top tiers first
+    (_top_tiers), and the rest, _pair_tiers(...)[len(top):], only if
+    nothing is drawn from those. A distance bound (a pair's midpoint lies
+    within reach = (hops + slack) * longest link / 2 of either end) tells
+    when the top tiers are complete without reading every pair. They are
+    the ranking's first tiers, pair for pair in the same order, so every
+    draw, the pair returned and the RNG state left are the ones a read of
+    the whole ranking gives. Where the bound would read at least half the
+    rows, the whole ranking is computed at once instead.
     """
     avoid = set(avoid)
     forbidden = set(real.nodes) | avoid
     for slack in (1, 2):
         if slack == 2:
             log_info(__name__, "no fake pair within 1 hop of separation %d, trying 2", real.hops)
-        for tier in _pair_tiers(topo, real, slack):
-            # Tiers hold equal gaps, so filtering each one yields the tiers
-            # of the filtered ranking; an emptied tier draws nothing.
-            tier = [(u, v) for u, v in tier if u not in avoid and v not in avoid]
-            rng.shuffle(tier)
-            for u, v in tier:
-                # u is free; the walk stops at the first forbidden node
-                if forbidden.isdisjoint(lexicographic_walk(topo, u, v)):
-                    return u, v
+        top = _top_tiers(topo, real, slack)
+        pair = _draw_pair(topo, top, avoid, forbidden, rng)
+        if pair is None:
+            pair = _draw_pair(topo, _pair_tiers(topo, real, slack)[len(top):],
+                              avoid, forbidden, rng)
+        if pair is not None:
+            return pair
     raise PlacementError(
         f"no fake pair within 2 hops of separation {real.hops} avoids the real route")
+
+
+def _draw_pair(topo, tiers, avoid, forbidden, rng) -> tuple[int, int] | None:
+    """The first pair, tier by tier, in an rng-shuffled order within each
+    tier, that avoids `avoid` and whose path meets no forbidden node."""
+    for tier in tiers:
+        # Tiers hold equal gaps, so filtering each one yields the tiers
+        # of the filtered ranking; an emptied tier draws nothing.
+        tier = [(u, v) for u, v in tier if u not in avoid and v not in avoid]
+        rng.shuffle(tier)
+        for u, v in tier:
+            # u is free; the walk stops at the first forbidden node
+            if forbidden.isdisjoint(lexicographic_walk(topo, u, v)):
+                return u, v
+    return None
 
 
 def _pair_tiers(topo: Topology, real: Route, slack: int
@@ -222,62 +246,179 @@ def _pair_tiers(topo: Topology, real: Route, slack: int
     route and cut into tiers of equal distance.
 
     The ranking depends on neither the RNG nor `avoid`, so it is computed
-    once per slack and kept in topo.memo[_pair_tiers], as (route nodes,
-    tiers by slack), for the latest real route only. Separations come from
-    hop balls (bitsets over indices into topo.nodes, grown a hop at a time
-    along topo.neighbor_indices), so no hop table is computed; v is
-    admissible for u when it lies in u's ball of radius hops + slack but
-    not in the one of radius hops - slack - 1.
+    once per slack and kept in the route's memo entry (_ranking_memo).
+    Separations come from hop balls (_hop_balls), so no hop table is
+    computed; v is admissible for u when it lies in u's ball of radius
+    hops + slack but not in the one of radius hops - slack - 1.
 
     Pairs are grouped by distance as they are read, and only the distinct
     distances are sorted. topo.nodes is ascending and each row's bits are
     read from low to high, so every tier lists its pairs in (u, v) order.
+
+    Placement reads the first tiers from _top_tiers, which reads only the
+    rows farthest from the route when its distance bound allows, and the
+    same tiers, exactly. This ranking is computed when the bound is too
+    weak to be worth reading, or when nothing could be drawn from the
+    top tiers (a fallback, logged at INFO).
     """
+    _, top, full = _ranking_memo(topo, real)
+    if slack not in full:
+        if slack in top:
+            log_info(__name__, "slack %d fallback: no decoy in the %d top tiers, "
+                     "ranking every pair", slack, len(top[slack]))
+        full[slack] = _rank_all(topo, real, *_hop_balls(topo, real.hops, slack))
+    return full[slack]
+
+
+def _top_tiers(topo: Topology, real: Route, slack: int
+               ) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The first tiers of _pair_tiers(topo, real, slack), found without
+    ranking every pair when a distance bound allows it, else the whole
+    ranking; kept in the route's memo entry.
+
+    Let near(u) be the distance from u to its nearest route node, and
+    reach = (hops + slack) * L / 2, with L the longest link. The ends of
+    an admissible pair lie at most hops + slack links apart, so their
+    midpoint lies within reach of either end, and its distance to the
+    route is at most min(near(u), near(v)) + reach. reach is padded for
+    float rounding, which only reads more rows.
+
+    The pass reads the free rows by descending near, and each pair when
+    its second end is read, from the same hop balls as the full ranking.
+    A pair not yet read has an end not yet read, so its distance is at
+    most near(next row) + reach. Once a distance read exceeds that limit,
+    every tier above the limit is complete: those tiers, each sorted into
+    (u, v) order, are exactly the ranking's first tiers.
+
+    The bound is weak when the route runs near most nodes. Let G0 be the
+    best distance in the row of the farthest free node. Both ends of a
+    top-tier pair have near + reach >= G0, so the pass ends once it has
+    read every row that does. If at least half the free rows do, the
+    pass is skipped and every pair is ranked at once. So a pass reads
+    fewer than half the rows, about a quarter of the pairs, which bounds
+    what a later fallback to the full ranking reads twice. The choice
+    changes what is read, never what is returned.
+    """
+    _, top, full = _ranking_memo(topo, real)
+    if slack in top:
+        return top[slack]
+    balls, inner = _hop_balls(topo, real.hops, slack)
+    points = [topo.positions[n] for n in topo.nodes]
+    real_pts = [topo.positions[n] for n in real.nodes]
+    near = [min(map(math.dist, repeat(p), real_pts)) for p in points]
+    on_route = set(real.nodes)
+    rows = sorted((i for i, n in enumerate(topo.nodes) if n not in on_route),
+                  key=near.__getitem__, reverse=True)
+    longest = max((math.dist(points[i], points[j])
+                   for i, adj in enumerate(topo.neighbor_indices) for j in adj if j > i),
+                  default=0.0)
+    # rounding in midpoints, sums and distances scales with the coordinates
+    pad = 1e-9 * (1 + max((abs(c) for p in points for c in p), default=0.0))
+    reach = (real.hops + slack) * longest / 2 + pad
+    g0 = -math.inf
+    if rows:
+        far = rows[0]
+        free = sum(1 << i for i in rows)
+        score_far, _ = _gap_grouper(topo, real)
+        g0 = score_far(far, balls[far] & ~inner[far] & free)
+    reached = sum(near[i] + reach >= g0 for i in rows)
+    if 2 * reached >= len(rows):
+        full[slack] = top[slack] = _rank_all(topo, real, balls, inner)
+        log_info(__name__, "slack %d full ranking: %d of %d free rows reach the "
+                 "farthest row's best gap", slack, reached, len(rows))
+        return top[slack]
+    group, by_gap = _gap_grouper(topo, real)
+    best, visited = -math.inf, 0
+    limits = [near[i] + reach for i in rows[1:]] + [-math.inf]
+    for read, (i, limit) in enumerate(zip(rows, limits), 1):
+        best = max(best, group(i, balls[i] & ~inner[i] & visited))
+        visited |= 1 << i
+        if best > limit:
+            break
+    # group puts the row it reads first, the pair's higher id when its
+    # partner was read before it
+    top[slack] = tuple(tuple(sorted((u, v) if u < v else (v, u) for u, v in by_gap[gap]))
+                       for gap in sorted(by_gap, reverse=True) if gap > limit)
+    log_info(__name__, "slack %d top pass: read %d of %d free rows, released %d tiers",
+             slack, read, len(rows), len(top[slack]))
+    return top[slack]
+
+
+def _ranking_memo(topo: Topology, real: Route) -> tuple:
+    """topo.memo[_pair_tiers]: (route nodes, top tiers by slack, full
+    ranking by slack), kept for the latest real route only."""
     memo = topo.memo.get(_pair_tiers)
     if memo is None or memo[0] != real.nodes:
-        memo = topo.memo[_pair_tiers] = (real.nodes, {})
-    by_slack = memo[1]
-    if slack not in by_slack:
-        want, nodes, nbrs = real.hops, topo.nodes, topo.neighbor_indices
-        on_route = set(real.nodes)
-        free = sum(1 << i for i, n in enumerate(nodes) if n not in on_route)
-        real_pts = [topo.positions[n] for n in real.nodes]
-        balls = [1 << i for i in range(len(nodes))]
-        inner = [0] * len(nodes)
-        for radius in range(want + slack):
-            if radius == want - slack - 1:
-                inner = balls
-            grown = []
-            for ball, adj in zip(balls, nbrs):
-                for j in adj:
-                    ball |= balls[j]
-                grown.append(ball)
-            balls = grown
-        # tier of each midpoint (grid layouts share many) and of each gap
-        tier_at, by_gap = {}, {}
-        points = [topo.positions[n] for n in nodes]
-        for i, u in enumerate(nodes):
-            if u in on_route:
-                continue
-            ux, uy = points[i]
-            # u's row read from its low bit: character k is "1" when
-            # nodes[i + 1 + k] is an admissible partner after u
-            bits = bin((balls[i] & ~inner[i] & free) >> (i + 1))[:1:-1]
-            k = bits.find("1")
-            while k >= 0:
-                j = i + 1 + k
-                v = nodes[j]
-                vx, vy = points[j]
-                mid = ((ux + vx) / 2, (uy + vy) / 2)
-                tier = tier_at.get(mid)
-                if tier is None:
-                    gap = min(math.dist(mid, p) for p in real_pts)
-                    tier = tier_at[mid] = by_gap.setdefault(gap, [])
-                tier.append((u, v))
-                k = bits.find("1", k + 1)
-        by_slack[slack] = tuple(tuple(by_gap[gap])
-                                for gap in sorted(by_gap, reverse=True))
-    return by_slack[slack]
+        memo = topo.memo[_pair_tiers] = (real.nodes, {}, {})
+    return memo
+
+
+def _hop_balls(topo: Topology, want: int, slack: int) -> tuple[list[int], list[int]]:
+    """Each node's hop balls of radius want + slack and want - slack - 1
+    (no node when that is negative): bitsets over indices into
+    topo.nodes, grown a hop at a time along topo.neighbor_indices."""
+    balls = [1 << i for i in range(len(topo.nodes))]
+    inner = [0] * len(balls)
+    for radius in range(want + slack):
+        if radius == want - slack - 1:
+            inner = balls
+        grown = []
+        for ball, adj in zip(balls, topo.neighbor_indices):
+            for j in adj:
+                ball |= balls[j]
+            grown.append(ball)
+        balls = grown
+    return balls, inner
+
+
+def _rank_all(topo: Topology, real: Route, balls: list[int], inner: list[int]
+              ) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Every free pair admitted by the hop balls, in tiers by decreasing
+    distance; each row is read from its low bit, after its own."""
+    on_route = set(real.nodes)
+    free = sum(1 << i for i, n in enumerate(topo.nodes) if n not in on_route)
+    group, by_gap = _gap_grouper(topo, real)
+    for i, n in enumerate(topo.nodes):
+        if n not in on_route:
+            group(i, (balls[i] & ~inner[i] & free) >> (i + 1) << (i + 1))
+    return tuple(tuple(by_gap[gap]) for gap in sorted(by_gap, reverse=True))
+
+
+def _gap_grouper(topo: Topology, real: Route):
+    """(group, by_gap): group(i, partners) appends (nodes[i], nodes[j])
+    for each index j in the bitset partners to by_gap's list at the
+    distance from the pair's midpoint to the real route. It returns the
+    largest distance among the midpoints it scored first (-inf if none),
+    so the running maximum of its returns is the largest key of by_gap.
+
+    Grid layouts share many midpoints, so each is scored once, and its
+    list kept in tier_at by the coordinate sums that the midpoint halves.
+    """
+    nodes = topo.nodes
+    points = [topo.positions[n] for n in nodes]
+    real_pts = [topo.positions[n] for n in real.nodes]
+    tier_at, by_gap = {}, {}
+
+    def group(i: int, partners: int) -> float:
+        u, (ux, uy) = nodes[i], points[i]
+        best = -math.inf
+        # character j of bits is "1" when nodes[j] is a partner
+        bits = bin(partners)[:1:-1]
+        j = bits.find("1")
+        while j >= 0:
+            vx, vy = points[j]
+            sums = (ux + vx, uy + vy)
+            tier = tier_at.get(sums)
+            if tier is None:
+                mid = (sums[0] / 2, sums[1] / 2)
+                gap = min(map(math.dist, repeat(mid), real_pts))
+                tier = tier_at[sums] = by_gap.setdefault(gap, [])
+                if gap > best:
+                    best = gap
+            tier.append((u, nodes[j]))
+            j = bits.find("1", j + 1)
+        return best
+    return group, by_gap
 
 
 def dummy_schedule(plan: ScenarioPlan) -> Counter[tuple[int, int]]:

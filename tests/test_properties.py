@@ -19,6 +19,7 @@ from extrout.protocols import (
     ProtocolVariant,
     ScenarioSettings,
     _pair_tiers,
+    _top_tiers,
     build_scenario,
 )
 from extrout.rng import substream
@@ -26,7 +27,7 @@ from extrout.routing import (Route, UnreachableError, at_hop_distance, disjoint_
                              extrapolate, hop_distances, lexicographic_walk,
                              shortest_path)
 from extrout.simengine import TrafficTrace, run
-from extrout.topology import (Topology, TopologyParams, build_qudg, generate,
+from extrout.topology import (Position, Topology, TopologyParams, build_qudg, generate,
                               load_topology, place_nodes, topology_to_text)
 
 from oracles import (CountingNeighbours, adjacency, bfs_levels, decoy_pair_tiers,
@@ -247,6 +248,29 @@ def test_pair_ranking_matches_a_bfs_per_node(params, ends, slack):
     route = shortest_path(topo, start, reached[(ends[1] - 1) % len(reached)])
     expected = decoy_pair_tiers(adjacency(topo), topo.positions, route.nodes, slack)
     assert [list(tier) for tier in _pair_tiers(topo, route, slack)] == expected
+
+
+# about one route in five is short enough for the top pass to run
+@settings(max_examples=100, deadline=None)
+@given(params=topology_params, ends=st.tuples(st.integers(1, 49), st.integers(1, 49)),
+       slack=st.integers(1, 2))
+def test_top_tiers_are_the_first_tiers_of_a_bfs_per_node(params, ends, slack):
+    # The same route on the layout and on a copy moved by (1e6, -1e6),
+    # where the rounding of midpoints and distances is a million times
+    # coarser: the top pass must release complete tiers on both, and the
+    # full ranking stands in for it where it is skipped.
+    grid = generate(params)
+    moved = Topology(params, {n: Position(x + 1e6, y - 1e6)
+                              for n, (x, y) in grid.positions.items()}, link_pairs(grid))
+    start = grid.nodes[(ends[0] - 1) % grid.node_count]
+    reached = sorted(hop_distances(grid, start))
+    route = shortest_path(grid, start, reached[(ends[1] - 1) % len(reached)])
+    for topo in (grid, moved):
+        expected = decoy_pair_tiers(adjacency(topo), topo.positions, route.nodes, slack)
+        top = [list(tier) for tier in _top_tiers(topo, route, slack)]
+        ranked = topo.memo[_pair_tiers][2]
+        assert top == (expected[:len(top)] if slack not in ranked else expected)
+        assert top or not expected
 
 
 @settings(max_examples=60, deadline=None)

@@ -17,6 +17,7 @@ from extrout.protocols import (
     ProtocolVariant,
     ScenarioSettings,
     _pair_tiers,
+    _top_tiers,
     build_scenario,
     dummy_schedule,
     place_fake_pair,
@@ -424,7 +425,9 @@ def test_plans_do_not_depend_on_cache_state():
     warmed = _mesh()
     warm_variants = (ProtocolVariant("extrout_fake", 2), ProtocolVariant("nfake_pairs", 1),
                      ProtocolVariant("extrout_duplicates", 2), ProtocolVariant("extrout_baseline"))
-    for seed, (src, dst) in enumerate(((3, 100), (30, 90), (14, 131), (7, 138))):
+    # 3 -> 30 is short enough to take the top pass, so the ranking memo
+    # also passes through an entry that holds top tiers alone
+    for seed, (src, dst) in enumerate(((3, 30), (3, 100), (30, 90), (14, 131), (7, 138))):
         for variant in warm_variants:
             build_scenario(warmed, src, dst, variant, rng=random.Random(seed))
     assert warmed.memo[_pair_tiers][0] == shortest_path(warmed, 7, 138).nodes
@@ -442,9 +445,9 @@ def test_later_fake_plans_reuse_the_hop_tables():
                        rng=random.Random(seed))
         per_plan.append(counted.reads)
         memos.append(topo.memo[_pair_tiers])
-    # the first plan ranks every decoy pair; a later plan never ranks again
-    # and runs at most the odd BFS for a route endpoint asked for the first
-    # time
+    # the first plan ranks the decoy pairs (every pair: this 13-hop route
+    # skips the top pass); a later plan never ranks again and runs at
+    # most the odd BFS for a route endpoint asked for the first time
     assert max(per_plan[1:]) < 3 * topo.node_count
     assert all(memo is memos[0] for memo in memos)
     # the ranking's hop balls keep no hop table
@@ -455,15 +458,84 @@ def test_a_new_real_route_replaces_the_pair_ranking():
     topo = _mesh()
     first, second = shortest_path(topo, 14, 131), shortest_path(topo, 7, 138)
     place_fake_pair(topo, first, random.Random(0))
-    route, tiers = topo.memo[_pair_tiers]
+    route, top, full = topo.memo[_pair_tiers]
     assert route == first.nodes
-    ranking = tiers[1]
+    ranking = top[1]
     place_fake_pair(topo, first, random.Random(1))
     assert topo.memo[_pair_tiers][1][1] is ranking
     place_fake_pair(topo, second, random.Random(0))
-    route, tiers = topo.memo[_pair_tiers]
+    route, top, full = topo.memo[_pair_tiers]
     assert route == second.nodes
-    assert ranking not in tiers.values()
+    assert ranking not in top.values()
+    assert ranking not in full.values()
+
+
+def _dense():
+    """The README dense 20x20 network; 315 -> 160 is an 8-hop pair, and
+    67 -> 279 a 12-hop one."""
+    return generate(TopologyParams(20, 20, perturbation=0.0, tx_range=150.0,
+                                   qudg_factor=0.95, seed=3))
+
+
+def test_a_short_route_places_its_first_decoy_from_the_top_tiers(caplog):
+    topo = _dense()
+    real = shortest_path(topo, 315, 160)
+    with caplog.at_level(logging.INFO, logger="extrout.protocols"):
+        place_fake_pair(topo, real, random.Random(0))
+    assert caplog.messages == ["slack 1 top pass: read 128 of 391 free rows, released 2 tiers"]
+    _, top, full = topo.memo[_pair_tiers]
+    assert full == {}
+    assert top[1] == _pair_tiers(topo, real, 1)[:2]
+
+
+def test_a_long_route_skips_the_top_pass(caplog):
+    topo = _dense()
+    real = shortest_path(topo, 67, 279)
+    with caplog.at_level(logging.INFO, logger="extrout.protocols"):
+        place_fake_pair(topo, real, random.Random(0))
+    assert caplog.messages == [
+        "slack 1 full ranking: 243 of 387 free rows reach the farthest row's best gap"]
+    _, top, full = topo.memo[_pair_tiers]
+    assert top[1] is full[1]
+    assert sum(map(len, full[1])) == 15047
+
+
+@pytest.mark.parametrize("count, spacing, origin, ends, slack", [
+    (9, 123.456, (0.0, 0.0), (4, 5), 2),
+    (11, 7.3, (-1591268.4906811304, 528044.547594199), (2, 4), 1),
+    (7, 265.83926920911784, (2496382.510089088, -5981927.7352063), (1, 2), 2),
+])
+def test_top_tiers_hold_where_the_distance_bound_is_tight(count, spacing, origin,
+                                                          ends, slack):
+    # On a line, a pair running straight away from the route at the full
+    # hop separation reaches the bound exactly, so only its rounding pad
+    # keeps a tier from being released before such a pair is read.
+    positions = {k: Position(origin[0] + spacing * k, origin[1])
+                 for k in range(1, count + 1)}
+    topo = Topology(TopologyParams(1, count, perturbation=0.0), positions,
+                    [(k, k + 1) for k in range(1, count)])
+    real = shortest_path(topo, *ends)
+    top = _top_tiers(topo, real, slack)
+    assert slack not in topo.memo[_pair_tiers][2]  # the pass ran
+    assert top == _pair_tiers(topo, real, slack)[:len(top)]
+
+
+def test_an_avoid_set_over_the_top_tiers_falls_back_to_the_full_ranking(caplog):
+    # Nodes 1, 8 and 141 hold both top tiers' pairs, (1, 141) and (1, 8).
+    # Recorded from the placement that read the whole ranking: the pairs
+    # drawn as the avoid set grows, and the RNG state after them.
+    topo = _dense()
+    real = shortest_path(topo, 315, 160)
+    assert _top_tiers(topo, real, 1) == (((1, 141),), ((1, 8),))
+    taken, pairs, rng = {1, 8, 141}, [], random.Random(0)
+    with caplog.at_level(logging.INFO, logger="extrout.protocols"):
+        for _ in range(6):
+            pairs.append(place_fake_pair(topo, real, rng, avoid=taken))
+            taken.update(shortest_path(topo, *pairs[-1]).nodes)
+    assert caplog.messages == ["slack 1 fallback: no decoy in the 2 top tiers, ranking every pair"]
+    assert pairs == [(2, 142), (22, 49), (161, 301), (24, 166), (26, 164), (23, 168)]
+    assert hashlib.sha256(repr(rng.getstate()).encode()).hexdigest() == (
+        "0d4d392c1a0c5700b17e97ec6cb9f693ac7fcf6cf4bd25eddf7d56f44d506498")
 
 
 # ------------------------------------------------------------ dummy schedule

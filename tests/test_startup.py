@@ -109,6 +109,37 @@ extrapolate(topo, route, 3, 2, random.Random(0))
                              "no source-side extension possible from node 1\n")
 
 
+def test_log_level_shows_the_ranking_records_and_changes_no_output(tmp_path):
+    # A 3-hop route takes the top pass, and the second decoy, kept off the
+    # first one's path, falls back to the full ranking.
+    argv = ["attack", "--rows", "12", "--cols", "12", *DENSE[4:],
+            "--variant", "nfake_pairs", "--count", "3", "--target-hops", "3",
+            "--trials", "100", "--seed", "1", "--out", "out"]
+    runs = {}
+    for name, flag in (("quiet", []), ("logged", ["--log-level", "INFO"])):
+        (tmp_path / name).mkdir()
+        result = _python(tmp_path / name, "-c", ADDED, json.dumps([*argv, *flag]))
+        assert result.returncode == 0, result.stderr
+        *stdout, added = result.stdout.splitlines()
+        files = {path.name: path.read_bytes() for path in (tmp_path / name / "out").iterdir()}
+        runs[name] = (result.stderr, stdout, files, "logging" in json.loads(added))
+    quiet, logged = runs["quiet"], runs["logged"]
+    assert quiet[0] == "" and not quiet[3] and logged[3]
+    assert logged[0].splitlines() == [
+        "INFO:extrout.protocols:slack 1 top pass: read 22 of 140 free rows, released 1 tiers",
+        "INFO:extrout.protocols:slack 1 fallback: no decoy in the 1 top tiers, "
+        "ranking every pair"]
+    assert logged[1:3] == quiet[1:3]
+    assert sorted(quiet[2]) == ["attack.csv", "attack.txt"]
+
+
+def test_a_bad_log_level_is_a_config_error(tmp_path):
+    result = _python(tmp_path, "-m", "extrout", *SMALL_RUN, "--log-level", "loud")
+    assert result.returncode == 1
+    assert result.stderr == "config error: bad value for --log-level: Unknown level: 'LOUD'\n"
+    assert not (tmp_path / "out").exists()
+
+
 # ------------------------------------------------- means without statistics
 
 @settings(max_examples=300, deadline=None)
