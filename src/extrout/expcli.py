@@ -577,13 +577,17 @@ def build_parser() -> argparse.ArgumentParser:
 def _log_to_stderr(level: str) -> None:
     """Show the package's log records at level and above on stderr. Only
     here is `logging` imported, so a command without --log-level skips
-    loading it."""
+    loading it. The level is set on the root logger whether or not it
+    has handlers already (an embedding application's, say); a stderr
+    handler is added only if it has none."""
     import logging
 
-    try:
-        logging.basicConfig(level=level.strip().upper(), stream=sys.stderr)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for --log-level: {exc}") from exc
+    name = level.strip().upper()
+    number = logging.getLevelName(name)  # the number of a known name
+    if not isinstance(number, int):
+        raise ConfigError(f"bad value for --log-level: Unknown level: {name!r}")
+    logging.getLogger().setLevel(number)
+    logging.basicConfig(stream=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:

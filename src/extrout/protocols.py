@@ -202,11 +202,12 @@ def place_fake_pair(topo: Topology, real: Route, rng: random.Random,
     (_top_tiers), and the rest, _pair_tiers(...)[len(top):], only if
     nothing is drawn from those. A distance bound (a pair's midpoint lies
     within reach = (hops + slack) * longest link / 2 of either end) tells
-    when the top tiers are complete without reading every pair. They are
-    the ranking's first tiers, pair for pair in the same order, so every
-    draw, the pair returned and the RNG state left are the ones a read of
-    the whole ranking gives. Where the bound would read at least half the
-    rows, the whole ranking is computed at once instead.
+    when the top tiers are complete without reading every pair; the rest
+    is read by resuming that pass, so no pair is read twice. The top
+    tiers are the ranking's first tiers, pair for pair in the same order,
+    so every draw, the pair returned and the RNG state left are the ones
+    a read of the whole ranking gives. Where the bound would read at
+    least half the rows, the whole ranking is read at once instead.
     """
     avoid = set(avoid)
     forbidden = set(real.nodes) | avoid
@@ -243,114 +244,151 @@ def _pair_tiers(topo: Topology, real: Route, slack: int
                 ) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Pairs off the real route whose hop separation is within slack of
     its hops, ranked by decreasing distance from their midpoint to the
-    route and cut into tiers of equal distance.
+    route and cut into tiers of equal distance; each tier lists its pairs
+    in (u, v) order.
 
-    The ranking depends on neither the RNG nor `avoid`, so it is computed
-    once per slack and kept in the route's memo entry (_ranking_memo).
-    Separations come from hop balls (_hop_balls), so no hop table is
-    computed; v is admissible for u when it lies in u's ball of radius
-    hops + slack but not in the one of radius hops - slack - 1.
-
-    Pairs are grouped by distance as they are read, and only the distinct
-    distances are sorted. topo.nodes is ascending and each row's bits are
-    read from low to high, so every tier lists its pairs in (u, v) order.
-
-    Placement reads the first tiers from _top_tiers, which reads only the
-    rows farthest from the route when its distance bound allows, and the
-    same tiers, exactly. This ranking is computed when the bound is too
-    weak to be worth reading, or when nothing could be drawn from the
-    top tiers (a fallback, logged at INFO).
+    The ranking depends on neither the RNG nor `avoid`, so it is kept in
+    the route's memo entry (_ranking), and read only as deep as asked:
+    _top_tiers gives its first tiers, and this call finishes the pass
+    that found them (a fallback, logged at INFO) if it stopped early.
     """
-    _, top, full = _ranking_memo(topo, real)
-    if slack not in full:
-        if slack in top:
-            log_info(__name__, "slack %d fallback: no decoy in the %d top tiers, "
-                     "ranking every pair", slack, len(top[slack]))
-        full[slack] = _rank_all(topo, real, *_hop_balls(topo, real.hops, slack))
-    return full[slack]
+    entry = _ranking(topo, real, slack)
+    tiers, finish = entry
+    if finish is not None:
+        log_info(__name__, "slack %d fallback: no decoy in the %d top tiers, "
+                 "resuming the pass", slack, len(tiers))
+        entry[:] = tiers + finish(), None
+    return entry[0]
 
 
 def _top_tiers(topo: Topology, real: Route, slack: int
                ) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The first tiers of _pair_tiers(topo, real, slack), found without
-    ranking every pair when a distance bound allows it, else the whole
-    ranking; kept in the route's memo entry.
-
-    Let near(u) be the distance from u to its nearest route node, and
-    reach = (hops + slack) * L / 2, with L the longest link. The ends of
-    an admissible pair lie at most hops + slack links apart, so their
-    midpoint lies within reach of either end, and its distance to the
-    route is at most min(near(u), near(v)) + reach. reach is padded for
-    float rounding, which only reads more rows.
-
-    The pass reads the free rows by descending near, and each pair when
-    its second end is read, from the same hop balls as the full ranking.
-    A pair not yet read has an end not yet read, so its distance is at
-    most near(next row) + reach. Once a distance read exceeds that limit,
-    every tier above the limit is complete: those tiers, each sorted into
-    (u, v) order, are exactly the ranking's first tiers.
-
-    The bound is weak when the route runs near most nodes. Let G0 be the
-    best distance in the row of the farthest free node. Both ends of a
-    top-tier pair have near + reach >= G0, so the pass ends once it has
-    read every row that does. If at least half the free rows do, the
-    pass is skipped and every pair is ranked at once. So a pass reads
-    fewer than half the rows, about a quarter of the pairs, which bounds
-    what a later fallback to the full ranking reads twice. The choice
-    changes what is read, never what is returned.
-    """
-    _, top, full = _ranking_memo(topo, real)
-    if slack in top:
-        return top[slack]
-    balls, inner = _hop_balls(topo, real.hops, slack)
-    points = [topo.positions[n] for n in topo.nodes]
-    real_pts = [topo.positions[n] for n in real.nodes]
-    near = [min(map(math.dist, repeat(p), real_pts)) for p in points]
-    on_route = set(real.nodes)
-    rows = sorted((i for i, n in enumerate(topo.nodes) if n not in on_route),
-                  key=near.__getitem__, reverse=True)
-    longest = max((math.dist(points[i], points[j])
-                   for i, adj in enumerate(topo.neighbor_indices) for j in adj if j > i),
-                  default=0.0)
-    # rounding in midpoints, sums and distances scales with the coordinates
-    pad = 1e-9 * (1 + max((abs(c) for p in points for c in p), default=0.0))
-    reach = (real.hops + slack) * longest / 2 + pad
-    g0 = -math.inf
-    if rows:
-        far = rows[0]
-        free = sum(1 << i for i in rows)
-        score_far, _ = _gap_grouper(topo, real)
-        g0 = score_far(far, balls[far] & ~inner[far] & free)
-    reached = sum(near[i] + reach >= g0 for i in rows)
-    if 2 * reached >= len(rows):
-        full[slack] = top[slack] = _rank_all(topo, real, balls, inner)
-        log_info(__name__, "slack %d full ranking: %d of %d free rows reach the "
-                 "farthest row's best gap", slack, reached, len(rows))
-        return top[slack]
-    group, by_gap = _gap_grouper(topo, real)
-    best, visited = -math.inf, 0
-    limits = [near[i] + reach for i in rows[1:]] + [-math.inf]
-    for read, (i, limit) in enumerate(zip(rows, limits), 1):
-        best = max(best, group(i, balls[i] & ~inner[i] & visited))
-        visited |= 1 << i
-        if best > limit:
-            break
-    # group puts the row it reads first, the pair's higher id when its
-    # partner was read before it
-    top[slack] = tuple(tuple(sorted((u, v) if u < v else (v, u) for u, v in by_gap[gap]))
-                       for gap in sorted(by_gap, reverse=True) if gap > limit)
-    log_info(__name__, "slack %d top pass: read %d of %d free rows, released %d tiers",
-             slack, read, len(rows), len(top[slack]))
-    return top[slack]
+    """The first tiers of _pair_tiers(topo, real, slack), as many as are
+    known: the top pass's, or the whole ranking."""
+    return _ranking(topo, real, slack)[0]
 
 
-def _ranking_memo(topo: Topology, real: Route) -> tuple:
-    """topo.memo[_pair_tiers]: (route nodes, top tiers by slack, full
-    ranking by slack), kept for the latest real route only."""
+def _ranking(topo: Topology, real: Route, slack: int) -> list:
+    """The memo entry [tiers, finish] of the route's ranking at slack,
+    from _rank. topo.memo[_pair_tiers] holds (route nodes, entries by
+    slack) for the latest real route only."""
     memo = topo.memo.get(_pair_tiers)
     if memo is None or memo[0] != real.nodes:
-        memo = topo.memo[_pair_tiers] = (real.nodes, {}, {})
-    return memo
+        memo = topo.memo[_pair_tiers] = (real.nodes, {})
+    entry = memo[1].get(slack)
+    if entry is None:
+        entry = memo[1][slack] = list(_rank(topo, real, slack))
+    return entry
+
+
+def _rank(topo: Topology, real: Route, slack: int):
+    """(tiers, finish): the first tiers of the route's ranking at slack,
+    and finish(), which reads the pairs not yet read and returns the other
+    tiers, or None when tiers is the whole ranking.
+
+    Separations come from hop balls (_hop_balls), so no hop table is
+    computed: v is admissible for u when it lies in u's ball of radius
+    hops + slack but not in the one of radius hops - slack - 1.
+
+    The bound. Let near(u) be the distance from u to its nearest route
+    node, and reach = (hops + slack) * L / 2, with L the longest link. The
+    ends of an admissible pair lie at most hops + slack links apart, so
+    their midpoint lies within reach of either end, and its distance to
+    the route is at most min(near(u), near(v)) + reach. reach is padded
+    for float rounding (_bound_terms), which only reads more rows.
+
+    The top pass reads the farthest free row first, with all its
+    partners, then the other free rows by descending near, each pair when
+    its second end is read. A pair not yet read has an end not yet read,
+    so its distance is at most near(next row) + reach. Once a distance
+    read exceeds that limit, every tier above the limit is complete: those
+    tiers, each sorted into (u, v) order, are exactly the ranking's first
+    tiers. finish() reads the remaining pairs in (u, v) order, row by row
+    in index order from each row's low bit, skipping every pair the pass
+    read; the tiers that already held pairs are sorted before and merged
+    after, so every tier lists the pairs of a whole-ranking read, in its
+    order.
+
+    The half-rows rule. The bound is weak when the route runs near most
+    nodes. Let G0 be the best distance in the farthest row. Both ends of
+    a top-tier pair have near + reach >= G0, so the pass ends once it has
+    read every row that does. If at least half the free rows do, the pass
+    is skipped and finish() reads every pair at once, in index order,
+    where tiers need no sort. The choice changes what is read, never what
+    is returned.
+    """
+    nodes = topo.nodes
+    points = [topo.positions[n] for n in nodes]
+    real_pts = [topo.positions[n] for n in real.nodes]
+    on_route = set(real.nodes)
+    free = [i for i, n in enumerate(nodes) if n not in on_route]
+    if not free:
+        return (), None
+    balls, inner = _hop_balls(topo, real.hops, slack)
+    near = {i: min(map(math.dist, repeat(points[i]), real_pts)) for i in free}
+    rows = sorted(free, key=near.__getitem__, reverse=True)
+    longest, pad = _bound_terms(topo)
+    reach = (real.hops + slack) * longest / 2 + pad
+    group, by_gap = _gap_grouper(nodes, points, real_pts)
+    far = rows[0]
+    others = sum(1 << i for i in free) & ~(1 << far)
+    best = group(far, balls[far] & ~inner[far] & others)
+    visited = 0
+
+    def finish():
+        # Tiers holding pairs read out of (u, v) order are put in order now,
+        # the rest is appended in order, and sort() then merges two runs.
+        started = list(by_gap.values())
+        for tier in started:
+            tier[:] = _in_order(tier)
+        for i in free:
+            if i != far:
+                partners = others >> (i + 1) << (i + 1)
+                if visited >> i & 1:
+                    partners &= ~visited
+                group(i, balls[i] & ~inner[i] & partners)
+        for tier in started:
+            tier.sort()
+        return tuple(tuple(by_gap[gap]) for gap in sorted(by_gap, reverse=True))
+
+    reached = sum(near[i] + reach >= best for i in rows)
+    if 2 * reached >= len(rows):
+        log_info(__name__, "slack %d full ranking: %d of %d free rows reach the "
+                 "farthest row's best gap", slack, reached, len(rows))
+        return finish(), None
+    read, limit = 1, -math.inf
+    for i in rows[1:]:
+        if best > near[i] + reach:
+            limit = near[i] + reach
+            break
+        best = max(best, group(i, balls[i] & ~inner[i] & visited))
+        visited |= 1 << i
+        read += 1
+    top = tuple(tuple(_in_order(by_gap.pop(gap)))
+                for gap in sorted([gap for gap in by_gap if gap > limit], reverse=True))
+    log_info(__name__, "slack %d top pass: read %d of %d free rows, released %d tiers",
+             slack, read, len(rows), len(top))
+    return top, finish
+
+
+def _in_order(pairs) -> list[tuple[int, int]]:
+    """The pairs, each as (lower id, higher id), in ascending order."""
+    return sorted((u, v) if u < v else (v, u) for u, v in pairs)
+
+
+def _bound_terms(topo: Topology) -> tuple[float, float]:
+    """(longest link, rounding pad) for _rank's bound, kept in topo.memo.
+    Rounding in midpoints, sums and distances scales with the
+    coordinates, so the pad does too."""
+    terms = topo.memo.get(_bound_terms)
+    if terms is None:
+        points = [topo.positions[n] for n in topo.nodes]
+        longest = max((math.dist(points[i], points[j])
+                       for i, adj in enumerate(topo.neighbor_indices) for j in adj if j > i),
+                      default=0.0)
+        pad = 1e-9 * (1 + max((abs(c) for p in points for c in p), default=0.0))
+        terms = topo.memo[_bound_terms] = (longest, pad)
+    return terms
 
 
 def _hop_balls(topo: Topology, want: int, slack: int) -> tuple[list[int], list[int]]:
@@ -371,32 +409,17 @@ def _hop_balls(topo: Topology, want: int, slack: int) -> tuple[list[int], list[i
     return balls, inner
 
 
-def _rank_all(topo: Topology, real: Route, balls: list[int], inner: list[int]
-              ) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Every free pair admitted by the hop balls, in tiers by decreasing
-    distance; each row is read from its low bit, after its own."""
-    on_route = set(real.nodes)
-    free = sum(1 << i for i, n in enumerate(topo.nodes) if n not in on_route)
-    group, by_gap = _gap_grouper(topo, real)
-    for i, n in enumerate(topo.nodes):
-        if n not in on_route:
-            group(i, (balls[i] & ~inner[i] & free) >> (i + 1) << (i + 1))
-    return tuple(tuple(by_gap[gap]) for gap in sorted(by_gap, reverse=True))
-
-
-def _gap_grouper(topo: Topology, real: Route):
+def _gap_grouper(nodes, points, real_pts):
     """(group, by_gap): group(i, partners) appends (nodes[i], nodes[j])
     for each index j in the bitset partners to by_gap's list at the
-    distance from the pair's midpoint to the real route. It returns the
-    largest distance among the midpoints it scored first (-inf if none),
-    so the running maximum of its returns is the largest key of by_gap.
+    distance from the pair's midpoint (of points[i] and points[j]) to the
+    route through real_pts. It returns the largest distance among the
+    midpoints it scored first (-inf if none), so the running maximum of
+    its returns is the largest distance read.
 
     Grid layouts share many midpoints, so each is scored once, and its
     list kept in tier_at by the coordinate sums that the midpoint halves.
     """
-    nodes = topo.nodes
-    points = [topo.positions[n] for n in nodes]
-    real_pts = [topo.positions[n] for n in real.nodes]
     tier_at, by_gap = {}, {}
 
     def group(i: int, partners: int) -> float:

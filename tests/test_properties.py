@@ -257,8 +257,9 @@ def test_pair_ranking_matches_a_bfs_per_node(params, ends, slack):
 def test_top_tiers_are_the_first_tiers_of_a_bfs_per_node(params, ends, slack):
     # The same route on the layout and on a copy moved by (1e6, -1e6),
     # where the rounding of midpoints and distances is a million times
-    # coarser: the top pass must release complete tiers on both, and the
-    # full ranking stands in for it where it is skipped.
+    # coarser: the top pass must release complete tiers on both, the
+    # whole ranking stands in for it where it is skipped, and resuming
+    # the pass must give the whole ranking.
     grid = generate(params)
     moved = Topology(params, {n: Position(x + 1e6, y - 1e6)
                               for n, (x, y) in grid.positions.items()}, link_pairs(grid))
@@ -268,9 +269,11 @@ def test_top_tiers_are_the_first_tiers_of_a_bfs_per_node(params, ends, slack):
     for topo in (grid, moved):
         expected = decoy_pair_tiers(adjacency(topo), topo.positions, route.nodes, slack)
         top = [list(tier) for tier in _top_tiers(topo, route, slack)]
-        ranked = topo.memo[_pair_tiers][2]
-        assert top == (expected[:len(top)] if slack not in ranked else expected)
+        finish = topo.memo[_pair_tiers][1][slack][1]
+        assert top == (expected[:len(top)] if finish is not None else expected)
         assert top or not expected
+        # the fallback resumes the pass and must give the whole ranking
+        assert [list(tier) for tier in _pair_tiers(topo, route, slack)] == expected
 
 
 @settings(max_examples=60, deadline=None)

@@ -28,7 +28,7 @@ from extrout.simengine import run
 from extrout.topology import Position, Topology, TopologyParams, generate
 
 from ladders import LINK_PROFILES, line_topology, parallel_paths
-from oracles import CountingNeighbours, link_pairs
+from oracles import CountingNeighbours, adjacency, decoy_pair_tiers, link_pairs
 
 
 def _pinned(src_ext: int, dst_ext: int, **kw) -> ScenarioSettings:
@@ -458,16 +458,15 @@ def test_a_new_real_route_replaces_the_pair_ranking():
     topo = _mesh()
     first, second = shortest_path(topo, 14, 131), shortest_path(topo, 7, 138)
     place_fake_pair(topo, first, random.Random(0))
-    route, top, full = topo.memo[_pair_tiers]
+    route, entries = topo.memo[_pair_tiers]
     assert route == first.nodes
-    ranking = top[1]
+    ranking = entries[1][0]
     place_fake_pair(topo, first, random.Random(1))
-    assert topo.memo[_pair_tiers][1][1] is ranking
+    assert topo.memo[_pair_tiers][1][1][0] is ranking
     place_fake_pair(topo, second, random.Random(0))
-    route, top, full = topo.memo[_pair_tiers]
+    route, entries = topo.memo[_pair_tiers]
     assert route == second.nodes
-    assert ranking not in top.values()
-    assert ranking not in full.values()
+    assert all(tiers is not ranking for tiers, _ in entries.values())
 
 
 def _dense():
@@ -483,9 +482,10 @@ def test_a_short_route_places_its_first_decoy_from_the_top_tiers(caplog):
     with caplog.at_level(logging.INFO, logger="extrout.protocols"):
         place_fake_pair(topo, real, random.Random(0))
     assert caplog.messages == ["slack 1 top pass: read 128 of 391 free rows, released 2 tiers"]
-    _, top, full = topo.memo[_pair_tiers]
-    assert full == {}
-    assert top[1] == _pair_tiers(topo, real, 1)[:2]
+    tiers, finish = topo.memo[_pair_tiers][1][1]
+    assert finish is not None  # the rest is not read
+    expected = decoy_pair_tiers(adjacency(topo), topo.positions, real.nodes, 1)
+    assert [list(tier) for tier in tiers] == expected[:2]
 
 
 def test_a_long_route_skips_the_top_pass(caplog):
@@ -495,29 +495,29 @@ def test_a_long_route_skips_the_top_pass(caplog):
         place_fake_pair(topo, real, random.Random(0))
     assert caplog.messages == [
         "slack 1 full ranking: 243 of 387 free rows reach the farthest row's best gap"]
-    _, top, full = topo.memo[_pair_tiers]
-    assert top[1] is full[1]
-    assert sum(map(len, full[1])) == 15047
+    tiers, finish = topo.memo[_pair_tiers][1][1]
+    assert finish is None
+    assert sum(map(len, tiers)) == 15047
 
 
 @pytest.mark.parametrize("count, spacing, origin, ends, slack", [
-    (9, 123.456, (0.0, 0.0), (4, 5), 2),
-    (11, 7.3, (-1591268.4906811304, 528044.547594199), (2, 4), 1),
-    (7, 265.83926920911784, (2496382.510089088, -5981927.7352063), (1, 2), 2),
+    (11, 232.481244454418, (0.0, 0.0), (6, 6), 1),
+    (11, 98.13453592028219, (-2810148.7532779058, 2596569.5133705195), (6, 6), 1),
 ])
 def test_top_tiers_hold_where_the_distance_bound_is_tight(count, spacing, origin,
                                                           ends, slack):
-    # On a line, a pair running straight away from the route at the full
-    # hop separation reaches the bound exactly, so only its rounding pad
-    # keeps a tier from being released before such a pair is read.
+    # On a line, a pair running straight away from a one-node route at the
+    # full hop separation reaches the bound exactly, so only its rounding
+    # pad keeps a tier from being released before such a pair is read.
     positions = {k: Position(origin[0] + spacing * k, origin[1])
                  for k in range(1, count + 1)}
     topo = Topology(TopologyParams(1, count, perturbation=0.0), positions,
                     [(k, k + 1) for k in range(1, count)])
     real = shortest_path(topo, *ends)
     top = _top_tiers(topo, real, slack)
-    assert slack not in topo.memo[_pair_tiers][2]  # the pass ran
-    assert top == _pair_tiers(topo, real, slack)[:len(top)]
+    assert topo.memo[_pair_tiers][1][slack][1] is not None  # the pass ran
+    expected = decoy_pair_tiers(adjacency(topo), topo.positions, real.nodes, slack)
+    assert [list(tier) for tier in top] == expected[:len(top)]
 
 
 def test_an_avoid_set_over_the_top_tiers_falls_back_to_the_full_ranking(caplog):
@@ -532,7 +532,7 @@ def test_an_avoid_set_over_the_top_tiers_falls_back_to_the_full_ranking(caplog):
         for _ in range(6):
             pairs.append(place_fake_pair(topo, real, rng, avoid=taken))
             taken.update(shortest_path(topo, *pairs[-1]).nodes)
-    assert caplog.messages == ["slack 1 fallback: no decoy in the 2 top tiers, ranking every pair"]
+    assert caplog.messages == ["slack 1 fallback: no decoy in the 2 top tiers, resuming the pass"]
     assert pairs == [(2, 142), (22, 49), (161, 301), (24, 166), (26, 164), (23, 168)]
     assert hashlib.sha256(repr(rng.getstate()).encode()).hexdigest() == (
         "0d4d392c1a0c5700b17e97ec6cb9f693ac7fcf6cf4bd25eddf7d56f44d506498")

@@ -111,7 +111,7 @@ extrapolate(topo, route, 3, 2, random.Random(0))
 
 def test_log_level_shows_the_ranking_records_and_changes_no_output(tmp_path):
     # A 3-hop route takes the top pass, and the second decoy, kept off the
-    # first one's path, falls back to the full ranking.
+    # first one's path, falls back to the rest of the ranking.
     argv = ["attack", "--rows", "12", "--cols", "12", *DENSE[4:],
             "--variant", "nfake_pairs", "--count", "3", "--target-hops", "3",
             "--trials", "100", "--seed", "1", "--out", "out"]
@@ -128,7 +128,7 @@ def test_log_level_shows_the_ranking_records_and_changes_no_output(tmp_path):
     assert logged[0].splitlines() == [
         "INFO:extrout.protocols:slack 1 top pass: read 22 of 140 free rows, released 1 tiers",
         "INFO:extrout.protocols:slack 1 fallback: no decoy in the 1 top tiers, "
-        "ranking every pair"]
+        "resuming the pass"]
     assert logged[1:3] == quiet[1:3]
     assert sorted(quiet[2]) == ["attack.csv", "attack.txt"]
 
@@ -138,6 +138,33 @@ def test_a_bad_log_level_is_a_config_error(tmp_path):
     assert result.returncode == 1
     assert result.stderr == "config error: bad value for --log-level: Unknown level: 'LOUD'\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_log_level_is_checked_and_set_where_the_root_logger_has_handlers(
+        tmp_path, monkeypatch, capsys):
+    # In-process, as an embedding application calls main: pytest has given
+    # the root logger handlers already, so configuring them is left to it,
+    # but the level is still checked and set.
+    import logging
+
+    from extrout.expcli import main
+
+    monkeypatch.chdir(tmp_path)
+    root = logging.getLogger()
+    assert root.handlers
+    handlers, level = list(root.handlers), root.level
+    try:
+        root.setLevel(logging.WARNING)
+        assert main([*SMALL_RUN, "--log-level", "loud"]) == 1
+        assert capsys.readouterr().err == (
+            "config error: bad value for --log-level: Unknown level: 'LOUD'\n")
+        assert root.level == logging.WARNING
+        assert not (tmp_path / "out").exists()
+        assert main([*SMALL_RUN, "--log-level", " debug "]) == 0
+        assert root.level == logging.DEBUG
+        assert root.handlers == handlers
+    finally:
+        root.setLevel(level)
 
 
 # ------------------------------------------------- means without statistics
