@@ -11,6 +11,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import repeat
 
 from .routing import (ExtendedRoute, Route, disjoint_paths, extrapolate,
@@ -198,93 +199,61 @@ def place_fake_pair(topo: Topology, real: Route, rng: random.Random,
     share no node with the real route or with `avoid`. The separation slack
     relaxes to 2 if nothing qualifies at 1, then placement fails.
 
-    Each slack's ranking is read in two parts: the top tiers first
-    (_top_tiers), and the rest, _pair_tiers(...)[len(top):], only if
-    nothing is drawn from those. A distance bound (a pair's midpoint lies
-    within reach = (hops + slack) * longest link / 2 of either end) tells
-    when the top tiers are complete without reading every pair; the rest
-    is read by resuming that pass, so no pair is read twice. The top
-    tiers are the ranking's first tiers, pair for pair in the same order,
-    so every draw, the pair returned and the RNG state left are the ones
-    a read of the whole ranking gives. Where the bound would read at
-    least half the rows, the whole ranking is read at once instead.
+    Tiers are drawn from one at a time, as _pair_tiers yields them, so the
+    ranking is read only as deep as the pair returned.
     """
     avoid = set(avoid)
     forbidden = set(real.nodes) | avoid
     for slack in (1, 2):
         if slack == 2:
             log_info(__name__, "no fake pair within 1 hop of separation %d, trying 2", real.hops)
-        top = _top_tiers(topo, real, slack)
-        pair = _draw_pair(topo, top, avoid, forbidden, rng)
-        if pair is None:
-            pair = _draw_pair(topo, _pair_tiers(topo, real, slack)[len(top):],
-                              avoid, forbidden, rng)
-        if pair is not None:
-            return pair
+        for tier in _pair_tiers(topo, real, slack):
+            # Tiers hold equal gaps, so filtering each one yields the tiers
+            # of the filtered ranking; an emptied tier draws nothing.
+            tier = [(u, v) for u, v in tier if u not in avoid and v not in avoid]
+            rng.shuffle(tier)
+            for u, v in tier:
+                # u is free; the walk stops at the first forbidden node
+                if forbidden.isdisjoint(lexicographic_walk(topo, u, v)):
+                    return u, v
     raise PlacementError(
         f"no fake pair within 2 hops of separation {real.hops} avoids the real route")
 
 
-def _draw_pair(topo, tiers, avoid, forbidden, rng) -> tuple[int, int] | None:
-    """The first pair, tier by tier, in an rng-shuffled order within each
-    tier, that avoids `avoid` and whose path meets no forbidden node."""
-    for tier in tiers:
-        # Tiers hold equal gaps, so filtering each one yields the tiers
-        # of the filtered ranking; an emptied tier draws nothing.
-        tier = [(u, v) for u, v in tier if u not in avoid and v not in avoid]
-        rng.shuffle(tier)
-        for u, v in tier:
-            # u is free; the walk stops at the first forbidden node
-            if forbidden.isdisjoint(lexicographic_walk(topo, u, v)):
-                return u, v
-    return None
+def _pair_tiers(topo: Topology, real: Route, slack: int):
+    """Yields the ranking of the pairs off the real route whose hop
+    separation is within slack of its hops: by decreasing distance from
+    their midpoint to the route, in tiers of equal distance, each a tuple
+    of its pairs in (u, v) order.
 
-
-def _pair_tiers(topo: Topology, real: Route, slack: int
-                ) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Pairs off the real route whose hop separation is within slack of
-    its hops, ranked by decreasing distance from their midpoint to the
-    route and cut into tiers of equal distance; each tier lists its pairs
-    in (u, v) order.
-
-    The ranking depends on neither the RNG nor `avoid`, so it is kept in
-    the route's memo entry (_ranking), and read only as deep as asked:
-    _top_tiers gives its first tiers, and this call finishes the pass
-    that found them (a fallback, logged at INFO) if it stopped early.
+    The ranking depends on neither the RNG nor `avoid`, so
+    topo.memo[_pair_tiers] keeps (route nodes, entries by slack) for the
+    latest real route only, each entry (tiers read, paused pass). A reader
+    gets the tiers read, then resumes the pass (logged at INFO), which
+    stays paused for the next reader wherever this one stops.
     """
-    entry = _ranking(topo, real, slack)
-    tiers, finish = entry
-    if finish is not None:
-        log_info(__name__, "slack %d fallback: no decoy in the %d top tiers, "
-                 "resuming the pass", slack, len(tiers))
-        entry[:] = tiers + finish(), None
-    return entry[0]
-
-
-def _top_tiers(topo: Topology, real: Route, slack: int
-               ) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The first tiers of _pair_tiers(topo, real, slack), as many as are
-    known: the top pass's, or the whole ranking."""
-    return _ranking(topo, real, slack)[0]
-
-
-def _ranking(topo: Topology, real: Route, slack: int) -> list:
-    """The memo entry [tiers, finish] of the route's ranking at slack,
-    from _rank. topo.memo[_pair_tiers] holds (route nodes, entries by
-    slack) for the latest real route only."""
     memo = topo.memo.get(_pair_tiers)
     if memo is None or memo[0] != real.nodes:
         memo = topo.memo[_pair_tiers] = (real.nodes, {})
-    entry = memo[1].get(slack)
-    if entry is None:
-        entry = memo[1][slack] = list(_rank(topo, real, slack))
-    return entry
+    if slack not in memo[1]:
+        memo[1][slack] = ([], _rank(topo, real, slack))
+    tiers, rest = memo[1][slack]
+    yield from tiers
+    if tiers and rest.gi_frame is not None:
+        log_info(__name__, "slack %d resuming the pass: no decoy in the %d tiers read",
+                 slack, len(tiers))
+    # Not `yield from rest`: that would close the shared pass when a
+    # reader that stopped early is collected.
+    for tier in rest:
+        tier.sort()
+        tiers.append(tuple(tier))
+        yield tiers[-1]
 
 
 def _rank(topo: Topology, real: Route, slack: int):
-    """(tiers, finish): the first tiers of the route's ranking at slack,
-    and finish(), which reads the pairs not yet read and returns the other
-    tiers, or None when tiers is the whole ranking.
+    """Yields the tiers of the route's ranking at slack, the farthest
+    first, each a list of its (lower id, higher id) pairs in the order
+    read.
 
     Separations come from hop balls (_hop_balls), so no hop table is
     computed: v is admissible for u when it lies in u's ball of radius
@@ -297,83 +266,69 @@ def _rank(topo: Topology, real: Route, slack: int):
     the route is at most min(near(u), near(v)) + reach. reach is padded
     for float rounding (_bound_terms), which only reads more rows.
 
-    The top pass reads the farthest free row first, with all its
-    partners, then the other free rows by descending near, each pair when
-    its second end is read. A pair not yet read has an end not yet read,
-    so its distance is at most near(next row) + reach. Once a distance
-    read exceeds that limit, every tier above the limit is complete: those
-    tiers, each sorted into (u, v) order, are exactly the ranking's first
-    tiers. finish() reads the remaining pairs in (u, v) order, row by row
-    in index order from each row's low bit, skipping every pair the pass
-    read; the tiers that already held pairs are sorted before and merged
-    after, so every tier lists the pairs of a whole-ranking read, in its
-    order.
+    The pass reads the free rows once, by descending near, and each pair
+    when its second end is read. A pair not yet read then has an end not
+    yet read, so before row r is read every unread pair lies within
+    near(r) + reach of the route. A tier farther than that is complete,
+    and every tier still to come lies nearer: the tiers yielded there,
+    found by a heap of negated distances, are exactly the ranking's next
+    tiers. At the end the rest are yielded by distance, from the heap
+    sorted once.
 
-    The half-rows rule. The bound is weak when the route runs near most
-    nodes. Let G0 be the best distance in the farthest row. Both ends of
-    a top-tier pair have near + reach >= G0, so the pass ends once it has
-    read every row that does. If at least half the free rows do, the pass
-    is skipped and finish() reads every pair at once, in index order,
-    where tiers need no sort. The choice changes what is read, never what
-    is returned.
+    The pause rule. The bound is weak when the route runs near most
+    nodes, where pausing late costs a later reader more than it saves.
+    So the pass yields before a row only while fewer than half the free
+    rows are read, and past that reads every row first. The rule changes
+    when tiers are yielded, never which.
+
+    Grid layouts share many midpoints, so each is scored once, and its
+    tier kept in tier_at by the coordinate sums that the midpoint halves.
     """
     nodes = topo.nodes
     points = [topo.positions[n] for n in nodes]
     real_pts = [topo.positions[n] for n in real.nodes]
     on_route = set(real.nodes)
     free = [i for i, n in enumerate(nodes) if n not in on_route]
-    if not free:
-        return (), None
     balls, inner = _hop_balls(topo, real.hops, slack)
     near = {i: min(map(math.dist, repeat(points[i]), real_pts)) for i in free}
     rows = sorted(free, key=near.__getitem__, reverse=True)
     longest, pad = _bound_terms(topo)
     reach = (real.hops + slack) * longest / 2 + pad
-    group, by_gap = _gap_grouper(nodes, points, real_pts)
-    far = rows[0]
-    others = sum(1 << i for i in free) & ~(1 << far)
-    best = group(far, balls[far] & ~inner[far] & others)
-    visited = 0
-
-    def finish():
-        # Tiers holding pairs read out of (u, v) order are put in order now,
-        # the rest is appended in order, and sort() then merges two runs.
-        started = list(by_gap.values())
-        for tier in started:
-            tier[:] = _in_order(tier)
-        for i in free:
-            if i != far:
-                partners = others >> (i + 1) << (i + 1)
-                if visited >> i & 1:
-                    partners &= ~visited
-                group(i, balls[i] & ~inner[i] & partners)
-        for tier in started:
-            tier.sort()
-        return tuple(tuple(by_gap[gap]) for gap in sorted(by_gap, reverse=True))
-
-    reached = sum(near[i] + reach >= best for i in rows)
-    if 2 * reached >= len(rows):
-        log_info(__name__, "slack %d full ranking: %d of %d free rows reach the "
-                 "farthest row's best gap", slack, reached, len(rows))
-        return finish(), None
-    read, limit = 1, -math.inf
-    for i in rows[1:]:
-        if best > near[i] + reach:
-            limit = near[i] + reach
-            break
-        best = max(best, group(i, balls[i] & ~inner[i] & visited))
+    tier_at, by_gap, heap = {}, {}, []
+    visited, paused = 0, False
+    for read, i in enumerate(rows):
+        if 2 * read < len(rows):
+            done = []
+            while heap and -heap[0] > near[i] + reach:
+                done.append(by_gap.pop(-heappop(heap)))
+            if done and not paused:
+                log_info(__name__, "slack %d pass paused: %d tiers complete after "
+                         "%d of %d free rows", slack, len(done), read, len(rows))
+                paused = True
+            yield from done
+        u, (ux, uy) = nodes[i], points[i]
+        # character j of bits is "1" when nodes[j] is a partner read before
+        bits = bin(balls[i] & ~inner[i] & visited)[:1:-1]
+        j = bits.find("1")
+        while j >= 0:
+            vx, vy = points[j]
+            sums = (ux + vx, uy + vy)
+            tier = tier_at.get(sums)
+            if tier is None:
+                mid = (sums[0] / 2, sums[1] / 2)
+                gap = min(map(math.dist, repeat(mid), real_pts))
+                tier = by_gap.get(gap)
+                if tier is None:
+                    tier = by_gap[gap] = []
+                    heappush(heap, -gap)
+                tier_at[sums] = tier
+            # index order is id order
+            tier.append((nodes[j], u) if j < i else (u, nodes[j]))
+            j = bits.find("1", j + 1)
         visited |= 1 << i
-        read += 1
-    top = tuple(tuple(_in_order(by_gap.pop(gap)))
-                for gap in sorted([gap for gap in by_gap if gap > limit], reverse=True))
-    log_info(__name__, "slack %d top pass: read %d of %d free rows, released %d tiers",
-             slack, read, len(rows), len(top))
-    return top, finish
-
-
-def _in_order(pairs) -> list[tuple[int, int]]:
-    """The pairs, each as (lower id, higher id), in ascending order."""
-    return sorted((u, v) if u < v else (v, u) for u, v in pairs)
+    heap.sort()  # the tiers left, farthest first
+    for neg in heap:
+        yield by_gap.pop(-neg)
 
 
 def _bound_terms(topo: Topology) -> tuple[float, float]:
@@ -407,41 +362,6 @@ def _hop_balls(topo: Topology, want: int, slack: int) -> tuple[list[int], list[i
             grown.append(ball)
         balls = grown
     return balls, inner
-
-
-def _gap_grouper(nodes, points, real_pts):
-    """(group, by_gap): group(i, partners) appends (nodes[i], nodes[j])
-    for each index j in the bitset partners to by_gap's list at the
-    distance from the pair's midpoint (of points[i] and points[j]) to the
-    route through real_pts. It returns the largest distance among the
-    midpoints it scored first (-inf if none), so the running maximum of
-    its returns is the largest distance read.
-
-    Grid layouts share many midpoints, so each is scored once, and its
-    list kept in tier_at by the coordinate sums that the midpoint halves.
-    """
-    tier_at, by_gap = {}, {}
-
-    def group(i: int, partners: int) -> float:
-        u, (ux, uy) = nodes[i], points[i]
-        best = -math.inf
-        # character j of bits is "1" when nodes[j] is a partner
-        bits = bin(partners)[:1:-1]
-        j = bits.find("1")
-        while j >= 0:
-            vx, vy = points[j]
-            sums = (ux + vx, uy + vy)
-            tier = tier_at.get(sums)
-            if tier is None:
-                mid = (sums[0] / 2, sums[1] / 2)
-                gap = min(map(math.dist, repeat(mid), real_pts))
-                tier = tier_at[sums] = by_gap.setdefault(gap, [])
-                if gap > best:
-                    best = gap
-            tier.append((u, nodes[j]))
-            j = bits.find("1", j + 1)
-        return best
-    return group, by_gap
 
 
 def dummy_schedule(plan: ScenarioPlan) -> Counter[tuple[int, int]]:

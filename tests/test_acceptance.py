@@ -332,3 +332,14 @@ def test_criterion_10_sweep_reproduces_tradeoff(tmp_path):
     _verdict(10, True,
              f"{len(used_rows)} hop targets exact at 1-1/(L+4); every "
              f"extended variant beats a fake-pairs point on both axes")
+
+
+def test_criterion_11_degree_7_profile_reaches_the_quoted_degree():
+    # The defaults with tx_range 245: the paper's quoted average degree of
+    # 7, within 0.5, on every one of ten random 20x20 deployments.
+    degrees = [average_degree(generate(TopologyParams(20, 20, tx_range=245.0, seed=seed)))
+               for seed in range(1, 11)]
+    assert all(6.5 <= degree <= 7.5 for degree in degrees), degrees
+    _verdict(11, True,
+             f"degree-7 profile (tx_range 245) averages {min(degrees):.2f} to "
+             f"{max(degrees):.2f} over topology seeds 1-10")

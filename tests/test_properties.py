@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import random
 import tempfile
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -19,7 +21,6 @@ from extrout.protocols import (
     ProtocolVariant,
     ScenarioSettings,
     _pair_tiers,
-    _top_tiers,
     build_scenario,
 )
 from extrout.rng import substream
@@ -250,16 +251,16 @@ def test_pair_ranking_matches_a_bfs_per_node(params, ends, slack):
     assert [list(tier) for tier in _pair_tiers(topo, route, slack)] == expected
 
 
-# about one route in five is short enough for the top pass to run
+# about one route in five is short enough for its pass to pause
 @settings(max_examples=100, deadline=None)
 @given(params=topology_params, ends=st.tuples(st.integers(1, 49), st.integers(1, 49)),
-       slack=st.integers(1, 2))
-def test_top_tiers_are_the_first_tiers_of_a_bfs_per_node(params, ends, slack):
+       slack=st.integers(1, 2), k=st.integers(1, 4))
+def test_a_ranking_read_in_parts_is_the_ranking_of_a_bfs_per_node(params, ends, slack, k):
     # The same route on the layout and on a copy moved by (1e6, -1e6),
     # where the rounding of midpoints and distances is a million times
-    # coarser: the top pass must release complete tiers on both, the
-    # whole ranking stands in for it where it is skipped, and resuming
-    # the pass must give the whole ranking.
+    # coarser: the pass must yield only complete tiers on both. A reader
+    # that stops after k tiers and is collected must leave the shared pass
+    # paused, not closed, for the next reader.
     grid = generate(params)
     moved = Topology(params, {n: Position(x + 1e6, y - 1e6)
                               for n, (x, y) in grid.positions.items()}, link_pairs(grid))
@@ -268,11 +269,11 @@ def test_top_tiers_are_the_first_tiers_of_a_bfs_per_node(params, ends, slack):
     route = shortest_path(grid, start, reached[(ends[1] - 1) % len(reached)])
     for topo in (grid, moved):
         expected = decoy_pair_tiers(adjacency(topo), topo.positions, route.nodes, slack)
-        top = [list(tier) for tier in _top_tiers(topo, route, slack)]
-        finish = topo.memo[_pair_tiers][1][slack][1]
-        assert top == (expected[:len(top)] if finish is not None else expected)
-        assert top or not expected
-        # the fallback resumes the pass and must give the whole ranking
+        reader = _pair_tiers(topo, route, slack)
+        assert [list(tier) for tier in islice(reader, k)] == expected[:k]
+        del reader
+        gc.collect()
+        assert [list(tier) for tier in islice(_pair_tiers(topo, route, slack), k)] == expected[:k]
         assert [list(tier) for tier in _pair_tiers(topo, route, slack)] == expected
 
 

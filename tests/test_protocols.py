@@ -7,6 +7,8 @@ import logging
 import random
 from collections import Counter
 from dataclasses import replace
+from inspect import GEN_SUSPENDED, getgeneratorstate
+from itertools import islice
 
 import pytest
 
@@ -17,7 +19,6 @@ from extrout.protocols import (
     ProtocolVariant,
     ScenarioSettings,
     _pair_tiers,
-    _top_tiers,
     build_scenario,
     dummy_schedule,
     place_fake_pair,
@@ -331,7 +332,7 @@ def test_pair_ranking_tie_order_is_pinned():
     digest = hashlib.sha256()
     calls = 0
     for topo, route, slack in _tier_cases():
-        digest.update(repr(_pair_tiers(topo, route, slack)).encode() + b"\n")
+        digest.update(repr(tuple(_pair_tiers(topo, route, slack))).encode() + b"\n")
         calls += 1
     assert (calls, digest.hexdigest()) == (
         240, "9371e08537fd51210f21811f19efb23572043a40cf97edc3d0b8a7891763bb66")
@@ -398,8 +399,8 @@ def test_pair_ranking_ignores_how_nodes_are_numbered():
         route = shortest_path(topo, a, rng.choice(sorted(hop_distances(topo, a))))
         moved_route = Route(tuple(relabel[n] for n in route.nodes))
         for slack in (1, 2):
-            tiers = _pair_tiers(topo, route, slack)
-            assert _pair_tiers(moved, moved_route, slack) == tuple(
+            tiers = tuple(_pair_tiers(topo, route, slack))
+            assert tuple(_pair_tiers(moved, moved_route, slack)) == tuple(
                 tuple((relabel[u], relabel[v]) for u, v in tier) for tier in tiers)
             ranked += sum(map(len, tiers))
     assert ranked > 1000
@@ -425,8 +426,8 @@ def test_plans_do_not_depend_on_cache_state():
     warmed = _mesh()
     warm_variants = (ProtocolVariant("extrout_fake", 2), ProtocolVariant("nfake_pairs", 1),
                      ProtocolVariant("extrout_duplicates", 2), ProtocolVariant("extrout_baseline"))
-    # 3 -> 30 is short enough to take the top pass, so the ranking memo
-    # also passes through an entry that holds top tiers alone
+    # 3 -> 30 is short enough for its pass to pause, so the ranking memo
+    # also passes through an entry that holds a paused pass
     for seed, (src, dst) in enumerate(((3, 30), (3, 100), (30, 90), (14, 131), (7, 138))):
         for variant in warm_variants:
             build_scenario(warmed, src, dst, variant, rng=random.Random(seed))
@@ -446,7 +447,7 @@ def test_later_fake_plans_reuse_the_hop_tables():
         per_plan.append(counted.reads)
         memos.append(topo.memo[_pair_tiers])
     # the first plan ranks the decoy pairs (every pair: this 13-hop route
-    # skips the top pass); a later plan never ranks again and runs at
+    # never pauses its pass); a later plan never ranks again and runs at
     # most the odd BFS for a route endpoint asked for the first time
     assert max(per_plan[1:]) < 3 * topo.node_count
     assert all(memo is memos[0] for memo in memos)
@@ -476,28 +477,37 @@ def _dense():
                                    qudg_factor=0.95, seed=3))
 
 
+def _pass_state(topo, slack):
+    """The route's tiers read at slack, and the locals of its pass."""
+    tiers, rest = topo.memo[_pair_tiers][1][slack]
+    return tiers, rest.gi_frame.f_locals
+
+
 def test_a_short_route_places_its_first_decoy_from_the_top_tiers(caplog):
     topo = _dense()
     real = shortest_path(topo, 315, 160)
     with caplog.at_level(logging.INFO, logger="extrout.protocols"):
         place_fake_pair(topo, real, random.Random(0))
-    assert caplog.messages == ["slack 1 top pass: read 128 of 391 free rows, released 2 tiers"]
-    tiers, finish = topo.memo[_pair_tiers][1][1]
-    assert finish is not None  # the rest is not read
+    assert caplog.messages == ["slack 1 pass paused: 2 tiers complete after 128 of 391 free rows"]
+    tiers, rest = topo.memo[_pair_tiers][1][1]
+    assert getgeneratorstate(rest) == GEN_SUSPENDED  # the rest is not read
+    assert _pass_state(topo, 1)[1]["read"] == 128
     expected = decoy_pair_tiers(adjacency(topo), topo.positions, real.nodes, 1)
-    assert [list(tier) for tier in tiers] == expected[:2]
+    assert [list(tier) for tier in tiers] == expected[:1]
+    assert [list(tier) for tier in _pair_tiers(topo, real, 1)] == expected
 
 
-def test_a_long_route_skips_the_top_pass(caplog):
+def test_a_long_route_reads_every_row_before_its_first_tier(caplog):
+    # Its first tier is complete only after 243 of 387 rows, past the half
+    # where the pass stops pausing.
     topo = _dense()
     real = shortest_path(topo, 67, 279)
     with caplog.at_level(logging.INFO, logger="extrout.protocols"):
         place_fake_pair(topo, real, random.Random(0))
-    assert caplog.messages == [
-        "slack 1 full ranking: 243 of 387 free rows reach the farthest row's best gap"]
-    tiers, finish = topo.memo[_pair_tiers][1][1]
-    assert finish is None
-    assert sum(map(len, tiers)) == 15047
+    assert caplog.messages == []
+    tiers, state = _pass_state(topo, 1)
+    assert bin(state["visited"]).count("1") == 387
+    assert sum(map(len, tiers)) + sum(map(len, state["by_gap"].values())) == 15047
 
 
 @pytest.mark.parametrize("count, spacing, origin, ends, slack", [
@@ -505,7 +515,7 @@ def test_a_long_route_skips_the_top_pass(caplog):
     (11, 98.13453592028219, (-2810148.7532779058, 2596569.5133705195), (6, 6), 1),
 ])
 def test_top_tiers_hold_where_the_distance_bound_is_tight(count, spacing, origin,
-                                                          ends, slack):
+                                                          ends, slack, caplog):
     # On a line, a pair running straight away from a one-node route at the
     # full hop separation reaches the bound exactly, so only its rounding
     # pad keeps a tier from being released before such a pair is read.
@@ -514,10 +524,13 @@ def test_top_tiers_hold_where_the_distance_bound_is_tight(count, spacing, origin
     topo = Topology(TopologyParams(1, count, perturbation=0.0), positions,
                     [(k, k + 1) for k in range(1, count)])
     real = shortest_path(topo, *ends)
-    top = _top_tiers(topo, real, slack)
-    assert topo.memo[_pair_tiers][1][slack][1] is not None  # the pass ran
     expected = decoy_pair_tiers(adjacency(topo), topo.positions, real.nodes, slack)
-    assert [list(tier) for tier in top] == expected[:len(top)]
+    with caplog.at_level(logging.INFO, logger="extrout.protocols"):
+        top = next(_pair_tiers(topo, real, slack))
+    assert "pass paused" in caplog.text  # the tier came before every row was read
+    assert list(top) == expected[0]
+    # a tier released early would be split, or lose the pairs read after it
+    assert [list(tier) for tier in _pair_tiers(topo, real, slack)] == expected
 
 
 def test_an_avoid_set_over_the_top_tiers_falls_back_to_the_full_ranking(caplog):
@@ -526,13 +539,15 @@ def test_an_avoid_set_over_the_top_tiers_falls_back_to_the_full_ranking(caplog):
     # drawn as the avoid set grows, and the RNG state after them.
     topo = _dense()
     real = shortest_path(topo, 315, 160)
-    assert _top_tiers(topo, real, 1) == (((1, 141),), ((1, 8),))
+    assert list(islice(_pair_tiers(topo, real, 1), 2)) == [((1, 141),), ((1, 8),)]
     taken, pairs, rng = {1, 8, 141}, [], random.Random(0)
     with caplog.at_level(logging.INFO, logger="extrout.protocols"):
         for _ in range(6):
             pairs.append(place_fake_pair(topo, real, rng, avoid=taken))
             taken.update(shortest_path(topo, *pairs[-1]).nodes)
-    assert caplog.messages == ["slack 1 fallback: no decoy in the 2 top tiers, resuming the pass"]
+    # each placement reads deeper than the one before it
+    assert caplog.messages == [f"slack 1 resuming the pass: no decoy in the {n} tiers read"
+                               for n in (2, 9, 30, 60, 82)]
     assert pairs == [(2, 142), (22, 49), (161, 301), (24, 166), (26, 164), (23, 168)]
     assert hashlib.sha256(repr(rng.getstate()).encode()).hexdigest() == (
         "0d4d392c1a0c5700b17e97ec6cb9f693ac7fcf6cf4bd25eddf7d56f44d506498")

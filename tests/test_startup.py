@@ -110,8 +110,8 @@ extrapolate(topo, route, 3, 2, random.Random(0))
 
 
 def test_log_level_shows_the_ranking_records_and_changes_no_output(tmp_path):
-    # A 3-hop route takes the top pass, and the second decoy, kept off the
-    # first one's path, falls back to the rest of the ranking.
+    # A 3-hop route's pass pauses at its first tier, and later decoys, kept
+    # off the earlier ones' paths, resume it.
     argv = ["attack", "--rows", "12", "--cols", "12", *DENSE[4:],
             "--variant", "nfake_pairs", "--count", "3", "--target-hops", "3",
             "--trials", "100", "--seed", "1", "--out", "out"]
@@ -126,9 +126,9 @@ def test_log_level_shows_the_ranking_records_and_changes_no_output(tmp_path):
     quiet, logged = runs["quiet"], runs["logged"]
     assert quiet[0] == "" and not quiet[3] and logged[3]
     assert logged[0].splitlines() == [
-        "INFO:extrout.protocols:slack 1 top pass: read 22 of 140 free rows, released 1 tiers",
-        "INFO:extrout.protocols:slack 1 fallback: no decoy in the 1 top tiers, "
-        "resuming the pass"]
+        "INFO:extrout.protocols:slack 1 pass paused: 1 tiers complete after 22 of 140 free rows",
+        "INFO:extrout.protocols:slack 1 resuming the pass: no decoy in the 1 tiers read",
+        "INFO:extrout.protocols:slack 1 resuming the pass: no decoy in the 3 tiers read"]
     assert logged[1:3] == quiet[1:3]
     assert sorted(quiet[2]) == ["attack.csv", "attack.txt"]
 
