@@ -122,7 +122,6 @@ SCHEMA = (
     ("topology", "topology_file", str.strip, ""),
     ("scenario", "variant", str.strip, "extrout_baseline"),
     ("scenario", "count", int, 1),
-    ("scenario", "residual_rate", int, 0),
     ("scenario", "source", _int_at_least(0), 0),
     ("scenario", "dest", _int_at_least(0), 0),
     ("scenario", "target_hops", _int_at_least(1), 8),
@@ -259,7 +258,6 @@ def _make_variant(cfg: dict) -> ProtocolVariant:
         ProtocolVariant,
         kind=kind,
         count=cfg["count"] if kind in PARAMETERISED_KINDS else 0,
-        residual_cover_rate=cfg["residual_rate"],
     )
 
 
@@ -385,7 +383,7 @@ def cmd_run(cfg: dict) -> int:
     text += f"unlinkability mean {unlink_mean:.6f}\n"
     _write(cfg, "run", "report.txt", text)
 
-    _write(cfg, "run", "report.csv", reports_to_csv(reports))
+    _write(cfg, "run", "report.csv", reports_to_csv([headline, *reports[1:]]))
 
     if _exit_code(failures):
         return 2
@@ -449,7 +447,7 @@ def _frontier_points(cfg: dict) -> list[tuple[str, int]]:
 def _frontier_row(topo, source: int, dest: int, kind: str, count: int,
                   cfg: dict, settings, failures: list[str]) -> list[str]:
     seed = cfg["seed"]
-    variant = _from_input(ProtocolVariant, kind, count, cfg["residual_rate"])
+    variant = _from_input(ProtocolVariant, kind, count)
     reports = []
     shortfall = 0
     failed = 0

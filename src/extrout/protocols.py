@@ -30,15 +30,10 @@ class PlacementError(Exception):
 
 @dataclass(frozen=True)
 class ProtocolVariant:
-    """Which privacy technique runs, with its path count where applicable.
-
-    residual_cover_rate adds that many dummy transmissions per interval at
-    every node of the network, on top of the per-path cover streams.
-    """
+    """Which privacy technique runs, with its path count where applicable."""
 
     kind: str
     count: int = 0
-    residual_cover_rate: int = 0
 
     def __post_init__(self):
         if self.kind not in VARIANT_KINDS:
@@ -48,8 +43,6 @@ class ProtocolVariant:
             raise ValueError(f"{self.kind} needs count >= 1, got {self.count}")
         if self.kind not in PARAMETERISED_KINDS and self.count != 0:
             raise ValueError(f"{self.kind} takes no count")
-        if self.residual_cover_rate < 0 or self.residual_cover_rate != int(self.residual_cover_rate):
-            raise ValueError("residual_cover_rate must be a non-negative integer")
 
     @property
     def uses_cover(self) -> bool:
@@ -90,7 +83,6 @@ class ScenarioPlan:
     packet_budget intervals.
     """
 
-    topology: Topology
     variant: ProtocolVariant
     real_route: Route
     main: ExtendedRoute
@@ -156,7 +148,7 @@ def build_scenario(topo: Topology, source: int, dest: int,
     elif variant.kind in ("extrout_fake", "nfake_pairs"):
         fakes = _fake_paths(topo, real, main, variant, settings, rng)
     return ScenarioPlan(
-        topology=topo, variant=variant, real_route=real, main=main,
+        variant=variant, real_route=real, main=main,
         duplicates=duplicates, fake_paths=fakes,
         requested_source_ext=requested[0], requested_dest_ext=requested[1],
         settings=settings)
@@ -370,8 +362,7 @@ def dummy_schedule(plan: ScenarioPlan) -> Counter[tuple[int, int]]:
     receive.
 
     The attacker sees counts only, so the real packet and the dummies are
-    counted alike. Residual cover has no next hop and is added per node by
-    the simulator.
+    counted alike.
     """
     counts: Counter[tuple[int, int]] = Counter()
     for chain in plan.all_chains():

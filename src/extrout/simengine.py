@@ -22,8 +22,7 @@ class TrafficTrace:
     counts per node and per link.
 
     node_tx holds each node that transmits; a node missing from it sent
-    nothing. With residual cover every node transmits, so every node is
-    present.
+    nothing.
     """
 
     node_tx: dict[int, int]
@@ -37,13 +36,11 @@ class TrafficTrace:
 def run(plan: ScenarioPlan) -> TrafficTrace:
     """Execute the plan for the packet_budget intervals of its settings.
 
-    Lossless and deterministic: every interval relays the same counts and
-    adds residual_cover_rate transmissions at every node, so totals are
-    exact multiples of one interval.
+    Lossless and deterministic: every interval relays the same counts, so
+    totals are exact multiples of one interval.
     """
     budget = plan.settings.packet_budget
-    base = plan.variant.residual_cover_rate * budget
-    node_tx = dict.fromkeys(plan.topology.nodes, base) if base else {}
+    node_tx: dict[int, int] = {}
     link_tx: dict[tuple[int, int], int] = {}
     for (sender, next_hop), relays in dummy_schedule(plan).items():
         sent = relays * budget

@@ -129,8 +129,7 @@ def test_criterion_04_fake_extended_path_mismatch_is_flagged():
     fake = Route(tuple(range(20, 38)))  # 17 hops, disjoint
     assert fake.hops == 17
     assert not set(fake.nodes) & set(main.route.nodes)
-    plan = ScenarioPlan(topology=topo,
-                        variant=ProtocolVariant("extrout_fake", 1), real_route=real,
+    plan = ScenarioPlan(variant=ProtocolVariant("extrout_fake", 1), real_route=real,
                         main=main, fake_paths=(fake,),
                         requested_source_ext=3, requested_dest_ext=4)
     report = report_from_run(plan, run(plan))
@@ -155,8 +154,7 @@ def test_criterion_05_single_fake_pair():
     real = shortest_path(topo, 2, 14)
     assert real.hops == 12
     fake = Route(tuple(range(16, 30)))  # 13 hops, clear of the real pair
-    plan = ScenarioPlan(topology=topo,
-                        variant=ProtocolVariant("nfake_pairs", 1), real_route=real,
+    plan = ScenarioPlan(variant=ProtocolVariant("nfake_pairs", 1), real_route=real,
                         main=ExtendedRoute(real, 0, 0), fake_paths=(fake,))
     report = report_from_run(plan, run(plan))
     assert report.anonymity_single == 0.5

@@ -45,10 +45,9 @@ def _baseline_obs(budget: int = 4):
     return plan, observe(run(plan))
 
 
-def _theta_plan(interiors=(14, 14), n_dups: int = 1, residual: int = 0,
-                budget: int = 5):
+def _theta_plan(interiors=(14, 14), n_dups: int = 1, budget: int = 5):
     topo, hub_a, hub_b, rows = parallel_paths(list(interiors))
-    variant = ProtocolVariant("extrout_duplicates", n_dups, residual_cover_rate=residual)
+    variant = ProtocolVariant("extrout_duplicates", n_dups)
     plan = build_scenario(topo, rows[0][2], rows[0][10], variant,
                           ScenarioSettings(source_ext=3, dest_ext=4,
                                            packet_budget=budget),
@@ -154,10 +153,10 @@ def test_orientation_from_rates():
 
 def test_branches_match_the_walk_that_marks_every_link():
     # Seeded plans of every variant on small Q-UDG grids, at counts 1-3,
-    # residual rates 0 and 2, strict and lenient extension.
+    # strict and lenient extension.
     rng = random.Random(28)
     compared = 0
-    for seed in range(12):
+    for seed in range(24):
         side = rng.randint(5, 8)
         topo = generate(TopologyParams(side, side, perturbation=rng.random(),
                                        qudg_factor=rng.uniform(0.4, 1.0),
@@ -167,19 +166,17 @@ def test_branches_match_the_walk_that_marks_every_link():
             continue
         for kind in VARIANT_KINDS:
             for count in (1, 2, 3) if kind in PARAMETERISED_KINDS else (0,):
-                for rate in (0, 2):
-                    for strict in (True, False):
-                        try:
-                            plan = build_scenario(
-                                topo, source, dest,
-                                ProtocolVariant(kind, count, rate),
-                                ScenarioSettings(strict=strict, packet_budget=3),
-                                random.Random(compared))
-                        except PlacementError:
-                            continue
-                        obs = observe(run(plan))
-                        assert traffic_branches(obs) == reference_branches(obs)
-                        compared += 1
+                for strict in (True, False):
+                    try:
+                        plan = build_scenario(
+                            topo, source, dest, ProtocolVariant(kind, count),
+                            ScenarioSettings(strict=strict, packet_budget=3),
+                            random.Random(compared))
+                    except PlacementError:
+                        continue
+                    obs = observe(run(plan))
+                    assert traffic_branches(obs) == reference_branches(obs)
+                    compared += 1
     assert compared > 300
 
 
@@ -304,9 +301,9 @@ def test_guess_builds_the_branches_once(monkeypatch):
 def test_branches_and_guesses_are_pinned():
     # What the attacker reads off a simulated trace is an output: attack
     # files follow the chains, their order and the guesses drawn from
-    # them. Seeded 12x12 plans of every variant at residual rates 0 and 2
-    # on the dense and default link profiles; recorded from the
-    # frozenset-and-sorted-links decomposition.
+    # them. Seeded 12x12 plans of every variant on the dense and default
+    # link profiles; recorded from the frozenset-and-sorted-links
+    # decomposition.
     digest = hashlib.sha256()
     plans = 0
     for profile in LINK_PROFILES[:2]:
@@ -318,27 +315,25 @@ def test_branches_and_guesses_are_pinned():
                 source, dest = rng.sample(topo.nodes, 2)
             for kind in VARIANT_KINDS:
                 count = rng.randint(1, 2) if kind in PARAMETERISED_KINDS else 0
-                for rate in (0, 2):
-                    try:
-                        plan = build_scenario(
-                            topo, source, dest,
-                            ProtocolVariant(kind, count, rate),
-                            ScenarioSettings(packet_budget=3),
-                            random.Random(plans))
-                    except (PlacementError, UnreachableError):
-                        digest.update(b"no plan\n")
-                        continue
-                    obs = observe(run(plan))
-                    digest.update(repr([b.nodes for b in traffic_branches(obs)])
+                try:
+                    plan = build_scenario(
+                        topo, source, dest, ProtocolVariant(kind, count),
+                        ScenarioSettings(packet_budget=3),
+                        random.Random(plans))
+                except (PlacementError, UnreachableError):
+                    digest.update(b"no plan\n")
+                    continue
+                obs = observe(run(plan))
+                digest.update(repr([b.nodes for b in traffic_branches(obs)])
+                              .encode() + b"\n")
+                for k in range(3):
+                    guess = guess_endpoints(obs, random.Random(k),
+                                            plan.variant.uses_cover)
+                    digest.update(repr((guess[0], guess[1], guess[2].nodes))
                                   .encode() + b"\n")
-                    for k in range(3):
-                        guess = guess_endpoints(obs, random.Random(k),
-                                                plan.variant.uses_cover)
-                        digest.update(repr((guess[0], guess[1], guess[2].nodes))
-                                      .encode() + b"\n")
-                    plans += 1
+                plans += 1
     assert (plans, digest.hexdigest()) == (
-        120, "5366833fdda41cc543c9cb812ae6a156ea52b53094be7a1934000937858363f0")
+        60, "78bcd3b6a9181658426ac071ab03c869d56ac220be89ebd89109dff27589d9ac")
 
 
 # ------------------------------------------------------------ attack trials

@@ -7,15 +7,17 @@ import re
 import subprocess
 import sys
 import threading
+from functools import partial
 from pathlib import Path
 
 import pytest
 
+from extrout.adversary import attack_trials
 from extrout.expcli import (SCHEMA, ConfigError, _format_value, _make_settings,
                             _sample_pair, main, resolve_config)
 from extrout.metrics import REFERENCES, ReconciliationRecord
 from extrout.protocols import ProtocolVariant, ScenarioSettings, build_scenario
-from extrout.rng import substream
+from extrout.rng import child_seed, substream
 from extrout.routing import LANDMARKS, UnreachableError, _hop_table
 from extrout.simengine import run
 from extrout.topology import (Topology, TopologyParams, generate,
@@ -143,7 +145,6 @@ DEFAULT_PROVENANCE = """\
 # topology.topology_file=
 # scenario.variant=extrout_baseline
 # scenario.count=1
-# scenario.residual_rate=0
 # scenario.source=0
 # scenario.dest=0
 # scenario.target_hops=8
@@ -233,6 +234,7 @@ def test_main_exit_1_on_invalid_input(tmp_path, capsys, flags, message):
 @pytest.mark.parametrize("text, message", [
     ("[attack]\ncover = auto\n", "unknown key [attack] cover"),
     ("[attack]\nthreshold = 0\n", "unknown key [attack] threshold"),
+    ("[scenario]\nresidual_rate = 1\n", "unknown key [scenario] residual_rate"),
     # configparser would apply [DEFAULT] keys silently, or copy them into
     # every other section and blame that one
     ("[DEFAULT]\nseed = 3\n", "unknown key [DEFAULT] seed"),
@@ -242,8 +244,8 @@ def test_main_exit_1_on_invalid_input(tmp_path, capsys, flags, message):
     ("[run]\nseed = 3%\n", "bad value for seed"),
     # a UTF-16 byte order mark, written as bytes
     (b"\xff\xfe[run]\nseed = 3\n", "not UTF-8 (invalid start byte)"),
-], ids=["cover", "threshold", "default", "default-beside-topology", "percent",
-        "not-utf-8"])
+], ids=["cover", "threshold", "residual-rate", "default",
+        "default-beside-topology", "percent", "not-utf-8"])
 def test_main_exit_1_on_removed_ini_key(tmp_path, capsys, text, message):
     ini = tmp_path / "exp.ini"
     if isinstance(text, bytes):
@@ -253,6 +255,7 @@ def test_main_exit_1_on_removed_ini_key(tmp_path, capsys, text, message):
     assert main(["attack", "--config", str(ini),
                  "--out", str(tmp_path / "out")]) == 1
     assert f"config error: {ini}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_ini_values_are_read_literally(tmp_path):
@@ -360,8 +363,8 @@ def test_run_on_ids_off_the_grid_fails_before_any_plan(tmp_path, monkeypatch,
     (["--variant", "bogus"], "unknown variant 'bogus'"),
     (["--variant", "extrout_duplicates", "--count", "0"],
      "extrout_duplicates needs count >= 1"),
-    (["--residual-rate", "-1"],
-     "residual_cover_rate must be a non-negative integer"),
+    # residual cover is gone, and its flag with it
+    (["--residual-rate", "1"], "unrecognized arguments: --residual-rate 1"),
     (["--ext-low", "6", "--ext-high", "2"], "bad extension interval [6, 2]"),
 ], ids=["variant", "count", "residual-rate", "ext-interval"])
 def test_bad_scenario_input_fails_before_any_topology_work(
@@ -490,19 +493,20 @@ def _failing_rows(err: str) -> list[str]:
             for line in err.splitlines()]
 
 
-@pytest.mark.parametrize("rate", ["0", "1"])
+@pytest.mark.parametrize("ext", ["0", "1"])
 def test_sweep_exits_2_naming_each_report_that_fails_reconciliation(
-        tmp_path, monkeypatch, capsys, rate):
+        tmp_path, monkeypatch, capsys, ext):
+    # at extension 0 every cover chain is its bare route
     import extrout.expcli as expcli
 
     monkeypatch.setattr(expcli, "run", _one_transmission_more)
     out = tmp_path / "out"
     rc = main(["sweep", *_dense_flags(8, 8), "--hop-targets", "3",
                "--pairs-per-target", "1", "--frontier-hops", "3",
-               "--source-ext", "1", "--dest-ext", "1",
+               "--source-ext", ext, "--dest-ext", ext,
                "--duplicate-counts", "1", "--fake-counts", "1",
                "--nfake-counts", "1", "--reps", "1", "--budget", "10",
-               "--residual-rate", rate, "--out", str(out)])
+               "--out", str(out)])
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.out.splitlines() == [
@@ -658,20 +662,19 @@ def test_run_keeps_a_reference_entrys_notes_and_flags(tmp_path):
     ]
 
 
-def _assert_run_matrix_is_the_mean(tmp_path, residual):
+def _assert_run_matrix_is_the_mean(tmp_path, kind, count):
     rows, cols, seed, budget = 6, 6, 4, 7
     out = tmp_path / "out"
     assert main(["run", *_dense_flags(rows, cols), "--seed", str(seed),
-                 "--variant", "extrout_duplicates", "--count", "1",
-                 "--residual-rate", str(residual), "--source", "8", "--dest", "29",
+                 "--variant", kind, "--count", str(count),
+                 "--source", "8", "--dest", "29",
                  "--reps", "3", "--budget", str(budget),
                  "--out", str(out)]) == 0
 
     topo = generate(TopologyParams(rows, cols, perturbation=0.0,
                                    tx_range=150.0, qudg_factor=0.95,
                                    seed=seed))
-    variant = ProtocolVariant("extrout_duplicates", 1,
-                              residual_cover_rate=residual)
+    variant = ProtocolVariant(kind, count)
     settings = ScenarioSettings(packet_budget=budget)
     counts = [run(build_scenario(topo, 8, 29, variant, settings,
                                  substream(seed, f"rep-{rep}"))).node_tx
@@ -684,13 +687,13 @@ def _assert_run_matrix_is_the_mean(tmp_path, residual):
 
 
 def test_run_matrix_is_the_mean_of_the_repetitions(tmp_path):
-    # At residual rate 1 every trace holds every node.
-    _assert_run_matrix_is_the_mean(tmp_path, 1)
+    # Each rep draws the baseline's extensions anew.
+    _assert_run_matrix_is_the_mean(tmp_path, "extrout_baseline", 0)
 
 
 def test_run_matrix_is_the_mean_of_traces_holding_only_transmitters(tmp_path):
-    # At residual rate 0 a node that sent nothing is missing from its trace.
-    _assert_run_matrix_is_the_mean(tmp_path, 0)
+    # A node that sent nothing is missing from its trace.
+    _assert_run_matrix_is_the_mean(tmp_path, "extrout_duplicates", 1)
 
 
 @pytest.mark.parametrize("reps", [1, 4])
@@ -723,6 +726,30 @@ def test_run_command_with_attack_reports_empirical(tmp_path):
     report = (out / "report.txt").read_text(encoding="utf-8")
     # the attacker always wins against an uncovered single chain
     assert "anonymity attacked 0.000000" in report
+
+
+def test_run_csv_holds_the_attack_in_rep_0s_row(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", *_dense_flags(8, 8), "--seed", "3",
+                 "--variant", "extrout_fake", "--count", "1",
+                 "--source", "10", "--dest", "37", "--reps", "3",
+                 "--budget", "25", "--attack-trials", "100",
+                 "--out", str(out)]) == 0
+    topo = generate(TopologyParams(8, 8, perturbation=0.0, tx_range=150.0,
+                                   qudg_factor=0.95, seed=3))
+    summary = attack_trials(
+        partial(build_scenario, topo, 10, 37, ProtocolVariant("extrout_fake", 1),
+                ScenarioSettings(packet_budget=25)),
+        100, seed=child_seed(3, "attack"))
+    text = (out / "report.csv").read_text(encoding="utf-8")
+    header, *rows = [line.split(",") for line in text.splitlines()
+                     if not line.startswith("#")]
+    columns = [header.index(name)
+               for name in ("anonymity_empirical", "ci_low", "ci_high")]
+    expected = (summary.empirical_anonymity, *summary.empirical_anonymity_ci())
+    assert [rows[0][k] for k in columns] == [str(value) for value in expected]
+    # the attack is run once, for the headline that rep 0's row carries
+    assert [[row[k] for k in columns] for row in rows[1:]] == [["", "", ""]] * 2
 
 
 def test_run_passes_when_every_attack_trial_succeeds(tmp_path):
@@ -820,7 +847,6 @@ _KEY_CASES = {
     "topology_file": ("topology", str(HERE / "data" / "golden_2x2.txt")),
     "seed": ("run", "4"),
     "variant": ("run", "no_privacy"),
-    "residual_rate": ("run", "1"),
     "target_hops": ("run", "5"),
     "source_ext": ("run", "1"),
     "dest_ext": ("run", "1"),

@@ -42,16 +42,16 @@ GOLDEN = {
             "8fc56d31dfddcab8f9773604406b111f04aafc9b735578b655f4ec8a1d895f1d",
     }),
     "run": (["run", "--variant", "extrout_fake", "--count", "1",
-             "--residual-rate", "1", "--target-hops", "4", "--reps", "3",
+             "--target-hops", "4", "--reps", "3",
              "--budget", "25", "--attack-trials", "100"], {
         "matrix.csv":
-            "e1122f30d3827f34415414f4eb5446041f86f8547dec820f0f7c89fb838e5fad",
+            "989186f73039ee27db148132be9d676206a97384a52cefc90ad7337d7a57082d",
         "heatmap.txt":
-            "5af7990eda60aebc7b6a47a108e23e39f9ce7b33fad73d36567a82da4110f7e6",
+            "8b5dfb8800debc7a397f364dae6e9b5275900c967f982a4615dab8965f607622",
         "report.txt":
-            "08c9fdf6b12b99c58ae39a873e1d27fd142ebb3e80376455b22ab3352e67e844",
+            "52c6fafc38d98337fe9265e76af9d612652ba095880d2fe0b16e6e3e9638b22d",
         "report.csv":
-            "ca9e3c650159caf29138eefd55dd11c55e254590af9f99efa9b6347f6b3793b5",
+            "445f785233659248079e83982f295b89215a3c67b64aec72bfe61bd69e8fe6a0",
     }),
     "attack_duplicates": (["attack", "--variant", "extrout_duplicates",
                            "--count", "2", "--target-hops", "4",

@@ -158,9 +158,6 @@ def test_report_validation():
         PrivacyReport("extrout_baseline", 8, 0, -1)
     with pytest.raises(ValueError, match="path lengths"):
         PrivacyReport("extrout_duplicates", 8, 3, 4, duplicate_hops=(15, 0))
-    # residual cover counts toward TOF, so it cannot go without the network
-    with pytest.raises(ValueError, match="node count"):
-        PrivacyReport("extrout_baseline", 8, 3, 4, residual_rate=1)
     # the figures are derived, so no field can contradict them
     names = {f.name for f in fields(PrivacyReport)}
     assert names.isdisjoint({"anonymity_single", "anonymity_pair",
@@ -257,21 +254,6 @@ def test_report_from_run_follows_chain_hops_and_cover(variant):
         assert report.anonymity_pair == _with_group(group).anonymity_pair
 
 
-def test_report_from_run_with_residual_cover():
-    topo = line_topology(20)
-    variant = ProtocolVariant("extrout_baseline", residual_cover_rate=1)
-    plan = build_scenario(topo, 5, 13, variant,
-                          ScenarioSettings(source_ext=3, dest_ext=4,
-                                           packet_budget=8),
-                          random.Random(0))
-    report = report_from_run(plan, run(plan))
-    assert report.residual_rate == 1
-    assert report.node_count == 20
-    # 15 chain hops plus one residual dummy at each of the 20 nodes
-    assert report.tof_analytical == report.tof_measured == (15 + 20) / 8
-    assert reconcile(report).passed
-
-
 def test_report_without_trace_has_no_measurement():
     topo = line_topology(12)
     plan = build_scenario(topo, 2, 10, ProtocolVariant("no_privacy"))
@@ -361,6 +343,7 @@ def test_csv_header_and_row():
     assert cells[4] == "15+15"
     assert cells[9] == "" and cells[10] == ""  # no empirical columns
     assert cells[13] == "5.625"
+    assert cells[15] == "0"  # the residual_rate column is a constant
 
 
 def test_report_text_rendering():

@@ -299,9 +299,11 @@ def test_pair_ranking_follows_ids_not_layout_order(params, data):
 @settings(max_examples=30, deadline=None)
 @given(params=topology_params, plan_seed=st.integers(0, 2**16),
        start=st.integers(1, 49), count=st.integers(1, 3),
-       budget=st.integers(1, 50))
+       budget=st.integers(1, 50), strict=st.booleans())
 def test_measured_tof_is_the_summed_chain_hops(params, plan_seed, start,
-                                               count, budget):
+                                               count, budget, strict):
+    # The closed-form TOF is the summed chain hops over the real hops, so
+    # the measured TOF matches it bit for bit and reconcile exempts no plan.
     topo = generate(params)
     pair = _far_pair(topo, 1 + (start - 1) % topo.node_count)
     assume(pair[0] != pair[1])
@@ -309,7 +311,8 @@ def test_measured_tof_is_the_summed_chain_hops(params, plan_seed, start,
         variant = ProtocolVariant(kind, count if kind in PARAMETERISED_KINDS else 0)
         try:
             plan = build_scenario(topo, *pair, variant,
-                                  ScenarioSettings(packet_budget=budget),
+                                  ScenarioSettings(packet_budget=budget,
+                                                   strict=strict),
                                   random.Random(plan_seed))
         except PlacementError:
             continue
@@ -322,39 +325,10 @@ def test_measured_tof_is_the_summed_chain_hops(params, plan_seed, start,
         assert main.source_ext <= plan.requested_source_ext, kind
         assert main.dest_ext <= plan.requested_dest_ext, kind
         report = report_from_run(plan, run(plan))
-        assert reconcile(report).passed, kind
-        assert report.tof_measured == (sum(c.hops for c in plan.all_chains())
-                                       / plan.real_route.hops)
-
-
-@settings(max_examples=30, deadline=None)
-@given(params=topology_params, plan_seed=st.integers(0, 2**16),
-       start=st.integers(1, 49), count=st.integers(1, 3),
-       budget=st.integers(1, 50), rate=st.integers(0, 3), strict=st.booleans())
-def test_every_plan_reconciles_at_every_residual_rate(params, plan_seed, start,
-                                                      count, budget, rate,
-                                                      strict):
-    # The closed-form TOF counts residual cover at every node, so the
-    # measured TOF matches it bit for bit and reconcile exempts no plan.
-    topo = generate(params)
-    pair = _far_pair(topo, 1 + (start - 1) % topo.node_count)
-    assume(pair[0] != pair[1])
-    for kind in VARIANT_KINDS:
-        variant = ProtocolVariant(kind, count if kind in PARAMETERISED_KINDS else 0,
-                                  residual_cover_rate=rate)
-        try:
-            plan = build_scenario(topo, *pair, variant,
-                                  ScenarioSettings(packet_budget=budget,
-                                                   strict=strict),
-                                  random.Random(plan_seed))
-        except PlacementError:
-            continue
-        report = report_from_run(plan, run(plan))
         assert report.tof_measured == report.tof_analytical, kind
         assert reconcile(report).passed, kind
-        assert report.tof_analytical == (
-            (sum(c.hops for c in plan.all_chains()) + rate * topo.node_count)
-            / plan.real_route.hops), kind
+        assert report.tof_measured == (sum(c.hops for c in plan.all_chains())
+                                       / plan.real_route.hops), kind
 
 
 @settings(max_examples=30, deadline=None)
@@ -363,29 +337,27 @@ def test_every_plan_reconciles_at_every_residual_rate(params, plan_seed, start,
        budget=st.integers(1, 50))
 def test_scores_match_the_trace_keyed_by_every_node(params, plan_seed, start,
                                                     count, budget):
-    # A trace keys only its transmitters unless residual cover reaches every
-    # node. fmean and pstdev are exact, so the order and the silent nodes'
-    # zeros must not move a single bit of the score.
+    # A trace keys only its transmitters. fmean and pstdev are exact, so the
+    # order and the silent nodes' zeros must not move a single bit of the
+    # score.
     topo = generate(params)
     pair = _far_pair(topo, 1 + (start - 1) % topo.node_count)
     assume(pair[0] != pair[1])
     for kind in VARIANT_KINDS:
-        for rate in (0, 2):
-            variant = ProtocolVariant(kind, count if kind in PARAMETERISED_KINDS else 0,
-                                      residual_cover_rate=rate)
-            try:
-                plan = build_scenario(topo, *pair, variant,
-                                      ScenarioSettings(packet_budget=budget),
-                                      random.Random(plan_seed))
-            except PlacementError:
-                continue
-            trace = run(plan)
-            full = TrafficTrace(
-                node_tx={n: trace.node_tx.get(n, 0) for n in topo.nodes},
-                link_tx=dict(trace.link_tx))
-            assert trace.total_transmissions == full.total_transmissions, kind
-            assert (unlinkability_score(observe(trace)).hex()
-                    == unlinkability_score(observe(full)).hex()), kind
+        variant = ProtocolVariant(kind, count if kind in PARAMETERISED_KINDS else 0)
+        try:
+            plan = build_scenario(topo, *pair, variant,
+                                  ScenarioSettings(packet_budget=budget),
+                                  random.Random(plan_seed))
+        except PlacementError:
+            continue
+        trace = run(plan)
+        full = TrafficTrace(
+            node_tx={n: trace.node_tx.get(n, 0) for n in topo.nodes},
+            link_tx=dict(trace.link_tx))
+        assert trace.total_transmissions == full.total_transmissions, kind
+        assert (unlinkability_score(observe(trace)).hex()
+                == unlinkability_score(observe(full)).hex()), kind
 
 
 @settings(max_examples=60, deadline=None)

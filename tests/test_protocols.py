@@ -50,8 +50,6 @@ def test_variant_kinds_and_validation():
         ProtocolVariant("extrout_duplicates", 0)
     with pytest.raises(ValueError):
         ProtocolVariant("no_privacy", count=3)
-    with pytest.raises(ValueError):
-        ProtocolVariant("extrout_baseline", residual_cover_rate=-1)
 
 
 def test_cover_flag_tracks_the_extended_family():
@@ -597,16 +595,15 @@ def test_schedule_counts_follow_chain_hops():
     assert set(sent) == expected
 
 
-def test_schedule_residual_cover_touches_every_node():
+def test_schedule_of_a_plain_route_is_its_links():
     topo = line_topology(12)
-    variant = ProtocolVariant("no_privacy", residual_cover_rate=2)
-    plan = build_scenario(topo, 2, 10, variant, ScenarioSettings(packet_budget=1))
-    # residual dummies have no next hop: the relay counts leave them out
+    plan = build_scenario(topo, 2, 10, ProtocolVariant("no_privacy"),
+                          ScenarioSettings(packet_budget=1))
     assert dummy_schedule(plan) == Counter(plan.real_route.links())
     trace = run(plan)
-    assert trace.node_tx == {n: 2 + (2 <= n < 10) for n in topo.nodes}
-    assert trace.total_transmissions == 8 + 24
-    assert sum(trace.link_tx.values()) == 8
+    # the route's nodes but its sink send, once each; no other node does
+    assert trace.node_tx == {n: 1 for n in range(2, 10)}
+    assert sum(trace.link_tx.values()) == trace.total_transmissions == 8
 
 
 def test_fake_paths_never_contain_the_real_endpoints():

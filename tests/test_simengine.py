@@ -51,21 +51,17 @@ def test_run_counts_scale_with_budget():
 
 
 @pytest.mark.parametrize("kind", VARIANT_KINDS)
-def test_run_keys_the_transmitters_and_every_node_under_residual_cover(kind):
+def test_run_keys_only_the_transmitters(kind):
     topo = generate(TopologyParams(grid_rows=8, grid_cols=8, tx_range=150.0,
                                    qudg_factor=0.95, seed=3))
     count = 2 if kind in PARAMETERISED_KINDS else 0
-    plans = [build_scenario(topo, 19, 46,
-                            ProtocolVariant(kind, count, residual_cover_rate=rate),
-                            ScenarioSettings(packet_budget=3), random.Random(0))
-             for rate in (0, 2)]
-    bare, covered = (run(plan).node_tx for plan in plans)
-    # every chain node but the last transmits; nothing else does at rate 0
-    assert set(bare) == set().union(*(chain.nodes[:-1]
-                                        for chain in plans[0].all_chains()))
-    assert all(c > 0 for c in bare.values())
-    # residual cover adds 2 per interval at every node, so every node is keyed
-    assert covered == {n: bare.get(n, 0) + 2 * 3 for n in topo.nodes}
+    plan = build_scenario(topo, 19, 46, ProtocolVariant(kind, count),
+                          ScenarioSettings(packet_budget=3), random.Random(0))
+    node_tx = run(plan).node_tx
+    # every chain node but the last transmits; nothing else does
+    assert set(node_tx) == set().union(*(chain.nodes[:-1]
+                                         for chain in plan.all_chains()))
+    assert all(c > 0 for c in node_tx.values())
 
 
 def test_run_link_counts_cover_the_chain():
@@ -86,19 +82,18 @@ def test_run_rejects_bad_budget():
         run(replace(plan, settings=replace(plan.settings, packet_budget=0)))
 
 
-def test_run_counts_every_chain_and_residual():
+def test_run_counts_every_chain():
     topo, hub_a, hub_b, rows = parallel_paths([14, 14])
-    variant = ProtocolVariant("extrout_duplicates", 1, residual_cover_rate=1)
+    variant = ProtocolVariant("extrout_duplicates", 1)
     plan = build_scenario(topo, rows[0][2], rows[0][10], variant,
                           ScenarioSettings(source_ext=3, dest_ext=4,
                                            packet_budget=10),
                           random.Random(0))
     trace = run(plan)
-    assert trace.node_tx[hub_a] == 30  # two chain heads + residual
-    assert trace.node_tx[hub_b] == 10  # residual only: sink of both chains
-    # residual dummies have no next hop, so links see chain traffic only
-    assert sum(trace.link_tx.values()) == 300
-    assert trace.total_transmissions == 300 + 10 * topo.node_count
+    assert trace.node_tx[hub_a] == 20  # heads both chains
+    assert hub_b not in trace.node_tx  # sink of both chains: sends nothing
+    # every transmission is a relay over a link
+    assert sum(trace.link_tx.values()) == trace.total_transmissions == 300
 
 
 def test_run_is_deterministic():
@@ -109,23 +104,21 @@ def test_run_is_deterministic():
 
 
 def test_run_totals_match_an_interval_replay():
-    # replay every chain link by link plus the residual cover of every
-    # node, interval by interval; run() must agree with this in closed form
+    # replay every chain link by link, interval by interval; run() must
+    # agree with this in closed form
     topo, _, _, rows = parallel_paths([14, 14])
     plan = build_scenario(topo, rows[0][2], rows[0][10],
-                          ProtocolVariant("extrout_duplicates", 1, residual_cover_rate=1),
+                          ProtocolVariant("extrout_duplicates", 1),
                           ScenarioSettings(source_ext=3, dest_ext=4,
                                            packet_budget=9),
                           random.Random(0))
-    node_totals = {n: 0 for n in topo.nodes}
+    node_totals = Counter()
     link_totals = Counter()
     for _ in range(9):
         for chain in plan.all_chains():
             for u, v in chain.links():
                 node_totals[u] += 1
                 link_totals[min(u, v), max(u, v)] += 1
-        for n in topo.nodes:
-            node_totals[n] += plan.variant.residual_cover_rate
     trace = run(plan)
     assert trace.node_tx == node_totals
     assert trace.link_tx == link_totals
@@ -143,17 +136,16 @@ def test_trace_order_is_pinned():
         source, dest = rng.sample(topo.nodes, 2)
         for kind in VARIANT_KINDS:
             count = rng.randint(1, 3) if kind in PARAMETERISED_KINDS else 0
-            for rate in (0, 2):
-                plan = build_scenario(topo, source, dest,
-                                      ProtocolVariant(kind, count, rate),
-                                      ScenarioSettings(packet_budget=3),
-                                      random.Random(plans))
-                trace = run(plan)
-                digest.update(repr(list(trace.node_tx.items())).encode() + b"\n")
-                digest.update(repr(list(trace.link_tx.items())).encode() + b"\n")
-                plans += 1
+            plan = build_scenario(topo, source, dest,
+                                  ProtocolVariant(kind, count),
+                                  ScenarioSettings(packet_budget=3),
+                                  random.Random(plans))
+            trace = run(plan)
+            digest.update(repr(list(trace.node_tx.items())).encode() + b"\n")
+            digest.update(repr(list(trace.link_tx.items())).encode() + b"\n")
+            plans += 1
     assert (plans, digest.hexdigest()) == (
-        60, "c7ce9c730f9dfb7049dddca1e3a360423c1f5c420f17a2c7134cbc099ef22f28")
+        30, "868f860732c38a6d507f6e95b99b535d612838c33f2edc47acf487cba4d2b2d4")
 
 
 # ----------------------------------------------------------------- matrices
