@@ -299,11 +299,9 @@ def test_pair_ranking_follows_ids_not_layout_order(params, data):
 @settings(max_examples=30, deadline=None)
 @given(params=topology_params, plan_seed=st.integers(0, 2**16),
        start=st.integers(1, 49), count=st.integers(1, 3),
-       budget=st.integers(1, 50), strict=st.booleans())
+       budget=st.integers(1, 50))
 def test_measured_tof_is_the_summed_chain_hops(params, plan_seed, start,
-                                               count, budget, strict):
-    # The closed-form TOF is the summed chain hops over the real hops, so
-    # the measured TOF matches it bit for bit and reconcile exempts no plan.
+                                               count, budget):
     topo = generate(params)
     pair = _far_pair(topo, 1 + (start - 1) % topo.node_count)
     assume(pair[0] != pair[1])
@@ -311,8 +309,7 @@ def test_measured_tof_is_the_summed_chain_hops(params, plan_seed, start,
         variant = ProtocolVariant(kind, count if kind in PARAMETERISED_KINDS else 0)
         try:
             plan = build_scenario(topo, *pair, variant,
-                                  ScenarioSettings(packet_budget=budget,
-                                                   strict=strict),
+                                  ScenarioSettings(packet_budget=budget),
                                   random.Random(plan_seed))
         except PlacementError:
             continue
@@ -325,10 +322,38 @@ def test_measured_tof_is_the_summed_chain_hops(params, plan_seed, start,
         assert main.source_ext <= plan.requested_source_ext, kind
         assert main.dest_ext <= plan.requested_dest_ext, kind
         report = report_from_run(plan, run(plan))
-        assert report.tof_measured == report.tof_analytical, kind
         assert reconcile(report).passed, kind
         assert report.tof_measured == (sum(c.hops for c in plan.all_chains())
                                        / plan.real_route.hops), kind
+
+
+@settings(max_examples=30, deadline=None)
+@given(params=topology_params, plan_seed=st.integers(0, 2**16),
+       start=st.integers(1, 49), count=st.integers(1, 3),
+       budget=st.integers(1, 50), strict=st.booleans())
+def test_every_plan_reconciles_at_every_residual_rate(params, plan_seed, start,
+                                                      count, budget, strict):
+    # Residual cover is deleted, so zero is the only residual rate there
+    # is. The closed-form TOF is the summed chain hops over the real hops,
+    # so the measured TOF matches it bit for bit and reconcile exempts no
+    # plan, strict or lenient.
+    topo = generate(params)
+    pair = _far_pair(topo, 1 + (start - 1) % topo.node_count)
+    assume(pair[0] != pair[1])
+    for kind in VARIANT_KINDS:
+        variant = ProtocolVariant(kind, count if kind in PARAMETERISED_KINDS else 0)
+        try:
+            plan = build_scenario(topo, *pair, variant,
+                                  ScenarioSettings(packet_budget=budget,
+                                                   strict=strict),
+                                  random.Random(plan_seed))
+        except PlacementError:
+            continue
+        report = report_from_run(plan, run(plan))
+        assert report.tof_measured == report.tof_analytical, kind
+        assert reconcile(report).passed, kind
+        assert report.tof_analytical == (sum(c.hops for c in plan.all_chains())
+                                         / plan.real_route.hops), kind
 
 
 @settings(max_examples=30, deadline=None)
