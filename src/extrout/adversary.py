@@ -37,43 +37,10 @@ def observe(trace: TrafficTrace) -> TrafficTrace:
                         link_tx=dict(trace.link_tx))
 
 
-@dataclass(frozen=True)
-class Branch:
-    """A maximal chain of active links, oriented head -> tail by transmit
-    counts (the silent end is the sink side). `candidates` holds the
-    attacker's source and destination pool rule."""
-
-    nodes: tuple[int, ...]
-
-    @property
-    def head(self) -> int:
-        return self.nodes[0]
-
-    @property
-    def tail(self) -> int:
-        return self.nodes[-1]
-
-    @property
-    def transmitters(self) -> tuple[int, ...]:
-        return self.nodes[:-1]
-
-    @property
-    def receivers(self) -> tuple[int, ...]:
-        return self.nodes[1:]
-
-    def candidates(self, cover: bool
-                   ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Source and destination pools: with cover traffic every
-        transmitter could be the source and every receiver the
-        destination; without it, time correlation exposes the head and
-        the tail themselves."""
-        if cover:
-            return self.transmitters, self.receivers
-        return (self.head,), (self.tail,)
-
-
-def traffic_branches(obs: TrafficTrace) -> tuple[Branch, ...]:
-    """Decompose the active links (count above 0) into maximal simple chains.
+def traffic_branches(obs: TrafficTrace) -> tuple[tuple[int, ...], ...]:
+    """Decompose the active links (count above 0) into maximal simple
+    chains, each its node tuple from head to tail: a chain runs from its
+    higher-count end, so the silent end is the sink side.
 
     Chains are cut at structural junctions (active-degree != 2) and at
     rate-anomalous nodes whose count matches neither active neighbor: two
@@ -86,9 +53,10 @@ def traffic_branches(obs: TrafficTrace) -> tuple[Branch, ...]:
     A walk starts only at a stop and passes through none, so the one link
     a later walk could repeat is the one this walk arrives by at its far
     stop; only that link is marked, from the far stop's side. A component
-    without a stop is a cycle; it is cut at its lowest node and comes
-    after the chains that end at stops. A self-link, or one link active in
-    both orientations, raises ValueError.
+    without a stop is a cycle: once the stops are walked, each node still
+    unwalked, in sorted order, becomes a stop and is walked, so each cycle
+    is cut at its lowest node, after the chains that end at stops. A
+    self-link, or one link active in both orientations, raises ValueError.
     """
     node_tx = obs.node_tx
     adj: dict[int, list[int]] = defaultdict(list)
@@ -112,65 +80,73 @@ def traffic_branches(obs: TrafficTrace) -> tuple[Branch, ...]:
             if node_tx.get(a, 0) != own and node_tx.get(b, 0) != own:
                 stops.add(n)
     arrived: set[tuple[int, int]] = set()
-    branches = []
-    starts = sorted(stops)
-    while True:
-        for start in starts:
-            for nxt in sorted(adj[start]):
-                if (start, nxt) in arrived:
-                    continue
-                chain = [start]
-                prev, cur = start, nxt
-                while cur not in stops:
-                    chain.append(cur)
-                    a, b = adj[cur]
-                    prev, cur = cur, b if a == prev else a
+    chains: list[tuple[int, ...]] = []
+
+    def walk(start: int) -> None:
+        for nxt in sorted(adj[start]):
+            if (start, nxt) in arrived:
+                continue
+            chain = [start]
+            prev, cur = start, nxt
+            while cur not in stops:
                 chain.append(cur)
-                arrived.add((cur, prev))
-                branches.append(_orient(chain, obs))
-        # A node that is no stop lies inside one chain, unless its component
-        # has no stop: such a component is a cycle, cut at its lowest node.
-        if sum(len(b.nodes) - 2 for b in branches) == len(adj) - len(stops):
-            return tuple(branches)
-        cut = min(adj.keys() - {n for b in branches for n in b.nodes})
-        stops.add(cut)
-        starts = (cut,)
+                a, b = adj[cur]
+                prev, cur = cur, b if a == prev else a
+            chain.append(cur)
+            arrived.add((cur, prev))
+            if node_tx.get(start, 0) < node_tx.get(cur, 0):
+                chain.reverse()
+            chains.append(tuple(chain))
+
+    for start in sorted(stops):
+        walk(start)
+    walked = {n for chain in chains for n in chain}
+    for cut in sorted(adj.keys() - walked):
+        if cut not in walked:
+            stops.add(cut)
+            walk(cut)
+            walked.update(chains[-1])
+    return tuple(chains)
 
 
-def _orient(chain: list[int], obs: TrafficTrace) -> Branch:
-    head_tx = obs.node_tx.get(chain[0], 0)
-    tail_tx = obs.node_tx.get(chain[-1], 0)
-    if head_tx < tail_tx:
-        chain = chain[::-1]
-    return Branch(nodes=tuple(chain))
+def _pools(chain: tuple[int, ...], cover: bool
+           ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Source and destination pools of one chain: with cover traffic every
+    transmitter could be the source and every receiver the destination;
+    without it, time correlation exposes the head and the tail
+    themselves."""
+    if cover:
+        return chain[:-1], chain[1:]
+    return chain[:1], chain[-1:]
 
 
 def endpoint_candidates(obs: TrafficTrace, cover_traffic: bool = True
                         ) -> tuple[frozenset[int], frozenset[int]]:
     """Candidate source and destination sets under rate monitoring: the
-    union of every chain's pools (Branch.candidates)."""
+    union of every chain's pools (_pools)."""
     sources: set[int] = set()
     dests: set[int] = set()
-    for b in traffic_branches(obs):
-        src_pool, dst_pool = b.candidates(cover_traffic)
+    for chain in traffic_branches(obs):
+        src_pool, dst_pool = _pools(chain, cover_traffic)
         sources.update(src_pool)
         dests.update(dst_pool)
     return frozenset(sources), frozenset(dests)
 
 
 def guess_endpoints(obs: TrafficTrace, rng: random.Random,
-                    cover_traffic: bool = True) -> tuple[int, int, Branch]:
+                    cover_traffic: bool = True
+                    ) -> tuple[int, int, tuple[int, ...]]:
     """One attack: pick a chain uniformly, then endpoints within it.
 
-    Returns (source_guess, dest_guess, picked_branch). Each guess is
-    uniform over the picked chain's pool (Branch.candidates), which
-    realizes the guess-one-of-N arithmetic the candidate sets announce.
+    Returns (source_guess, dest_guess, picked_chain). Each guess is
+    uniform over the picked chain's pool (_pools), which realizes the
+    guess-one-of-N arithmetic the candidate sets announce.
     """
-    branches = traffic_branches(obs)
-    if not branches:
+    chains = traffic_branches(obs)
+    if not chains:
         raise NoTrafficError("no active traffic to attack")
-    pick = branches[rng.randrange(len(branches))]
-    src_pool, dst_pool = pick.candidates(cover_traffic)
+    pick = chains[rng.randrange(len(chains))]
+    src_pool, dst_pool = _pools(pick, cover_traffic)
     source = src_pool[rng.randrange(len(src_pool))]
     dest = dst_pool[rng.randrange(len(dst_pool))]
     return source, dest, pick
@@ -248,14 +224,14 @@ def attack_trials(plan_factory, trials: int, seed: int = 0) -> AttackSummary:
         plan = plan_factory(substream(seed, f"scenario-{t}"))
         if t == 0:
             first_plan = plan
-        src, dst, branch = guess_endpoints(
+        src, dst, chain = guess_endpoints(
             observe(run(plan)), substream(seed, f"attack-{t}"),
             plan.variant.uses_cover)
         verdicts.append(AttackVerdict(
             source_guess=src, dest_guess=dst,
             correct_source=src == plan.source,
             correct_dest=dst == plan.dest,
-            on_real_path=plan.source in branch.nodes))
+            on_real_path=plan.source in chain))
     return AttackSummary(verdicts=tuple(verdicts), first_plan=first_plan)
 
 

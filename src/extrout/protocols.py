@@ -221,8 +221,8 @@ def _pair_tiers(topo: Topology, real: Route, slack: int):
     The ranking depends on neither the RNG nor `avoid`, so
     topo.memo[_pair_tiers] keeps (route nodes, entries by slack) for the
     latest real route only, each entry (tiers read, paused pass). A reader
-    gets the tiers read, then resumes the pass (logged at INFO), which
-    stays paused for the next reader wherever this one stops.
+    gets the tiers read, then resumes the pass, which stays paused for the
+    next reader wherever this one stops.
     """
     memo = topo.memo.get(_pair_tiers)
     if memo is None or memo[0] != real.nodes:
@@ -231,9 +231,6 @@ def _pair_tiers(topo: Topology, real: Route, slack: int):
         memo[1][slack] = ([], _rank(topo, real, slack))
     tiers, rest = memo[1][slack]
     yield from tiers
-    if tiers and rest.gi_frame is not None:
-        log_info(__name__, "slack %d resuming the pass: no decoy in the %d tiers read",
-                 slack, len(tiers))
     # Not `yield from rest`: that would close the shared pass when a
     # reader that stopped early is collected.
     for tier in rest:
@@ -271,7 +268,8 @@ def _rank(topo: Topology, real: Route, slack: int):
     nodes, where pausing late costs a later reader more than it saves.
     So the pass yields before a row only while fewer than half the free
     rows are read, and past that reads every row first. The rule changes
-    when tiers are yielded, never which.
+    when tiers are yielded, never which. The first pause and every return
+    to reading rows after one are logged at INFO.
 
     Grid layouts share many midpoints, so each is scored once, and its
     tier kept in tier_at by the coordinate sums that the midpoint halves.
@@ -287,17 +285,20 @@ def _rank(topo: Topology, real: Route, slack: int):
     longest, pad = _bound_terms(topo)
     reach = (real.hops + slack) * longest / 2 + pad
     tier_at, by_gap, heap = {}, {}, []
-    visited, paused = 0, False
+    visited, yielded = 0, 0
     for read, i in enumerate(rows):
         if 2 * read < len(rows):
             done = []
             while heap and -heap[0] > near[i] + reach:
                 done.append(by_gap.pop(-heappop(heap)))
-            if done and not paused:
+            if done and not yielded:
                 log_info(__name__, "slack %d pass paused: %d tiers complete after "
                          "%d of %d free rows", slack, len(done), read, len(rows))
-                paused = True
             yield from done
+            yielded += len(done)
+            if done:
+                log_info(__name__, "slack %d resuming the pass: no decoy in the %d "
+                         "tiers read", slack, yielded)
         u, (ux, uy) = nodes[i], points[i]
         # character j of bits is "1" when nodes[j] is a partner read before
         bits = bin(balls[i] & ~inner[i] & visited)[:1:-1]

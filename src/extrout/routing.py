@@ -299,34 +299,30 @@ def disjoint_paths(topo: Topology, anchor_source: int, anchor_dest: int,
     Runs successive shortest-path augmentation (Suurballe & Tarjan) on a
     node-split unit-capacity flow network, so the returned set has maximum
     cardinality (up to count) and, for that cardinality, minimum total hop
-    count. No network is built. Before any flow exists every residual arc
-    costs 0 or 1, so the first path comes from a node BFS that takes
-    neighbours ascending, makes a node's first discoverer its parent and
-    stops once it discovers the goal: the lexicographically smallest
-    shortest path that avoids the banned interior B. That BFS is bounded
-    by the goal's kept hop table to_goal, a lower bound on the hops left
+    count. No network is built. Each pass is an SPFA over in- and out-side
+    ids, which reads each residual arc off the flow so far and
+    topo.neighbor_indices, in the order an arc list built from the sorted
+    links would hold it; that order picks among equally short path sets.
+    Its FIFO is a list the loop appends to and reads in order: sides pop
+    as from a double-ended queue, but none is removed. Augmenting path
+    costs never decrease, so each pass stops once the goal's distance
+    reaches the cost of the path before it: no side on the goal's
+    predecessor chain can then improve, so the path is the one the full
+    search would return. Before any flow every residual arc costs 0 or 1,
+    so the first pass's queue runs in BFS levels, the goal's first
+    distance is final, and its path is the BFS tree's (neighbours
+    ascending, a node's first discoverer its parent): the
+    lexicographically smallest shortest path that avoids the banned
+    interior B. The first pass therefore starts as a node BFS bounded by
+    the goal's kept hop table to_goal, a lower bound on the hops left
     (Hart, Nilsson & Raphael, 1968): it admits a node met at level l only
-    if l + to_goal[node] <= reach, and starts with reach = d, the goal's
-    distance in the whole topology. Any such round is a plain BFS of an
-    induced subgraph of G - B, so the goal's tree path is that subgraph's
-    smallest shortest path. Once reach is at least the distance D in
-    G - B, every shortest path of G - B lies inside the subgraph (each of
-    its nodes at level l has l + to_goal <= D), so the round returns the
-    path of the unbounded BFS. When D = d the first round is the last.
-    Otherwise it refuses some node and does not reach the goal, and one
-    unbounded round follows: at most one bounded round more than the
-    plain search, even when B cuts the goal off. Later paths come from
-    an SPFA over in- and out-side ids, which reads each residual arc off
-    the flow so far and topo.neighbor_indices, in the order an arc list
-    built from the sorted links would hold it; that order picks among
-    equally short path sets, and the SPFA takes no such bound: one limited
-    to the same corridor can pick another augmenting path of equal cost.
-    Its FIFO is a list the loop appends to and reads in order, as the
-    first pass's BFS does: sides pop as from a double-ended queue, but
-    none is removed. Augmenting path costs never decrease, so each later
-    SPFA stops once the goal's distance equals the cost of the path
-    before it: no side on the goal's predecessor chain can then improve,
-    so the path is the one the full search would return.
+    if l + to_goal[node] <= d, the goal's distance in the whole topology.
+    That BFS explores an induced subgraph of G - B, so when it reaches
+    the goal, the path is the subgraph's smallest shortest path, which
+    is G - B's, as every shortest path of G - B then lies inside it. When
+    it misses the goal, the SPFA takes the first pass over. Later passes
+    take no bound from to_goal: one limited to the same corridor can pick
+    another augmenting path of equal cost.
     Returns fewer than `count` paths when the topology cannot supply them.
     """
     if count < 1:
@@ -348,51 +344,41 @@ def disjoint_paths(topo: Topology, anchor_source: int, anchor_dest: int,
     succ: list[set[int] | frozenset[int]] = [no_flow] * n
     through: list[bool | None] = [False] * n
     blocked = [False] * n
-    # parent[k] >= 0 once a first-pass round has seen k. Each round starts
-    # from a copy of seen_at_start, where a blocked node starts seen, so no
-    # round enters it.
-    seen_at_start = [-1] * n
+    # parent[k] >= 0 once the first pass's BFS has seen k. A blocked node
+    # starts seen, so the BFS never enters it.
+    parent = [-1] * n
     for node in excluded.nodes[1:-1]:
         if node in at:
             k = at[node]
             blocked[k] = True
-            seen_at_start[k] = k
+            parent[k] = k
     source, goal = at[anchor_source], at[anchor_dest]
     start = n + source
     through[source] = through[goal] = None
     blocked[source] = blocked[goal] = False
-    seen_at_start[source], seen_at_start[goal] = source, -1
-
-    # First path. With no flow the SPFA's FIFO queue holds the level-d
-    # in-sides, then their out-sides, then the level-(d + 1) in-sides, and
-    # no distance falls once set: its path is a BFS tree's, bounded by
-    # reach as the docstring says. A refused node could be met again only
-    # at a deeper level, so it is marked seen. The goal is never refused:
-    # the node that meets it lies one hop from it and was admitted.
+    parent[source], parent[goal] = source, -1
     to_goal = _hop_table(topo, goal)
-    reach = to_goal[source]  # -1: the goal lies in another component
-    parent = seen_at_start
-    while reach >= 0:
-        parent = seen_at_start.copy()
-        frontier, slack, refused = [source], reach, False
-        while frontier and parent[goal] < 0:
-            slack -= 1  # reach less the level of the nodes met next
-            reached = []
-            for k in frontier:
-                for w in nbrs[k]:
-                    if parent[w] < 0:
-                        if to_goal[w] <= slack:
-                            parent[w] = k
-                            reached.append(w)
-                        else:
-                            parent[w] = w
-                            refused = True
-                if parent[goal] >= 0:
-                    break
-            frontier = reached
-        # reach = size admits every node: the unbounded round
-        reach = size if refused and parent[goal] < 0 else -1
+    reach = to_goal[source]
+    if reach < 0:  # the goal lies in another component
+        log_info(__name__, "only 0 of %d requested disjoint paths exist", count)
+        return []
+
+    # First path: the bounded BFS the docstring describes. A node refused
+    # at one level is refused at every deeper one, so it is not marked.
+    frontier = [source]
+    while frontier and parent[goal] < 0:
+        reach -= 1  # d less the level of the nodes met next
+        reached = []
+        for k in frontier:
+            for w in nbrs[k]:
+                if parent[w] < 0 and to_goal[w] <= reach:
+                    parent[w] = k
+                    reached.append(w)
+            if parent[goal] >= 0:
+                break
+        frontier = reached
     found = 0
+    bound = size - 1  # met by the goal's first distance, final with no flow
     if parent[goal] >= 0:
         k = parent[goal]
         succ[k] = {goal}
@@ -403,13 +389,15 @@ def disjoint_paths(topo: Topology, anchor_source: int, anchor_dest: int,
             k = parent[k]
             bound += 1
         found = 1
-    while 0 < found < count:
+    while found < count:
         # SPFA, since the residual arcs of used links cost -1. size stands
         # for no path: every path costs less. Augmenting path costs never
         # fall, so dist[goal] cannot end below bound, the cost of the last
         # path found; once it reaches bound, every side on goal's prev chain
         # holds its final distance and that chain is the path the search
-        # would return if run to the end. Only a link arc reaches goal.
+        # would return if run to the end. With no flow yet, bound is
+        # size - 1, which the goal's first distance meets. Only a link arc
+        # reaches goal.
         dist = [size] * size
         prev = [-1] * size
         queued = [False] * size
@@ -434,7 +422,7 @@ def disjoint_paths(topo: Topology, anchor_source: int, anchor_dest: int,
                         if not queued[to]:
                             queued[to] = True
                             queue.append(to)
-                if dist[goal] == bound:
+                if dist[goal] <= bound:
                     break
             elif through[u] is False:  # so no flow enters node either
                 to = n + u

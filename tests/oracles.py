@@ -14,7 +14,6 @@ crosses.  Route and output checks that only tests need live here too.
 import math
 from collections import defaultdict
 
-from extrout.adversary import Branch
 
 
 def adjacency(topo) -> dict:
@@ -262,8 +261,8 @@ def reference_branches(obs) -> tuple:
     marks both directions of every link it crosses finds them: cut at
     nodes of active degree other than 2 and at nodes whose count matches
     neither neighbour's, each cycle without a stop cut at its lowest node
-    after the chains that end at stops, each chain oriented from its
-    higher-count end."""
+    after the chains that end at stops, each chain the tuple of its nodes
+    from its higher-count end."""
     adj = defaultdict(list)
     for (i, j), count in obs.link_tx.items():
         if count > 0:
@@ -294,11 +293,11 @@ def reference_branches(obs) -> tuple:
             chain.append(cur)
             if obs.node_tx.get(chain[0], 0) < obs.node_tx.get(chain[-1], 0):
                 chain.reverse()
-            branches.append(Branch(nodes=tuple(chain)))
+            branches.append(tuple(chain))
 
     for start in sorted(stops):
         walk_from(start)
     for n in sorted(adj):
-        if not any(n in b.nodes for b in branches):
+        if not any(n in chain for chain in branches):
             walk_from(n)  # a cycle without a stop, cut at its lowest node
     return tuple(branches)

@@ -25,6 +25,11 @@ GRID = ["--rows", "8", "--cols", "8", "--perturbation", "0",
 # the sorted ids would change these outputs. Its flags override GRID's.
 SPARSE = ["--topology-file", str(Path(__file__).parent / "data" / "sparse_ids_8x8.txt")]
 
+# A 20x20 grid with TopologyParams' default jitter and link band, which
+# override GRID's.
+DEFAULT_20x20 = ["--rows", "20", "--cols", "20", "--perturbation", "0.25",
+                 "--tx-range", "145", "--qudg-factor", "0.25"]
+
 # Provenance lines embed the output directory, so the hashes skip them.
 _PROVENANCE = re.compile(rb"# (command|[a-z]+\.[a-z_]+)=")
 
@@ -60,6 +65,30 @@ GOLDEN = {
             "596851e5c8e224c01fb12a6f1b260b21ecd1ad63b275c7b44e64ed68660c4b10",
         "attack.txt":
             "e63d2031b1ae97334d10795b0e044d707d82288ac982ebc21a8c57a7431ac5f3",
+    }),
+    # Default-profile 20x20 plans whose strict excluded route cuts the goal
+    # off, so every first disjoint-path pass misses in its bounded round and
+    # falls back to the full search, which finds nothing.
+    "attack_duplicates_cut_off": (["attack", *DEFAULT_20x20, "--seed", "9",
+                                   "--variant", "extrout_duplicates",
+                                   "--count", "3", "--target-hops", "6",
+                                   "--trials", "100", "--budget", "25"], {
+        "attack.csv":
+            "9a3419cbfb8ece754c522061655a53af02ec3e47850f4275233f729318a88924",
+        "attack.txt":
+            "12b38707b5fdff2f1d788106c5d66b6aae317428d5caaea557b6ff2e9f65fb6e",
+    }),
+    # Lenient plans on the same profile: 86 of the 100 first passes miss in
+    # their bounded round and the fallback finds a longer path.
+    "attack_duplicates_detour": (["attack", *DEFAULT_20x20, "--seed", "2",
+                                  "--variant", "extrout_duplicates",
+                                  "--count", "2", "--strict", "false",
+                                  "--target-hops", "6", "--trials", "100",
+                                  "--budget", "25"], {
+        "attack.csv":
+            "8acf9493629b16760435cadf634ed1e776468519375d88002517f304e79112b8",
+        "attack.txt":
+            "13cff78c186969b131eabb5e5ce56075c360d80e8d9f68b04fc039768e0152d2",
     }),
     "attack_fake": (["attack", "--variant", "extrout_fake", "--count", "1",
                      "--target-hops", "4", "--trials", "100",

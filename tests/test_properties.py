@@ -448,12 +448,14 @@ def test_one_disjoint_path_is_the_smallest_shortest_path(params, plan_seed, ends
         paths = disjoint_paths(topo, a, b, 1, excluded)
         topo.neighbor_indices = plain
         assert [p.nodes for p in paths] == ([expected] if expected else [])
-        # The first round reads only the corridor of the goal's distance d
+        # The bounded BFS reads only the corridor of the goal's distance d
         # in the whole topology: nodes at hop level l from the source,
-        # outside the banned interior, with l + to_goal <= d. It is the only
-        # round when the path is d hops long. Otherwise a second round
-        # starts by reading the source again: a plain BFS, which reads only
-        # nodes closer to the source than the goal.
+        # outside the banned interior, with l + to_goal <= d. It finds the
+        # path when that is d hops long. Otherwise the SPFA takes over and
+        # starts by reading the source again: it reads each node's
+        # out-side once, in BFS levels, and the source's in-side, until it
+        # discovers the goal, so only nodes closer to the source than the
+        # goal; with no path it reads every node the source reaches.
         read = [topo.nodes[k] for k in counted.read]
         if a not in to_goal:
             assert read == []
@@ -461,13 +463,18 @@ def test_one_disjoint_path_is_the_smallest_shortest_path(params, plan_seed, ends
         banned = set(excluded.nodes[1:-1]) - {a, b}
         levels = bfs_levels({n: [m for m in ms if m not in banned]
                              for n, ms in graph.items() if n not in banned}, a)
-        assert read[0] == a and read.count(a) <= 2
-        restart = read.index(a, 1) if read.count(a) == 2 else len(read)
+        assert read[0] == a
+        restart = read.index(a, 1) if a in read[1:] else len(read)
         assert all(levels[n] + to_goal[n] <= to_goal[a] for n in read[:restart])
+        fallback = read[restart:]
+        assert fallback.count(a) <= 2
+        assert len(set(fallback)) == len(fallback) - fallback.count(a) + bool(fallback)
         if expected:
             hops = len(expected) - 1
-            assert (restart < len(read)) == (hops > to_goal[a])
-            assert all(levels[n] < hops for n in read[restart:])
+            assert bool(fallback) == (hops > to_goal[a])
+            assert all(levels[n] < hops for n in fallback)
+        else:
+            assert set(fallback) == levels.keys()
     # The last call banned nothing: its path is the plain shortest path.
     if a in to_goal:
         assert paths == [shortest_path(topo, a, b)]

@@ -543,12 +543,29 @@ def test_an_avoid_set_over_the_top_tiers_falls_back_to_the_full_ranking(caplog):
         for _ in range(6):
             pairs.append(place_fake_pair(topo, real, rng, avoid=taken))
             taken.update(shortest_path(topo, *pairs[-1]).nodes)
-    # each placement reads deeper than the one before it
+    # The first three placements read rows again after the tiers below;
+    # the last three find their decoys in tiers the pass yields once it
+    # has read every row, so they log no resume.
     assert caplog.messages == [f"slack 1 resuming the pass: no decoy in the {n} tiers read"
-                               for n in (2, 9, 30, 60, 82)]
+                               for n in (2, 3, 4, 7, 8, 14, 15, 16, 20, 24, 25, 29,
+                                         35, 45, 46, 49)]
     assert pairs == [(2, 142), (22, 49), (161, 301), (24, 166), (26, 164), (23, 168)]
     assert hashlib.sha256(repr(rng.getstate()).encode()).hexdigest() == (
         "0d4d392c1a0c5700b17e97ec6cb9f693ac7fcf6cf4bd25eddf7d56f44d506498")
+
+
+def test_a_pass_that_read_every_row_logs_no_resume(caplog):
+    # The 67 -> 279 pass reads all 387 rows before its first tier, so the
+    # later decoys of an N-fake-pairs plan on the same route read no row
+    # again, whatever tiers they take.
+    topo = _dense()
+    with caplog.at_level(logging.INFO, logger="extrout.protocols"):
+        build_scenario(topo, 67, 279, ProtocolVariant("extrout_fake", 1),
+                       rng=random.Random(0))
+        build_scenario(topo, 67, 279, ProtocolVariant("nfake_pairs", 3),
+                       rng=random.Random(0))
+    assert len(topo.memo[_pair_tiers][1][1][0]) > 1
+    assert not [m for m in caplog.messages if "resuming the pass" in m]
 
 
 # ------------------------------------------------------------ dummy schedule

@@ -24,7 +24,8 @@ from extrout.topology import Position, Topology, TopologyParams, generate
 
 from ladders import LINK_PROFILES, line_topology, parallel_paths, random_topology
 from oracles import (CountingNeighbours, adjacency, bfs_levels, link_pairs,
-                     max_node_disjoint_paths, min_disjoint_hops, route_is_valid)
+                     max_node_disjoint_paths, min_disjoint_hops, route_is_valid,
+                     smallest_shortest_path)
 
 
 # ------------------------------------------------------------------- routes
@@ -427,23 +428,28 @@ def test_first_disjoint_path_search_stops_at_the_goal():
         assert counted.reads <= closer
 
 
-def test_a_first_pass_that_must_detour_runs_one_unbounded_round():
+def test_a_first_pass_that_must_detour_falls_back_to_the_spfa():
     # Row 0 is two hops long and excluded, so the goal lies four hops away
-    # through row 1 and the round bounded by the two-hop distance refuses
-    # row 1's first node. One plain BFS from the source follows.
+    # through row 1 and the BFS bounded by the two-hop distance refuses
+    # row 1's first node. The SPFA then starts again from the source's
+    # out-side, reads row 1 in order and, between its first two nodes,
+    # the source's in-side (whose only arcs would carry flow back).
     topo, hub_a, hub_b, rows = parallel_paths([1, 3])
     at = topo.node_index
     hop_distances(topo, hub_b)
     counted = _counted(topo)
     paths = disjoint_paths(topo, hub_a, hub_b, 1, Route((hub_a, *rows[0], hub_b)))
     assert paths == [Route((hub_a, *rows[1], hub_b))]
-    assert counted.read == [at[hub_a], at[hub_a], *(at[n] for n in rows[1])]
+    first, *later = rows[1]
+    assert counted.read == [at[hub_a], at[hub_a], at[first], at[hub_a],
+                            *(at[n] for n in later)]
 
 
 def test_a_first_pass_whose_goal_is_cut_off_finds_nothing(caplog):
     # Excluding 3 and 4 leaves the source 2 only node 1, which the bounded
-    # round refuses (one hop out, four from the goal) and the unbounded
-    # round reads; then nothing is left.
+    # BFS refuses (one hop out, four from the goal). The SPFA then reads
+    # the source's out-side, node 1's and the source's in-side; then
+    # nothing is left.
     topo = line_topology(5)
     hop_distances(topo, 5)
     counted = _counted(topo)
@@ -451,7 +457,34 @@ def test_a_first_pass_whose_goal_is_cut_off_finds_nothing(caplog):
         paths = disjoint_paths(topo, 2, 5, 1, Route((2, 3, 4, 5)))
     assert paths == []
     assert "only 0 of 1" in caplog.text
-    assert counted.read == [1, 1, 0]  # indices of nodes 2, 2 and 1
+    assert counted.read == [1, 1, 0, 1]  # indices of nodes 2, 2, 1 and 2
+
+
+def test_a_long_detour_stops_where_the_spfa_discovers_the_goal():
+    # A wall down column 3 of a 7x7 grid whose links reach the diagonal
+    # neighbours leaves one gap, in the bottom row, so the goal two hops
+    # from the source in the whole grid lies D = 6 hops away around the
+    # wall. The fallback reads the grid in BFS levels from the source and
+    # stops at the node that discovers the goal: it reads no node at the
+    # goal's level or beyond, though nodes lie there.
+    topo = generate(TopologyParams(7, 7, seed=0, **LINK_PROFILES[0]))
+    cell = {(round(p.y / 100), round(p.x / 100)): n for n, p in topo.positions.items()}
+    a, b = cell[3, 2], cell[3, 4]
+    wall = [cell[r, 3] for r in range(6)]
+    graph = adjacency(topo)
+    levels = bfs_levels({n: [m for m in ms if m not in wall]
+                         for n, ms in graph.items() if n not in wall}, a)
+    d, big_d = bfs_levels(graph, a)[b], levels[b]
+    assert (d, big_d) == (2, 6)
+    assert sum(level >= big_d for level in levels.values()) > 1
+    hop_distances(topo, b)
+    counted = _counted(topo)
+    paths = disjoint_paths(topo, a, b, 1, Route((a, *wall, b)))
+    assert paths == [Route(smallest_shortest_path(graph, a, b, wall))]
+    read = [topo.nodes[k] for k in counted.read]
+    fallback = read[read.index(a, 1):]
+    assert fallback[-1] == paths[0].nodes[-2]
+    assert max(levels[n] for n in fallback) == big_d - 1
 
 
 def test_anchors_in_different_components_read_nothing(caplog):
@@ -605,10 +638,11 @@ def test_disjoint_paths_read_order_is_pinned_on_20x20_grids():
     # Recorded from the first pass that ran an unbounded BFS.
     assert (calls, later_digest.hexdigest()) == (
         744, "0a29a843422ff72da806555f32d115086e4cd5995aeb2ab030920c71f07fddbb")
-    # Recorded from the first pass bounded by the goal's hop table; the
-    # unbounded BFS read 79,668 lists here.
+    # Recorded from the bounded first pass whose misses (186 of the calls)
+    # the SPFA takes over; a bounded round and then an unbounded BFS read
+    # 23,142 lists here, the unbounded BFS alone 79,668.
     assert (first_reads, first_digest.hexdigest()) == (
-        23142, "d5f063fb7d1fe9c43422d50cc60c0f6af0d7b8685ae069a4dcbfd6a44f2530b7")
+        23328, "a4643f768ce53e3a48b4c1835ff66e0ed01b73f151b09e7189f4c1d64f8f4533")
     assert first_reads <= 79668
 
 

@@ -111,7 +111,9 @@ extrapolate(topo, route, 3, 2, random.Random(0))
 
 def test_log_level_shows_the_ranking_records_and_changes_no_output(tmp_path):
     # A 3-hop route's pass pauses at its first tier, and later decoys, kept
-    # off the earlier ones' paths, resume it.
+    # off the earlier ones' paths, resume it: it reads rows again after
+    # each of its first five tiers, and then none are left before the half
+    # where it stops pausing.
     argv = ["attack", "--rows", "12", "--cols", "12", *DENSE[4:],
             "--variant", "nfake_pairs", "--count", "3", "--target-hops", "3",
             "--trials", "100", "--seed", "1", "--out", "out"]
@@ -127,8 +129,8 @@ def test_log_level_shows_the_ranking_records_and_changes_no_output(tmp_path):
     assert quiet[0] == "" and not quiet[3] and logged[3]
     assert logged[0].splitlines() == [
         "INFO:extrout.protocols:slack 1 pass paused: 1 tiers complete after 22 of 140 free rows",
-        "INFO:extrout.protocols:slack 1 resuming the pass: no decoy in the 1 tiers read",
-        "INFO:extrout.protocols:slack 1 resuming the pass: no decoy in the 3 tiers read"]
+        *(f"INFO:extrout.protocols:slack 1 resuming the pass: no decoy in the {n} tiers read"
+          for n in range(1, 6))]
     assert logged[1:3] == quiet[1:3]
     assert sorted(quiet[2]) == ["attack.csv", "attack.txt"]
 
