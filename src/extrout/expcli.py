@@ -81,6 +81,11 @@ def _int_at_least(least: int):
     return parse
 
 
+def _parse_node(text: str) -> int | None:
+    """A node id, any int, or None (sample a pair) when text is empty."""
+    return int(text) if text.strip() else None
+
+
 def _parse_counts(text: str) -> tuple[int, ...]:
     values = tuple(int(piece) for piece in text.split(",") if piece.strip())
     if any(value < 1 for value in values):
@@ -122,8 +127,8 @@ SCHEMA = (
     ("topology", "topology_file", str.strip, ""),
     ("scenario", "variant", str.strip, "extrout_baseline"),
     ("scenario", "count", int, 1),
-    ("scenario", "source", _int_at_least(0), 0),
-    ("scenario", "dest", _int_at_least(0), 0),
+    ("scenario", "source", _parse_node, None),
+    ("scenario", "dest", _parse_node, None),
     ("scenario", "target_hops", _int_at_least(1), 8),
     ("scenario", "source_ext", _int_at_least(-1), -1),
     ("scenario", "dest_ext", _int_at_least(-1), -1),
@@ -184,7 +189,7 @@ def resolve_config(config_path: str | None,
         if raw is not None:
             flag = "--" + key.replace("_", "-")
             cfg[key] = _parse(key, raw, f"bad value for {flag}")
-    if (cfg["source"] > 0) != (cfg["dest"] > 0):
+    if (cfg["source"] is None) != (cfg["dest"] is None):
         raise ConfigError("set both source and dest, or neither")
     _make_variant(cfg)
     _make_settings(cfg)
@@ -199,6 +204,8 @@ def _parse(key: str, raw: str, where: str):
 
 
 def _format_value(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, tuple):
@@ -290,7 +297,7 @@ def _sample_pair(topo, target_hops: int, rng) -> tuple[int, int]:
 
 
 def _pick_endpoints(topo, cfg: dict, target_hops: int, rng) -> tuple[int, int]:
-    if cfg["source"] > 0:
+    if cfg["source"] is not None:
         source, dest = cfg["source"], cfg["dest"]
         for node in (source, dest):
             if node not in topo.node_index:

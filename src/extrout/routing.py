@@ -299,8 +299,16 @@ def disjoint_paths(topo: Topology, anchor_source: int, anchor_dest: int,
     Runs successive shortest-path augmentation (Suurballe & Tarjan) on a
     node-split unit-capacity flow network, so the returned set has maximum
     cardinality (up to count) and, for that cardinality, minimum total hop
-    count. No network is built. Each pass is an SPFA over in- and out-side
-    ids, which reads each residual arc off the flow so far and
+    count. No network is built. With no flow, the first augmenting path is
+    the lexicographically smallest shortest path in G - B, the topology
+    without the banned interior B, so the first pass is lexicographic_walk's
+    rule on the goal's kept hop table to_goal, stepped through G - B: take
+    the first unbanned neighbour one hop closer, and back out of a node
+    with none for good (whether it is a dead end depends on the node
+    alone). Every step of a d-hop path lowers to_goal by one, so the walk
+    reaches the goal exactly when G - B keeps the whole topology's
+    distance d. Otherwise, and in every later pass, an SPFA over in- and
+    out-side ids reads each residual arc off the flow so far and
     topo.neighbor_indices, in the order an arc list built from the sorted
     links would hold it; that order picks among equally short path sets.
     Its FIFO is a list the loop appends to and reads in order: sides pop
@@ -308,21 +316,10 @@ def disjoint_paths(topo: Topology, anchor_source: int, anchor_dest: int,
     costs never decrease, so each pass stops once the goal's distance
     reaches the cost of the path before it: no side on the goal's
     predecessor chain can then improve, so the path is the one the full
-    search would return. Before any flow every residual arc costs 0 or 1,
-    so the first pass's queue runs in BFS levels, the goal's first
-    distance is final, and its path is the BFS tree's (neighbours
-    ascending, a node's first discoverer its parent): the
-    lexicographically smallest shortest path that avoids the banned
-    interior B. The first pass therefore starts as a node BFS bounded by
-    the goal's kept hop table to_goal, a lower bound on the hops left
-    (Hart, Nilsson & Raphael, 1968): it admits a node met at level l only
-    if l + to_goal[node] <= d, the goal's distance in the whole topology.
-    That BFS explores an induced subgraph of G - B, so when it reaches
-    the goal, the path is the subgraph's smallest shortest path, which
-    is G - B's, as every shortest path of G - B then lies inside it. When
-    it misses the goal, the SPFA takes the first pass over. Later passes
-    take no bound from to_goal: one limited to the same corridor can pick
-    another augmenting path of equal cost.
+    search would return. With no flow the queue runs in BFS levels, so
+    the goal's first distance is final. Later passes take no bound from
+    to_goal: one limited to the same corridor can pick another augmenting
+    path of equal cost.
     Returns fewer than `count` paths when the topology cannot supply them.
     """
     if count < 1:
@@ -337,58 +334,40 @@ def disjoint_paths(topo: Topology, anchor_source: int, anchor_dest: int,
     # k_out -> w_in (cost 1) puts w in succ[k], which stays the shared
     # empty no_flow until k first sends flow; flow on an interior node's
     # unit split arc k_in -> k_out (cost 0) sets through[k]. Anchors have no
-    # split arc (through is None) and blocked nodes no arcs at all.
+    # split arc (through is None), and no pass enters a blocked in-side.
     n = len(nbrs)
     size = 2 * n
     no_flow: frozenset[int] = frozenset()
     succ: list[set[int] | frozenset[int]] = [no_flow] * n
     through: list[bool | None] = [False] * n
     blocked = [False] * n
-    # parent[k] >= 0 once the first pass's BFS has seen k. A blocked node
-    # starts seen, so the BFS never enters it.
-    parent = [-1] * n
     for node in excluded.nodes[1:-1]:
         if node in at:
-            k = at[node]
-            blocked[k] = True
-            parent[k] = k
+            blocked[at[node]] = True
     source, goal = at[anchor_source], at[anchor_dest]
     start = n + source
-    through[source] = through[goal] = None
-    blocked[source] = blocked[goal] = False
-    parent[source], parent[goal] = source, -1
+    # No flow ever enters the source, so its in-side leads nowhere: it is
+    # blocked too. The walk never steps to the source either.
+    blocked[source], blocked[goal] = True, False
     to_goal = _hop_table(topo, goal)
-    reach = to_goal[source]
-    if reach < 0:  # the goal lies in another component
+    if to_goal[source] < 0:  # the goal lies in another component
         log_info(__name__, "only 0 of %d requested disjoint paths exist", count)
         return []
 
-    # First path: the bounded BFS the docstring describes. A node refused
-    # at one level is refused at every deeper one, so it is not marked.
-    frontier = [source]
-    while frontier and parent[goal] < 0:
-        reach -= 1  # d less the level of the nodes met next
-        reached = []
-        for k in frontier:
-            for w in nbrs[k]:
-                if parent[w] < 0 and to_goal[w] <= reach:
-                    parent[w] = k
-                    reached.append(w)
-            if parent[goal] >= 0:
+    # First path: the walk the docstring describes.
+    path, dead = [source], set()
+    while path and path[-1] != goal:
+        closer = to_goal[path[-1]] - 1
+        for w in nbrs[path[-1]]:
+            if to_goal[w] == closer and not blocked[w] and w not in dead:
+                path.append(w)
                 break
-        frontier = reached
-    found = 0
-    bound = size - 1  # met by the goal's first distance, final with no flow
-    if parent[goal] >= 0:
-        k = parent[goal]
-        succ[k] = {goal}
-        bound = 1  # the path's hop count
-        while k != source:
-            through[k] = True
-            succ[parent[k]] = {k}
-            k = parent[k]
-            bound += 1
-        found = 1
+        else:
+            dead.add(path.pop())
+    for k, w in zip(path, path[1:]):
+        succ[k], through[w] = {w}, True
+    through[source] = through[goal] = None
+    found, bound = (1, len(path) - 1) if path else (0, size - 1)
     while found < count:
         # SPFA, since the residual arcs of used links cost -1. size stands
         # for no path: every path costs less. Augmenting path costs never

@@ -95,6 +95,11 @@ def test_resolve_config_bad_values(tmp_path):
         resolve_config(None, {"reps": "0"})
     with pytest.raises(ConfigError, match="source and dest"):
         resolve_config(None, {"source": "4"})
+    # 0 names a node like any other id; only an empty value leaves it unset
+    with pytest.raises(ConfigError, match="source and dest"):
+        resolve_config(None, {"source": "0"})
+    with pytest.raises(ConfigError, match="source and dest"):
+        resolve_config(None, {"source": "", "dest": "0"})
 
 
 def test_readme_config_block_holds_every_key_at_its_default(tmp_path):
@@ -145,8 +150,8 @@ DEFAULT_PROVENANCE = """\
 # topology.topology_file=
 # scenario.variant=extrout_baseline
 # scenario.count=1
-# scenario.source=0
-# scenario.dest=0
+# scenario.source=
+# scenario.dest=
 # scenario.target_hops=8
 # scenario.source_ext=-1
 # scenario.dest_ext=-1
@@ -196,8 +201,8 @@ def test_main_exit_1_on_config_error(tmp_path, capsys):
      "extrout_duplicates needs count >= 1"),
     (["--threshold", "1"], "unrecognized arguments: --threshold 1"),
     (["--cover", "off"], "unrecognized arguments: --cover off"),
-    (["--source", "-5", "--dest", "-3"],
-     "bad value for --source: must be >= 0, got -5"),
+    # any int names a node, so a negative one is looked up like the rest
+    (["--source", "-5", "--dest", "-3"], "node -5 not in topology"),
     (["--source-ext", "-7", "--dest-ext", "-3"],
      "bad value for --source-ext: must be >= -1, got -7"),
     (["--pairs-per-target", "-2"],
@@ -266,10 +271,10 @@ def test_ini_values_are_read_literally(tmp_path):
     assert (out / "topology.txt").is_file()
 
 
-# One bad value per key whose parser bounds it; SCHEMA order.
+# One bad value per key whose parser bounds it, and per node id; SCHEMA order.
 _BOUNDED_CASES = [
-    ("scenario", "source", "-1", "must be >= 0, got -1"),
-    ("scenario", "dest", "-1", "must be >= 0, got -1"),
+    ("scenario", "source", "1.5", "invalid literal for int() with base 10: '1.5'"),
+    ("scenario", "dest", "x", "invalid literal for int() with base 10: 'x'"),
     ("scenario", "target_hops", "0", "must be >= 1, got 0"),
     ("scenario", "source_ext", "-2", "must be >= -1, got -2"),
     ("scenario", "dest_ext", "-2", "must be >= -1, got -2"),
@@ -1035,6 +1040,21 @@ def test_attack_on_renumbered_ids_renames_only_the_guesses(tmp_path, kind,
                                   str(rename[int(dest)]), *correct]))
     assert _body(outs[1] / "attack.csv") == expected
     assert _body(outs[1] / "attack.txt") == _body(outs[0] / "attack.txt")
+
+
+@pytest.mark.parametrize("source, dest", [(-190, -185), (0, 10)],
+                         ids=["negative", "zero"])
+def test_attack_pins_a_pair_whose_ids_are_not_positive(tmp_path, source, dest):
+    # The file numbers its nodes from -190 to 300, 0 included; each pair
+    # is connected, so naming it runs the attack on that route.
+    out = tmp_path / "out"
+    assert main(["attack", "--topology-file", str(HERE / "data" / "sparse_ids_8x8.txt"),
+                 "--source", str(source), "--dest", str(dest),
+                 "--variant", "extrout_baseline", "--trials", "100",
+                 "--out", str(out)]) == 0
+    text = (out / "attack.txt").read_text(encoding="utf-8")
+    assert f"# scenario.source={source}\n# scenario.dest={dest}\n" in text
+    assert "trials             100\n" in text
 
 
 def test_sweep_on_renumbered_ids_writes_the_same_curves(tmp_path):

@@ -67,8 +67,8 @@ GOLDEN = {
             "e63d2031b1ae97334d10795b0e044d707d82288ac982ebc21a8c57a7431ac5f3",
     }),
     # Default-profile 20x20 plans whose strict excluded route cuts the goal
-    # off, so every first disjoint-path pass misses in its bounded round and
-    # falls back to the full search, which finds nothing.
+    # off, so every first disjoint-path walk dead-ends and falls back to
+    # the full search, which finds nothing.
     "attack_duplicates_cut_off": (["attack", *DEFAULT_20x20, "--seed", "9",
                                    "--variant", "extrout_duplicates",
                                    "--count", "3", "--target-hops", "6",
@@ -78,8 +78,8 @@ GOLDEN = {
         "attack.txt":
             "12b38707b5fdff2f1d788106c5d66b6aae317428d5caaea557b6ff2e9f65fb6e",
     }),
-    # Lenient plans on the same profile: 86 of the 100 first passes miss in
-    # their bounded round and the fallback finds a longer path.
+    # Lenient plans on the same profile: 86 of the 100 first walks dead-end
+    # and the fallback finds a longer path.
     "attack_duplicates_detour": (["attack", *DEFAULT_20x20, "--seed", "2",
                                   "--variant", "extrout_duplicates",
                                   "--count", "2", "--strict", "false",

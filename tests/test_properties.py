@@ -448,14 +448,18 @@ def test_one_disjoint_path_is_the_smallest_shortest_path(params, plan_seed, ends
         paths = disjoint_paths(topo, a, b, 1, excluded)
         topo.neighbor_indices = plain
         assert [p.nodes for p in paths] == ([expected] if expected else [])
-        # The bounded BFS reads only the corridor of the goal's distance d
-        # in the whole topology: nodes at hop level l from the source,
-        # outside the banned interior, with l + to_goal <= d. It finds the
-        # path when that is d hops long. Otherwise the SPFA takes over and
-        # starts by reading the source again: it reads each node's
-        # out-side once, in BFS levels, and the source's in-side, until it
-        # discovers the goal, so only nodes closer to the source than the
-        # goal; with no path it reads every node the source reaches.
+        # The walk reads only the corridor of the goal's distance d in the
+        # whole topology: a node it enters at step l lies at level at most
+        # l from the source outside the banned interior, and l + to_goal =
+        # d. It enters each node once, and each back out of a node that
+        # has no unbanned step one hop closer reads the parent again,
+        # apart from the source's. When the path is d hops long the walk
+        # finds it, reading exactly d lists if it never backs out.
+        # Otherwise the walk ends by leaving the source, and the SPFA takes
+        # over from the source: it reads each node's out-side once, in BFS
+        # levels, and never the source's in-side, until it discovers the
+        # goal, so only nodes closer to the source than the goal; with no
+        # path it reads every node the source reaches.
         read = [topo.nodes[k] for k in counted.read]
         if a not in to_goal:
             assert read == []
@@ -463,18 +467,24 @@ def test_one_disjoint_path_is_the_smallest_shortest_path(params, plan_seed, ends
         banned = set(excluded.nodes[1:-1]) - {a, b}
         levels = bfs_levels({n: [m for m in ms if m not in banned]
                              for n, ms in graph.items() if n not in banned}, a)
-        assert read[0] == a
-        restart = read.index(a, 1) if a in read[1:] else len(read)
-        assert all(levels[n] + to_goal[n] <= to_goal[a] for n in read[:restart])
-        fallback = read[restart:]
-        assert fallback.count(a) <= 2
-        assert len(set(fallback)) == len(fallback) - fallback.count(a) + bool(fallback)
-        if expected:
-            hops = len(expected) - 1
-            assert bool(fallback) == (hops > to_goal[a])
-            assert all(levels[n] < hops for n in fallback)
+        d = to_goal[a]
+        walked = expected is not None and len(expected) - 1 == d
+        restart = len(read) if walked else len(read) - 1 - read[::-1].index(a)
+        walk, fallback = read[:restart], read[restart:]
+        assert walk[0] == a
+        assert all(levels[n] + to_goal[n] <= d for n in walk)
+        if walked:
+            assert len(walk) == len(set(walk)) + len(set(walk) - set(expected))
+            if len(walk) == len(set(walk)):
+                assert walk == list(expected[:-1])
         else:
-            assert set(fallback) == levels.keys()
+            assert walk[-1] == a
+            assert len(walk) == 2 * len(set(walk)) - 1
+            assert len(set(fallback)) == len(fallback)
+            if expected:
+                assert all(levels[n] < len(expected) - 1 for n in fallback)
+            else:
+                assert set(fallback) == levels.keys()
     # The last call banned nothing: its path is the plain shortest path.
     if a in to_goal:
         assert paths == [shortest_path(topo, a, b)]

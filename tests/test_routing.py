@@ -415,7 +415,9 @@ def test_disjoint_paths_ignores_how_nodes_are_numbered():
 
 def test_first_disjoint_path_search_stops_at_the_goal():
     # One path needs no flow, so its search reads the neighbours of no
-    # node that lies as far from the source as the goal or farther.
+    # node that lies as far from the source as the goal or farther. With
+    # nothing banned the walk never backs out: it reads the d lists of
+    # the path's nodes before the goal.
     topo = generate(TopologyParams(10, 10, seed=0, **LINK_PROFILES[0]))
     levels = bfs_levels(adjacency(topo), 1)
     for goal, closer in ((2, 1), (34, 9), (100, 81)):
@@ -425,15 +427,35 @@ def test_first_disjoint_path_search_stops_at_the_goal():
         counted = _counted(topo)
         paths = disjoint_paths(topo, 1, goal, 1, Route((1, goal)))
         assert paths == [expected]
-        assert counted.reads <= closer
+        assert counted.read == [topo.node_index[n] for n in expected.nodes[:-1]]
+        assert counted.reads == levels[goal] <= closer
+
+
+def test_a_first_walk_backs_out_of_a_dead_end_once():
+    # The source 1 is four hops from the goal 8. Its smallest closer
+    # neighbour 2 leads only to 4, whose one closer neighbour 6 is banned,
+    # so the walk backs out of 4 and then 2 and goes on through 3. 3's
+    # smallest closer neighbour is 4 again, which the walk does not enter
+    # twice.
+    positions = {k: Position(100.0 * k, 0.0) for k in range(1, 9)}
+    links = ((1, 2), (1, 3), (2, 4), (3, 4), (3, 5), (4, 6), (6, 8), (5, 7), (7, 8))
+    topo = Topology(TopologyParams(1, 8, perturbation=0.0), positions, links)
+    excluded = Route((1, 6, 8))
+    assert shortest_path(topo, 1, 8).nodes == (1, 2, 4, 6, 8)
+    counted = _counted(topo)
+    paths = disjoint_paths(topo, 1, 8, 1, excluded)
+    assert [p.nodes for p in paths] == [
+        smallest_shortest_path(adjacency(topo), 1, 8, excluded.nodes[1:-1])
+    ] == [(1, 3, 5, 7, 8)]
+    assert [topo.nodes[k] for k in counted.read] == [1, 2, 4, 2, 1, 3, 5, 7]
 
 
 def test_a_first_pass_that_must_detour_falls_back_to_the_spfa():
     # Row 0 is two hops long and excluded, so the goal lies four hops away
-    # through row 1 and the BFS bounded by the two-hop distance refuses
-    # row 1's first node. The SPFA then starts again from the source's
-    # out-side, reads row 1 in order and, between its first two nodes,
-    # the source's in-side (whose only arcs would carry flow back).
+    # through row 1, and the walk finds no step one hop closer than the
+    # source. The SPFA then starts again from the source's out-side and
+    # reads row 1 in order; the source's in-side, whose only arcs would
+    # carry flow back, it never queues.
     topo, hub_a, hub_b, rows = parallel_paths([1, 3])
     at = topo.node_index
     hop_distances(topo, hub_b)
@@ -441,15 +463,15 @@ def test_a_first_pass_that_must_detour_falls_back_to_the_spfa():
     paths = disjoint_paths(topo, hub_a, hub_b, 1, Route((hub_a, *rows[0], hub_b)))
     assert paths == [Route((hub_a, *rows[1], hub_b))]
     first, *later = rows[1]
-    assert counted.read == [at[hub_a], at[hub_a], at[first], at[hub_a],
-                            *(at[n] for n in later)]
+    # [0, 0, 3, 0, 4, 5] when the SPFA read the source's in-side
+    assert counted.read == [at[hub_a], at[hub_a], at[first], *(at[n] for n in later)]
 
 
 def test_a_first_pass_whose_goal_is_cut_off_finds_nothing(caplog):
-    # Excluding 3 and 4 leaves the source 2 only node 1, which the bounded
-    # BFS refuses (one hop out, four from the goal). The SPFA then reads
-    # the source's out-side, node 1's and the source's in-side; then
-    # nothing is left.
+    # Excluding 3 and 4 leaves the source 2 only node 1, which is farther
+    # from the goal, so the walk backs out of the source at once. The
+    # SPFA then reads the source's out-side and node 1's; then nothing is
+    # left.
     topo = line_topology(5)
     hop_distances(topo, 5)
     counted = _counted(topo)
@@ -457,7 +479,9 @@ def test_a_first_pass_whose_goal_is_cut_off_finds_nothing(caplog):
         paths = disjoint_paths(topo, 2, 5, 1, Route((2, 3, 4, 5)))
     assert paths == []
     assert "only 0 of 1" in caplog.text
-    assert counted.read == [1, 1, 0, 1]  # indices of nodes 2, 2, 1 and 2
+    # indices of nodes 2, 2 and 1; [1, 1, 0, 1] when the SPFA read the
+    # source's in-side
+    assert counted.read == [1, 1, 0]
 
 
 def test_a_long_detour_stops_where_the_spfa_discovers_the_goal():
@@ -482,7 +506,11 @@ def test_a_long_detour_stops_where_the_spfa_discovers_the_goal():
     paths = disjoint_paths(topo, a, b, 1, Route((a, *wall, b)))
     assert paths == [Route(smallest_shortest_path(graph, a, b, wall))]
     read = [topo.nodes[k] for k in counted.read]
-    fallback = read[read.index(a, 1):]
+    # Every neighbour one hop closer than the source lies in the wall, so
+    # the walk reads the source alone, and the fallback starts there too.
+    assert read[:2] == [a, a]
+    fallback = read[1:]
+    assert len(set(fallback)) == len(fallback)
     assert fallback[-1] == paths[0].nodes[-2]
     assert max(levels[n] for n in fallback) == big_d - 1
 
@@ -635,15 +663,19 @@ def test_disjoint_paths_read_order_is_pinned_on_20x20_grids():
         later_digest.update(repr(later).encode() + b"\n")
         calls += 1
         first_reads += len(first)
-    # Recorded from the first pass that ran an unbounded BFS.
+    # Recorded when the SPFA stopped queueing the source's in-side, one
+    # read less per pass than the 286,707 of the search that queued it
+    # (digest 0a29a843...).
     assert (calls, later_digest.hexdigest()) == (
-        744, "0a29a843422ff72da806555f32d115086e4cd5995aeb2ab030920c71f07fddbb")
-    # Recorded from the bounded first pass whose misses (186 of the calls)
-    # the SPFA takes over; a bounded round and then an unbounded BFS read
-    # 23,142 lists here, the unbounded BFS alone 79,668.
+        744, "f0102d3e79fdd6e583c93c3efbc43771c7cd3b33119876c3cd54a4515dfac0fc")
+    # Recorded from the first pass that walks: in 60 of the calls it backs
+    # out of a node past the source (48 of them then reach the goal), and
+    # in 186 it leaves the source and the SPFA takes over. A BFS bounded
+    # by the goal's table read 23,328 lists here (digest a4643f76...), a
+    # bounded round and then an unbounded BFS 23,142, the unbounded BFS
+    # alone 79,668.
     assert (first_reads, first_digest.hexdigest()) == (
-        23328, "a4643f768ce53e3a48b4c1835ff66e0ed01b73f151b09e7189f4c1d64f8f4533")
-    assert first_reads <= 79668
+        8592, "cfdf5cf1f71c4ef5951de67338ab6b89c26440e2bdc558a9dcf1c48acc1bd7ae")
 
 
 def test_later_disjoint_path_passes_stop_at_their_lower_bound():
@@ -653,8 +685,11 @@ def test_later_disjoint_path_passes_stop_at_their_lower_bound():
     topo = generate(TopologyParams(20, 20, seed=3, **LINK_PROFILES[0]))
     paths, first, later = _pass_reads(topo, 315, 160, 2, Route((315, 160)))
     assert [p.hops for p in paths] == [8, 8]
-    assert len(later) == 151  # recorded with the unbounded first pass
-    assert len(first) == 24  # 154 for the unbounded BFS
+    # 151 when the SPFA read the source's in-side
+    assert len(later) == 150
+    # the walk reads the path's 8 nodes before the goal; 24 for the BFS
+    # bounded by the goal's table, 154 for the unbounded BFS
+    assert len(first) == 8
     # 563 when every pass ran until its queue emptied
     assert len(first) + len(later) <= 400
 
@@ -662,7 +697,7 @@ def test_later_disjoint_path_passes_stop_at_their_lower_bound():
 def test_a_later_pass_that_cannot_reach_its_bound_runs_to_the_end():
     # Around the excluded 8-hop route the cheapest augmenting paths cost 8
     # and then 9, so the second pass never reaches the bound of 8 and
-    # reads as much as a search without the stop (402 neighbour lists).
+    # reads as much as a search without the stop (401 neighbour lists).
     topo = generate(TopologyParams(20, 20, seed=3, **LINK_PROFILES[0]))
     real = shortest_path(topo, 315, 160)
     assert real.hops == 8
@@ -670,5 +705,8 @@ def test_a_later_pass_that_cannot_reach_its_bound_runs_to_the_end():
     assert [p.nodes for p in paths] == [
         (315, 295, 275, 254, 235, 216, 197, 178, 159, 160),
         (315, 296, 276, 256, 237, 218, 199, 180, 160)]
-    assert len(later) == 402  # recorded with the unbounded first pass
-    assert len(first) == 18  # 135 for the unbounded BFS
+    # 402 when the SPFA read the source's in-side
+    assert len(later) == 401
+    # the walk reads the path's 8 nodes before the goal; 18 for the BFS
+    # bounded by the goal's table, 135 for the unbounded BFS
+    assert len(first) == 8
