@@ -454,7 +454,7 @@ def _frontier_points(cfg: dict) -> list[tuple[str, int]]:
 def _frontier_row(topo, source: int, dest: int, kind: str, count: int,
                   cfg: dict, settings, failures: list[str]) -> list[str]:
     seed = cfg["seed"]
-    variant = _from_input(ProtocolVariant, kind, count)
+    variant = ProtocolVariant(kind, count)
     reports = []
     shortfall = 0
     failed = 0

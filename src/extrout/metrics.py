@@ -216,7 +216,7 @@ class ReconciliationRecord:
 
     failures: tuple[str, ...]
     flags: tuple[str, ...]
-    notes: tuple[str, ...] = ()
+    notes: tuple[str, ...]
 
     @property
     def passed(self) -> bool:
@@ -309,9 +309,9 @@ def reports_to_csv(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_to_text(report: PrivacyReport,
-                   record: ReconciliationRecord | None = None) -> str:
-    """Human-readable report block, stable across runs."""
+def report_to_text(report: PrivacyReport, record: ReconciliationRecord) -> str:
+    """Human-readable report block, then its reconciliation, stable across
+    runs."""
     out = io.StringIO()
     print(f"variant            {report.variant}", file=out)
     print(f"real path hops     {report.real_hops}", file=out)
@@ -338,13 +338,12 @@ def report_to_text(report: PrivacyReport,
         print(f"tof measured       {report.tof_measured:.6f}", file=out)
     if report.unlinkability is not None:
         print(f"unlinkability      {report.unlinkability:.6f}", file=out)
-    if record is not None:
-        verdict = "pass" if record.passed else "FAIL"
-        print(f"reconciliation     {verdict}", file=out)
-        for failure in record.failures:
-            print(f"  failure: {failure}", file=out)
-        for flag in record.flags:
-            print(f"  flag: {flag}", file=out)
-        for note in record.notes:
-            print(f"  note: {note}", file=out)
+    verdict = "pass" if record.passed else "FAIL"
+    print(f"reconciliation     {verdict}", file=out)
+    for failure in record.failures:
+        print(f"  failure: {failure}", file=out)
+    for flag in record.flags:
+        print(f"  flag: {flag}", file=out)
+    for note in record.notes:
+        print(f"  note: {note}", file=out)
     return out.getvalue()

@@ -216,7 +216,7 @@ def _pair_tiers(topo: Topology, real: Route, slack: int):
     """Yields the ranking of the pairs off the real route whose hop
     separation is within slack of its hops: by decreasing distance from
     their midpoint to the route, in tiers of equal distance, each a tuple
-    of its pairs in (u, v) order.
+    of its pairs in (u, v) order, as _rank releases it.
 
     The ranking depends on neither the RNG nor `avoid`, so
     topo.memo[_pair_tiers] keeps (route nodes, entries by slack) for the
@@ -234,15 +234,14 @@ def _pair_tiers(topo: Topology, real: Route, slack: int):
     # Not `yield from rest`: that would close the shared pass when a
     # reader that stopped early is collected.
     for tier in rest:
-        tier.sort()
-        tiers.append(tuple(tier))
-        yield tiers[-1]
+        tiers.append(tier)
+        yield tier
 
 
 def _rank(topo: Topology, real: Route, slack: int):
     """Yields the tiers of the route's ranking at slack, the farthest
-    first, each a list of its (lower id, higher id) pairs in the order
-    read.
+    first, each released whole: the tuple of its (lower id, higher id)
+    pairs in ascending order.
 
     Separations come from hop balls (_hop_balls), so no hop table is
     computed: v is admissible for u when it lies in u's ball of radius
@@ -253,7 +252,8 @@ def _rank(topo: Topology, real: Route, slack: int):
     ends of an admissible pair lie at most hops + slack links apart, so
     their midpoint lies within reach of either end, and its distance to
     the route is at most min(near(u), near(v)) + reach. reach is padded
-    for float rounding (_bound_terms), which only reads more rows.
+    for float rounding, which scales with the coordinates in midpoints,
+    sums and distances; the pad only reads more rows.
 
     The pass reads the free rows once, by descending near, and each pair
     when its second end is read. A pair not yet read then has an end not
@@ -282,7 +282,10 @@ def _rank(topo: Topology, real: Route, slack: int):
     balls, inner = _hop_balls(topo, real.hops, slack)
     near = {i: min(map(math.dist, repeat(points[i]), real_pts)) for i in free}
     rows = sorted(free, key=near.__getitem__, reverse=True)
-    longest, pad = _bound_terms(topo)
+    longest = max((math.dist(points[i], points[j])
+                   for i, adj in enumerate(topo.neighbor_indices) for j in adj if j > i),
+                  default=0.0)
+    pad = 1e-9 * (1 + max((abs(c) for p in points for c in p), default=0.0))
     reach = (real.hops + slack) * longest / 2 + pad
     tier_at, by_gap, heap = {}, {}, []
     visited, yielded = 0, 0
@@ -294,7 +297,8 @@ def _rank(topo: Topology, real: Route, slack: int):
             if done and not yielded:
                 log_info(__name__, "slack %d pass paused: %d tiers complete after "
                          "%d of %d free rows", slack, len(done), read, len(rows))
-            yield from done
+            for tier in done:
+                yield tuple(sorted(tier))
             yielded += len(done)
             if done:
                 log_info(__name__, "slack %d resuming the pass: no decoy in the %d "
@@ -321,22 +325,7 @@ def _rank(topo: Topology, real: Route, slack: int):
         visited |= 1 << i
     heap.sort()  # the tiers left, farthest first
     for neg in heap:
-        yield by_gap.pop(-neg)
-
-
-def _bound_terms(topo: Topology) -> tuple[float, float]:
-    """(longest link, rounding pad) for _rank's bound, kept in topo.memo.
-    Rounding in midpoints, sums and distances scales with the
-    coordinates, so the pad does too."""
-    terms = topo.memo.get(_bound_terms)
-    if terms is None:
-        points = [topo.positions[n] for n in topo.nodes]
-        longest = max((math.dist(points[i], points[j])
-                       for i, adj in enumerate(topo.neighbor_indices) for j in adj if j > i),
-                      default=0.0)
-        pad = 1e-9 * (1 + max((abs(c) for p in points for c in p), default=0.0))
-        terms = topo.memo[_bound_terms] = (longest, pad)
-    return terms
+        yield tuple(sorted(by_gap.pop(-neg)))
 
 
 def _hop_balls(topo: Topology, want: int, slack: int) -> tuple[list[int], list[int]]:

@@ -230,11 +230,17 @@ def topology_to_text(topo: Topology) -> str:
     """Serialize to the plain text exchange format.
 
     Header `N R a p spacing seed`, then one `id x y` line per node, then one
-    `i j` line per link. Floats use repr so the round-trip is lossless.
+    `i j` line per link. Floats use repr so the round-trip is lossless. The
+    header ends with `rows cols` only when the grid holds the N nodes in
+    a shape that the six fields would read as another (_six_field_shape),
+    so a square grid's file keeps its bytes.
     """
     p = topo.params
-    lines = [f"{topo.node_count} {p.tx_range!r} {p.qudg_factor!r} "
-             f"{p.perturbation!r} {p.spacing!r} {p.seed}"]
+    count = topo.node_count
+    head = f"{count} {p.tx_range!r} {p.qudg_factor!r} {p.perturbation!r} {p.spacing!r} {p.seed}"
+    if p.node_count == count and (p.grid_rows, p.grid_cols) != _six_field_shape(count):
+        head += f" {p.grid_rows} {p.grid_cols}"
+    lines = [head]
     for n in topo.nodes:
         pos = topo.positions[n]
         lines.append(f"{n} {pos.x!r} {pos.y!r}")
@@ -251,8 +257,9 @@ def load_topology(path) -> Topology:
 
     Blank lines and `#` comment lines are skipped wherever they stand. A
     link may be given with either end first and may repeat. The header
-    carries no grid shape, so rows/cols are inferred: sqrt(N) for square
-    N, else a single row (matrix views then report unavailable). Lines end
+    may end with the grid shape, `rows cols`, whose product must be N;
+    without it the shape is inferred: sqrt(N) for square N, else a single
+    row (matrix views then report unavailable). Lines end
     at LF, CRLF or CR. Bytes that are not UTF-8 raise ValueError
     naming the file.
     """
@@ -266,7 +273,7 @@ def load_topology(path) -> Topology:
 
 _HEADER_FIELDS = (("node count", int), ("tx_range", float),
                   ("qudg_factor", float), ("perturbation", float),
-                  ("spacing", float), ("seed", int))
+                  ("spacing", float), ("seed", int), ("rows", int), ("cols", int))
 _NODE_FIELDS = (("node id", int), ("x", float), ("y", float))
 _LINK_FIELDS = (("link end", int), ("link end", int))
 
@@ -285,14 +292,15 @@ def _read_topology(lines) -> Topology:
             break
     else:
         raise ValueError("empty topology file")
-    if len(head) != 6:
+    if len(head) not in (6, 8):
         raise ValueError("malformed header: " + repr(line.rstrip("\n")))
-    n, tx_range, qudg_factor, perturbation, spacing, seed = _convert(
+    n, tx_range, qudg_factor, perturbation, spacing, seed, *shape = _convert(
         head, _HEADER_FIELDS, lineno)
     if n < 1:
         raise ValueError(f"header node count must be at least 1, got {n}")
-    side = math.isqrt(n)
-    grid_rows, grid_cols = (side, side) if side * side == n else (1, n)
+    grid_rows, grid_cols = shape or _six_field_shape(n)
+    if grid_rows * grid_cols != n:
+        raise ValueError(f"header grid {grid_rows}x{grid_cols} does not hold {n} nodes")
     params = TopologyParams(grid_rows=grid_rows, grid_cols=grid_cols, spacing=spacing,
                             perturbation=perturbation, tx_range=tx_range,
                             qudg_factor=qudg_factor, seed=seed)
@@ -332,6 +340,13 @@ def _read_topology(lines) -> Topology:
     if len(positions) != n:
         raise ValueError(f"header says {n} nodes, file has {len(positions)}")
     return Topology(params=params, positions=positions, links=links)
+
+
+def _six_field_shape(n: int) -> tuple[int, int]:
+    """The grid a header without `rows cols` stands for: sqrt(n) x sqrt(n)
+    when n is square, else one row."""
+    side = math.isqrt(n)
+    return (side, side) if side * side == n else (1, n)
 
 
 def _convert(parts: list[str], fields, lineno: int) -> list:

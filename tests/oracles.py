@@ -4,16 +4,16 @@ These deliberately avoid sharing code or approach with the package: hop
 counts come from a frontier-list BFS, smallest shortest paths from a
 walk down its levels, disjoint path counts from an Edmonds-Karp max flow
 on a dictionary-based residual graph, least disjoint-path hop totals
-from enumerating every simple path, Q-UDG links from a scan of every
-node pair and decoy-pair tiers from a BFS per node.  The attacker's
+from enumerating every simple path, disjoint paths in their tie order
+from an SPFA run to the end over an explicit arc list, Q-UDG links from
+a scan of every node pair and decoy-pair tiers from a BFS per node.  The attacker's
 chains are the exception: they share the package's stop rule but come
 from its earlier walk, which marks both directions of every link it
 crosses.  Route and output checks that only tests need live here too.
 """
 
 import math
-from collections import defaultdict
-
+from collections import defaultdict, deque
 
 
 def adjacency(topo) -> dict:
@@ -207,6 +207,87 @@ def min_disjoint_hops(adjacency: dict, source, sink, banned=()) -> list[int]:
         totals = ([0] + [min(pair) for pair in zip(totals[1:], with_link)]
                   + with_link[-1:])
     return totals
+
+
+def reference_disjoint_paths(adjacency: dict, source, sink, count: int,
+                             banned=()) -> list[tuple]:
+    """The tie-order spec of the duplicate-path search: up to `count`
+    internally node-disjoint source-sink paths that avoid the `banned`
+    nodes (the endpoints are never banned), as node tuples.
+
+    Successive shortest paths on the node-split network, built as an
+    explicit arc list. First each node but the endpoints gets its unit
+    split arc ("in", v) -> ("out", v) of cost 0, in ascending id order;
+    then each sorted link (u, v), u < v, gives the unit arcs
+    ("out", u) -> ("in", v) and ("out", v) -> ("in", u) of cost 1. Every
+    arc is stored beside its residual twin (reverse direction, negated
+    cost, no capacity), and a side reads its arcs in the order they were
+    stored, so the split arc comes first. Every pass runs a plain FIFO
+    SPFA from ("out", source) that relaxes on `<` until its queue is
+    empty, then augments along the arcs that last lowered each side on
+    the way to ("in", sink). The flow is decomposed from the source by
+    taking each node's smallest used link and consuming it.
+    """
+    banned = set(banned) - {source, sink}
+    kept = sorted(n for n in adjacency if n not in banned)
+    head, cap, cost = [], [], []
+    arcs_of = defaultdict(list)
+
+    def add(tail, to, weight):
+        for a, b, c, w in ((tail, to, 1, weight), (to, tail, 0, -weight)):
+            arcs_of[a].append(len(head))
+            head.append(b)
+            cap.append(c)
+            cost.append(w)
+
+    for v in kept:
+        if v not in (source, sink):
+            add(("in", v), ("out", v), 0)
+    for u in kept:
+        for v in adjacency[u]:
+            if u < v and v not in banned:
+                add(("out", u), ("in", v), 1)
+                add(("out", v), ("in", u), 1)
+
+    start, goal = ("out", source), ("in", sink)
+    found = 0
+    while found < count:
+        dist, via = {start: 0}, {}
+        queue, queued = deque([start]), {start}
+        while queue:
+            side = queue.popleft()
+            queued.remove(side)
+            here = dist[side]
+            for arc in arcs_of[side]:
+                to = head[arc]
+                if cap[arc] and here + cost[arc] < dist.get(to, math.inf):
+                    dist[to], via[to] = here + cost[arc], arc
+                    if to not in queued:
+                        queued.add(to)
+                        queue.append(to)
+        if goal not in dist:
+            break
+        side = goal
+        while side != start:
+            arc = via[side]
+            cap[arc] -= 1
+            cap[arc ^ 1] += 1
+            side = head[arc ^ 1]
+        found += 1
+
+    used = defaultdict(set)  # node -> the ends of its links that carry flow
+    for arc in range(0, len(head), 2):
+        if cost[arc] == 1 and not cap[arc]:
+            used[head[arc ^ 1][1]].add(head[arc][1])
+    paths = []
+    for _ in range(found):
+        path = [source]
+        while path[-1] != sink:
+            step = min(used[path[-1]])
+            used[path[-1]].remove(step)
+            path.append(step)
+        paths.append(tuple(path))
+    return paths
 
 
 def qudg_links(positions: dict, params, rng) -> set:

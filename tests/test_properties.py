@@ -32,7 +32,8 @@ from extrout.topology import (Position, Topology, TopologyParams, build_qudg, ge
                               load_topology, place_nodes, topology_to_text)
 
 from oracles import (CountingNeighbours, adjacency, bfs_levels, decoy_pair_tiers,
-                     link_pairs, qudg_links, smallest_shortest_path)
+                     link_pairs, qudg_links, reference_disjoint_paths,
+                     smallest_shortest_path)
 
 # Random small Q-UDG deployments: perturbed grids up to 7x7, from sparse to
 # nearly unit-disk link models.
@@ -488,3 +489,36 @@ def test_one_disjoint_path_is_the_smallest_shortest_path(params, plan_seed, ends
     # The last call banned nothing: its path is the plain shortest path.
     if a in to_goal:
         assert paths == [shortest_path(topo, a, b)]
+
+
+# The dense, default and degree-7 link profiles.
+DISJOINT_PATH_PROFILES = ({"perturbation": 0.0, "tx_range": 150.0, "qudg_factor": 0.95},
+                          {}, {"tx_range": 245.0})
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.tuples(st.integers(3, 9), st.integers(3, 9)),
+       profile=st.sampled_from(DISJOINT_PATH_PROFILES), seed=st.integers(0, 2**16),
+       ends=st.tuples(st.integers(1, 81), st.integers(1, 81)),
+       exclusion=st.sampled_from(("shortest", "extended", "quarter")),
+       count=st.integers(1, 5), rnd=st.randoms(use_true_random=False))
+def test_disjoint_paths_follow_the_reference_tie_order(shape, profile, seed, ends,
+                                                       exclusion, count, rnd):
+    # Excluded: the anchors' shortest path, an extended route around one,
+    # or random interior nodes covering a quarter of the topology.
+    topo = generate(TopologyParams(*shape, seed=seed, **profile))
+    source = topo.nodes[(ends[0] - 1) % topo.node_count]
+    reached = sorted(hop_distances(topo, source))
+    dest = reached[(ends[1] - 1) % len(reached)]
+    assume(source != dest)
+    excluded = shortest_path(topo, source, dest)
+    if exclusion == "extended":
+        excluded = extrapolate(topo, excluded, rnd.randint(0, 3), rnd.randint(0, 3),
+                               rnd, strict=rnd.random() < 0.5).route
+    elif exclusion == "quarter":
+        others = [n for n in topo.nodes if n not in (source, dest)]
+        excluded = Route((source, *rnd.sample(others, topo.node_count // 4), dest))
+    a, b = excluded.source, excluded.dest
+    expected = reference_disjoint_paths(adjacency(topo), a, b, count,
+                                        excluded.nodes[1:-1])
+    assert [p.nodes for p in disjoint_paths(topo, a, b, count, excluded)] == expected

@@ -19,6 +19,7 @@ from extrout.protocols import (
     ProtocolVariant,
     ScenarioSettings,
     _pair_tiers,
+    _rank,
     build_scenario,
     dummy_schedule,
     place_fake_pair,
@@ -506,6 +507,23 @@ def test_a_long_route_reads_every_row_before_its_first_tier(caplog):
     tiers, state = _pass_state(topo, 1)
     assert bin(state["visited"]).count("1") == 387
     assert sum(map(len, tiers)) + sum(map(len, state["by_gap"].values())) == 15047
+
+
+@pytest.mark.parametrize("ends", [(315, 160), (67, 279)])
+def test_the_pass_releases_each_tier_whole_in_id_order(ends):
+    # 315 -> 160 pauses its pass before its first tiers, 67 -> 279 reads
+    # every row first
+    topo = _dense()
+    real = shortest_path(topo, *ends)
+    expected = decoy_pair_tiers(adjacency(topo), topo.positions, real.nodes, 1)
+    assert list(_rank(topo, real, 1)) == [tuple(tier) for tier in expected]
+
+
+def test_a_fake_plan_memoizes_only_the_tables_paths_and_ranking():
+    topo = _dense()
+    build_scenario(topo, 315, 160, ProtocolVariant("extrout_fake", 1),
+                   rng=random.Random(0))
+    assert set(topo.memo) == {_hop_table, shortest_path, _pair_tiers}
 
 
 @pytest.mark.parametrize("count, spacing, origin, ends, slack", [

@@ -6,7 +6,6 @@ import hashlib
 import math
 import re
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -315,6 +314,43 @@ def test_save_and_load_topology(tmp_path):
     assert link_pairs(back) == link_pairs(topo)
 
 
+@pytest.mark.parametrize("rows, cols", [(10, 30), (1, 16), (30, 1), (4, 4), (1, 7)])
+def test_a_saved_grid_loads_back_in_its_shape(tmp_path, rows, cols):
+    # Six header fields stand for a square grid when N is square, else one
+    # row; any other shape ends the header with `rows cols`.
+    params = TopologyParams(rows, cols, seed=1)
+    topo = generate(params)
+    text = topology_to_text(topo)
+    head = text.split("\n", 1)[0].split()
+    assert head[6:] == ([] if (rows, cols) in ((4, 4), (1, 7)) else [str(rows), str(cols)])
+    back = _loaded(tmp_path, text)
+    assert back.params == params
+    assert back == topo
+    assert average_degree(back) == average_degree(topo)
+
+
+def test_a_grid_that_does_not_hold_its_nodes_writes_no_shape(tmp_path):
+    # A hand-built topology may carry any params; a shape whose product is
+    # not N would make a file the loader rejects, so none is written.
+    topo = Topology(TopologyParams(2, 2), {k: Position(100.0 * k, 0.0) for k in (1, 2, 3)},
+                    [(1, 2), (2, 3)])
+    text = topology_to_text(topo)
+    assert len(text.split("\n", 1)[0].split()) == 6
+    back = _loaded(tmp_path, text)
+    assert (back.params.grid_rows, back.params.grid_cols) == (1, 3)
+
+
+@pytest.mark.parametrize("header, message", [
+    ("3 150.0 0.95 0.0 100.0 0 3", "malformed header"),
+    ("3 150.0 0.95 0.0 100.0 0 2 2", "header grid 2x2 does not hold 3 nodes"),
+    ("3 150.0 0.95 0.0 100.0 0 1 x", "line 1: cols must be an integer, got 'x'"),
+])
+def test_loader_rejects_a_bad_grid_shape(tmp_path, header, message):
+    text = f"{header}\n1 0.0 0.0\n2 100.0 0.0\n3 200.0 0.0\n1 2\n"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _loaded(tmp_path, text)
+
+
 def test_loader_skips_comment_lines(tmp_path):
     params = TopologyParams(grid_rows=2, grid_cols=2, seed=1)
     topo = generate(params)
@@ -380,13 +416,12 @@ def test_generated_topologies_are_pinned(tmp_path):
         text = topology_to_text(topo)
         digest.update(text.encode())
         digest.update(repr(rng.getstate()).encode())
+        # the 10x30 header ends with its shape, so it loads back as 10x30
         loaded = _loaded(tmp_path, text)
-        # the file carries no grid shape, so a non-square one reads as a row
-        assert loaded.params == replace(params, grid_rows=loaded.params.grid_rows,
-                                        grid_cols=loaded.params.grid_cols)
+        assert loaded.params == params
         assert ((loaded.positions, loaded.neighbor_indices, loaded.nodes)
                 == (topo.positions, topo.neighbor_indices, topo.nodes))
-    assert digest.hexdigest() == "497794c11c9b62e64d606eead119406c4c9015d14726022f69f92145f40e5a91"
+    assert digest.hexdigest() == "9266f3636c79668b64640ee48197d16b1bfa73d158135567ba45272adbbb8bcd"
 
 
 def test_golden_2x2_placement_frozen():
