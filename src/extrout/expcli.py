@@ -244,8 +244,16 @@ def _from_input(build, *args, **kwargs):
 
 
 def _topology(cfg: dict):
+    """The configured topology. One read from a file sets cfg's topology
+    keys to the file's header values, so the provenance describes the
+    graph used, not the defaults."""
     if cfg["topology_file"]:
-        return _from_input(load_topology, cfg["topology_file"])
+        topo = _from_input(load_topology, cfg["topology_file"])
+        p = topo.params
+        cfg.update(rows=p.grid_rows, cols=p.grid_cols, spacing=p.spacing,
+                   perturbation=p.perturbation, tx_range=p.tx_range,
+                   qudg_factor=p.qudg_factor)
+        return topo
     params = _from_input(
         TopologyParams,
         grid_rows=cfg["rows"],

@@ -107,10 +107,10 @@ def _hop_table(topo: Topology, src: int) -> tuple[int, ...]:
     unreachable, from one BFS along topo.neighbor_indices.
 
     Every table is kept in topo.memo[_hop_table], a dict by source index,
-    and read by every search here: the landmarks, the walks,
-    extrapolation and the first disjoint-path pass. It is a tuple, so no
-    caller can change what the others read. The decoy-pair ranking uses
-    hop balls and no table at all.
+    and read by every search here: the landmarks, at_hop_distance, the
+    walks, extrapolation and the first disjoint-path pass. It is a tuple,
+    so no caller can change what the others read. The decoy-pair ranking
+    uses hop balls and no table at all.
     """
     tables = topo.memo.get(_hop_table)
     if tables is None:
@@ -155,15 +155,23 @@ def at_hop_distance(topo: Topology, u: int, v: int, hops: int) -> bool:
     """Whether v lies exactly `hops` hops from u.
 
     Pair sampling asks this for every pair it draws, so it avoids a BFS
-    over the whole topology: an A* search from u, guided by the landmark
-    tables' lower bound on the distance to v (triangle inequality), finds
-    the distance exactly but expands only nodes that could still lie on a
-    path of at most `hops` hops. An end outside the topology raises
-    ValueError.
+    over the whole topology. When either end's hop table is kept in
+    topo.memo[_hop_table], the answer is read off it (-1, unreachable,
+    matches no hops). Otherwise an A* search from u, guided by the
+    landmark tables' lower bound on the distance to v (triangle
+    inequality), finds the distance exactly but expands only nodes that
+    could still lie on a path of at most `hops` hops; no table is built
+    for the check, since one BFS over the topology costs more than the
+    search. An end outside the topology raises ValueError.
     """
     a, b = _index(topo, u), _index(topo, v)
     if a == b:
         return hops == 0
+    tables = topo.memo.get(_hop_table, {})
+    if a in tables:
+        return hops >= 0 and tables[a][b] == hops
+    if b in tables:
+        return hops >= 0 and tables[b][a] == hops
     bounds = []
     for table in _landmarks(topo):
         if (table[a] < 0) != (table[b] < 0):

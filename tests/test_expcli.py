@@ -600,6 +600,33 @@ def test_topology_command_reads_a_file_with_any_ids(tmp_path, capsys):
     assert load_topology(out / "topology.txt").nodes == (5, 6, 7)
 
 
+@pytest.mark.parametrize("command, name, args", [
+    ("run", "matrix.csv", ["--target-hops", "4", "--reps", "2", "--budget", "20"]),
+    ("attack", "attack.csv", ["--target-hops", "4", "--trials", "100", "--budget", "20"]),
+    ("sweep", "anonymity_vs_L.csv", ["--hop-targets", "3", "--pairs-per-target", "1",
+                                     "--frontier-hops", "4", "--duplicate-counts", "1",
+                                     "--fake-counts", "1", "--nfake-counts", "1",
+                                     "--reps", "1", "--budget", "20"]),
+])
+def test_a_topology_file_writes_its_header_into_the_provenance(tmp_path, command,
+                                                               name, args):
+    # A saved 10x30 grid on a link model other than the defaults: the
+    # topology keys describe the file, whatever the flags or defaults say.
+    grid = tmp_path / "grid"
+    assert main(["topology", "--rows", "10", "--cols", "30", "--spacing", "90",
+                 "--perturbation", "0.1", "--tx-range", "150", "--qudg-factor", "0.5",
+                 "--seed", "1", "--out", str(grid)]) == 0
+    path = str(grid / "topology.txt")
+    out = tmp_path / command
+    assert main([command, "--topology-file", path, "--rows", "7", *args,
+                 "--out", str(out)]) == 0
+    text = (out / name).read_text(encoding="utf-8")
+    assert re.findall(r"^# topology\.\w+=.*$", text, re.MULTILINE) == [
+        "# topology.rows=10", "# topology.cols=30", "# topology.spacing=90.0",
+        "# topology.perturbation=0.1", "# topology.tx_range=150.0",
+        "# topology.qudg_factor=0.5", f"# topology.topology_file={path}"]
+
+
 def test_topology_command_counts_each_link_once(tmp_path, capsys):
     # the chain 5-6-7 again, with 5-6 listed three times and 6-7 as 7 6
     path = tmp_path / "listed.txt"

@@ -153,6 +153,20 @@ GOLDEN = {
         "anonymity_vs_tof.csv":
             "4aa73968cfd6be4c00c65aab050810a743355ea0cd740a7534324cb5a4958e3f",
     }),
+    # The default-profile 20x20 grid of seed 3 falls into 71 components (the
+    # largest holds 128 of 400 nodes), so most pair draws span two of them.
+    # Three-decoy plans on nine sampled routes share the one topology.
+    "sweep_fragmented": (["sweep", *DEFAULT_20x20, "--variant", "nfake_pairs",
+                          "--count", "3", "--hop-targets", "4,8,12",
+                          "--pairs-per-target", "3", "--source-ext", "1",
+                          "--dest-ext", "1", "--frontier-hops", "8",
+                          "--duplicate-counts", "1,2", "--fake-counts", "1",
+                          "--nfake-counts", "1,3", "--reps", "2", "--budget", "20"], {
+        "anonymity_vs_L.csv":
+            "bc734f4eefdd7021e15d3c5fc979b8bf6f3999aafa46edfdcd97736af255e7a1",
+        "anonymity_vs_tof.csv":
+            "c9662dc3ad6015db3b68d64046efbc2a7ffc168d276dccbbcc775203bb77731a",
+    }),
     "sweep_sparse": (["sweep", *SPARSE, "--hop-targets", "3,4,5",
                       "--pairs-per-target", "2", "--source-ext", "1",
                       "--dest-ext", "1", "--frontier-hops", "4",

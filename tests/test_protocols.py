@@ -19,6 +19,7 @@ from extrout.protocols import (
     ProtocolVariant,
     ScenarioSettings,
     _pair_tiers,
+    _path_avoids,
     _rank,
     build_scenario,
     dummy_schedule,
@@ -276,12 +277,19 @@ def test_a_rejected_candidate_is_walked_only_to_its_first_forbidden_node():
     real = shortest_path(topo, 8, 15)
     assert real.nodes == column
     assert shortest_path(topo, 1, 7).nodes.index(4) == 3
-    with pytest.raises(PlacementError):  # ranks the pairs, warms 7's hop table
-        place_fake_pair(topo, real, random.Random(0))
+    for slack in (1, 2):  # rank the pairs
+        list(_pair_tiers(topo, real, slack))
+    _hop_table(topo, topo.node_index[7])
     topo.neighbor_indices = counted = CountingNeighbours(topo.neighbor_indices)
     with pytest.raises(PlacementError):
         place_fake_pair(topo, real, random.Random(0))
-    assert counted.reads == 3
+    assert counted.read == [0, 1, 2]  # the lists of 1, 2 and 3
+    assert topo.memo[_path_avoids] == {(1, 7): [1, 2, 3, 4]}
+    # a repeat check finds 4 in the kept prefix and walks no further
+    counted.read.clear()
+    with pytest.raises(PlacementError):
+        place_fake_pair(topo, real, random.Random(0))
+    assert counted.reads == 0
 
 
 def test_place_fake_pair_logs_the_slack_fallback(caplog):
@@ -523,7 +531,7 @@ def test_a_fake_plan_memoizes_only_the_tables_paths_and_ranking():
     topo = _dense()
     build_scenario(topo, 315, 160, ProtocolVariant("extrout_fake", 1),
                    rng=random.Random(0))
-    assert set(topo.memo) == {_hop_table, shortest_path, _pair_tiers}
+    assert set(topo.memo) == {_hop_table, shortest_path, _pair_tiers, _path_avoids}
 
 
 @pytest.mark.parametrize("count, spacing, origin, ends, slack", [

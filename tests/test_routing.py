@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import random
+from itertools import product
 
 import pytest
 
@@ -84,15 +85,47 @@ def test_hop_tables_are_kept_from_the_first_request_and_read_only():
 
 def test_at_hop_distance_matches_bfs():
     # p = 0.06 leaves several components; the landmarks lie in node 1's,
-    # so pairs elsewhere are searched without a bound
-    for p, seed in ((0.06, 1), (0.06, 2), (0.12, 3), (0.3, 4)):
+    # so pairs elsewhere are searched without a bound. Cold, only the
+    # landmarks' tables are kept, so most checks search; kept, every
+    # node's table is, so every check reads one. hops = -1 matches no
+    # pair, unreachable ones included.
+    for (p, seed), kept in product(((0.06, 1), (0.06, 2), (0.12, 3), (0.3, 4)),
+                                   (False, True)):
         topo = random_topology(24, p, seed)
         graph = adjacency(topo)
+        if kept:
+            for n in topo.nodes:
+                hop_distances(topo, n)
         for u in topo.nodes:
             levels = bfs_levels(graph, u)
             for v in topo.nodes:
-                for hops in range(8):
+                for hops in range(-1, 8):
                     assert at_hop_distance(topo, u, v, hops) == (levels.get(v) == hops)
+        tables = topo.memo[routing._hop_table]
+        if kept:
+            assert len(tables) == topo.node_count
+        else:  # the searches build no table of their own
+            assert len(tables) <= routing.LANDMARKS
+            assert set(tables.values()) == set(topo.memo[routing._landmarks])
+
+
+def test_at_hop_distance_reads_a_kept_table_and_no_neighbour_list():
+    # 1-2-3-4-5 and 6-7 are two components; 1's and 7's tables are kept
+    line = line_topology(7)
+    topo = Topology(line.params, line.positions, ((1, 2), (2, 3), (3, 4), (4, 5), (6, 7)))
+    hop_distances(topo, 1)
+    hop_distances(topo, 7)
+    topo.neighbor_indices = counted = CountingNeighbours(topo.neighbor_indices)
+    for u, v, hops, expected in ((1, 5, 4, True), (5, 1, 4, True), (1, 5, 3, False),
+                                 (3, 7, 1, False), (1, 6, -1, False), (6, 1, -1, False),
+                                 (7, 6, 1, True), (2, 7, -1, False)):
+        assert at_hop_distance(topo, u, v, hops) is expected
+    assert counted.reads == 0
+    assert routing._landmarks not in topo.memo
+    # with neither end's table kept, the landmark search runs
+    assert at_hop_distance(topo, 2, 4, 2)
+    assert counted.reads > 0
+    assert routing._landmarks in topo.memo
 
 
 def test_at_hop_distance_rejects_ends_outside_the_topology():
