@@ -15,7 +15,7 @@ from heapq import heappop, heappush
 from itertools import repeat
 
 from .routing import (ExtendedRoute, Route, disjoint_paths, extrapolate,
-                      lexicographic_walk, log_info, shortest_path)
+                      log_info, path_avoids, shortest_path)
 from .topology import Topology
 
 VARIANT_KINDS = ("no_privacy", "extrout_baseline", "extrout_duplicates",
@@ -193,8 +193,9 @@ def place_fake_pair(topo: Topology, real: Route, rng: random.Random,
 
     Tiers are drawn from one at a time, as _pair_tiers yields them, so the
     ranking is read only as deep as the pair returned. A candidate's path
-    is checked by _path_avoids, which walks it only as far as a check has
-    needed on this topology.
+    is checked by routing.path_avoids, which walks it only as far as a
+    check has needed on this topology, so the returned pair's path is
+    walked already.
     """
     avoid = set(avoid)
     forbidden = set(real.nodes) | avoid
@@ -207,38 +208,10 @@ def place_fake_pair(topo: Topology, real: Route, rng: random.Random,
             tier = [(u, v) for u, v in tier if u not in avoid and v not in avoid]
             rng.shuffle(tier)
             for u, v in tier:
-                if _path_avoids(topo, u, v, forbidden):
+                if path_avoids(topo, u, v, forbidden):
                     return u, v
     raise PlacementError(
         f"no fake pair within 2 hops of separation {real.hops} avoids the real route")
-
-
-def _path_avoids(topo: Topology, u: int, v: int, forbidden: set[int]) -> bool:
-    """Whether the minimum-hop path from the free node u to v (see
-    lexicographic_walk) meets no node of forbidden.
-
-    The path depends on neither the RNG nor forbidden, so
-    topo.memo[_path_avoids] keeps, by (u, v), the list of its nodes
-    walked so far, u first. A check tests that prefix first and resumes
-    the walk from its last node only when the prefix is clear, since the
-    walk's next step depends on that node alone. The walk stops at the
-    first forbidden node, so no check walks a path further than a fresh
-    walk would.
-    """
-    walks = topo.memo.get(_path_avoids)
-    if walks is None:
-        walks = topo.memo[_path_avoids] = {}
-    walked = walks.get((u, v))
-    if walked is None:
-        walked = walks[u, v] = [u]
-    elif not forbidden.isdisjoint(walked):
-        return False
-    if walked[-1] != v:
-        for n in lexicographic_walk(topo, walked[-1], v):
-            walked.append(n)
-            if n in forbidden:
-                return False
-    return True
 
 
 def _pair_tiers(topo: Topology, real: Route, slack: int):

@@ -11,7 +11,6 @@ import heapq
 import random
 import sys
 from dataclasses import dataclass
-from typing import Iterator
 
 from .topology import Topology
 
@@ -107,8 +106,8 @@ def _hop_table(topo: Topology, src: int) -> tuple[int, ...]:
     unreachable, from one BFS along topo.neighbor_indices.
 
     Every table is kept in topo.memo[_hop_table], a dict by source index,
-    and read by every search here: the landmarks, at_hop_distance, the
-    walks, extrapolation and the first disjoint-path pass. It is a tuple,
+    and read by every search here: the landmarks, at_hop_distance, _walk,
+    extrapolation and the first disjoint-path pass. It is a tuple,
     so no caller can change what the others read. The decoy-pair ranking
     uses hop balls and no table at all.
     """
@@ -157,12 +156,14 @@ def at_hop_distance(topo: Topology, u: int, v: int, hops: int) -> bool:
     Pair sampling asks this for every pair it draws, so it avoids a BFS
     over the whole topology. When either end's hop table is kept in
     topo.memo[_hop_table], the answer is read off it (-1, unreachable,
-    matches no hops). Otherwise an A* search from u, guided by the
-    landmark tables' lower bound on the distance to v (triangle
-    inequality), finds the distance exactly but expands only nodes that
-    could still lie on a path of at most `hops` hops; no table is built
-    for the check, since one BFS over the topology costs more than the
-    search. An end outside the topology raises ValueError.
+    matches no hops). Otherwise the landmark tables bound the distance by
+    the triangle inequality: a pair whose path through a landmark is
+    shorter than `hops` is answered with no search, and an A* search from
+    u, guided by the tables' lower bound on the distance to v, finds the
+    distance exactly but expands only nodes that could still lie on a
+    path of at most `hops` hops. No table is built for the check, since
+    one BFS over the topology costs more than the search. An end outside
+    the topology raises ValueError.
     """
     a, b = _index(topo, u), _index(topo, v)
     if a == b:
@@ -177,6 +178,8 @@ def at_hop_distance(topo: Topology, u: int, v: int, hops: int) -> bool:
         if (table[a] < 0) != (table[b] < 0):
             return False  # different components
         if table[b] >= 0:
+            if table[a] + table[b] < hops:
+                return False  # closer than hops through this landmark
             bounds.append((table, table[b]))
 
     def lower(n: int) -> int:
@@ -210,44 +213,51 @@ def at_hop_distance(topo: Topology, u: int, v: int, hops: int) -> bool:
 
 
 def shortest_path(topo: Topology, source: int, dest: int) -> Route:
-    """Minimum-hop path from source to dest (see lexicographic_walk).
+    """Minimum-hop path from source to dest: the pair's kept walk (see
+    _walk), taken to its end."""
+    return Route(tuple(_walk(topo, source, dest)))
 
-    Every route is kept in topo.memo[shortest_path], a dict by (source,
-    dest), so a pair's path is walked once per topology; (dest, source)
-    is a pair of its own. A bad pair raises on every call and keeps
-    nothing.
+
+def path_avoids(topo: Topology, u: int, v: int, forbidden: set[int]) -> bool:
+    """Whether shortest_path(topo, u, v) meets no node of forbidden. The
+    pair's kept walk (see _walk) is tested first and walked on only while
+    it is clear, up to its first forbidden node."""
+    return forbidden.isdisjoint(_walk(topo, u, v, forbidden))
+
+
+def _walk(topo: Topology, source: int, dest: int, stop=frozenset()) -> list[int]:
+    """The ids of the minimum-hop path from source to dest walked so far,
+    source first, walked on to dest or to its first node in stop.
+
+    Each step takes the first neighbour (indices ascend with ids) one hop
+    closer to dest, so among equal-length paths the lexicographically
+    smallest wins and the next step depends on the last node alone.
+    topo.memo[_walk] keeps the list by ordered pair, so no step is walked
+    twice; a kept walk that meets stop is returned as it is. A bad pair
+    raises on every call and keeps nothing.
     """
-    routes = topo.memo.get(shortest_path)
-    if routes is None:
-        routes = topo.memo[shortest_path] = {}
-    route = routes.get((source, dest))
-    if route is None:
-        route = routes[source, dest] = Route(
-            (source, *lexicographic_walk(topo, source, dest)))
-    return route
-
-
-def lexicographic_walk(topo: Topology, source: int, dest: int) -> Iterator[int]:
-    """The nodes after source on its minimum-hop path to dest, lazily.
-
-    Among equal-length paths the lexicographically smallest node sequence
-    wins: each step takes the first neighbour (indices ascend with ids)
-    one hop closer to dest. This call checks the endpoints and builds
-    dest's hop table, so a bad pair raises here, not on the first step.
-    """
-    k = _index(topo, source)
-    dist = _hop_table(topo, _index(topo, dest))
-    if dist[k] < 0:
-        raise UnreachableError(f"no path from {source} to {dest}")
-    nodes, nbrs = topo.nodes, topo.neighbor_indices
-
-    def walk(k: int) -> Iterator[int]:
-        for closer in range(dist[k] - 1, -1, -1):
-            for k in nbrs[k]:
-                if dist[k] == closer:
-                    break
-            yield nodes[k]
-    return walk(k)
+    walks = topo.memo.get(_walk)
+    if walks is None:
+        walks = topo.memo[_walk] = {}
+    walked = walks.get((source, dest))
+    if walked is None:
+        k = _index(topo, source)
+        if _hop_table(topo, _index(topo, dest))[k] < 0:
+            raise UnreachableError(f"no path from {source} to {dest}")
+        walked = walks[source, dest] = [source]
+    if walked[-1] == dest or not stop.isdisjoint(walked):
+        return walked
+    at, nodes, nbrs = topo.node_index, topo.nodes, topo.neighbor_indices
+    dist = _hop_table(topo, at[dest])
+    k = at[walked[-1]]
+    for closer in range(dist[k] - 1, -1, -1):
+        for k in nbrs[k]:
+            if dist[k] == closer:
+                break
+        walked.append(nodes[k])
+        if nodes[k] in stop:
+            break
+    return walked
 
 
 def extrapolate(topo: Topology, route: Route, source_ext: int, dest_ext: int,
@@ -309,8 +319,8 @@ def disjoint_paths(topo: Topology, anchor_source: int, anchor_dest: int,
     cardinality (up to count) and, for that cardinality, minimum total hop
     count. No network is built. With no flow, the first augmenting path is
     the lexicographically smallest shortest path in G - B, the topology
-    without the banned interior B, so the first pass is lexicographic_walk's
-    rule on the goal's kept hop table to_goal, stepped through G - B: take
+    without the banned interior B, so the first pass is _walk's step rule
+    on the goal's kept hop table to_goal, stepped through G - B: take
     the first unbanned neighbour one hop closer, and back out of a node
     with none for good (whether it is a dead end depends on the node
     alone). Every step of a d-hop path lowers to_goal by one, so the walk

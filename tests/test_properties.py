@@ -25,8 +25,7 @@ from extrout.protocols import (
 )
 from extrout.rng import substream
 from extrout.routing import (Route, UnreachableError, at_hop_distance, disjoint_paths,
-                             extrapolate, hop_distances, lexicographic_walk,
-                             shortest_path)
+                             extrapolate, hop_distances, path_avoids, shortest_path)
 from extrout.simengine import TrafficTrace, run
 from extrout.topology import (Position, Topology, TopologyParams, build_qudg, generate,
                               load_topology, place_nodes, topology_to_text)
@@ -150,11 +149,41 @@ def test_shortest_path_is_the_smallest_shortest_path(params, ends):
         expected = smallest_shortest_path(adjacency(topo), source, dest)
         if expected is None:
             with pytest.raises(UnreachableError):
-                lexicographic_walk(topo, source, dest)
+                path_avoids(topo, source, dest, set())
             with pytest.raises(UnreachableError):
                 shortest_path(topo, source, dest)
         else:
             assert shortest_path(topo, source, dest).nodes == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=topology_params, data=st.data())
+def test_path_avoids_is_the_smallest_shortest_path_test(params, data):
+    # A run of checks and whole paths on up to four pairs, each check
+    # against a random forbidden set, so a pair's kept walk may stop at a
+    # forbidden node, be checked again against another set and be finished
+    # by a path, in any order. Each answer must be the oracle's.
+    topo = generate(params)
+    graph = adjacency(topo)
+    node = st.sampled_from(topo.nodes)
+    pairs = data.draw(st.lists(st.tuples(node, node), min_size=1, max_size=4))
+    for _ in range(data.draw(st.integers(1, 12))):
+        u, v = data.draw(st.sampled_from(pairs))
+        expected = smallest_shortest_path(graph, u, v)
+        if data.draw(st.booleans()):
+            # a few nodes, often on the path, so walks stop and resume
+            on_path = st.sampled_from(expected) if expected else node
+            forbidden = data.draw(st.sets(st.one_of(node, on_path), max_size=3))
+            if expected is None:
+                with pytest.raises(UnreachableError):
+                    path_avoids(topo, u, v, forbidden)
+            else:
+                assert path_avoids(topo, u, v, forbidden) == forbidden.isdisjoint(expected)
+        elif expected is None:
+            with pytest.raises(UnreachableError):
+                shortest_path(topo, u, v)
+        else:
+            assert shortest_path(topo, u, v).nodes == expected
 
 
 @settings(max_examples=60, deadline=None)

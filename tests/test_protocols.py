@@ -19,19 +19,19 @@ from extrout.protocols import (
     ProtocolVariant,
     ScenarioSettings,
     _pair_tiers,
-    _path_avoids,
     _rank,
     build_scenario,
     dummy_schedule,
     place_fake_pair,
 )
-from extrout.routing import (ExtendedRoute, Route, _hop_table, extrapolate,
+from extrout.routing import (ExtendedRoute, Route, _hop_table, _walk, extrapolate,
                              hop_distances, shortest_path)
 from extrout.simengine import run
 from extrout.topology import Position, Topology, TopologyParams, generate
 
 from ladders import LINK_PROFILES, line_topology, parallel_paths
-from oracles import CountingNeighbours, adjacency, decoy_pair_tiers, link_pairs
+from oracles import (CountingNeighbours, adjacency, decoy_pair_tiers, link_pairs,
+                     smallest_shortest_path)
 
 
 def _pinned(src_ext: int, dst_ext: int, **kw) -> ScenarioSettings:
@@ -276,7 +276,6 @@ def test_a_rejected_candidate_is_walked_only_to_its_first_forbidden_node():
     topo = Topology(TopologyParams(1, 15, perturbation=0.0), positions, links)
     real = shortest_path(topo, 8, 15)
     assert real.nodes == column
-    assert shortest_path(topo, 1, 7).nodes.index(4) == 3
     for slack in (1, 2):  # rank the pairs
         list(_pair_tiers(topo, real, slack))
     _hop_table(topo, topo.node_index[7])
@@ -284,12 +283,34 @@ def test_a_rejected_candidate_is_walked_only_to_its_first_forbidden_node():
     with pytest.raises(PlacementError):
         place_fake_pair(topo, real, random.Random(0))
     assert counted.read == [0, 1, 2]  # the lists of 1, 2 and 3
-    assert topo.memo[_path_avoids] == {(1, 7): [1, 2, 3, 4]}
+    assert topo.memo[_walk][1, 7] == [1, 2, 3, 4]
     # a repeat check finds 4 in the kept prefix and walks no further
     counted.read.clear()
     with pytest.raises(PlacementError):
         place_fake_pair(topo, real, random.Random(0))
     assert counted.reads == 0
+    # the path itself resumes the kept walk: the lists of 4, 5 and 6
+    assert shortest_path(topo, 1, 7).nodes == (1, 2, 3, 4, 5, 6, 7)
+    assert counted.read == [3, 4, 5]
+
+
+def test_a_placed_pair_is_walked_once():
+    # the check that accepts a pair walks its whole path, so the path
+    # is read off the kept walk, on both routes and with decoys taken
+    topo = _dense()
+    for ends in ((315, 160), (67, 279)):
+        real = shortest_path(topo, *ends)
+        taken = set()
+        for seed in range(3):
+            u, v = place_fake_pair(topo, real, random.Random(seed), avoid=taken)
+            plain = topo.neighbor_indices
+            topo.neighbor_indices = counted = CountingNeighbours(plain)
+            path = shortest_path(topo, u, v)
+            topo.neighbor_indices = plain
+            assert counted.reads == 0
+            assert path.nodes == smallest_shortest_path(adjacency(topo), u, v)
+            assert taken.isdisjoint(path.nodes) and set(real.nodes).isdisjoint(path.nodes)
+            taken.update(path.nodes)
 
 
 def test_place_fake_pair_logs_the_slack_fallback(caplog):
@@ -531,7 +552,7 @@ def test_a_fake_plan_memoizes_only_the_tables_paths_and_ranking():
     topo = _dense()
     build_scenario(topo, 315, 160, ProtocolVariant("extrout_fake", 1),
                    rng=random.Random(0))
-    assert set(topo.memo) == {_hop_table, shortest_path, _pair_tiers, _path_avoids}
+    assert set(topo.memo) == {_hop_table, _walk, _pair_tiers}
 
 
 @pytest.mark.parametrize("count, spacing, origin, ends, slack", [

@@ -18,7 +18,7 @@ from extrout.routing import (
     disjoint_paths,
     extrapolate,
     hop_distances,
-    lexicographic_walk,
+    path_avoids,
     shortest_path,
 )
 from extrout.topology import Position, Topology, TopologyParams, generate
@@ -88,18 +88,20 @@ def test_at_hop_distance_matches_bfs():
     # so pairs elsewhere are searched without a bound. Cold, only the
     # landmarks' tables are kept, so most checks search; kept, every
     # node's table is, so every check reads one. hops = -1 matches no
-    # pair, unreachable ones included.
+    # pair, unreachable ones included. hops runs two past each graph's
+    # diameter, where the landmarks' upper bound answers many unsearched.
     for (p, seed), kept in product(((0.06, 1), (0.06, 2), (0.12, 3), (0.3, 4)),
                                    (False, True)):
         topo = random_topology(24, p, seed)
         graph = adjacency(topo)
+        diameter = max(max(bfs_levels(graph, n).values()) for n in topo.nodes)
         if kept:
             for n in topo.nodes:
                 hop_distances(topo, n)
         for u in topo.nodes:
             levels = bfs_levels(graph, u)
             for v in topo.nodes:
-                for hops in range(-1, 8):
+                for hops in range(-1, diameter + 3):
                     assert at_hop_distance(topo, u, v, hops) == (levels.get(v) == hops)
         tables = topo.memo[routing._hop_table]
         if kept:
@@ -126,6 +128,21 @@ def test_at_hop_distance_reads_a_kept_table_and_no_neighbour_list():
     assert at_hop_distance(topo, 2, 4, 2)
     assert counted.reads > 0
     assert routing._landmarks in topo.memo
+
+
+def test_a_pair_closer_through_a_landmark_is_rejected_unsearched():
+    # On the chain 1-...-9 the landmarks are 1, 9, 5 and 3. 4 and 6 both
+    # lie 1 hop from landmark 5, so at most 2 hops apart: any more hops is
+    # rejected with no search.
+    topo = line_topology(9)
+    routing._landmarks(topo)
+    counted = _counted(topo)
+    for hops in (3, 4, 8):
+        assert not at_hop_distance(topo, 4, 6, hops)
+    assert counted.reads == 0
+    # a pair its landmarks leave open is searched
+    assert at_hop_distance(topo, 4, 6, 2)
+    assert counted.reads > 0
 
 
 def test_at_hop_distance_rejects_ends_outside_the_topology():
@@ -200,33 +217,46 @@ def test_shortest_path_trivial_and_errors():
     with pytest.raises(ValueError):
         shortest_path(topo, 1, 9)
     with pytest.raises(ValueError):
-        lexicographic_walk(topo, 9, 1)  # at the call, not the first step
+        path_avoids(topo, 9, 1, set())  # an unknown source
     split = Topology(topo.params, topo.positions, ((1, 2), (4, 5)))
     with pytest.raises(UnreachableError):
         shortest_path(split, 1, 5)
+    with pytest.raises(UnreachableError):
+        path_avoids(split, 1, 5, {9})
 
 
 def _counting_walks(monkeypatch) -> list:
+    """The ordered pairs whose walk is started, in order: each call of
+    routing._walk on a pair it keeps no walk for, whether it raises or
+    not."""
     walks = []
+    walk = routing._walk
 
-    def counting(topo, source, dest):
-        walks.append((source, dest))
-        return lexicographic_walk(topo, source, dest)
+    def counting(topo, source, dest, *stop):
+        if (source, dest) not in topo.memo.get(counting, {}):
+            walks.append((source, dest))
+        return walk(topo, source, dest, *stop)
 
-    monkeypatch.setattr(routing, "lexicographic_walk", counting)
+    # _walk keys its walks by routing._walk, which is now counting
+    monkeypatch.setattr(routing, "_walk", counting)
     return walks
 
 
 def test_routes_are_kept_by_ordered_pair(monkeypatch):
     topo = line_topology(6)
     walks = _counting_walks(monkeypatch)
+    counted = _counted(topo)
     route = shortest_path(topo, 1, 5)
-    assert shortest_path(topo, 1, 5) is route
+    assert counted.reads > 0
+    counted.read.clear()
+    assert shortest_path(topo, 1, 5) == route
+    assert counted.reads == 0  # walked once per ordered pair
     assert walks == [(1, 5)]
     back = shortest_path(topo, 5, 1)
     assert back.nodes == route.nodes[::-1]
     assert walks == [(1, 5), (5, 1)]
-    assert topo.memo[shortest_path] == {(1, 5): route, (5, 1): back}
+    assert topo.memo[routing._walk] == {(1, 5): list(route.nodes),
+                                        (5, 1): list(back.nodes)}
     assert topo == line_topology(6)
 
 
@@ -239,9 +269,13 @@ def test_a_bad_pair_raises_every_time_and_keeps_nothing(monkeypatch):
             shortest_path(topo, 1, 9)
         with pytest.raises(UnreachableError):
             shortest_path(split, 1, 5)
-    assert walks == [(1, 9), (1, 5)] * 2
-    assert topo.memo.get(shortest_path) == {}
-    assert split.memo.get(shortest_path) == {}
+        with pytest.raises(ValueError):
+            path_avoids(topo, 9, 1, {3})
+        with pytest.raises(UnreachableError):
+            path_avoids(split, 1, 5, {3})
+    assert walks == [(1, 9), (1, 5), (9, 1), (1, 5)] * 2
+    assert topo.memo.get(routing._walk) == {}
+    assert split.memo.get(routing._walk) == {}
 
 
 # ------------------------------------------------------------- extrapolate
