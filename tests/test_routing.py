@@ -88,8 +88,9 @@ def test_at_hop_distance_matches_bfs():
     # so pairs elsewhere are searched without a bound. Cold, only the
     # landmarks' tables are kept, so most checks search; kept, every
     # node's table is, so every check reads one. hops = -1 matches no
-    # pair, unreachable ones included. hops runs two past each graph's
-    # diameter, where the landmarks' upper bound answers many unsearched.
+    # pair, unreachable ones included. hops runs to 7 and to two past each
+    # graph's diameter, where the landmarks' upper bound answers many
+    # unsearched.
     for (p, seed), kept in product(((0.06, 1), (0.06, 2), (0.12, 3), (0.3, 4)),
                                    (False, True)):
         topo = random_topology(24, p, seed)
@@ -101,7 +102,7 @@ def test_at_hop_distance_matches_bfs():
         for u in topo.nodes:
             levels = bfs_levels(graph, u)
             for v in topo.nodes:
-                for hops in range(-1, diameter + 3):
+                for hops in range(-1, max(8, diameter + 3)):
                     assert at_hop_distance(topo, u, v, hops) == (levels.get(v) == hops)
         tables = topo.memo[routing._hop_table]
         if kept:
