@@ -136,16 +136,18 @@ def _hop_table(topo: Topology, src: int) -> tuple[int, ...]:
 def _landmarks(topo: Topology) -> tuple[tuple[int, ...], ...]:
     """Hop tables of LANDMARKS nodes picked farthest-first from index 0,
     the lowest id (on a grid, its corners), taking the lowest index among
-    equally far nodes. The tuple of them is kept in topo.memo[_landmarks];
-    each table is _hop_table's."""
+    equally far nodes from the landmarks so far; those distances are
+    updated only while another pick follows. The tuple of them is kept in
+    topo.memo[_landmarks]; each table is _hop_table's."""
     tables = topo.memo.get(_landmarks)
     if tables is None:
         tables = [_hop_table(topo, 0)]
         nearest = tables[0]
         while len(tables) < LANDMARKS:
+            if len(tables) > 1:
+                # -1 in every table off index 0's component, so it stays -1
+                nearest = [b if b < a else a for a, b in zip(nearest, tables[-1])]
             tables.append(_hop_table(topo, nearest.index(max(nearest))))
-            # -1 in every table off index 0's component, so it stays -1
-            nearest = tuple(map(min, nearest, tables[-1]))
         tables = topo.memo[_landmarks] = tuple(tables)
     return tables
 
@@ -222,19 +224,19 @@ def path_avoids(topo: Topology, u: int, v: int, forbidden: set[int]) -> bool:
     """Whether shortest_path(topo, u, v) meets no node of forbidden. The
     pair's kept walk (see _walk) is tested first and walked on only while
     it is clear, up to its first forbidden node."""
-    return forbidden.isdisjoint(_walk(topo, u, v, forbidden))
+    return _walk(topo, u, v, forbidden) is not None
 
 
-def _walk(topo: Topology, source: int, dest: int, stop=frozenset()) -> list[int]:
-    """The ids of the minimum-hop path from source to dest walked so far,
-    source first, walked on to dest or to its first node in stop.
+def _walk(topo: Topology, source: int, dest: int, stop=frozenset()) -> list[int] | None:
+    """The ids of the minimum-hop path from source to dest, source first;
+    None if it meets stop, walked then only to its first node in stop.
 
     Each step takes the first neighbour (indices ascend with ids) one hop
     closer to dest, so among equal-length paths the lexicographically
     smallest wins and the next step depends on the last node alone.
     topo.memo[_walk] keeps the list by ordered pair, so no step is walked
-    twice; a kept walk that meets stop is returned as it is. A bad pair
-    raises on every call and keeps nothing.
+    twice; a kept walk is tested against stop once before it is walked
+    on. A bad pair raises on every call and keeps nothing.
     """
     walks = topo.memo.get(_walk)
     if walks is None:
@@ -245,7 +247,9 @@ def _walk(topo: Topology, source: int, dest: int, stop=frozenset()) -> list[int]
         if _hop_table(topo, _index(topo, dest))[k] < 0:
             raise UnreachableError(f"no path from {source} to {dest}")
         walked = walks[source, dest] = [source]
-    if walked[-1] == dest or not stop.isdisjoint(walked):
+    if stop and not stop.isdisjoint(walked):
+        return None
+    if walked[-1] == dest:
         return walked
     at, nodes, nbrs = topo.node_index, topo.nodes, topo.neighbor_indices
     dist = _hop_table(topo, at[dest])
@@ -256,7 +260,7 @@ def _walk(topo: Topology, source: int, dest: int, stop=frozenset()) -> list[int]
                 break
         walked.append(nodes[k])
         if nodes[k] in stop:
-            break
+            return None
     return walked
 
 

@@ -54,16 +54,18 @@ def transmission_matrix(node_tx: Mapping[int, int],
                         params: TopologyParams) -> list[list[int]]:
     """Per-grid-cell values, row-major, for grid-placed topologies.
 
-    Reshapes any mapping keyed by every grid id. A trace's node_tx leaves
-    out the nodes that sent nothing, so their 0 must be filled in first;
-    cmd_run passes topo.node_index and gets the grid of indices into
-    topo.nodes.
+    Reshapes any mapping keyed by exactly the grid ids 1..N, read in id
+    order and cut into rows of grid_cols. A trace's node_tx leaves out the
+    nodes that sent nothing, so their 0 must be filled in first; cmd_run
+    passes topo.node_index and gets the grid of indices into topo.nodes.
     """
-    if set(node_tx) != set(range(1, params.node_count + 1)):
+    ids = range(1, params.node_count + 1)
+    if set(node_tx) != set(ids):
         raise ValueError("matrix view unavailable: node counts do not cover "
                          "the full grid")
-    return [[node_tx[params.node_at(r, c)] for c in range(params.grid_cols)]
-            for r in range(params.grid_rows)]
+    cells = list(map(node_tx.__getitem__, ids))
+    cols = params.grid_cols
+    return [cells[start:start + cols] for start in range(0, len(cells), cols)]
 
 
 def mean_matrix(totals: list[list[int]], runs: int) -> list[list[float]]:

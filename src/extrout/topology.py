@@ -58,12 +58,6 @@ class TopologyParams:
     def node_count(self) -> int:
         return self.grid_rows * self.grid_cols
 
-    def grid_cell(self, node: int) -> tuple[int, int]:
-        """(row, col) of a node id; ids are 1-based and assigned row-major."""
-        if not 1 <= node <= self.node_count:
-            raise ValueError(f"node {node} outside grid of {self.node_count}")
-        return divmod(node - 1, self.grid_cols)
-
     def node_at(self, row: int, col: int) -> int:
         return row * self.grid_cols + col + 1
 
@@ -211,18 +205,18 @@ def generate(params: TopologyParams) -> Topology:
 def average_degree(topo: Topology) -> float:
     """Mean link count over interior grid nodes.
 
-    Boundary rows/columns are excluded to avoid edge effects; when the grid
-    has no interior (fewer than 3 rows or columns), or the node ids are not
-    its cells 1..N (a loaded file may number nodes freely), all nodes count.
+    Boundary rows/columns are excluded to avoid edge effects, so each inner
+    row adds one slice of the row-major degrees; when the grid has no
+    interior (fewer than 3 rows or columns), or the node ids are not its
+    cells 1..N (a loaded file may number nodes freely), all nodes count.
     """
     p = topo.params
     degrees = list(map(len, topo.neighbor_indices))
     if topo.nodes == tuple(range(1, p.node_count + 1)):
-        cells = map(p.grid_cell, topo.nodes)
-        degrees = [
-            degree for degree, (row, col) in zip(degrees, cells)
-            if 0 < row < p.grid_rows - 1 and 0 < col < p.grid_cols - 1
-        ] or degrees
+        cols = p.grid_cols
+        # Index r * cols + 1 is row r's second cell; cols - 2 cells follow.
+        degrees = [degree for start in range(cols + 1, p.node_count - cols, cols)
+                   for degree in degrees[start:start + cols - 2]] or degrees
     return sum(degrees) / len(degrees)
 
 
@@ -240,14 +234,14 @@ def topology_to_text(topo: Topology) -> str:
     head = f"{count} {p.tx_range!r} {p.qudg_factor!r} {p.perturbation!r} {p.spacing!r} {p.seed}"
     if p.node_count == count and (p.grid_rows, p.grid_cols) != _six_field_shape(count):
         head += f" {p.grid_rows} {p.grid_cols}"
+    # Each id is formatted once, for its node line and all its link ends.
+    names = list(map(str, topo.nodes))
     lines = [head]
-    for n in topo.nodes:
-        pos = topo.positions[n]
-        lines.append(f"{n} {pos.x!r} {pos.y!r}")
+    lines += [f"{name} {pos.x!r} {pos.y!r}" for name, pos
+              in zip(names, map(topo.positions.__getitem__, topo.nodes))]
     # Nodes and each node's neighbours ascend, so the links come out sorted.
-    nodes = topo.nodes
-    for k, near in enumerate(topo.neighbor_indices):
-        lines.extend(f"{nodes[k]} {nodes[j]}" for j in near if j > k)
+    lines += [f"{names[k]} {names[j]}" for k, near in enumerate(topo.neighbor_indices)
+              for j in near if j > k]
     return "\n".join(lines) + "\n"
 
 

@@ -199,6 +199,45 @@ def _all_shortest_paths(topo: Topology, source: int, dest: int) -> list[tuple]:
     return paths
 
 
+def _farthest_first(topo, count: int) -> list[dict]:
+    """BFS levels from count nodes picked farthest-first from the lowest
+    id: each next pick is the lowest id, among nodes that the lowest id
+    reaches, whose hops to its nearest pick so far are the most."""
+    graph = adjacency(topo)
+    picked = [bfs_levels(graph, topo.nodes[0])]
+    while len(picked) < count:
+        far = max(picked[0], key=lambda n: (min(levels[n] for levels in picked), -n))
+        picked.append(bfs_levels(graph, far))
+    return picked
+
+
+def _two_components():
+    # 1-2-3-4 and the longer chain 5-...-12: the far nodes lie off 1's part
+    line = line_topology(12)
+    links = [(i, i + 1) for i in range(1, 12) if i != 4]
+    return Topology(line.params, line.positions, links)
+
+
+@pytest.mark.parametrize("name", ["dense 80x80", "two components", "random"])
+def test_landmarks_match_a_brute_force_farthest_first_pick(name):
+    if name == "dense 80x80":
+        topos = [generate(TopologyParams(80, 80, perturbation=0.0, tx_range=150.0,
+                                         qudg_factor=0.95, seed=1))]
+    elif name == "two components":
+        topos = [_two_components()]
+    else:
+        topos = [random_topology(30, p, seed) for seed in range(8) for p in (0.05, 0.12)]
+    for topo in topos:
+        picked = _farthest_first(topo, routing.LANDMARKS)
+        assert routing._landmarks(topo) == tuple(
+            tuple(levels.get(n, -1) for n in topo.nodes) for levels in picked)
+        firsts = [min(levels, key=levels.get) for levels in picked]
+        if name == "dense 80x80":
+            assert sorted(firsts) == [1, 80, 6321, 6400]  # the corners
+        elif name == "two components":
+            assert firsts == [1, 4, 2, 3]
+
+
 def test_shortest_path_is_lexicographically_smallest():
     rng = random.Random(31)
     for seed in range(40):
@@ -259,6 +298,33 @@ def test_routes_are_kept_by_ordered_pair(monkeypatch):
     assert topo.memo[routing._walk] == {(1, 5): list(route.nodes),
                                         (5, 1): list(back.nodes)}
     assert topo == line_topology(6)
+
+
+class _CountingSet(set):
+    """A set that counts the nodes tested against it, by `in` or by
+    isdisjoint."""
+
+    tested = 0
+
+    def __contains__(self, node):
+        self.tested += 1
+        return super().__contains__(node)
+
+    def isdisjoint(self, other):
+        other = list(other)
+        self.tested += len(other)
+        return super().isdisjoint(other)
+
+
+def test_path_avoids_tests_each_node_of_the_walk_once():
+    # 1-...-8: each check tests the kept walk, then each node it walks on
+    topo = line_topology(8)
+    for forbidden, walked, avoids in (({6}, 6, False), ({7}, 7, False),
+                                      ({3}, 7, False), ({9}, 8, True)):
+        counted = _CountingSet(forbidden)
+        assert path_avoids(topo, 1, 8, counted) is avoids
+        assert topo.memo[routing._walk][1, 8] == list(range(1, walked + 1))
+        assert counted.tested == walked
 
 
 def test_a_bad_pair_raises_every_time_and_keeps_nothing(monkeypatch):

@@ -6,6 +6,7 @@ import hashlib
 import random
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +25,7 @@ from extrout.simengine import (
     run,
     transmission_matrix,
 )
-from extrout.topology import TopologyParams, generate
+from extrout.topology import TopologyParams, generate, load_topology
 
 from ladders import LINK_PROFILES, line_topology, parallel_paths
 from oracles import matrix_from_csv
@@ -172,6 +173,21 @@ def test_transmission_matrix_needs_full_grid_coverage():
     with pytest.raises(ValueError, match="matrix view unavailable"):
         transmission_matrix(trace.node_tx,
                             TopologyParams(grid_rows=2, grid_cols=2))
+
+
+@pytest.mark.parametrize("rows, cols", [(3, 5), (10, 30), (30, 10)])
+def test_transmission_matrix_matches_a_cell_by_cell_read(rows, cols):
+    params = TopologyParams(rows, cols)
+    values = {n: (n * 7919) % 101 for n in range(params.node_count, 0, -1)}
+    assert transmission_matrix(values, params) == [
+        [values[params.node_at(r, c)] for c in range(cols)] for r in range(rows)]
+
+
+def test_transmission_matrix_is_unavailable_on_sparse_ids():
+    topo = load_topology(Path(__file__).parent / "data" / "sparse_ids_8x8.txt")
+    with pytest.raises(ValueError, match="matrix view unavailable"):
+        # 64 values on an 8x8 grid, but keyed by the file's ids, not 1..64
+        transmission_matrix(topo.node_index, topo.params)
 
 
 def test_mean_matrix_cellwise():

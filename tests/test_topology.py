@@ -99,7 +99,7 @@ def test_place_nodes_within_jitter_box():
     positions = place_nodes(params, substream(11, "placement"))
     assert len(positions) == 400
     for node, pos in positions.items():
-        row, col = params.grid_cell(node)
+        row, col = divmod(node - 1, params.grid_cols)
         assert abs(pos.x - col * 100.0) <= 25.0
         assert abs(pos.y - row * 100.0) <= 25.0
 
@@ -109,7 +109,7 @@ def test_place_nodes_zero_perturbation_is_exact_grid():
                             perturbation=0.0, seed=1)
     positions = place_nodes(params, substream(1, "placement"))
     for node, pos in positions.items():
-        row, col = params.grid_cell(node)
+        row, col = divmod(node - 1, params.grid_cols)
         assert pos == Position(col * 50.0, row * 50.0)
 
 
@@ -122,17 +122,15 @@ def test_place_nodes_deterministic_per_seed():
     assert first != other
 
 
-def test_grid_cell_and_node_at_are_row_major_inverses():
+def test_node_at_is_row_major():
     # ids are 1-based, cells 0-based
     params = TopologyParams(grid_rows=3, grid_cols=5, seed=0)
-    assert params.grid_cell(1) == (0, 0)
-    assert params.grid_cell(5) == (0, 4)
-    assert params.grid_cell(6) == (1, 0)
-    assert params.grid_cell(15) == (2, 4)
+    assert params.node_at(0, 0) == 1
+    assert params.node_at(0, 4) == 5
+    assert params.node_at(1, 0) == 6
+    assert params.node_at(2, 4) == 15
     for node in range(1, 16):
-        assert params.node_at(*params.grid_cell(node)) == node
-    with pytest.raises(ValueError):
-        params.grid_cell(16)
+        assert params.node_at(*divmod(node - 1, params.grid_cols)) == node
 
 
 def test_params_validation():
@@ -288,6 +286,38 @@ def test_average_degree_over_all_nodes_when_ids_are_not_the_cells(tmp_path, shif
     assert average_degree(_loaded(tmp_path, text)) == 40 / 9
 
 
+def _interior_degree(topo: Topology) -> float:
+    """average_degree's rule node by node: the mean degree of the nodes
+    whose row-major cell divmod(node - 1, cols) is off the border, or of
+    every node when none is or the ids are not 1..N."""
+    p = topo.params
+    degrees = {n: len(near) for n, near in zip(topo.nodes, topo.neighbor_indices)}
+    inner = []
+    if sorted(degrees) == list(range(1, p.node_count + 1)):
+        for node, degree in degrees.items():
+            row, col = divmod(node - 1, p.grid_cols)
+            if 0 < row < p.grid_rows - 1 and 0 < col < p.grid_cols - 1:
+                inner.append(degree)
+    inner = inner or list(degrees.values())
+    return sum(inner) / len(inner)
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 16), (16, 1), (2, 2), (2, 5), (3, 3),
+                                        (10, 30), (30, 10), (20, 20)])
+def test_average_degree_matches_a_node_by_node_interior_rule(rows, cols):
+    # the default profile's band links give the cells unequal degrees
+    for seed in (1, 2):
+        topo = generate(TopologyParams(rows, cols, seed=seed))
+        assert average_degree(topo) == _interior_degree(topo)
+
+
+def test_average_degree_counts_every_node_of_the_sparse_id_file():
+    topo = load_topology(DATA / "sparse_ids_8x8.txt")
+    assert (topo.params.grid_rows, topo.params.grid_cols) == (8, 8)
+    assert average_degree(topo) == _interior_degree(topo) == 198 / 64
+    assert f"{average_degree(topo):.3f}" == "3.094"
+
+
 # ----------------------------------------------------------------- text form
 
 def test_topology_text_round_trip_is_lossless(tmp_path):
@@ -327,6 +357,44 @@ def test_a_saved_grid_loads_back_in_its_shape(tmp_path, rows, cols):
     assert back.params == params
     assert back == topo
     assert average_degree(back) == average_degree(topo)
+
+
+def _text_by_lines(topo: Topology) -> str:
+    """The text exchange format written line by line: the header, with
+    `rows cols` when the grid holds the nodes but is neither the square
+    nor the one row six fields stand for, each node by ascending id, then
+    each link (low, high) in sorted order."""
+    p = topo.params
+    n = len(topo.positions)
+    side = math.isqrt(n)
+    six = (side, side) if side * side == n else (1, n)
+    out = "%d %r %r %r %r %d" % (n, p.tx_range, p.qudg_factor, p.perturbation,
+                                 p.spacing, p.seed)
+    if p.grid_rows * p.grid_cols == n and (p.grid_rows, p.grid_cols) != six:
+        out += " %d %d" % (p.grid_rows, p.grid_cols)
+    out += "\n"
+    for node in sorted(topo.positions):
+        x, y = topo.positions[node]
+        out += "%d %r %r\n" % (node, x, y)
+    for i, j in sorted(link_pairs(topo)):
+        out += "%d %d\n" % (i, j)
+    return out
+
+
+@pytest.mark.parametrize("source", ["perturbed 12x12", "10x30", "sparse ids"])
+def test_topology_text_matches_a_line_by_line_writer(tmp_path, source):
+    if source == "sparse ids":
+        topo = load_topology(DATA / "sparse_ids_8x8.txt")
+    elif source == "10x30":
+        topo = generate(TopologyParams(10, 30, seed=1))
+    else:
+        topo = generate(TopologyParams(12, 12, perturbation=0.5, seed=6))
+    text = topology_to_text(topo)
+    assert text == _text_by_lines(topo)
+    assert len(text.split("\n", 1)[0].split()) == (8 if source == "10x30" else 6)
+    assert _loaded(tmp_path, text) == topo
+    if source == "sparse ids":  # negative ids, in node and link lines
+        assert text == (DATA / "sparse_ids_8x8.txt").read_text(encoding="utf-8")
 
 
 def test_a_grid_that_does_not_hold_its_nodes_writes_no_shape(tmp_path):
