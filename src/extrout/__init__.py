@@ -34,6 +34,7 @@ from .protocols import (
     build_scenario,
     dummy_schedule,
     place_fake_pair,
+    sample_pair,
 )
 from .simengine import TrafficTrace, run, transmission_matrix
 from .adversary import (

@@ -43,9 +43,10 @@ from .protocols import (
     ProtocolVariant,
     ScenarioSettings,
     build_scenario,
+    sample_pair,
 )
 from .rng import child_seed, substream
-from .routing import at_hop_distance, hop_distances
+from .routing import UnreachableError, shortest_path
 from .simengine import (
     ascii_heatmap,
     matrix_to_csv,
@@ -288,34 +289,17 @@ def _make_settings(cfg: dict) -> ScenarioSettings:
     )
 
 
-def _sample_pair(topo, target_hops: int, rng) -> tuple[int, int]:
-    """Draw random node pairs until one sits at the target hop distance."""
-    nodes = topo.nodes
-    limit = 50 * len(nodes)
-    for _ in range(limit):
-        source = nodes[rng.randrange(len(nodes))]
-        dest = nodes[rng.randrange(len(nodes))]
-        if source == dest:
-            continue
-        if at_hop_distance(topo, source, dest, target_hops):
-            return source, dest
-    raise ConfigError(
-        f"no node pair at {target_hops} hops found in {limit} samples; "
-        "check connectivity or pick endpoints explicitly")
-
-
 def _pick_endpoints(topo, cfg: dict, target_hops: int, rng) -> tuple[int, int]:
-    if cfg["source"] is not None:
-        source, dest = cfg["source"], cfg["dest"]
-        for node in (source, dest):
-            if node not in topo.node_index:
-                raise ConfigError(f"node {node} not in topology")
-        if source == dest:
-            raise ConfigError("source and dest must differ")
-        if dest not in hop_distances(topo, source):
-            raise ConfigError(f"no path from {source} to {dest}")
-        return source, dest
-    return _sample_pair(topo, target_hops, rng)
+    if cfg["source"] is None:
+        return sample_pair(topo, target_hops, rng)
+    source, dest = cfg["source"], cfg["dest"]
+    try:  # unknown source, unknown dest, then no path
+        shortest_path(topo, source, dest)
+    except (ValueError, UnreachableError) as exc:
+        raise ConfigError(str(exc)) from exc
+    if source == dest:
+        raise ConfigError("source and dest must differ")
+    return source, dest
 
 
 def _scenario(cfg: dict):
@@ -414,8 +398,8 @@ def _sweep_hop_row(topo, target: int, cfg: dict, variant, settings,
     skipped = 0
     for index in range(cfg["pairs_per_target"]):
         try:
-            source, dest = _sample_pair(topo, target, rng)
-        except ConfigError:
+            source, dest = sample_pair(topo, target, rng)
+        except PlacementError:
             break
         pair_rng = substream(seed, f"hops-{target}-pair-{index}")
         try:

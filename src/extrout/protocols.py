@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import repeat
 
-from .routing import (ExtendedRoute, Route, disjoint_paths, extrapolate,
-                      log_info, path_avoids, shortest_path)
+from .routing import (ExtendedRoute, Route, at_hop_distance, disjoint_paths,
+                      extrapolate, log_info, path_avoids, shortest_path)
 from .topology import Topology
 
 VARIANT_KINDS = ("no_privacy", "extrout_baseline", "extrout_duplicates",
@@ -25,7 +25,8 @@ COVER_KINDS = ("extrout_baseline", "extrout_duplicates", "extrout_fake")
 
 
 class PlacementError(Exception):
-    """No admissible fake source-destination pair exists."""
+    """No admissible pair was found: no real pair at the target hop
+    distance (sample_pair), or no fake pair that avoids the real route."""
 
 
 @dataclass(frozen=True)
@@ -110,6 +111,23 @@ class ScenarioPlan:
     def all_chains(self) -> tuple[Route, ...]:
         """The real packet's carrier, then the chains that carry dummies only."""
         return (self.main.route,) + self.duplicates + self.fake_paths
+
+
+def sample_pair(topo: Topology, hops: int, rng: random.Random) -> tuple[int, int]:
+    """Draw random node pairs until one sits `hops` hops apart: the real
+    pair's law."""
+    nodes = topo.nodes
+    limit = 50 * len(nodes)
+    for _ in range(limit):
+        source = nodes[rng.randrange(len(nodes))]
+        dest = nodes[rng.randrange(len(nodes))]
+        if source == dest:
+            continue
+        if at_hop_distance(topo, source, dest, hops):
+            return source, dest
+    raise PlacementError(
+        f"no node pair at {hops} hops found in {limit} samples; "
+        "check connectivity or pick endpoints explicitly")
 
 
 def build_scenario(topo: Topology, source: int, dest: int,

@@ -348,8 +348,7 @@ def disjoint_paths(topo: Topology, anchor_source: int, anchor_dest: int,
         raise ValueError("count must be at least 1")
     if anchor_source == anchor_dest:
         raise ValueError("anchors must differ")
-    if anchor_source not in topo.positions or anchor_dest not in topo.positions:
-        raise ValueError("anchors must be topology nodes")
+    source, goal = _index(topo, anchor_source), _index(topo, anchor_dest)
     at, nbrs = topo.node_index, topo.neighbor_indices
     # Side k is the in-node and side n + k the out-node of nodes[k], so a
     # neighbour's index is its in-side id. Flow on the link arc
@@ -366,7 +365,6 @@ def disjoint_paths(topo: Topology, anchor_source: int, anchor_dest: int,
     for node in excluded.nodes[1:-1]:
         if node in at:
             blocked[at[node]] = True
-    source, goal = at[anchor_source], at[anchor_dest]
     start = n + source
     # No flow ever enters the source, so its in-side leads nowhere: it is
     # blocked too. The walk never steps to the source either.

@@ -177,13 +177,8 @@ def build_qudg(positions: dict[int, Position], params: TopologyParams,
         for a, i in enumerate(members):
             pi = positions[i]
             for j in members[a + 1:] + near:
-                # The lower id's position goes first, as in a test of every
-                # pair in ascending order, so d is the float that test gets.
-                pj = positions[j]
-                if i < j:
-                    pair, d = (i, j), dist(pi, pj)
-                else:
-                    pair, d = (j, i), dist(pj, pi)
+                d = dist(pi, positions[j])
+                pair = (i, j) if i < j else (j, i)
                 if d < certain:
                     links.append(pair)
                 elif d < params.tx_range:

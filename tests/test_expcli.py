@@ -14,9 +14,10 @@ import pytest
 
 from extrout.adversary import attack_trials
 from extrout.expcli import (SCHEMA, ConfigError, _format_value, _make_settings,
-                            _sample_pair, main, resolve_config)
+                            main, resolve_config)
 from extrout.metrics import REFERENCES, ReconciliationRecord
-from extrout.protocols import ProtocolVariant, ScenarioSettings, build_scenario
+from extrout.protocols import (PlacementError, ProtocolVariant, ScenarioSettings,
+                               build_scenario, sample_pair)
 from extrout.rng import child_seed, substream
 from extrout.routing import LANDMARKS, UnreachableError, _hop_table
 from extrout.simengine import run
@@ -223,17 +224,21 @@ def test_main_exit_1_on_config_error(tmp_path, capsys):
     (["--spacing", "nan"], "spacing must be positive and finite, got nan"),
     # an infinite range would link every pair of nodes
     (["--tx-range", "inf"], "tx_range must be positive and finite, got inf"),
+    (["--source", "3", "--dest", "3"], "source and dest must differ"),
+    (["--strict", "maybe"], "bad value for --strict: not a boolean: 'maybe'"),
 ], ids=["ext-interval", "qudg-factor", "count", "threshold", "cover",
         "negative-endpoints", "negative-extensions", "pairs-per-target",
         "attack-trials", "hop-targets", "target-hops", "frontier-hops",
         "source-rate", "budget", "unreachable-endpoints", "nan-range",
-        "nan-spacing", "inf-range"])
+        "nan-spacing", "inf-range", "equal-endpoints", "strict"])
 def test_main_exit_1_on_invalid_input(tmp_path, capsys, flags, message):
     # flags come last, so they override the defaults set before them
+    out = tmp_path / "out"
     args = ["attack", *_dense_flags(5, 5), "--target-hops", "3",
-            "--trials", "100", "--budget", "5", *flags, "--out", str(tmp_path)]
+            "--trials", "100", "--budget", "5", *flags, "--out", str(out)]
     assert main(args) == 1
     assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text, message", [
@@ -249,8 +254,9 @@ def test_main_exit_1_on_invalid_input(tmp_path, capsys, flags, message):
     ("[run]\nseed = 3%\n", "bad value for seed"),
     # a UTF-16 byte order mark, written as bytes
     (b"\xff\xfe[run]\nseed = 3\n", "not UTF-8 (invalid start byte)"),
+    ("rows = 5\n", "File contains no section headers"),
 ], ids=["cover", "threshold", "residual-rate", "default",
-        "default-beside-topology", "percent", "not-utf-8"])
+        "default-beside-topology", "percent", "not-utf-8", "no-section"])
 def test_main_exit_1_on_removed_ini_key(tmp_path, capsys, text, message):
     ini = tmp_path / "exp.ini"
     if isinstance(text, bytes):
@@ -430,9 +436,15 @@ def test_sweep_rejects_bad_counts_before_writing(tmp_path, capsys, flags,
        f"line 3: {field} must be a finite number, got '{raw}'")
       for raw in ("nan", "inf", "-inf")
       for field, x, y in (("x", raw, "0.0"), ("y", "100.0", raw))],
+    ("", "empty topology file"),
+    ("# a comment\n\n", "empty topology file"),
+    ("2 150.0 0.95 0.0 100.0 0\n1 2 3 4\n", "malformed line: '1 2 3 4'"),
+    ("3 150.0 0.95 0.0 100.0 0\n1 0.0 0.0\n2 100.0 0.0\n1 2\n",
+     "header says 3 nodes, file has 2"),
 ], ids=["header", "ids", "repeated-id", "nan-range", "negative-count",
         "zero-count", "fractional-count", "bad-coordinate", "bad-link-end",
-        "not-utf-8", "nan-x", "nan-y", "inf-x", "inf-y", "-inf-x", "-inf-y"])
+        "not-utf-8", "nan-x", "nan-y", "inf-x", "inf-y", "-inf-x", "-inf-y",
+        "empty", "comments-only", "four-fields", "missing-node"])
 def test_main_exit_1_on_malformed_topology_file(tmp_path, capsys, text,
                                                 message):
     path = tmp_path / "broken.txt"
@@ -551,7 +563,7 @@ def test_pair_sampling_draws_the_bfs_pair_without_whole_topology_searches():
     draws = 0
     for seed in range(1, 9):
         rng = substream(seed, "pairs")
-        got = _sample_pair(topo, 20, rng)
+        got = sample_pair(topo, 20, rng)
         # the same draws, each checked by a BFS from its source
         rng = substream(seed, "pairs")
         while True:
@@ -972,6 +984,39 @@ def test_sweep_curves_are_exact_on_a_dense_grid(tmp_path):
     assert by_kind[("no_privacy", "0")][2] == "0.0"
     assert by_kind[("no_privacy", "0")][4] == "1.0"
     assert float(by_kind[("nfake_pairs", "3")][2]) == 0.75
+
+
+@pytest.mark.parametrize("size, flags, name, row, failed", [
+    (5, [], "anonymity_vs_tof.csv", "nfake_pairs,12,,,,,placement_failed=2", 2),
+    # the baseline's 2-hop hop rows are skipped as truncated; twelve decoy
+    # pairs fail to place instead
+    (5, ["--variant", "nfake_pairs", "--count", "12"], "anonymity_vs_L.csv",
+     "2,0,,,,,skipped=2", 4),
+    # a 6x6 grid has no pair 9 hops apart: sample_pair gives up on the row
+    (6, ["--hop-targets", "3,9"], "anonymity_vs_L.csv", "9,0,,,,,insufficient", 2),
+], ids=["placement-failed", "skipped", "insufficient"])
+def test_sweep_rows_note_the_plans_they_lack(tmp_path, monkeypatch, size, flags,
+                                             name, row, failed):
+    import extrout.expcli as expcli
+
+    failures = []
+
+    def build(*args):
+        try:
+            return build_scenario(*args)
+        except PlacementError:
+            failures.append(args[3])
+            raise
+
+    monkeypatch.setattr(expcli, "build_scenario", build)
+    out = tmp_path / "out"
+    assert main(["sweep", *_dense_flags(size, size), "--hop-targets", "2",
+                 "--pairs-per-target", "2", "--frontier-hops", "3",
+                 "--duplicate-counts", "1", "--fake-counts", "4",
+                 "--nfake-counts", "12", "--reps", "2", *flags,
+                 "--out", str(out)]) == 0
+    assert row in (out / name).read_text(encoding="utf-8").splitlines()
+    assert failures == [ProtocolVariant("nfake_pairs", 12)] * failed
 
 
 def test_attack_command_on_exposed_chain(tmp_path, capsys):

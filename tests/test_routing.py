@@ -681,7 +681,7 @@ def test_disjoint_paths_validation():
     with pytest.raises(ValueError):
         disjoint_paths(topo, 1, 4, 0, Route((1, 4)))
     for outside in (9, -3):
-        with pytest.raises(ValueError, match="anchors must be topology nodes"):
+        with pytest.raises(ValueError, match=f"node {outside} not in topology"):
             disjoint_paths(topo, 1, outside, 2, Route((1, outside)))
 
 
